@@ -45,10 +45,7 @@ fn scoped_baseline(backend: &FastCountBackend, exes: &[Executable], limits: &Run
                 if i >= exes.len() {
                     break;
                 }
-                let decoded = exes[i].decode().expect("decodes");
-                let report = backend
-                    .run_one_decoded(&exes[i], &decoded, limits)
-                    .expect("runs");
+                let report = backend.run_one(&exes[i], limits).expect("runs");
                 results.lock().expect("results")[i] = Some(report.stats.inst_mix.total());
             });
         }

@@ -37,10 +37,8 @@
 //! always re-verified accurately). The response then echoes the run's
 //! `PredictorStats` through `escalations`, `avoided_simulations` and
 //! `mean_abs_rank_error`; all three are `null` for plain tunes.
-//! Selecting an escalated tune through these per-field knobs alone
-//! (without the unified `fidelity` spec) is the deprecated pre-spec
-//! form; it still parses, and the `ok: true` response carries a
-//! deprecation note in `message`.
+//! Without a `fidelity` spec the escalated tune explores on the default
+//! exploration tier.
 //! | `stats` | `tenant` (optional) | per-tenant counters, or service-wide cache totals |
 //! | `save_cache` | `path` | persist the shared cache snapshot (atomic) |
 //! | `load_cache` | `path` | warm the shared cache (degrades to cold on corrupt files) |
@@ -68,9 +66,9 @@ use std::path::Path;
 pub const MAX_FRAME_BYTES: u32 = 16 * 1024 * 1024;
 
 /// One request frame. Unused fields are `null` on the wire.
-/// `Deserialize` is hand-written (below) so that `fidelity` — added
-/// after the v1 protocol shipped — may be absent from old clients'
-/// frames; every other member is required.
+/// `Deserialize` is hand-written (below) so that `fidelity` may be
+/// absent from a frame (read as `null`); every other member is
+/// required.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct Request {
     /// Caller-chosen correlation id, echoed on the response.
@@ -131,7 +129,6 @@ impl serde::Deserialize for Request {
             seed: obj.field("seed")?,
             strategy: obj.field("strategy")?,
             path: obj.field("path")?,
-            // Pre-spec clients omit the member entirely.
             fidelity: obj.field_or_default("fidelity")?,
             escalation_budget: obj.field("escalation_budget")?,
             escalation_confidence: obj.field("escalation_confidence")?,
@@ -397,21 +394,15 @@ impl Server {
             strategy,
             ..TuneOptions::default()
         };
-        // The unified `fidelity` spec names the exploration tier of an
-        // escalated tune; the per-field escalation knobs switch on the
-        // learned (uncertainty) tier and are the deprecated pre-spec
-        // way to request escalation on their own. A plain request keeps
-        // the all-accurate loop.
+        // The `fidelity` spec names the exploration tier of an escalated
+        // tune (absent: the default exploration tier); the escalation
+        // knobs switch on the learned (uncertainty) policy. A request
+        // with neither keeps the all-accurate loop.
         let explore = match parse_fidelity(req) {
             Ok(f) => f,
             Err(resp) => return *resp,
         };
         let uncertainty = req.escalation_budget.is_some() || req.escalation_confidence.is_some();
-        let deprecation = (uncertainty && explore.is_none()).then(|| {
-            "note: selecting escalation through per-field knobs alone is deprecated; \
-             prefer the unified `fidelity` spec string"
-                .to_string()
-        });
         let result = if uncertainty || explore.is_some() {
             let esc = EscalationOptions {
                 explore,
@@ -445,7 +436,6 @@ impl Server {
                     escalations: ps.map(|p| p.escalations),
                     avoided_simulations: ps.map(|p| p.avoided_simulations),
                     mean_abs_rank_error: ps.map(|p| p.mean_abs_rank_error),
-                    message: deprecation,
                     ..Response::to_req(req)
                 }
             }

@@ -1,7 +1,7 @@
 //! End-to-end coverage of the serve protocol's unified `fidelity`
 //! field: opening tenants at a named tier, escalated tunes with a
-//! spec-named exploration tier, the deprecated per-field escalation
-//! form (still accepted, answered with a note), and grammar errors as
+//! spec-named exploration tier, the escalation knobs with and without
+//! a spec, and grammar errors — hostile predictor sizes included — as
 //! handler failures.
 
 use simtune_bench::serve::{roundtrip, Request, Server};
@@ -65,6 +65,33 @@ fn malformed_fidelity_is_a_handler_error_with_the_grammar() {
 }
 
 #[test]
+fn hostile_predictor_sizes_are_a_handler_error_and_the_server_lives() {
+    // `pipelined:ras=N` sizes a per-trial allocation on a pool worker;
+    // an unbounded N aborted the whole process (every tenant with it).
+    // The parser refuses it, on `open` and on `tune` alike.
+    let mut server = server();
+    let hostile = "pipelined:ras=1000000000000000";
+    let resp = roundtrip(&mut server, &open_req("evil", Some(hostile))).unwrap();
+    assert!(!resp.ok);
+    let err = resp.error.unwrap();
+    assert!(err.contains("ras must be an integer <= 1024"), "{err}");
+    assert!(err.contains("expected accurate | fast-count"), "{err}");
+
+    assert!(roundtrip(&mut server, &open_req("t", None)).unwrap().ok);
+    let tune = Request {
+        tenant: Some("t".into()),
+        fidelity: Some("pipelined:btb=99999999999".into()),
+        ..req("tune")
+    };
+    let resp = roundtrip(&mut server, &tune).unwrap();
+    assert!(!resp.ok);
+    assert!(resp.error.unwrap().contains("btb must be an integer"));
+
+    // Every tenant is still served.
+    assert!(roundtrip(&mut server, &req("ping")).unwrap().ok);
+}
+
+#[test]
 fn tune_with_fidelity_runs_spec_tier_escalation_without_a_note() {
     let mut server = server();
     assert!(roundtrip(&mut server, &open_req("t", None)).unwrap().ok);
@@ -82,7 +109,7 @@ fn tune_with_fidelity_runs_spec_tier_escalation_without_a_note() {
     assert!(resp.best_score.unwrap().is_finite());
     assert_eq!(resp.trials, Some(8));
     // Spec-named top-k escalation is not the learned tier: no predictor
-    // counters, and no deprecation note — this IS the preferred form.
+    // counters, and nothing to say in `message`.
     assert!(resp.escalations.is_none());
     assert!(resp.message.is_none(), "{:?}", resp.message);
 
@@ -110,14 +137,12 @@ fn per_field_escalation_still_works_but_carries_a_deprecation_note() {
         ..req("tune")
     };
     let resp = roundtrip(&mut server, &tune).unwrap();
-    assert!(resp.ok, "legacy escalated tune failed: {:?}", resp.error);
+    // Knobs without a spec: the uncertainty policy on the default
+    // exploration tier.
+    assert!(resp.ok, "escalated tune failed: {:?}", resp.error);
     assert!(resp.escalations.is_some(), "uncertainty tier still runs");
-    let msg = resp.message.expect("ok:true response carries the note");
-    assert!(msg.contains("deprecated"), "{msg}");
-    assert!(msg.contains("fidelity"), "{msg}");
 
-    // Adding the spec alongside the knobs silences the note: the
-    // request is then fully in the new form.
+    // A spec alongside the knobs names the exploration tier instead.
     let both = Request {
         fidelity: Some("fast-count".into()),
         ..tune
@@ -130,14 +155,14 @@ fn per_field_escalation_still_works_but_carries_a_deprecation_note() {
 
 #[test]
 fn old_wire_frames_without_the_fidelity_member_still_parse() {
-    // A pre-spec client omits the `fidelity` member entirely; the
-    // vendored serde normally rejects missing members, so the field
-    // must be explicitly defaulted for wire compatibility.
+    // A frame may omit the `fidelity` member entirely; the vendored
+    // serde normally rejects missing members, so the field is
+    // explicitly defaulted.
     let mut server = server();
     let json = r#"{"id":5,"op":"ping","tenant":null,"arch":null,"workload":null,
         "dim":null,"impls":null,"n_trials":null,"batch_size":null,"seed":null,
         "strategy":null,"path":null,"escalation_budget":null,"escalation_confidence":null}"#;
-    let req: Request = serde_json::from_str(json).expect("pre-spec frame parses");
+    let req: Request = serde_json::from_str(json).expect("frame without the member parses");
     assert!(req.fidelity.is_none());
     let (resp, done) = server.handle(&req);
     assert!(resp.ok);

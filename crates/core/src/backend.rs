@@ -1,5 +1,5 @@
-//! Pluggable simulator backends: the typed successor of the
-//! function-registry override (paper Listings 3–4).
+//! Pluggable simulator backends: the paper's overridable simulator
+//! interface (Listings 3–4) as a typed API.
 //!
 //! The paper's claim is that the autotuner's runner is
 //! *simulator-agnostic*: anything that can execute a candidate and
@@ -8,28 +8,27 @@
 //! first-class API built around three pieces:
 //!
 //! * [`SimBackend`] — the trait every simulator flavor implements:
-//!   `run_batch(&[Executable], &RunLimits) -> Vec<Result<SimReport, _>>`;
-//! * [`BackendRegistry`] — a typed, named registry replacing the
-//!   stringly [`crate::FunctionRegistry`] (which survives as a thin
-//!   deprecated shim on top of this);
+//!   `run_one(&Executable, &RunLimits) -> Result<SimReport, _>`;
+//! * [`BackendRegistry`] — a typed registry of named backends;
 //! * [`SimSession`] — a builder-style entry point that pairs one
 //!   backend with a parallelism degree, run limits and an optional
 //!   [`SimCache`], re-exported from the `simtune` façade. Sessions
 //!   pre-decode every candidate once ([`Executable::decode`]) and feed
-//!   backends through [`SimBackend::run_one_decoded`]; with a cache
+//!   backends through [`SimBackend::run_one_decoded_on`]; with a cache
 //!   attached, revisited candidates skip the backend entirely.
 //!
 //! # Fidelity tiers
 //!
-//! Three backends ship with the crate; pick by what a tuning round
+//! Four backends ship with the crate, each one composition of
+//! [`simtune_isa::replay`]'s arguments; pick by what a tuning round
 //! needs:
 //!
-//! | backend | fidelity | cost | use when |
+//! | backend | statistics | cost | use when |
 //! |---|---|---|---|
-//! | [`AccurateBackend`] | cache-accurate ([`Fidelity::Accurate`]) | 1× | final ranking, training-data collection — the gem5-style reference |
-//! | [`FastCountBackend`] | counts only ([`Fidelity::CountOnly`]) | ≪1× | early exploration rounds where instruction/access totals are enough to discard bad candidates (QEMU-plugin instrumentation style) |
-//! | [`SampledBackend`] | extrapolated ([`Fidelity::Sampled`]) | count + fraction·accurate | middle ground: cache behavior matters but a prefix of the run is representative (Pac-Sim-style sampling) |
-//! | [`crate::PipelinedBackend`] | cycle-level timing ([`Fidelity::Pipelined`]) | >1× | candidates whose ranking depends on hazards, branch behavior or prefetch, not just counts — reports a per-trial [`simtune_hw::CycleBreakdown`] |
+//! | [`AccurateBackend`] | cache-accurate | 1× | final ranking, training-data collection — the gem5-style reference |
+//! | [`FastCountBackend`] | counts only | ≪1× | early exploration rounds where instruction/access totals are enough to discard bad candidates (QEMU-plugin instrumentation style) |
+//! | [`SampledBackend`] | extrapolated | count + fraction·accurate | middle ground: cache behavior matters but a prefix of the run is representative (Pac-Sim-style sampling) |
+//! | [`crate::PipelinedBackend`] | cycle-level timing | >1× | candidates whose ranking depends on hazards, branch behavior or prefetch, not just counts — reports a per-trial [`simtune_hw::CycleBreakdown`] |
 //!
 //! Tiers are *named* uniformly by [`crate::FidelitySpec`]: parse a spec
 //! string (`"pipelined:btb=512,ras=8"`), hand it to
@@ -71,63 +70,24 @@
 use crate::memo::SimCache;
 use crate::metrics::WorkerPoolStats;
 use crate::pool::{Batch, BatchCtx, BatchTicket, InflightMap, WorkerPool};
-use crate::runner::SimulatorRunFn;
-use crate::CoreError;
-use simtune_cache::{CacheConfig, CacheStats, HierarchyConfig, HierarchyStats};
+use crate::{CoreError, FidelitySpec};
+use simtune_cache::{CacheConfig, CacheHierarchy, CacheStats, HierarchyConfig, HierarchyStats};
 use simtune_hw::CycleBreakdown;
 use simtune_isa::{
-    simulate_batch_decoded, simulate_counting_batch_decoded, simulate_counting_decoded,
-    simulate_counting_decoded_on, simulate_decoded, simulate_decoded_on,
-    simulate_prefix_decoded_on, DecodedProgram, EngineKind, Executable, InstMix, RunLimits,
-    SimError, SimStats, ACCURATE, FAST_COUNT,
+    replay, replay_lanes, DecodedProgram, EngineKind, Executable, InstMix, NoopHook, RunLimits,
+    SimError, SimOutcome, SimStats,
 };
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
+/// Canonical name of the full instruction-accurate flavor.
+pub const ACCURATE: &str = "accurate";
+/// Canonical name of the counting-only flavor.
+pub const FAST_COUNT: &str = "fast-count";
 /// Canonical name of the sampled (prefix + extrapolation) flavor.
 pub const SAMPLED: &str = "sampled";
-
-/// How faithful a backend's statistics are to the reference simulator.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[non_exhaustive]
-pub enum Fidelity {
-    /// Full instruction-accurate simulation with the cache model.
-    Accurate,
-    /// Instruction and memory-access counting only; no cache model.
-    CountOnly,
-    /// A fraction of the run is simulated accurately and the statistics
-    /// are linearly extrapolated to the full run.
-    Sampled {
-        /// Target fraction of retired instructions simulated accurately.
-        fraction: f64,
-    },
-    /// Full instruction-accurate simulation driving a 5-stage in-order
-    /// pipeline timing model: architectural statistics are bit-identical
-    /// to [`Fidelity::Accurate`] and the report additionally carries a
-    /// deterministic cycle breakdown ([`SimReport::cycles`]).
-    Pipelined,
-    /// An external override whose fidelity is unknown to this crate.
-    Custom,
-    /// Statistics come from a cheap counting tier but the *score* is
-    /// answered by a learned model trained online on observed reports —
-    /// the tier below all simulating ones ([`crate::PredictedBackend`]).
-    Predicted,
-}
-
-impl fmt::Display for Fidelity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Fidelity::Accurate => write!(f, "accurate"),
-            Fidelity::CountOnly => write!(f, "count-only"),
-            Fidelity::Sampled { fraction } => write!(f, "sampled({fraction})"),
-            Fidelity::Pipelined => write!(f, "pipelined"),
-            Fidelity::Custom => write!(f, "custom"),
-            Fidelity::Predicted => write!(f, "predicted"),
-        }
-    }
-}
 
 /// Errors a backend can produce for one executable.
 #[derive(Debug, Clone, PartialEq)]
@@ -177,24 +137,22 @@ pub struct SimReport {
     pub stats: SimStats,
     /// Name of the backend that produced the statistics.
     pub backend: String,
-    /// Fidelity tier of the producing backend.
-    pub fidelity: Fidelity,
     /// True when `stats` was scaled up from a partial run rather than
     /// measured over the whole program.
     pub extrapolated: bool,
     /// Cycle accounting of the timing layer, present only for tiers
-    /// that model one ([`Fidelity::Pipelined`]). Deterministic: the
+    /// that model one ([`crate::PipelinedBackend`]). Deterministic: the
     /// same candidate yields byte-identical breakdowns at every
     /// parallelism degree and replay engine.
     pub cycles: Option<CycleBreakdown>,
 }
 
 impl SimReport {
-    fn full(stats: SimStats, backend: &str, fidelity: Fidelity) -> Self {
+    /// A report measured over the whole program, without a timing layer.
+    pub(crate) fn full(stats: SimStats, backend: &str) -> Self {
         SimReport {
             stats,
             backend: backend.to_string(),
-            fidelity,
             extrapolated: false,
             cycles: None,
         }
@@ -206,17 +164,21 @@ impl SimReport {
 ///
 /// Implementations must be shareable across the runner's `n_parallel`
 /// worker threads, hence `Send + Sync`; per-run state (CPU, memory,
-/// cache hierarchy) is created inside [`SimBackend::run_one`] so every
-/// candidate starts cold, exactly like the function-pointer era.
+/// cache hierarchy) is created inside the run methods so every
+/// candidate starts cold.
+///
+/// The two run methods have distinct jobs. An external simulator
+/// implements [`SimBackend::run_one`] and nothing else; the bundled
+/// tiers put their one run body in [`SimBackend::run_one_decoded_on`]
+/// and their `run_one` merely decodes first.
 pub trait SimBackend: Send + Sync {
     /// Stable name used as the registry key and stamped on every
-    /// [`SimReport`] / [`simtune_isa::SimOutcome`].
+    /// [`SimReport`].
     fn name(&self) -> &str;
 
-    /// The fidelity tier this backend provides.
-    fn fidelity(&self) -> Fidelity;
-
-    /// Runs one executable.
+    /// Runs one executable from its raw form — the entry point of
+    /// backends that drive their own simulator, and what the pool falls
+    /// back to for a program the bundled decoder rejects.
     ///
     /// # Errors
     ///
@@ -225,35 +187,17 @@ pub trait SimBackend: Send + Sync {
     fn run_one(&self, exe: &Executable, limits: &RunLimits) -> Result<SimReport, BackendError>;
 
     /// Runs one executable whose program was already lowered with
-    /// [`Executable::decode`]. [`SimSession`] decodes each candidate
-    /// exactly once per batch and calls this, so backends that execute
-    /// the program more than once per report (e.g. the sampling tier's
-    /// sizing pass plus prefix pass) replay the same µop array instead
-    /// of re-decoding. The default ignores the handle and delegates to
-    /// [`SimBackend::run_one`] — correct for external backends that
-    /// drive their own simulator.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SimBackend::run_one`].
-    fn run_one_decoded(
-        &self,
-        exe: &Executable,
-        decoded: &DecodedProgram,
-        limits: &RunLimits,
-    ) -> Result<SimReport, BackendError> {
-        let _ = decoded;
-        self.run_one(exe, limits)
-    }
-
-    /// [`SimBackend::run_one_decoded`] with an explicit replay
-    /// [`EngineKind`]. Sessions route every trial through this so the
-    /// configured engine (`SimSessionBuilder::engine`) reaches the
-    /// simulator. The default ignores the engine and delegates to
-    /// [`SimBackend::run_one_decoded`] — correct for external backends
-    /// that drive their own simulator and have no notion of the bundled
-    /// replay ladder. All bundled engines are bit-identical, so honoring
-    /// the engine changes host speed only, never statistics.
+    /// [`Executable::decode`], on an explicit replay [`EngineKind`].
+    /// [`SimSession`] decodes each candidate exactly once and routes
+    /// every trial through this, so the configured engine
+    /// (`SimSessionBuilder::engine`) reaches the simulator and tiers
+    /// that execute the program more than once per report (the sampling
+    /// tier's sizing pass plus prefix pass) replay the same µop array.
+    /// The default ignores both and delegates to
+    /// [`SimBackend::run_one`] — correct for external backends with no
+    /// notion of the bundled replay ladder. All bundled engines are
+    /// bit-identical, so honoring the engine changes host speed only,
+    /// never statistics.
     ///
     /// # Errors
     ///
@@ -265,13 +209,13 @@ pub trait SimBackend: Send + Sync {
         limits: &RunLimits,
         engine: EngineKind,
     ) -> Result<SimReport, BackendError> {
-        let _ = engine;
-        self.run_one_decoded(exe, decoded, limits)
+        let _ = (decoded, engine);
+        self.run_one(exe, limits)
     }
 
     /// True when [`SimBackend::run_soa_batch`] is cheaper than N calls
-    /// to [`SimBackend::run_one_decoded`] — i.e. the backend has a real
-    /// lane-parallel (structure-of-arrays) replay path. Sessions
+    /// to [`SimBackend::run_one_decoded_on`] — i.e. the backend has a
+    /// real lane-parallel (structure-of-arrays) replay path. Sessions
     /// configured with [`EngineKind::Batch`] group same-program trials
     /// into one SoA batch only when this returns true; the default is
     /// `false`, so external backends keep per-trial execution.
@@ -292,48 +236,47 @@ pub trait SimBackend: Send + Sync {
         limits: &RunLimits,
     ) -> Vec<Result<SimReport, BackendError>> {
         exes.iter()
-            .map(|exe| self.run_one_decoded(exe, decoded, limits))
+            .map(|exe| self.run_one_decoded_on(exe, decoded, limits, EngineKind::Batch))
             .collect()
     }
 
-    /// Configuration digest for the memoization layer, or `None` to opt
-    /// out of memoization (the default). A backend that returns
+    /// Canonical fidelity digest for the memoization layer, or `None`
+    /// to opt out of memoization (the default): one string naming the
+    /// tier *and* every configuration knob that changes results — the
+    /// cache-fingerprint form of [`crate::FidelitySpec`], e.g.
+    /// `"pipelined:btb=512,ras=8 @ l1d=..."`. A backend that returns
     /// `Some(digest)` asserts its reports are a pure function of
     /// (program, data, target, limits, digest) — the [`SimCache`] may
-    /// then replay stored reports instead of re-executing. The digest
-    /// must cover every configuration knob that changes results (cache
-    /// geometry, sampling fraction, ...).
-    fn memo_key(&self) -> Option<String> {
-        None
-    }
-
-    /// Canonical fidelity digest for the memoization layer: one string
-    /// naming the tier *and* every configuration knob that changes
-    /// results — the cache-fingerprint form of [`crate::FidelitySpec`].
-    /// `None` (when [`SimBackend::memo_key`] is `None`) opts out of
-    /// memoization. The default composes name, fidelity and memo key;
-    /// bundled backends override it with their spec-grammar digest
-    /// (e.g. `"pipelined:btb=512,ras=8 @ l1d=..."`).
+    /// then replay stored reports instead of re-executing.
     fn fidelity_digest(&self) -> Option<String> {
-        self.memo_key()
-            .map(|k| format!("{} {} [{k}]", self.name(), self.fidelity()))
-    }
-
-    /// Runs a batch sequentially, preserving order. Backends with a
-    /// cheaper batch path (shared warm-up, vectorized dispatch) may
-    /// override this for direct callers; [`SimSession`] itself always
-    /// drives [`SimBackend::run_one_decoded`] per candidate so decoding
-    /// and memoization stay per-executable.
-    fn run_batch(
-        &self,
-        execs: &[Executable],
-        limits: &RunLimits,
-    ) -> Vec<Result<SimReport, BackendError>> {
-        execs.iter().map(|e| self.run_one(e, limits)).collect()
+        None
     }
 }
 
-/// Canonical digest of a cache geometry for [`SimBackend::memo_key`]:
+/// `run_one` of every bundled tier: decode, then the tier's one run
+/// body on the default engine.
+pub(crate) fn decode_and_run(
+    backend: &dyn SimBackend,
+    exe: &Executable,
+    limits: &RunLimits,
+) -> Result<SimReport, BackendError> {
+    let decoded = exe.decode()?;
+    backend.run_one_decoded_on(exe, &decoded, limits, EngineKind::default())
+}
+
+/// Lane outcomes of [`replay_lanes`] as whole-program reports of the
+/// backend called `name`.
+fn lane_reports(
+    outcomes: Vec<Result<SimOutcome, SimError>>,
+    name: &str,
+) -> Vec<Result<SimReport, BackendError>> {
+    outcomes
+        .into_iter()
+        .map(|r| Ok(SimReport::full(r?.stats, name)))
+        .collect()
+}
+
+/// Canonical digest of a cache geometry for [`SimBackend::fidelity_digest`]:
 /// two hierarchies with equal digests model identical cache behavior.
 fn cache_digest(c: &CacheConfig) -> String {
     format!(
@@ -370,6 +313,11 @@ impl AccurateBackend {
     pub fn hierarchy(&self) -> &HierarchyConfig {
         &self.hierarchy
     }
+
+    /// One trial's cold cache model.
+    fn mk_hier(&self) -> CacheHierarchy {
+        CacheHierarchy::new(self.hierarchy.clone())
+    }
 }
 
 impl SimBackend for AccurateBackend {
@@ -377,23 +325,8 @@ impl SimBackend for AccurateBackend {
         ACCURATE
     }
 
-    fn fidelity(&self) -> Fidelity {
-        Fidelity::Accurate
-    }
-
     fn run_one(&self, exe: &Executable, limits: &RunLimits) -> Result<SimReport, BackendError> {
-        let decoded = exe.decode()?;
-        self.run_one_decoded(exe, &decoded, limits)
-    }
-
-    fn run_one_decoded(
-        &self,
-        exe: &Executable,
-        decoded: &DecodedProgram,
-        limits: &RunLimits,
-    ) -> Result<SimReport, BackendError> {
-        let out = simulate_decoded(exe, decoded, &self.hierarchy, *limits)?;
-        Ok(SimReport::full(out.stats, ACCURATE, Fidelity::Accurate))
+        decode_and_run(self, exe, limits)
     }
 
     fn run_one_decoded_on(
@@ -403,8 +336,9 @@ impl SimBackend for AccurateBackend {
         limits: &RunLimits,
         engine: EngineKind,
     ) -> Result<SimReport, BackendError> {
-        let out = simulate_decoded_on(exe, decoded, &self.hierarchy, *limits, engine)?;
-        Ok(SimReport::full(out.stats, ACCURATE, Fidelity::Accurate))
+        let hier = || self.mk_hier();
+        let (out, _) = replay(exe, decoded, hier, engine, *limits, None, &mut NoopHook)?;
+        Ok(SimReport::full(out.stats, ACCURATE))
     }
 
     fn supports_soa_batch(&self) -> bool {
@@ -417,17 +351,8 @@ impl SimBackend for AccurateBackend {
         decoded: &DecodedProgram,
         limits: &RunLimits,
     ) -> Vec<Result<SimReport, BackendError>> {
-        simulate_batch_decoded(exes, decoded, &self.hierarchy, *limits)
-            .into_iter()
-            .map(|r| {
-                let out = r?;
-                Ok(SimReport::full(out.stats, ACCURATE, Fidelity::Accurate))
-            })
-            .collect()
-    }
-
-    fn memo_key(&self) -> Option<String> {
-        Some(hierarchy_digest(&self.hierarchy))
+        let outcomes = replay_lanes(exes, decoded, *limits, || self.mk_hier());
+        lane_reports(outcomes, ACCURATE)
     }
 
     fn fidelity_digest(&self) -> Option<String> {
@@ -466,6 +391,11 @@ impl FastCountBackend {
     pub fn matching(hierarchy: &HierarchyConfig) -> Self {
         FastCountBackend::new(hierarchy.line_bytes())
     }
+
+    /// One trial's tally-only stand-in for a cache model.
+    fn mk_hier(&self) -> CacheHierarchy {
+        CacheHierarchy::counting_only(self.line_bytes)
+    }
 }
 
 impl SimBackend for FastCountBackend {
@@ -473,23 +403,8 @@ impl SimBackend for FastCountBackend {
         FAST_COUNT
     }
 
-    fn fidelity(&self) -> Fidelity {
-        Fidelity::CountOnly
-    }
-
     fn run_one(&self, exe: &Executable, limits: &RunLimits) -> Result<SimReport, BackendError> {
-        let decoded = exe.decode()?;
-        self.run_one_decoded(exe, &decoded, limits)
-    }
-
-    fn run_one_decoded(
-        &self,
-        exe: &Executable,
-        decoded: &DecodedProgram,
-        limits: &RunLimits,
-    ) -> Result<SimReport, BackendError> {
-        let out = simulate_counting_decoded(exe, decoded, self.line_bytes, *limits)?;
-        Ok(SimReport::full(out.stats, FAST_COUNT, Fidelity::CountOnly))
+        decode_and_run(self, exe, limits)
     }
 
     fn run_one_decoded_on(
@@ -499,8 +414,9 @@ impl SimBackend for FastCountBackend {
         limits: &RunLimits,
         engine: EngineKind,
     ) -> Result<SimReport, BackendError> {
-        let out = simulate_counting_decoded_on(exe, decoded, self.line_bytes, *limits, engine)?;
-        Ok(SimReport::full(out.stats, FAST_COUNT, Fidelity::CountOnly))
+        let hier = || self.mk_hier();
+        let (out, _) = replay(exe, decoded, hier, engine, *limits, None, &mut NoopHook)?;
+        Ok(SimReport::full(out.stats, FAST_COUNT))
     }
 
     fn supports_soa_batch(&self) -> bool {
@@ -513,17 +429,8 @@ impl SimBackend for FastCountBackend {
         decoded: &DecodedProgram,
         limits: &RunLimits,
     ) -> Vec<Result<SimReport, BackendError>> {
-        simulate_counting_batch_decoded(exes, decoded, self.line_bytes, *limits)
-            .into_iter()
-            .map(|r| {
-                let out = r?;
-                Ok(SimReport::full(out.stats, FAST_COUNT, Fidelity::CountOnly))
-            })
-            .collect()
-    }
-
-    fn memo_key(&self) -> Option<String> {
-        Some(format!("line_bytes={}", self.line_bytes))
+        let outcomes = replay_lanes(exes, decoded, *limits, || self.mk_hier());
+        lane_reports(outcomes, FAST_COUNT)
     }
 
     fn fidelity_digest(&self) -> Option<String> {
@@ -589,30 +496,12 @@ impl SimBackend for SampledBackend {
         SAMPLED
     }
 
-    fn fidelity(&self) -> Fidelity {
-        Fidelity::Sampled {
-            fraction: self.fraction,
-        }
-    }
-
     fn run_one(&self, exe: &Executable, limits: &RunLimits) -> Result<SimReport, BackendError> {
-        let decoded = exe.decode()?;
-        self.run_one_decoded(exe, &decoded, limits)
+        decode_and_run(self, exe, limits)
     }
 
-    // Two passes over the same program; the shared pre-decoded handle is
-    // exactly what makes the sizing pass nearly free of dispatch setup.
-    fn run_one_decoded(
-        &self,
-        exe: &Executable,
-        decoded: &DecodedProgram,
-        limits: &RunLimits,
-    ) -> Result<SimReport, BackendError> {
-        self.run_one_decoded_on(exe, decoded, limits, EngineKind::Decoded)
-    }
-
-    // Engine selection applies to both passes: the sizing count and the
-    // accurately simulated prefix replay on the same engine.
+    // Two passes over the same pre-decoded program, both on the selected
+    // engine: the sizing count, then the accurately simulated prefix.
     fn run_one_decoded_on(
         &self,
         exe: &Executable,
@@ -621,42 +510,30 @@ impl SimBackend for SampledBackend {
         engine: EngineKind,
     ) -> Result<SimReport, BackendError> {
         // Counting pass: total work, at a fraction of the accurate cost.
-        let count = simulate_counting_decoded_on(
-            exe,
-            decoded,
-            self.hierarchy.line_bytes(),
-            *limits,
-            engine,
-        )?;
+        let counting = || CacheHierarchy::counting_only(self.hierarchy.line_bytes());
+        let (count, _) = replay(exe, decoded, counting, engine, *limits, None, &mut NoopHook)?;
         let total = count.stats.inst_mix.total();
         let budget = ((total as f64 * self.fraction).ceil() as u64)
             .max(self.min_insts)
             .max(1);
-        let (out, completed) =
-            simulate_prefix_decoded_on(exe, decoded, &self.hierarchy, *limits, budget, engine)?;
-        let fidelity = Fidelity::Sampled {
-            fraction: self.fraction,
-        };
+        let hier = || CacheHierarchy::new(self.hierarchy.clone());
+        let (out, completed) = replay(
+            exe,
+            decoded,
+            hier,
+            engine,
+            *limits,
+            Some(budget),
+            &mut NoopHook,
+        )?;
         if completed {
-            return Ok(SimReport::full(out.stats, SAMPLED, fidelity));
+            return Ok(SimReport::full(out.stats, SAMPLED));
         }
         let retired = out.stats.inst_mix.total().max(1);
         Ok(SimReport {
-            stats: extrapolate(&out.stats, total, retired),
-            backend: SAMPLED.into(),
-            fidelity,
             extrapolated: true,
-            cycles: None,
+            ..SimReport::full(extrapolate(&out.stats, total, retired), SAMPLED)
         })
-    }
-
-    fn memo_key(&self) -> Option<String> {
-        Some(format!(
-            "{} fraction={} min_insts={}",
-            hierarchy_digest(&self.hierarchy),
-            self.fraction,
-            self.min_insts
-        ))
     }
 
     fn fidelity_digest(&self) -> Option<String> {
@@ -708,49 +585,8 @@ pub(crate) fn extrapolate(prefix: &SimStats, total: u64, retired: u64) -> SimSta
     }
 }
 
-/// Adapter exposing a bare run function (the deprecated
-/// [`crate::SimulatorRunFn`] era) as a [`SimBackend`], so legacy
-/// overrides keep working behind the typed API.
-pub struct FnBackend {
-    name: String,
-    func: Arc<SimulatorRunFn>,
-}
-
-impl FnBackend {
-    /// Wraps `func` under `name`.
-    pub fn new(name: impl Into<String>, func: Arc<SimulatorRunFn>) -> Self {
-        FnBackend {
-            name: name.into(),
-            func,
-        }
-    }
-}
-
-impl fmt::Debug for FnBackend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FnBackend")
-            .field("name", &self.name)
-            .finish()
-    }
-}
-
-impl SimBackend for FnBackend {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn fidelity(&self) -> Fidelity {
-        Fidelity::Custom
-    }
-
-    fn run_one(&self, exe: &Executable, _limits: &RunLimits) -> Result<SimReport, BackendError> {
-        let stats = (self.func)(exe)?;
-        Ok(SimReport::full(stats, &self.name, Fidelity::Custom))
-    }
-}
-
-/// A typed registry of named simulator backends — the successor of the
-/// stringly [`crate::FunctionRegistry`]. Iteration order (and thus
+/// A typed registry of named simulator backends — where the paper's
+/// `register_func(..., override=True)` lands. Iteration order (and thus
 /// [`BackendRegistry::names`]) is the names' lexicographic order.
 #[derive(Default, Clone)]
 pub struct BackendRegistry {
@@ -771,9 +607,9 @@ impl BackendRegistry {
         Self::default()
     }
 
-    /// Registry pre-populated with the three bundled fidelity tiers for
-    /// `hierarchy`: [`AccurateBackend`], [`FastCountBackend`] and a
-    /// [`SampledBackend`] at `sample_fraction`.
+    /// Registry pre-populated with every bundled fidelity tier
+    /// ([`FidelitySpec::all`]) for `hierarchy`, each under its tier
+    /// label, the sampled tier at `sample_fraction`.
     ///
     /// # Errors
     ///
@@ -784,12 +620,15 @@ impl BackendRegistry {
         sample_fraction: f64,
     ) -> Result<Self, CoreError> {
         let mut reg = BackendRegistry::new();
-        reg.register(Arc::new(AccurateBackend::new(hierarchy.clone())), false)?;
-        reg.register(Arc::new(FastCountBackend::matching(hierarchy)), false)?;
-        reg.register(
-            Arc::new(SampledBackend::new(hierarchy.clone(), sample_fraction)?),
-            false,
-        )?;
+        for spec in FidelitySpec::all() {
+            let spec = match spec {
+                FidelitySpec::Sampled { .. } => FidelitySpec::Sampled {
+                    fraction: sample_fraction,
+                },
+                other => other,
+            };
+            reg.register(spec.build(hierarchy)?, false)?;
+        }
         Ok(reg)
     }
 
@@ -850,8 +689,8 @@ impl BackendRegistry {
 }
 
 /// One configured simulation context: a backend plus parallelism, run
-/// limits and an optional memo cache — what [`crate::SimulatorRunner`]
-/// is built on and what the autotuning loops drive.
+/// limits and an optional memo cache — the runner of the paper's
+/// Listing 3, and what the autotuning loops drive.
 ///
 /// Created through [`SimSession::builder`]. Building a session spawns a
 /// *persistent* pool of `n_parallel` worker threads
@@ -867,9 +706,9 @@ impl BackendRegistry {
 /// producer/consumer overlap the pipelined tuning loops are built on.
 ///
 /// Each executable is decoded exactly once ([`Executable::decode`]) on
-/// a worker and handed to [`SimBackend::run_one_decoded`]. When a
+/// a worker and handed to [`SimBackend::run_one_decoded_on`]. When a
 /// [`SimCache`] is attached and the backend opts into memoization
-/// ([`SimBackend::memo_key`]), lookups happen at *submission* time on
+/// ([`SimBackend::fidelity_digest`]), lookups happen at *submission* time on
 /// the submitting thread: previously seen candidates are answered
 /// without any backend execution (or decode), and a candidate whose
 /// fingerprint is already in flight becomes a follower of that
@@ -918,7 +757,7 @@ impl fmt::Debug for SimSession {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SimSession")
             .field("backend", &self.backend.name())
-            .field("fidelity", &self.backend.fidelity())
+            .field("fidelity", &self.backend.fidelity_digest())
             .field("n_parallel", &self.n_parallel)
             .field("memo", &self.memo)
             .finish()
@@ -1149,7 +988,8 @@ impl SimSessionBuilder {
     /// Attaches a [`SimCache`] so revisited candidates are answered from
     /// memory instead of re-simulated. Share one `Arc<SimCache>` across
     /// sessions to deduplicate simulations across tuning loops; only
-    /// backends that opt in via [`SimBackend::memo_key`] are memoized.
+    /// backends that opt in via [`SimBackend::fidelity_digest`] are
+    /// memoized.
     pub fn memo_cache(mut self, cache: Arc<SimCache>) -> Self {
         self.memo = Some(cache);
         self
@@ -1223,6 +1063,7 @@ fn default_n_parallel() -> usize {
 
 #[cfg(test)]
 mod tests {
+    use super::stub::StubBackend;
     use super::*;
     use crate::KernelBuilder;
     use simtune_tensor::{matmul, Schedule, TargetIsa};
@@ -1278,7 +1119,7 @@ mod tests {
         let samp = SampledBackend::new(hier(), 0.25).unwrap().with_min_insts(1);
         let s = samp.run_one(&exes[0], &RunLimits::default()).unwrap();
         assert!(s.extrapolated);
-        assert_eq!(s.fidelity, Fidelity::Sampled { fraction: 0.25 });
+        assert_eq!(s.backend, "sampled");
         // Extrapolated totals land close to the true total (linear
         // scaling of an exact quarter prefix: within rounding of the
         // component-wise division).
@@ -1298,7 +1139,11 @@ mod tests {
     #[test]
     fn registry_rejects_collisions_with_registry_error() {
         let mut reg = BackendRegistry::with_defaults(&hier(), 0.5).unwrap();
-        assert_eq!(reg.names(), ["accurate", "fast-count", "sampled"]);
+        // One roster: every `FidelitySpec::all()` tier, nothing else.
+        assert_eq!(
+            reg.names(),
+            ["accurate", "fast-count", "pipelined", "sampled"]
+        );
         let err = reg
             .register(Arc::new(AccurateBackend::new(hier())), false)
             .unwrap_err();
@@ -1306,7 +1151,10 @@ mod tests {
         // Overriding is allowed when asked for.
         reg.register(Arc::new(AccurateBackend::new(hier())), true)
             .unwrap();
-        assert_eq!(reg.len(), 3);
+        assert_eq!(reg.len(), FidelitySpec::all().len());
+        // The caller's sample fraction reaches the sampled tier.
+        let digest = reg.get("sampled").unwrap().fidelity_digest().unwrap();
+        assert!(digest.starts_with("sampled:fraction=0.5 @ "), "{digest}");
     }
 
     #[test]
@@ -1376,24 +1224,22 @@ mod tests {
         fn name(&self) -> &str {
             self.inner.name()
         }
-        fn fidelity(&self) -> Fidelity {
-            self.inner.fidelity()
-        }
         fn run_one(&self, exe: &Executable, limits: &RunLimits) -> Result<SimReport, BackendError> {
             self.executions.fetch_add(1, Ordering::Relaxed);
             self.inner.run_one(exe, limits)
         }
-        fn run_one_decoded(
+        fn run_one_decoded_on(
             &self,
             exe: &Executable,
             decoded: &DecodedProgram,
             limits: &RunLimits,
+            engine: EngineKind,
         ) -> Result<SimReport, BackendError> {
             self.executions.fetch_add(1, Ordering::Relaxed);
-            self.inner.run_one_decoded(exe, decoded, limits)
+            self.inner.run_one_decoded_on(exe, decoded, limits, engine)
         }
-        fn memo_key(&self) -> Option<String> {
-            self.inner.memo_key()
+        fn fidelity_digest(&self) -> Option<String> {
+            self.inner.fidelity_digest()
         }
     }
 
@@ -1466,15 +1312,10 @@ mod tests {
         assert!(exe.decode().is_err(), "sanity: validator rejects it");
 
         // A custom backend driving its own simulator must still run it.
-        let custom = FnBackend::new(
-            "external",
-            Arc::new(|_: &Executable| {
-                Ok(SimStats {
-                    host_nanos: 5,
-                    ..SimStats::default()
-                })
-            }),
-        );
+        let custom = StubBackend::new("external", |_| SimStats {
+            host_nanos: 5,
+            ..SimStats::default()
+        });
         let session = SimSession::builder()
             .backend(Arc::new(custom))
             .n_parallel(1)
@@ -1530,7 +1371,7 @@ mod tests {
             &session.limits(),
             session.engine(),
         );
-        let planted = SimReport::full(SimStats::default(), ACCURATE, Fidelity::Accurate);
+        let planted = SimReport::full(SimStats::default(), ACCURATE);
         cache.insert(key, planted.clone());
         let report = session
             .run(std::slice::from_ref(&exe))
@@ -1546,13 +1387,10 @@ mod tests {
         let exes = exes(1);
         let calls = Arc::new(AtomicUsize::new(0));
         let calls_inner = calls.clone();
-        let b = FnBackend::new(
-            "stub",
-            Arc::new(move |_: &Executable| {
-                calls_inner.fetch_add(1, Ordering::Relaxed);
-                Ok(SimStats::default())
-            }),
-        );
+        let b = StubBackend::new("stub", move |_| {
+            calls_inner.fetch_add(1, Ordering::Relaxed);
+            SimStats::default()
+        });
         let cache = Arc::new(SimCache::new());
         let session = SimSession::builder()
             .backend(Arc::new(b))
@@ -1562,26 +1400,109 @@ mod tests {
             .unwrap();
         session.run(&exes);
         session.run(&exes);
-        assert_eq!(calls.load(Ordering::Relaxed), 2, "no memo for Custom");
+        assert_eq!(calls.load(Ordering::Relaxed), 2, "no digest, no memo");
         assert!(cache.is_empty());
         assert_eq!(cache.stats().lookups(), 0);
     }
 
     #[test]
     fn fn_backend_adapts_legacy_overrides() {
+        // The external-simulator shape: a backend that implements
+        // `run_one` alone serves a session on every engine through the
+        // trait's defaults, named and unmemoized.
         let exes = exes(1);
-        let b = FnBackend::new(
-            "stub",
-            Arc::new(|_: &Executable| {
-                Ok(SimStats {
-                    host_nanos: 99,
-                    ..SimStats::default()
-                })
-            }),
-        );
-        let r = b.run_one(&exes[0], &RunLimits::default()).unwrap();
-        assert_eq!(r.stats.host_nanos, 99);
-        assert_eq!(r.backend, "stub");
-        assert_eq!(r.fidelity, Fidelity::Custom);
+        for engine in EngineKind::ALL {
+            let b = StubBackend::new("stub", |_| SimStats {
+                host_nanos: 99,
+                ..SimStats::default()
+            });
+            assert_eq!(b.fidelity_digest(), None);
+            let session = SimSession::builder()
+                .backend(Arc::new(b))
+                .engine(engine)
+                .n_parallel(1)
+                .build()
+                .unwrap();
+            let r = session.run(&exes).pop().unwrap().unwrap();
+            assert_eq!(r.stats.host_nanos, 99);
+            assert_eq!(r.backend, "stub");
+            assert!(!r.extrapolated && r.cycles.is_none());
+        }
+    }
+}
+
+/// The one unit-test stub, shaped like an external simulator: it
+/// implements [`SimBackend::run_one`] alone (a closure from the
+/// executable to its statistics), so the trait's defaults are what the
+/// tests drive. With a group journal attached it additionally opts
+/// into the SoA probe and records the lane count of every grouped
+/// replay it is handed.
+#[cfg(test)]
+pub(crate) mod stub {
+    use super::*;
+    use std::sync::Mutex;
+
+    pub(crate) struct StubBackend {
+        name: &'static str,
+        run: Box<dyn Fn(&Executable) -> SimStats + Send + Sync>,
+        soa_groups: Option<Arc<Mutex<Vec<usize>>>>,
+    }
+
+    impl StubBackend {
+        pub(crate) fn new(
+            name: &'static str,
+            run: impl Fn(&Executable) -> SimStats + Send + Sync + 'static,
+        ) -> Self {
+            StubBackend {
+                name,
+                run: Box::new(run),
+                soa_groups: None,
+            }
+        }
+
+        /// Stub reporting [`marker_stats`], so order preservation is
+        /// observable.
+        pub(crate) fn marker(name: &'static str) -> Self {
+            StubBackend::new(name, marker_stats)
+        }
+
+        pub(crate) fn with_soa_journal(mut self, groups: Arc<Mutex<Vec<usize>>>) -> Self {
+            self.soa_groups = Some(groups);
+            self
+        }
+    }
+
+    /// A per-executable marker: the name's length in `host_nanos`.
+    pub(crate) fn marker_stats(exe: &Executable) -> SimStats {
+        SimStats {
+            host_nanos: exe.name.len() as u64,
+            ..SimStats::default()
+        }
+    }
+
+    impl SimBackend for StubBackend {
+        fn name(&self) -> &str {
+            self.name
+        }
+
+        fn run_one(&self, exe: &Executable, _: &RunLimits) -> Result<SimReport, BackendError> {
+            Ok(SimReport::full((self.run)(exe), self.name))
+        }
+
+        fn supports_soa_batch(&self) -> bool {
+            self.soa_groups.is_some()
+        }
+
+        fn run_soa_batch(
+            &self,
+            exes: &[&Executable],
+            _decoded: &DecodedProgram,
+            limits: &RunLimits,
+        ) -> Vec<Result<SimReport, BackendError>> {
+            if let Some(groups) = &self.soa_groups {
+                groups.lock().unwrap().push(exes.len());
+            }
+            exes.iter().map(|e| self.run_one(e, limits)).collect()
+        }
     }
 }

@@ -56,10 +56,10 @@ use crate::{
 };
 use simtune_cache::{CacheHierarchy, HierarchyConfig};
 use simtune_isa::{
-    simulate_counting_decoded_on, simulate_prefix_decoded_on, torture_program_with, AtomicCpu,
-    BatchEngine, BatchLane, DecodedEngine, DecodedProgram, EngineKind, ExecEngine, Executable, Fpr,
-    Gpr, InterpEngine, Memory, NoopHook, Program, RunLimits, SimError, SimStats, TargetIsa,
-    ThreadedEngine, ThreadedProgram, TortureConfig, Vr, DATA_BASE, TORTURE_WINDOW,
+    replay, torture_program_with, AtomicCpu, BatchEngine, BatchLane, DecodedEngine, DecodedProgram,
+    EngineKind, ExecEngine, Executable, Fpr, Gpr, InterpEngine, Memory, NoopHook, Program,
+    RunLimits, SimError, SimStats, TargetIsa, ThreadedEngine, ThreadedProgram, TortureConfig, Vr,
+    DATA_BASE, TORTURE_WINDOW,
 };
 
 /// One observed disagreement between a combination under test and its
@@ -489,24 +489,28 @@ impl DiffHarness {
         got: &SimReport,
         divs: &mut Vec<Divergence>,
     ) {
-        let line = self.hierarchy.line_bytes();
-        let count = match simulate_counting_decoded_on(exe, decoded, line, self.limits, engine) {
-            Ok(c) => c,
+        let pass = |hier: CacheHierarchy, stop_at| {
+            replay(
+                exe,
+                decoded,
+                || hier,
+                engine,
+                self.limits,
+                stop_at,
+                &mut NoopHook,
+            )
+        };
+        let counting = CacheHierarchy::counting_only(self.hierarchy.line_bytes());
+        let total = match pass(counting, None) {
+            Ok((count, _)) => count.stats.inst_mix.total(),
             Err(e) => {
                 push(divs, combo, "sizing-pass", &"completes", &e);
                 return;
             }
         };
-        let total = count.stats.inst_mix.total();
         let budget = ((total as f64 * PARTIAL_FRACTION).ceil() as u64).max(1);
-        let (prefix, completed) = match simulate_prefix_decoded_on(
-            exe,
-            decoded,
-            &self.hierarchy,
-            self.limits,
-            budget,
-            engine,
-        ) {
+        let full = CacheHierarchy::new(self.hierarchy.clone());
+        let (prefix, completed) = match pass(full, Some(budget)) {
             Ok(p) => p,
             Err(e) => {
                 push(divs, combo, "prefix-pass", &"completes", &e);

@@ -1,11 +1,8 @@
 //! One name for a fidelity tier: [`FidelitySpec`].
 //!
-//! Before this module, every layer named tiers its own way — the
-//! session builder had one method per tier, the escalation options
-//! carried a bare `sample_fraction`, the service protocol shipped
-//! loose per-field knobs and the memo cache fingerprinted an ad-hoc
-//! `(backend name, fidelity, memo key)` triple. `FidelitySpec` is the
-//! single spelling all of them consume:
+//! Every layer that selects a tier — session builder, escalation
+//! options, service protocol, CLI, memo fingerprint, backend registry —
+//! consumes this one spelling:
 //!
 //! * **grammar** — `tier[:key=value,...]`, e.g. `accurate`,
 //!   `fast-count`, `sampled:fraction=0.25`, `pipelined:btb=512,ras=8`;
@@ -21,8 +18,10 @@
 //! The shape mirrors [`crate::StrategySpec`], which plays the same role
 //! for search strategies.
 
-use crate::backend::{AccurateBackend, FastCountBackend, SampledBackend, SimBackend};
-use crate::pipelined::PipelinedBackend;
+use crate::backend::{
+    AccurateBackend, FastCountBackend, SampledBackend, SimBackend, ACCURATE, FAST_COUNT, SAMPLED,
+};
+use crate::pipelined::{PipelinedBackend, PIPELINED};
 use crate::CoreError;
 use simtune_cache::HierarchyConfig;
 use std::fmt;
@@ -34,6 +33,13 @@ pub const DEFAULT_BTB_ENTRIES: usize = 512;
 pub const DEFAULT_RAS_DEPTH: usize = 8;
 /// Default sample fraction when `sampled` is named without one.
 pub const DEFAULT_SAMPLE_FRACTION: f64 = 0.5;
+/// Largest BTB the `pipelined` grammar accepts: the predictor table is
+/// allocated per trial, so the parser (which sees CLI flags and serve
+/// frames) bounds it instead of letting a worker attempt the allocation.
+const MAX_BTB_ENTRIES: usize = 1 << 20;
+/// Largest RAS depth the `pipelined` grammar accepts (see
+/// [`MAX_BTB_ENTRIES`]).
+const MAX_RAS_DEPTH: usize = 1 << 10;
 
 /// A parsed, canonical name for one simulation fidelity tier.
 ///
@@ -87,10 +93,10 @@ impl FidelitySpec {
     /// Short tier label without parameters.
     pub fn label(&self) -> &'static str {
         match self {
-            FidelitySpec::Accurate => "accurate",
-            FidelitySpec::FastCount => "fast-count",
-            FidelitySpec::Sampled { .. } => "sampled",
-            FidelitySpec::Pipelined { .. } => "pipelined",
+            FidelitySpec::Accurate => ACCURATE,
+            FidelitySpec::FastCount => FAST_COUNT,
+            FidelitySpec::Sampled { .. } => SAMPLED,
+            FidelitySpec::Pipelined { .. } => PIPELINED,
         }
     }
 
@@ -197,16 +203,16 @@ impl std::str::FromStr for FidelitySpec {
                 let mut btb = DEFAULT_BTB_ENTRIES;
                 let mut ras = DEFAULT_RAS_DEPTH;
                 for (k, v) in key_values(args)? {
-                    let parsed = v
-                        .parse()
-                        .map_err(|_| bad_spec(format!("{k} must be an integer, got {v:?}")))?;
-                    match k {
-                        "btb" => btb = parsed,
-                        "ras" => ras = parsed,
+                    let (slot, max) = match k {
+                        "btb" => (&mut btb, MAX_BTB_ENTRIES),
+                        "ras" => (&mut ras, MAX_RAS_DEPTH),
                         other => {
                             return Err(bad_spec(format!("unknown pipelined parameter {other:?}")))
                         }
-                    }
+                    };
+                    *slot = v.parse().ok().filter(|n| *n <= max).ok_or_else(|| {
+                        bad_spec(format!("{k} must be an integer <= {max}, got {v:?}"))
+                    })?;
                 }
                 Ok(FidelitySpec::Pipelined { btb, ras })
             }
@@ -264,6 +270,16 @@ mod tests {
                 ras: 4
             }
         );
+        // The largest predictor tables the grammar admits.
+        assert_eq!(
+            "pipelined:btb=1048576,ras=1024"
+                .parse::<FidelitySpec>()
+                .unwrap(),
+            FidelitySpec::Pipelined {
+                btb: MAX_BTB_ENTRIES,
+                ras: MAX_RAS_DEPTH
+            }
+        );
     }
 
     #[test]
@@ -274,6 +290,10 @@ mod tests {
             "sampled:frac=0.5",
             "pipelined:btb",
             "pipelined:lanes=2",
+            "pipelined:btb=1048577",
+            "pipelined:ras=1025",
+            "pipelined:ras=1000000000000000",
+            "pipelined:btb=99999999999999999999999999",
             "accurate:x=1",
             "fast-count:y=2",
         ] {

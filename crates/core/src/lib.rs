@@ -9,7 +9,7 @@
 //! |---|---|
 //! | "any simulator can be plugged in" (Section II-C) | [`SimBackend`], [`BackendRegistry`], [`SimSession`] |
 //! | repeated performance queries made cheap (the paper's throughput argument) | [`SimCache`] memoization + pre-decoded execution ([`simtune_isa::DecodedProgram`]) |
-//! | `SimulatorRunner` / `local_run` override (Listings 3–4, Fig. 1-I) | [`SimulatorRunner`], [`FunctionRegistry`] |
+//! | runner on `n_parallel` simulators / `local_run` override (Listings 3–4, Fig. 1-I) | [`SimSession`], [`SimBackend`], [`BackendRegistry`] |
 //! | fidelity/speed trade-off across simulators (Fig. 1) | [`FidelitySpec`], [`AccurateBackend`], [`PipelinedBackend`], [`FastCountBackend`], [`SampledBackend`], [`tune_with_fidelity_escalation`] |
 //! | simulator statistics → predictor inputs (Eqs. 1–2) | [`raw_sample`], [`GroupMeans`] |
 //! | static/dynamic window mean approximation (Section III-E) | [`WindowNormalizer`] |
@@ -46,7 +46,6 @@ pub mod diffharness;
 mod error;
 mod features;
 mod fidelity;
-mod interface;
 pub mod log;
 mod memo;
 mod metrics;
@@ -67,8 +66,8 @@ pub use autotune::{
     UncertaintyPolicy,
 };
 pub use backend::{
-    AccurateBackend, BackendError, BackendRegistry, FastCountBackend, Fidelity, FnBackend,
-    SampledBackend, SimBackend, SimReport, SimSession, SimSessionBuilder, SAMPLED,
+    AccurateBackend, BackendError, BackendRegistry, FastCountBackend, SampledBackend, SimBackend,
+    SimReport, SimSession, SimSessionBuilder, ACCURATE, FAST_COUNT, SAMPLED,
 };
 pub use error::CoreError;
 pub use features::{
@@ -76,9 +75,6 @@ pub use features::{
     WindowKind, WindowNormalizer,
 };
 pub use fidelity::{FidelitySpec, DEFAULT_BTB_ENTRIES, DEFAULT_RAS_DEPTH, DEFAULT_SAMPLE_FRACTION};
-#[allow(deprecated)]
-pub use interface::FunctionRegistry;
-pub use interface::LOCAL_RUNNER_RUN;
 pub use memo::{fingerprint as memo_fingerprint, SimCache};
 pub use metrics::{
     e_top1, parallel_speedup_k, prediction_metrics, quality_score, r_top1, ConvergenceStats,
@@ -90,7 +86,7 @@ pub use pool::BatchTicket;
 pub use predicted::{
     shared_predictor, OnlinePredictor, PredictedBackend, Prediction, Predictor, SharedPredictor,
 };
-pub use runner::{HardwareRunner, KernelBuilder, SimulatorRunFn, SimulatorRunner};
+pub use runner::{HardwareRunner, KernelBuilder};
 pub use score::{GroupData, ScorePredictor};
 pub use search::{
     Annealing, CustomStrategyFactory, Evaluation, Evolutionary, GridSearch, HillClimb,

@@ -468,7 +468,6 @@ pub fn fingerprint(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::Fidelity;
     use crate::SimBackend;
     use simtune_isa::{Gpr, Inst, ProgramBuilder, SimStats, TargetIsa};
 
@@ -540,7 +539,6 @@ mod tests {
         let report = SimReport {
             stats: SimStats::default(),
             backend: "accurate".into(),
-            fidelity: Fidelity::Accurate,
             extrapolated: false,
             cycles: None,
         };
@@ -561,7 +559,6 @@ mod tests {
         let report = SimReport {
             stats: SimStats::default(),
             backend: "accurate".into(),
-            fidelity: Fidelity::Accurate,
             extrapolated: false,
             cycles: None,
         };
@@ -601,7 +598,6 @@ mod tests {
                 ..SimStats::default()
             },
             backend: "accurate".into(),
-            fidelity: Fidelity::Accurate,
             extrapolated: false,
             cycles: None,
         };
@@ -629,22 +625,7 @@ mod tests {
 
     #[test]
     fn custom_backends_opt_out_by_default() {
-        struct Opaque;
-        impl SimBackend for Opaque {
-            fn name(&self) -> &str {
-                "opaque"
-            }
-            fn fidelity(&self) -> Fidelity {
-                Fidelity::Custom
-            }
-            fn run_one(
-                &self,
-                _exe: &Executable,
-                _limits: &RunLimits,
-            ) -> Result<SimReport, crate::BackendError> {
-                unreachable!("not exercised")
-            }
-        }
-        assert_eq!(Opaque.memo_key(), None);
+        let opaque = crate::backend::stub::StubBackend::marker("opaque");
+        assert_eq!(opaque.fidelity_digest(), None);
     }
 }

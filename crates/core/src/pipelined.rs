@@ -21,12 +21,10 @@
 //! legitimately differ from the accurate tier's; instruction mix and
 //! architectural state do not.
 
-use crate::backend::{hierarchy_digest, BackendError, Fidelity, SimBackend, SimReport};
-use simtune_cache::HierarchyConfig;
-use simtune_hw::{CycleBreakdown, PipelineModel, TargetSpec};
-use simtune_isa::{
-    simulate_decoded_hooked_on, DecodedProgram, EngineKind, Executable, RunLimits, TimingBridge,
-};
+use crate::backend::{decode_and_run, hierarchy_digest, BackendError, SimBackend, SimReport};
+use simtune_cache::{CacheHierarchy, HierarchyConfig};
+use simtune_hw::{PipelineModel, TargetSpec};
+use simtune_isa::{replay, DecodedProgram, EngineKind, Executable, RunLimits, TimingBridge};
 
 /// Canonical name of the pipelined timing flavor.
 pub const PIPELINED: &str = "pipelined";
@@ -75,37 +73,6 @@ impl PipelinedBackend {
         spec.hierarchy = self.hierarchy.clone();
         spec
     }
-
-    fn run(
-        &self,
-        exe: &Executable,
-        decoded: &DecodedProgram,
-        limits: &RunLimits,
-        engine: EngineKind,
-    ) -> Result<(simtune_isa::SimStats, CycleBreakdown), BackendError> {
-        let spec = self.timing_spec(exe);
-        let mut model = PipelineModel::new(&spec, self.btb_entries, self.ras_depth);
-        let mut bridge = TimingBridge::new(&mut model);
-        let out = simulate_decoded_hooked_on(
-            exe,
-            decoded,
-            &self.hierarchy,
-            *limits,
-            engine,
-            &mut bridge,
-        )?;
-        Ok((out.stats, model.breakdown()))
-    }
-
-    fn report(stats: simtune_isa::SimStats, cycles: CycleBreakdown) -> SimReport {
-        SimReport {
-            stats,
-            backend: PIPELINED.into(),
-            fidelity: Fidelity::Pipelined,
-            extrapolated: false,
-            cycles: Some(cycles),
-        }
-    }
 }
 
 impl SimBackend for PipelinedBackend {
@@ -113,24 +80,14 @@ impl SimBackend for PipelinedBackend {
         PIPELINED
     }
 
-    fn fidelity(&self) -> Fidelity {
-        Fidelity::Pipelined
-    }
-
     fn run_one(&self, exe: &Executable, limits: &RunLimits) -> Result<SimReport, BackendError> {
-        let decoded = exe.decode()?;
-        self.run_one_decoded(exe, &decoded, limits)
+        decode_and_run(self, exe, limits)
     }
 
-    fn run_one_decoded(
-        &self,
-        exe: &Executable,
-        decoded: &DecodedProgram,
-        limits: &RunLimits,
-    ) -> Result<SimReport, BackendError> {
-        self.run_one_decoded_on(exe, decoded, limits, EngineKind::Decoded)
-    }
-
+    // The accurate tier's replay with the timing model as the hook. No
+    // SoA path: each lane owns a timing model, so grouped replay would
+    // buy nothing — supports_soa_batch stays false (the default) and
+    // Batch sessions fall back to per-trial execution.
     fn run_one_decoded_on(
         &self,
         exe: &Executable,
@@ -138,21 +95,15 @@ impl SimBackend for PipelinedBackend {
         limits: &RunLimits,
         engine: EngineKind,
     ) -> Result<SimReport, BackendError> {
-        let (stats, cycles) = self.run(exe, decoded, limits, engine)?;
-        Ok(Self::report(stats, cycles))
-    }
-
-    // No SoA path: each lane owns a timing model, so grouped replay
-    // would buy nothing — supports_soa_batch stays false (the default)
-    // and Batch sessions fall back to per-trial execution.
-
-    fn memo_key(&self) -> Option<String> {
-        Some(format!(
-            "{} btb={} ras={}",
-            hierarchy_digest(&self.hierarchy),
-            self.btb_entries,
-            self.ras_depth
-        ))
+        let mut model =
+            PipelineModel::new(&self.timing_spec(exe), self.btb_entries, self.ras_depth);
+        let mut bridge = TimingBridge::new(&mut model);
+        let hier = || CacheHierarchy::new(self.hierarchy.clone());
+        let (out, _) = replay(exe, decoded, hier, engine, *limits, None, &mut bridge)?;
+        Ok(SimReport {
+            cycles: Some(model.breakdown()),
+            ..SimReport::full(out.stats, PIPELINED)
+        })
     }
 
     fn fidelity_digest(&self) -> Option<String> {
@@ -230,7 +181,6 @@ mod tests {
             .run_one(&branchy(200), &RunLimits::default())
             .unwrap();
         assert_eq!(r.backend, "pipelined");
-        assert_eq!(r.fidelity, Fidelity::Pipelined);
         let cycles = r.cycles.expect("pipelined tier reports a breakdown");
         assert!(cycles.total() >= r.stats.inst_mix.total() as f64);
     }
@@ -250,9 +200,7 @@ mod tests {
         let backend = PipelinedBackend::new(hier(), 512, 8);
         let exe = branchy(150);
         let decoded = exe.decode().unwrap();
-        let reference = backend
-            .run_one_decoded(&exe, &decoded, &RunLimits::default())
-            .unwrap();
+        let reference = backend.run_one(&exe, &RunLimits::default()).unwrap();
         for engine in EngineKind::ALL {
             let r = backend
                 .run_one_decoded_on(&exe, &decoded, &RunLimits::default(), engine)

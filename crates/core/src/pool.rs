@@ -705,43 +705,7 @@ fn worker_loop(shared: &PoolShared) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{BackendError, Fidelity};
-    use simtune_isa::SimStats;
-
-    /// A backend that reports a per-executable marker (the name's
-    /// length) so order preservation is observable, with a configurable
-    /// artificial panic.
-    struct MarkerBackend {
-        panic_on: Option<String>,
-    }
-
-    impl SimBackend for MarkerBackend {
-        fn name(&self) -> &str {
-            "marker"
-        }
-        fn fidelity(&self) -> Fidelity {
-            Fidelity::Custom
-        }
-        fn run_one(
-            &self,
-            exe: &Executable,
-            _limits: &RunLimits,
-        ) -> Result<SimReport, BackendError> {
-            if self.panic_on.as_deref() == Some(exe.name.as_str()) {
-                panic!("backend bug");
-            }
-            Ok(SimReport {
-                stats: SimStats {
-                    host_nanos: exe.name.len() as u64,
-                    ..SimStats::default()
-                },
-                backend: "marker".into(),
-                fidelity: Fidelity::Custom,
-                extrapolated: false,
-                cycles: None,
-            })
-        }
-    }
+    use crate::backend::stub::{marker_stats, StubBackend};
 
     fn exe(name: &str) -> Executable {
         use simtune_isa::{Gpr, Inst, ProgramBuilder, TargetIsa};
@@ -751,11 +715,15 @@ mod tests {
         Executable::new(name, b.build().unwrap(), TargetIsa::riscv_u74())
     }
 
-    fn ctx(panic_on: Option<&str>) -> BatchCtx {
+    /// A context over a backend that reports a per-executable marker
+    /// (so order preservation is observable) and panics on the trial
+    /// named `panic_on`.
+    fn ctx(panic_on: Option<&'static str>) -> BatchCtx {
         BatchCtx {
-            backend: Arc::new(MarkerBackend {
-                panic_on: panic_on.map(str::to_string),
-            }),
+            backend: Arc::new(StubBackend::new("marker", move |exe| {
+                assert_ne!(Some(exe.name.as_str()), panic_on, "backend bug");
+                marker_stats(exe)
+            })),
             limits: RunLimits::default(),
             engine: EngineKind::default(),
             memo: None,
@@ -828,49 +796,6 @@ mod tests {
         assert!(matches!(cell.wait(), Err(CoreError::Pipeline(_))));
     }
 
-    /// SoA-capable marker backend: records the lane count of every
-    /// grouped replay it is handed.
-    struct SoaBackend {
-        groups: Arc<Mutex<Vec<usize>>>,
-    }
-
-    impl SimBackend for SoaBackend {
-        fn name(&self) -> &str {
-            "soa-marker"
-        }
-        fn fidelity(&self) -> Fidelity {
-            Fidelity::Custom
-        }
-        fn run_one(
-            &self,
-            exe: &Executable,
-            _limits: &RunLimits,
-        ) -> Result<SimReport, BackendError> {
-            Ok(SimReport {
-                stats: SimStats {
-                    host_nanos: exe.name.len() as u64,
-                    ..SimStats::default()
-                },
-                backend: "soa-marker".into(),
-                fidelity: Fidelity::Custom,
-                extrapolated: false,
-                cycles: None,
-            })
-        }
-        fn supports_soa_batch(&self) -> bool {
-            true
-        }
-        fn run_soa_batch(
-            &self,
-            exes: &[&Executable],
-            _decoded: &simtune_isa::DecodedProgram,
-            limits: &RunLimits,
-        ) -> Vec<Result<SimReport, BackendError>> {
-            self.groups.lock().unwrap().push(exes.len());
-            exes.iter().map(|e| self.run_one(e, limits)).collect()
-        }
-    }
-
     #[test]
     fn batch_engine_groups_same_program_trials() {
         use simtune_isa::{Gpr, Inst, ProgramBuilder, TargetIsa, DATA_BASE};
@@ -892,9 +817,7 @@ mod tests {
         ];
         let groups = Arc::new(Mutex::new(Vec::new()));
         let ctx = BatchCtx {
-            backend: Arc::new(SoaBackend {
-                groups: groups.clone(),
-            }),
+            backend: Arc::new(StubBackend::marker("soa-marker").with_soa_journal(groups.clone())),
             limits: RunLimits::default(),
             engine: EngineKind::Batch,
             memo: None,
@@ -924,43 +847,6 @@ mod tests {
         );
     }
 
-    /// A backend that blocks every trial on a shared gate, then records
-    /// execution order — makes the scheduler's lane interleaving
-    /// observable and deterministic.
-    struct GateBackend {
-        gate: Arc<(Mutex<bool>, Condvar)>,
-        order: Arc<Mutex<Vec<String>>>,
-    }
-
-    impl SimBackend for GateBackend {
-        fn name(&self) -> &str {
-            "gate"
-        }
-        fn fidelity(&self) -> Fidelity {
-            Fidelity::Custom
-        }
-        fn run_one(
-            &self,
-            exe: &Executable,
-            _limits: &RunLimits,
-        ) -> Result<SimReport, BackendError> {
-            let (open, cv) = &*self.gate;
-            let mut open = open.lock().unwrap();
-            while !*open {
-                open = cv.wait(open).unwrap();
-            }
-            drop(open);
-            self.order.lock().unwrap().push(exe.name.clone());
-            Ok(SimReport {
-                stats: SimStats::default(),
-                backend: "gate".into(),
-                fidelity: Fidelity::Custom,
-                extrapolated: false,
-                cycles: None,
-            })
-        }
-    }
-
     #[test]
     fn lanes_are_scheduled_round_robin() {
         // One worker; lane 0 queues two batches before lane 1 queues
@@ -969,17 +855,30 @@ mod tests {
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         let order = Arc::new(Mutex::new(Vec::new()));
         let pool = WorkerPool::new(1);
-        let gated_ctx = |lane: usize, tenant: Option<Arc<TenantCounters>>| BatchCtx {
-            backend: Arc::new(GateBackend {
-                gate: gate.clone(),
-                order: order.clone(),
-            }),
-            limits: RunLimits::default(),
-            engine: EngineKind::default(),
-            memo: None,
-            inflight: Arc::new(InflightMap::default()),
-            lane,
-            tenant,
+        // Every trial blocks on the shared gate, then records execution
+        // order — makes the scheduler's lane interleaving observable and
+        // deterministic.
+        let gated_ctx = |lane: usize, tenant: Option<Arc<TenantCounters>>| {
+            let (gate, order) = (gate.clone(), order.clone());
+            let backend = StubBackend::new("gate", move |exe| {
+                let (open, cv) = &*gate;
+                let mut open = open.lock().unwrap();
+                while !*open {
+                    open = cv.wait(open).unwrap();
+                }
+                drop(open);
+                order.lock().unwrap().push(exe.name.clone());
+                simtune_isa::SimStats::default()
+            });
+            BatchCtx {
+                backend: Arc::new(backend),
+                limits: RunLimits::default(),
+                engine: EngineKind::default(),
+                memo: None,
+                inflight: Arc::new(InflightMap::default()),
+                lane,
+                tenant,
+            }
         };
         let t0 = Arc::new(TenantCounters::default());
         let t1 = Arc::new(TenantCounters::default());

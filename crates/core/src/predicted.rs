@@ -21,7 +21,7 @@
 //!   abstraction: observe pairs, refit incrementally mid-sweep, answer
 //!   with uncertainty;
 //! * [`PredictedBackend`] — a [`SimBackend`] wrapper that stamps its
-//!   reports [`Fidelity::Predicted`] and carries the shared predictor
+//!   reports `predicted(<inner>)` and carries the shared predictor
 //!   handle, so sessions built on it advertise the tier they answer
 //!   from.
 //!
@@ -31,8 +31,8 @@
 //! submission order** — so the tier composes with `n_parallel` workers
 //! without perturbing results.
 
-use crate::backend::{BackendError, Fidelity, SimBackend, SimReport};
-use simtune_isa::{DecodedProgram, Executable, RunLimits};
+use crate::backend::{BackendError, SimBackend, SimReport};
+use simtune_isa::{DecodedProgram, EngineKind, Executable, RunLimits};
 use simtune_linalg::Matrix;
 use simtune_predict::{PredictorKind, UncertainRegressor};
 use std::sync::{Arc, Mutex};
@@ -225,8 +225,9 @@ pub fn shared_predictor(p: impl Predictor + 'static) -> SharedPredictor {
 /// report feeds is answered — whenever the model is confident — by the
 /// attached [`Predictor`] instead of an accurate simulation.
 ///
-/// The backend itself only re-stamps reports with
-/// [`Fidelity::Predicted`] and opts out of memoization (its meaning
+/// The backend itself only forwards every run to the inner backend —
+/// engine and SoA grouping included — re-stamps the reports with its
+/// own name, and opts out of memoization (its meaning
 /// changes as the model learns, so cached reports would lie); the
 /// escalate-or-trust decision lives in the tuning loop, which reads
 /// the same [`SharedPredictor`] through [`PredictedBackend::predictor`].
@@ -266,6 +267,13 @@ impl PredictedBackend {
     pub fn inner_name(&self) -> &str {
         self.inner.name()
     }
+
+    fn restamp(&self, report: Result<SimReport, BackendError>) -> Result<SimReport, BackendError> {
+        report.map(|r| SimReport {
+            backend: self.name.clone(),
+            ..r
+        })
+    }
 }
 
 impl SimBackend for PredictedBackend {
@@ -273,27 +281,32 @@ impl SimBackend for PredictedBackend {
         &self.name
     }
 
-    fn fidelity(&self) -> Fidelity {
-        Fidelity::Predicted
-    }
-
     fn run_one(&self, exe: &Executable, limits: &RunLimits) -> Result<SimReport, BackendError> {
-        let mut report = self.inner.run_one(exe, limits)?;
-        report.backend = self.name.clone();
-        report.fidelity = Fidelity::Predicted;
-        Ok(report)
+        self.restamp(self.inner.run_one(exe, limits))
     }
 
-    fn run_one_decoded(
+    fn run_one_decoded_on(
         &self,
         exe: &Executable,
         decoded: &DecodedProgram,
         limits: &RunLimits,
+        engine: EngineKind,
     ) -> Result<SimReport, BackendError> {
-        let mut report = self.inner.run_one_decoded(exe, decoded, limits)?;
-        report.backend = self.name.clone();
-        report.fidelity = Fidelity::Predicted;
-        Ok(report)
+        self.restamp(self.inner.run_one_decoded_on(exe, decoded, limits, engine))
+    }
+
+    fn supports_soa_batch(&self) -> bool {
+        self.inner.supports_soa_batch()
+    }
+
+    fn run_soa_batch(
+        &self,
+        exes: &[&Executable],
+        decoded: &DecodedProgram,
+        limits: &RunLimits,
+    ) -> Vec<Result<SimReport, BackendError>> {
+        let reports = self.inner.run_soa_batch(exes, decoded, limits);
+        reports.into_iter().map(|r| self.restamp(r)).collect()
     }
 }
 
@@ -381,9 +394,8 @@ mod tests {
         );
         assert_eq!(backend.name(), "predicted(fast-count)");
         assert_eq!(backend.inner_name(), "fast-count");
-        assert_eq!(backend.fidelity(), Fidelity::Predicted);
         assert!(
-            backend.memo_key().is_none(),
+            backend.fidelity_digest().is_none(),
             "learned tier must not memoize"
         );
         let def = matmul(8, 8, 8);
@@ -391,8 +403,85 @@ mod tests {
         let exe = builder.build(&Schedule::default_for(&def), "mm").unwrap();
         let report = backend.run_one(&exe, &RunLimits::default()).unwrap();
         assert_eq!(report.backend, "predicted(fast-count)");
-        assert_eq!(report.fidelity, Fidelity::Predicted);
         assert!(report.stats.inst_mix.total() > 0);
         assert!(backend.predictor().lock().unwrap().observations() == 0);
+    }
+
+    /// Inner backend that journals what reaches it: the engine of every
+    /// per-trial run and the lane count of every SoA batch.
+    #[derive(Default)]
+    struct Recorder {
+        engines: Mutex<Vec<EngineKind>>,
+        lanes: Mutex<Vec<usize>>,
+    }
+
+    impl SimBackend for Recorder {
+        fn name(&self) -> &str {
+            "recorder"
+        }
+        fn run_one(&self, _: &Executable, _: &RunLimits) -> Result<SimReport, BackendError> {
+            Ok(SimReport::full(Default::default(), "recorder"))
+        }
+        fn run_one_decoded_on(
+            &self,
+            exe: &Executable,
+            _: &DecodedProgram,
+            limits: &RunLimits,
+            engine: EngineKind,
+        ) -> Result<SimReport, BackendError> {
+            self.engines.lock().unwrap().push(engine);
+            self.run_one(exe, limits)
+        }
+        fn supports_soa_batch(&self) -> bool {
+            true
+        }
+        fn run_soa_batch(
+            &self,
+            exes: &[&Executable],
+            _: &DecodedProgram,
+            limits: &RunLimits,
+        ) -> Vec<Result<SimReport, BackendError>> {
+            self.lanes.lock().unwrap().push(exes.len());
+            exes.iter().map(|e| self.run_one(e, limits)).collect()
+        }
+    }
+
+    #[test]
+    fn engine_and_soa_probe_reach_the_inner_backend() {
+        let inner = Arc::new(Recorder::default());
+        let backend = Arc::new(PredictedBackend::new(
+            inner.clone(),
+            shared_predictor(OnlinePredictor::new(PredictorKind::LinReg, 0, 4, 2)),
+        ));
+        assert!(backend.supports_soa_batch(), "the probe is the inner's");
+        let def = matmul(4, 4, 4);
+        let builder = KernelBuilder::new(def.clone(), TargetIsa::riscv_u74());
+        let schedule = Schedule::default_for(&def);
+        let exes: Vec<Executable> = (0..3)
+            .map(|i| builder.build(&schedule, &format!("t{i}")).unwrap())
+            .collect();
+        let session = |engine| {
+            crate::SimSession::builder()
+                .backend(backend.clone())
+                .engine(engine)
+                .n_parallel(1)
+                .build()
+                .unwrap()
+        };
+        // Per-trial engines arrive as configured, not as the default.
+        for engine in [EngineKind::Interp, EngineKind::Threaded] {
+            for r in session(engine).run(&exes) {
+                assert_eq!(r.unwrap().backend, "predicted(recorder)");
+            }
+            assert_eq!(*inner.engines.lock().unwrap(), [engine; 3]);
+            inner.engines.lock().unwrap().clear();
+        }
+        // A Batch session hands the three same-program trials to the
+        // inner backend's SoA path as one group, restamped per lane.
+        for r in session(EngineKind::Batch).run(&exes) {
+            assert_eq!(r.unwrap().backend, "predicted(recorder)");
+        }
+        assert_eq!(*inner.lanes.lock().unwrap(), [3]);
+        assert!(inner.engines.lock().unwrap().is_empty());
     }
 }

@@ -2,25 +2,20 @@
 //!
 //! TVM autotuning needs a *builder* (compiles a candidate into an object
 //! file) and a *runner* (executes it and reports a cost). The paper adds
-//! a `SimulatorRunner` (its Listing 3) that launches `n_parallel`
+//! a simulator runner (its Listing 3) that launches `n_parallel`
 //! simulator instances instead of touching target hardware, plus an
-//! overridable `simulator_run` hook so any simulator can be plugged in.
-//! This module mirrors that API surface:
+//! overridable `simulator_run` hook so any simulator can be plugged in
+//! — here [`crate::SimSession`] over a [`crate::SimBackend`]. This
+//! module holds the two pieces around it:
 //!
 //! * [`KernelBuilder`] — schedule → standalone [`Executable`];
-//! * [`SimulatorRunner`] — parallel instruction-accurate simulations with
-//!   an overridable run function;
 //! * [`HardwareRunner`] — sequential noisy measurements on the emulated
 //!   target board (native execution is never parallel, Section IV).
 
-use crate::backend::{FnBackend, SimBackend, SimSession};
-use crate::memo::SimCache;
 use crate::CoreError;
-use simtune_cache::HierarchyConfig;
 use simtune_hw::{measure, MeasureConfig, Measurement, TargetSpec};
-use simtune_isa::{Executable, RunLimits, SimError, SimStats};
+use simtune_isa::Executable;
 use simtune_tensor::{build_executable, ComputeDef, Schedule, TargetIsa};
-use std::sync::Arc;
 
 /// Compiles kernel schedules into standalone executables (the "builder"
 /// box of the paper's Fig. 2).
@@ -76,122 +71,6 @@ impl KernelBuilder {
             .enumerate()
             .map(|(i, s)| self.build(s, &format!("{}#{i}", self.def.name)))
             .collect()
-    }
-}
-
-/// The run function a [`SimulatorRunner`] invokes per executable — the
-/// paper's overridable `simulator_run` hook. The default runs the
-/// bundled instruction-accurate simulator; tests and integrations may
-/// substitute anything that returns [`SimStats`].
-pub type SimulatorRunFn = dyn Fn(&Executable) -> Result<SimStats, SimError> + Send + Sync;
-
-/// Runs candidates on `n_parallel` simulator instances (paper Listing 3
-/// / Fig. 1-I) — a thin convenience wrapper over [`SimSession`] that
-/// defaults to the instruction-accurate [`crate::AccurateBackend`] and
-/// strips reports down to bare [`SimStats`]. Code that cares about
-/// fidelity tiers or per-report backend provenance should drive a
-/// [`SimSession`] directly.
-///
-/// # Example
-///
-/// ```
-/// use simtune_cache::HierarchyConfig;
-/// use simtune_core::{KernelBuilder, SimulatorRunner};
-/// use simtune_tensor::{matmul, Schedule, TargetIsa};
-///
-/// # fn main() -> Result<(), simtune_core::CoreError> {
-/// let def = matmul(8, 8, 8);
-/// let builder = KernelBuilder::new(def.clone(), TargetIsa::riscv_u74());
-/// let exe = builder.build(&Schedule::default_for(&def), "mm")?;
-/// let runner = SimulatorRunner::new(HierarchyConfig::riscv_u74()).with_n_parallel(2);
-/// let stats = runner.run(&[exe]);
-/// assert!(stats[0].as_ref().unwrap().inst_mix.total() > 0);
-/// # Ok(())
-/// # }
-/// ```
-pub struct SimulatorRunner {
-    /// Simulator instances run concurrently.
-    pub n_parallel: usize,
-    /// Cache geometry each instance replicates.
-    pub hierarchy: HierarchyConfig,
-    /// Per-run instruction budget.
-    pub limits: RunLimits,
-    backend: Option<Arc<dyn SimBackend>>,
-    memo: Option<Arc<SimCache>>,
-}
-
-impl std::fmt::Debug for SimulatorRunner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SimulatorRunner")
-            .field("n_parallel", &self.n_parallel)
-            .field("hierarchy", &self.hierarchy.name)
-            .field(
-                "backend",
-                &self.backend.as_ref().map_or("accurate", |b| b.name()),
-            )
-            .finish()
-    }
-}
-
-impl SimulatorRunner {
-    /// Runner with the default parallelism of 16 (the paper's
-    /// `n_parallel` default in Listing 3).
-    pub fn new(hierarchy: HierarchyConfig) -> Self {
-        SimulatorRunner {
-            n_parallel: 16,
-            hierarchy,
-            limits: RunLimits::default(),
-            backend: None,
-            memo: None,
-        }
-    }
-
-    /// Sets the number of parallel simulator instances.
-    pub fn with_n_parallel(mut self, n: usize) -> Self {
-        self.n_parallel = n.max(1);
-        self
-    }
-
-    /// Plugs in a simulator backend (the typed form of the paper's
-    /// "this function serves as a simulator interface and can be
-    /// overwritten").
-    pub fn with_backend(mut self, backend: Arc<dyn SimBackend>) -> Self {
-        self.backend = Some(backend);
-        self
-    }
-
-    /// Overrides the `simulator_run` hook with a bare function (legacy
-    /// seam; wrapped in a [`FnBackend`] internally). Prefer
-    /// [`SimulatorRunner::with_backend`].
-    pub fn with_run_override(mut self, f: Arc<SimulatorRunFn>) -> Self {
-        self.backend = Some(Arc::new(FnBackend::new("override", f)));
-        self
-    }
-
-    /// Attaches a simulation memo cache (see
-    /// [`crate::SimSessionBuilder::memo_cache`]).
-    pub fn with_memo_cache(mut self, cache: Arc<SimCache>) -> Self {
-        self.memo = Some(cache);
-        self
-    }
-
-    /// The session this runner's configuration resolves to.
-    pub fn session(&self) -> SimSession {
-        let builder = SimSession::builder()
-            .n_parallel(self.n_parallel)
-            .limits(self.limits)
-            .memo_cache_opt(self.memo.clone());
-        match &self.backend {
-            Some(b) => builder.backend(b.clone()),
-            None => builder.accurate(&self.hierarchy),
-        }
-        .build()
-        .expect("runner always supplies a backend")
-    }
-
-    /// Runs every executable, `n_parallel` at a time, preserving order.
-    pub fn run(&self, exes: &[Executable]) -> Vec<Result<SimStats, CoreError>> {
-        self.session().run_stats(exes)
     }
 }
 
@@ -257,35 +136,6 @@ mod tests {
         (0..n)
             .map(|i| b.build(&s, &format!("m{i}")).unwrap())
             .collect()
-    }
-
-    #[test]
-    fn parallel_results_preserve_order_and_match_sequential() {
-        let exes = exes(8);
-        let seq = SimulatorRunner::new(HierarchyConfig::riscv_u74()).with_n_parallel(1);
-        let par = SimulatorRunner::new(HierarchyConfig::riscv_u74()).with_n_parallel(4);
-        let a: Vec<SimStats> = seq.run(&exes).into_iter().map(|r| r.unwrap()).collect();
-        let b: Vec<SimStats> = par.run(&exes).into_iter().map(|r| r.unwrap()).collect();
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.inst_mix, y.inst_mix);
-            assert_eq!(x.cache, y.cache);
-        }
-    }
-
-    #[test]
-    fn run_override_is_used() {
-        let exes = exes(3);
-        let runner = SimulatorRunner::new(HierarchyConfig::riscv_u74()).with_run_override(
-            Arc::new(|_exe| {
-                Ok(SimStats {
-                    host_nanos: 123,
-                    ..SimStats::default()
-                })
-            }),
-        );
-        for r in runner.run(&exes) {
-            assert_eq!(r.unwrap().host_nanos, 123);
-        }
     }
 
     #[test]

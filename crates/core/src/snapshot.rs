@@ -12,7 +12,7 @@
 //!
 //! # Format and versioning
 //!
-//! A snapshot is one JSON object (`{"schema": "simtune-simcache-v3",
+//! A snapshot is one JSON object (`{"schema": "simtune-simcache-v4",
 //! "entries": [...]}`). Each entry stores the canonical fingerprint
 //! (hex-encoded — fingerprints embed raw little-endian `f32` data bytes
 //! and are not UTF-8) plus the memoized [`SimReport`] flattened into the
@@ -45,7 +45,7 @@
 //!   enforced by the round-trip differential test in
 //!   `crates/core/tests/snapshot_roundtrip.rs`.
 
-use crate::backend::{Fidelity, SimReport};
+use crate::backend::SimReport;
 use crate::memo::SimCache;
 use serde::{Deserialize, Serialize};
 use simtune_cache::{CacheStats, HierarchyStats};
@@ -64,7 +64,10 @@ use std::sync::atomic::Ordering;
 /// instead of the old `(backend, fidelity, memo key)` triple, and
 /// reports gained an optional [`CycleBreakdown`] — v2 snapshots are
 /// refused (logged cold start) rather than replayed under stale keys.
-pub const SNAPSHOT_SCHEMA: &str = "simtune-simcache-v3";
+/// v4: entries lost the `fidelity`/`fraction` members (reports no
+/// longer carry a fidelity enum; the tier lives in the fingerprint's
+/// digest) — v3 snapshots are refused the same way.
+pub const SNAPSHOT_SCHEMA: &str = "simtune-simcache-v4";
 
 /// Outcome of [`SimCache::load_from`]. Every variant leaves the cache
 /// usable; only I/O errors surface as `Err`.
@@ -213,10 +216,6 @@ struct PersistedEntry {
     /// Hex-encoded canonical fingerprint (raw bytes, not UTF-8).
     key: String,
     backend: String,
-    /// `"accurate" | "count-only" | "sampled" | "pipelined" | "custom"`.
-    fidelity: String,
-    /// Sampling fraction; present exactly when `fidelity == "sampled"`.
-    fraction: Option<f64>,
     extrapolated: bool,
     stats: PersistedStats,
     /// Bit patterns (`f64::to_bits`) of the cycle breakdown's
@@ -229,30 +228,6 @@ struct PersistedEntry {
 struct PersistedSnapshot {
     schema: String,
     entries: Vec<PersistedEntry>,
-}
-
-fn encode_fidelity(f: &Fidelity) -> (String, Option<f64>) {
-    match f {
-        Fidelity::Accurate => ("accurate".into(), None),
-        Fidelity::CountOnly => ("count-only".into(), None),
-        Fidelity::Sampled { fraction } => ("sampled".into(), Some(*fraction)),
-        Fidelity::Pipelined => ("pipelined".into(), None),
-        // `Fidelity` is non-exhaustive; future variants fall back to
-        // `Custom`, which never collides with memoized tiers because
-        // custom backends opt out of memoization by default.
-        _ => ("custom".into(), None),
-    }
-}
-
-fn decode_fidelity(kind: &str, fraction: Option<f64>) -> Result<Fidelity, String> {
-    match (kind, fraction) {
-        ("accurate", None) => Ok(Fidelity::Accurate),
-        ("count-only", None) => Ok(Fidelity::CountOnly),
-        ("sampled", Some(fraction)) => Ok(Fidelity::Sampled { fraction }),
-        ("pipelined", None) => Ok(Fidelity::Pipelined),
-        ("custom", None) => Ok(Fidelity::Custom),
-        _ => Err(format!("unknown fidelity {kind:?} (fraction {fraction:?})")),
-    }
 }
 
 fn encode_hex(bytes: &[u8]) -> String {
@@ -290,11 +265,9 @@ fn decode_snapshot(json: &str) -> Result<Vec<(Vec<u8>, SimReport)>, String> {
         .into_iter()
         .map(|e| {
             let key = decode_hex(&e.key)?;
-            let fidelity = decode_fidelity(&e.fidelity, e.fraction)?;
             let report = SimReport {
                 stats: e.stats.into(),
                 backend: e.backend,
-                fidelity,
                 extrapolated: e.extrapolated,
                 cycles: e.cycles.map(|[p, m, c]| CycleBreakdown {
                     pipeline: f64::from_bits(p),
@@ -323,23 +296,18 @@ impl SimCache {
             schema: SNAPSHOT_SCHEMA.to_string(),
             entries: entries
                 .iter()
-                .map(|(key, report)| {
-                    let (fidelity, fraction) = encode_fidelity(&report.fidelity);
-                    PersistedEntry {
-                        key: encode_hex(key),
-                        backend: report.backend.clone(),
-                        fidelity,
-                        fraction,
-                        extrapolated: report.extrapolated,
-                        stats: (&report.stats).into(),
-                        cycles: report.cycles.as_ref().map(|c| {
-                            [
-                                c.pipeline.to_bits(),
-                                c.memory.to_bits(),
-                                c.control.to_bits(),
-                            ]
-                        }),
-                    }
+                .map(|(key, report)| PersistedEntry {
+                    key: encode_hex(key),
+                    backend: report.backend.clone(),
+                    extrapolated: report.extrapolated,
+                    stats: (&report.stats).into(),
+                    cycles: report.cycles.as_ref().map(|c| {
+                        [
+                            c.pipeline.to_bits(),
+                            c.memory.to_bits(),
+                            c.control.to_bits(),
+                        ]
+                    }),
                 })
                 .collect(),
         };
@@ -396,7 +364,9 @@ impl SimCache {
 mod tests {
     use super::*;
 
-    fn report(n: u64, fidelity: Fidelity) -> SimReport {
+    /// A report shaped like `tier`'s: sampled ones are extrapolated,
+    /// pipelined ones carry a cycle breakdown.
+    fn report(n: u64, tier: &str) -> SimReport {
         SimReport {
             stats: SimStats {
                 inst_mix: InstMix {
@@ -415,13 +385,12 @@ mod tests {
                 },
                 host_nanos: n * 7,
             },
-            backend: "accurate".into(),
-            fidelity,
-            extrapolated: matches!(fidelity, Fidelity::Sampled { .. }),
+            backend: tier.into(),
+            extrapolated: tier == "sampled",
             // Pipelined entries carry a breakdown with a fractional
             // component, so the round-trip exercises the bit-exact
             // f64 encoding.
-            cycles: matches!(fidelity, Fidelity::Pipelined).then(|| CycleBreakdown {
+            cycles: (tier == "pipelined").then_some(CycleBreakdown {
                 pipeline: n as f64 + 0.5,
                 memory: n as f64 * 3.0,
                 control: n as f64,
@@ -439,16 +408,10 @@ mod tests {
     #[test]
     fn save_load_roundtrips_every_fidelity() {
         let cache = SimCache::new();
-        let fids = [
-            Fidelity::Accurate,
-            Fidelity::CountOnly,
-            Fidelity::Sampled { fraction: 0.25 },
-            Fidelity::Pipelined,
-            Fidelity::Custom,
-        ];
+        let fids = ["accurate", "fast-count", "sampled", "pipelined", "custom"];
         for (i, f) in fids.iter().enumerate() {
             // Non-UTF-8 keys: raw bytes including 0xFF.
-            cache.insert(vec![0xFF, i as u8, 0x00, 0x80], report(i as u64, *f));
+            cache.insert(vec![0xFF, i as u8, 0x00, 0x80], report(i as u64, f));
         }
         let path = tmp("roundtrip.json");
         assert_eq!(cache.save_to(&path).unwrap(), fids.len());
@@ -459,7 +422,7 @@ mod tests {
         );
         for (i, f) in fids.iter().enumerate() {
             let got = fresh.peek(&[0xFF, i as u8, 0x00, 0x80]).unwrap();
-            assert_eq!(got, report(i as u64, *f));
+            assert_eq!(got, report(i as u64, f));
         }
         assert_eq!(fresh.snapshot_stats().loaded_entries, fids.len() as u64);
         std::fs::remove_file(&path).ok();
@@ -476,7 +439,7 @@ mod tests {
     #[test]
     fn truncated_snapshot_degrades_to_cold_start() {
         let cache = SimCache::new();
-        cache.insert(vec![1, 2, 3], report(1, Fidelity::Accurate));
+        cache.insert(vec![1, 2, 3], report(1, "accurate"));
         let path = tmp("truncated.json");
         cache.save_to(&path).unwrap();
         // Simulate a crash mid-write with a non-atomic writer: chop the
@@ -523,6 +486,9 @@ mod tests {
 
     #[test]
     fn unknown_fidelity_rejects_the_snapshot() {
+        // The v3-era `fidelity`/`fraction` members are unknown to this
+        // reader: an entry that still carries them rejects the file even
+        // under the current schema tag.
         let path = tmp("fidelity.json");
         let json = format!(
             r#"{{"schema":"{SNAPSHOT_SCHEMA}","entries":[{{"key":"00","backend":"b","fidelity":"quantum","fraction":null,"extrapolated":false,"stats":{{"mix":[0,0,0,0,0,0,0,0],"l1d":{{"counters":[0,0,0,0,0,0]}},"l1i":{{"counters":[0,0,0,0,0,0]}},"l2":{{"counters":[0,0,0,0,0,0]}},"l3":null,"dram":[0,0],"host_nanos":0}},"cycles":null}}]}}"#
@@ -542,11 +508,8 @@ mod tests {
         let b = SimCache::with_shards(4);
         for i in 0..8u8 {
             // Insert in different orders; sorting canonicalizes.
-            a.insert(vec![i, 0xAB], report(i as u64, Fidelity::Accurate));
-            b.insert(
-                vec![7 - i, 0xAB],
-                report((7 - i) as u64, Fidelity::Accurate),
-            );
+            a.insert(vec![i, 0xAB], report(i as u64, "accurate"));
+            b.insert(vec![7 - i, 0xAB], report((7 - i) as u64, "accurate"));
         }
         let (pa, pb) = (tmp("detA.json"), tmp("detB.json"));
         a.save_to(&pa).unwrap();

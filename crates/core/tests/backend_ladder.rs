@@ -19,13 +19,13 @@
 //!   [`simtune_core::CycleBreakdown`] byte-identical across replay
 //!   engines and `n_parallel` 1/2/4.
 
-use simtune_cache::HierarchyConfig;
+use simtune_cache::{CacheHierarchy, HierarchyConfig};
 use simtune_core::diffharness::DiffHarness;
 use simtune_core::{
     AccurateBackend, FastCountBackend, FidelitySpec, PipelinedBackend, SampledBackend, SimBackend,
     SimSession, DEFAULT_BTB_ENTRIES, DEFAULT_RAS_DEPTH,
 };
-use simtune_isa::{EngineKind, RunLimits, TortureConfig};
+use simtune_isa::{replay, EngineKind, NoopHook, RunLimits, TortureConfig};
 
 fn hier() -> HierarchyConfig {
     HierarchyConfig::tiny_for_tests()
@@ -41,10 +41,7 @@ fn corpus_cases() -> Vec<(String, simtune_isa::Executable, simtune_isa::DecodedP
         for seed in 0..6 {
             let exe = DiffHarness::make_executable(name, &cfg, seed, seed + 17);
             let decoded = exe.decode().expect("torture programs decode");
-            if accurate
-                .run_one_decoded(&exe, &decoded, &RunLimits::default())
-                .is_ok()
-            {
+            if accurate.run_one(&exe, &RunLimits::default()).is_ok() {
                 cases.push((format!("{name}/{seed}"), exe, decoded));
             }
         }
@@ -59,8 +56,12 @@ fn fast_count_matches_accurate_instruction_and_access_totals() {
     let fast = FastCountBackend::matching(&hier());
     let limits = RunLimits::default();
     for (ctx, exe, decoded) in corpus_cases() {
-        let a = accurate.run_one_decoded(&exe, &decoded, &limits).unwrap();
-        let f = fast.run_one_decoded(&exe, &decoded, &limits).unwrap();
+        let a = accurate
+            .run_one_decoded_on(&exe, &decoded, &limits, EngineKind::Decoded)
+            .unwrap();
+        let f = fast
+            .run_one_decoded_on(&exe, &decoded, &limits, EngineKind::Decoded)
+            .unwrap();
         assert_eq!(a.stats.inst_mix, f.stats.inst_mix, "{ctx}: inst mix");
         let ac = &a.stats.cache;
         let fc = &f.stats.cache;
@@ -92,8 +93,12 @@ fn sampled_full_fraction_equals_accurate_on_torture_programs() {
     let sampled = SampledBackend::new(hier(), 1.0).unwrap();
     let limits = RunLimits::default();
     for (ctx, exe, decoded) in corpus_cases() {
-        let a = accurate.run_one_decoded(&exe, &decoded, &limits).unwrap();
-        let s = sampled.run_one_decoded(&exe, &decoded, &limits).unwrap();
+        let a = accurate
+            .run_one_decoded_on(&exe, &decoded, &limits, EngineKind::Decoded)
+            .unwrap();
+        let s = sampled
+            .run_one_decoded_on(&exe, &decoded, &limits, EngineKind::Decoded)
+            .unwrap();
         assert!(!s.extrapolated, "{ctx}: full fraction never extrapolates");
         assert_eq!(a.stats.inst_mix, s.stats.inst_mix, "{ctx}");
         assert_eq!(a.stats.cache, s.stats.cache, "{ctx}");
@@ -109,18 +114,31 @@ fn sampled_partial_prefix_matches_accurate_prefix_and_flags_extrapolation() {
     let limits = RunLimits::default();
     let mut extrapolated_cases = 0;
     for (ctx, exe, decoded) in corpus_cases() {
-        let s = sampled.run_one_decoded(&exe, &decoded, &limits).unwrap();
+        let s = sampled
+            .run_one_decoded_on(&exe, &decoded, &limits, EngineKind::Decoded)
+            .unwrap();
 
         // Recompute the tier's own recipe from primitives: a counting
         // pass sizes the run, an accurate prefix of the same budget is
         // simulated, and (when the prefix is partial) every counter is
         // scaled by total/retired. The backend must match bit-for-bit.
-        let line = hier().line_bytes();
-        let count = simtune_isa::simulate_counting_decoded(&exe, &decoded, line, limits).unwrap();
+        let pass = |hierarchy: CacheHierarchy, stop_at| {
+            let engine = EngineKind::Decoded;
+            replay(
+                &exe,
+                &decoded,
+                || hierarchy,
+                engine,
+                limits,
+                stop_at,
+                &mut NoopHook,
+            )
+            .unwrap()
+        };
+        let (count, _) = pass(CacheHierarchy::counting_only(hier().line_bytes()), None);
         let total = count.stats.inst_mix.total();
         let budget = ((total as f64 * fraction).ceil() as u64).max(1);
-        let (prefix, completed) =
-            simtune_isa::simulate_prefix_decoded(&exe, &decoded, &hier(), limits, budget).unwrap();
+        let (prefix, completed) = pass(CacheHierarchy::new(hier()), Some(budget));
 
         assert_eq!(s.extrapolated, !completed, "{ctx}: extrapolation flag");
         if completed {
@@ -178,7 +196,9 @@ fn pipelined_matches_interp_architectural_statistics_on_the_corpus() {
         let a = accurate
             .run_one_decoded_on(&exe, &decoded, &limits, EngineKind::Interp)
             .unwrap();
-        let p = pipelined.run_one_decoded(&exe, &decoded, &limits).unwrap();
+        let p = pipelined
+            .run_one_decoded_on(&exe, &decoded, &limits, EngineKind::Decoded)
+            .unwrap();
         assert_eq!(a.stats.inst_mix, p.stats.inst_mix, "{ctx}: inst mix");
         assert!(!p.extrapolated, "{ctx}");
         let cycles = p.cycles.expect("pipelined tier reports a breakdown");
@@ -264,6 +284,30 @@ fn every_tier_honors_engine_selection_identically() {
             let first = reports.next().unwrap();
             for r in reports {
                 assert_eq!(first, r, "{ctx}: {} disagrees across engines", tier.name());
+            }
+        }
+    }
+}
+
+#[test]
+fn raw_entry_equals_the_decoded_entry_for_every_tier_and_engine() {
+    // The trait's two run methods are one run body: `run_one` (decode
+    // inside, default engine) must report what `run_one_decoded_on`
+    // reports on any engine, for every tier of the roster.
+    let limits = RunLimits::default();
+    for spec in FidelitySpec::all() {
+        let tier = spec.build(&hier()).unwrap();
+        for (ctx, exe, decoded) in corpus_cases().into_iter().step_by(7) {
+            let raw = tier.run_one(&exe, &limits).unwrap();
+            for engine in EngineKind::ALL {
+                let got = tier
+                    .run_one_decoded_on(&exe, &decoded, &limits, engine)
+                    .unwrap();
+                let ctx = format!("{ctx}: {spec} on {engine}");
+                assert_eq!(raw.stats.inst_mix, got.stats.inst_mix, "{ctx}");
+                assert_eq!(raw.stats.cache, got.stats.cache, "{ctx}");
+                assert_eq!(raw.extrapolated, got.extrapolated, "{ctx}");
+                assert_eq!(raw.cycles, got.cycles, "{ctx}");
             }
         }
     }

@@ -1,10 +1,10 @@
-//! Cross-thread determinism of the simulator runner: the same seed must
+//! Cross-thread determinism of the simulation session: the same seed must
 //! produce byte-identical simulator statistics whether candidates run on
 //! 1, 2 or 4 parallel simulator instances. This is the trust layer every
 //! future sharding/batching optimization is measured against.
 
 use simtune_cache::HierarchyConfig;
-use simtune_core::{KernelBuilder, SimulatorRunner};
+use simtune_core::{KernelBuilder, SimSession};
 use simtune_isa::{Executable, SimStats};
 use simtune_tensor::{matmul, Schedule, TargetIsa};
 
@@ -28,9 +28,13 @@ fn build_candidates(n: usize) -> Vec<Executable> {
 /// reflects host wall-clock rather than simulated behaviour; the
 /// remaining statistics must be byte-identical across thread counts.
 fn simulated_stats(n_parallel: usize, exes: &[Executable]) -> Vec<SimStats> {
-    let runner = SimulatorRunner::new(HierarchyConfig::riscv_u74()).with_n_parallel(n_parallel);
-    runner
-        .run(exes)
+    let session = SimSession::builder()
+        .accurate(&HierarchyConfig::riscv_u74())
+        .n_parallel(n_parallel)
+        .build()
+        .expect("accurate session builds");
+    session
+        .run_stats(exes)
         .into_iter()
         .map(|r| {
             let mut s = r.expect("simulation succeeds");
@@ -55,7 +59,7 @@ fn same_seed_identical_stats_across_thread_counts() {
 
 #[test]
 fn repeated_parallel_runs_are_reproducible() {
-    // Two fresh runner instances at the same parallelism: no shared
+    // Two fresh sessions at the same parallelism: no shared
     // state, still identical output (the scheduler order must not leak
     // into the statistics).
     let exes = build_candidates(8);

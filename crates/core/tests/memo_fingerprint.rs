@@ -1,5 +1,5 @@
 //! Property suite for the [`SimCache`] fingerprint on torture programs
-//! — the collision contract behind the v3 snapshot schema.
+//! — the collision contract behind the snapshot schema.
 //!
 //! The memo layer replays stored reports whenever two requests share a
 //! fingerprint, so the fingerprint function carries the entire
@@ -11,7 +11,7 @@
 //! from a seed.
 
 use proptest::prelude::*;
-use simtune_core::{memo_fingerprint, Fidelity, SimCache, SimReport};
+use simtune_core::{memo_fingerprint, SimCache, SimReport};
 use simtune_isa::{
     torture_program_with, EngineKind, Executable, RunLimits, SimStats, TargetIsa, TortureConfig,
     DATA_BASE,
@@ -126,7 +126,6 @@ proptest! {
         let planted = SimReport {
             stats: SimStats::default(),
             backend: "accurate".into(),
-            fidelity: Fidelity::Accurate,
             extrapolated: false,
             cycles: None,
         };

@@ -5,7 +5,7 @@
 //! contract (a full generation flushes wholesale in both layouts).
 
 use proptest::prelude::*;
-use simtune_core::{Fidelity, SimCache, SimReport};
+use simtune_core::{SimCache, SimReport};
 use simtune_isa::SimStats;
 
 /// A distinct, variable-length fingerprint per key index, so keys
@@ -23,7 +23,6 @@ fn report(marker: u64) -> SimReport {
             ..SimStats::default()
         },
         backend: "accurate".into(),
-        fidelity: Fidelity::Accurate,
         extrapolated: false,
         cycles: None,
     }

@@ -1,12 +1,12 @@
 //! Property test: a `SimCache` snapshot is a lossless, layout-free
-//! round trip. Whatever mix of fidelities, shard counts and capacity
+//! round trip. Whatever mix of report shapes, shard counts and capacity
 //! bounds produced the cache, `save_to` → `load_from` must rebuild
 //! bit-identical `SimReport`s — and two equal caches must serialize to
 //! byte-identical files, so snapshots can be compared and deduplicated
 //! by content.
 
 use proptest::prelude::*;
-use simtune_core::{CycleBreakdown, Fidelity, SimCache, SimReport, SnapshotLoad};
+use simtune_core::{CycleBreakdown, SimCache, SimReport, SnapshotLoad, SNAPSHOT_SCHEMA};
 use simtune_isa::SimStats;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -20,31 +20,20 @@ fn key(idx: u8) -> Vec<u8> {
     k
 }
 
-fn fidelity(selector: u8, marker: u64) -> Fidelity {
-    match selector % 5 {
-        0 => Fidelity::Accurate,
-        1 => Fidelity::CountOnly,
-        2 => Fidelity::Sampled {
-            fraction: (marker % 1000) as f64 / 1000.0,
-        },
-        3 => Fidelity::Pipelined,
-        _ => Fidelity::Custom,
-    }
-}
-
+/// A report shaped by `selector`: one in five is extrapolated (the
+/// sampled tier's shape), one in five carries a cycle breakdown (the
+/// pipelined tier's), the rest are plain.
 fn report(marker: u64, selector: u8) -> SimReport {
-    let fid = fidelity(selector, marker);
     SimReport {
         stats: SimStats {
             host_nanos: marker,
             ..SimStats::default()
         },
         backend: format!("backend-{}", selector % 3),
-        fidelity: fid,
-        extrapolated: matches!(fid, Fidelity::Sampled { .. }),
+        extrapolated: selector % 5 == 2,
         // Fractional components so the round trip covers the bit-exact
         // f64 encoding, not just integral values.
-        cycles: matches!(fid, Fidelity::Pipelined).then(|| CycleBreakdown {
+        cycles: (selector % 5 == 3).then_some(CycleBreakdown {
             pipeline: marker as f64 + 0.25,
             memory: (marker % 97) as f64 / 3.0,
             control: (marker % 13) as f64,
@@ -70,6 +59,48 @@ fn fill(cache: &SimCache, idxs: &[u8], markers: &[u64], selectors: &[u8]) {
             report(markers[i % markers.len()], selectors[i % selectors.len()]),
         );
     }
+}
+
+/// One entry in the exact shape `schema` wrote: v3 entries carried
+/// `fidelity`/`fraction` members, v4 entries do not.
+fn one_entry_snapshot(schema: &str, v3_members: &str) -> String {
+    let level = r#"{"counters":[1,2,3,4,5,6]}"#;
+    format!(
+        r#"{{"schema":"{schema}","entries":[{{"key":"ff00","backend":"accurate",{v3_members}"extrapolated":false,"stats":{{"mix":[1,2,3,4,5,6,7,8],"l1d":{level},"l1i":{level},"l2":{level},"l3":null,"dram":[9,10],"host_nanos":11}},"cycles":null}}]}}"#
+    )
+}
+
+/// The schema bump: a well-formed v3 snapshot (the parent's writer's
+/// exact shape) is refused to a logged cold start, and the same entry
+/// in v4 shape loads and re-saves byte-identically.
+#[test]
+fn v3_is_refused_and_v4_roundtrips_byte_identically() {
+    assert_eq!(SNAPSHOT_SCHEMA, "simtune-simcache-v4");
+    let path = temp_snapshot();
+    let v3 = one_entry_snapshot(
+        "simtune-simcache-v3",
+        r#""fidelity":"accurate","fraction":null,"#,
+    );
+    std::fs::write(&path, &v3).expect("writes");
+    let cache = SimCache::new();
+    let (outcome, logs) = simtune_core::log::capture(|| cache.load_from(&path).expect("reads"));
+    assert!(matches!(outcome, SnapshotLoad::Rejected(_)), "{outcome:?}");
+    assert!(cache.is_empty());
+    assert_eq!(cache.snapshot_stats().rejected_snapshots, 1);
+    assert_eq!(logs.len(), 1, "{logs:?}");
+    assert!(logs[0].contains("cold start"), "{logs:?}");
+
+    let v4 = one_entry_snapshot(SNAPSHOT_SCHEMA, "");
+    std::fs::write(&path, &v4).expect("writes");
+    assert_eq!(
+        cache.load_from(&path).expect("reads"),
+        SnapshotLoad::Loaded(1)
+    );
+    let again = temp_snapshot();
+    cache.save_to(&again).expect("re-saves");
+    assert_eq!(std::fs::read_to_string(&again).expect("re-saved bytes"), v4);
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&again).ok();
 }
 
 proptest! {

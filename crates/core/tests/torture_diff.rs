@@ -5,7 +5,7 @@
 
 use simtune_cache::HierarchyConfig;
 use simtune_core::diffharness::DiffHarness;
-use simtune_core::{AccurateBackend, BackendError, Fidelity, SimBackend, SimReport};
+use simtune_core::{AccurateBackend, BackendError, SimBackend, SimReport};
 use simtune_isa::{
     shrink_program, torture_program_with, Executable, Inst, RunLimits, TortureConfig,
 };
@@ -97,10 +97,6 @@ impl MulCorruptingBackend {
 impl SimBackend for MulCorruptingBackend {
     fn name(&self) -> &str {
         "accurate-with-planted-bug"
-    }
-
-    fn fidelity(&self) -> Fidelity {
-        Fidelity::Accurate
     }
 
     fn run_one(&self, exe: &Executable, limits: &RunLimits) -> Result<SimReport, BackendError> {

@@ -315,13 +315,32 @@ fn branch_target(inst: &Inst) -> Option<usize> {
 /// between "what to execute" (raw or pre-decoded) and "how to execute
 /// it" (the CPU's single-instruction semantics).
 pub trait ExecEngine {
-    /// Runs to completion, reporting every event to `hook`.
+    /// Runs until the program terminates or — with `stop_at` set — until
+    /// that many instructions retired, stopping cleanly there. Returns
+    /// the statistics of what ran and whether the program ran to
+    /// completion. The one method an engine implements; every other run
+    /// form (and [`crate::replay`]) is this with `stop_at` fixed.
     ///
     /// # Errors
     ///
     /// Same conditions as [`AtomicCpu::run_with_hook`] (the
     /// [`DecodedEngine`] can additionally never raise
     /// [`SimError::PcOutOfRange`]).
+    fn run_until<H: ExecHook>(
+        &self,
+        cpu: &mut AtomicCpu,
+        mem: &mut Memory,
+        hier: &mut CacheHierarchy,
+        limits: RunLimits,
+        stop_at: Option<u64>,
+        hook: &mut H,
+    ) -> Result<(SimStats, bool), SimError>;
+
+    /// Runs to completion, reporting every event to `hook`.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`ExecEngine::run_until`].
     fn run_with_hook<H: ExecHook>(
         &self,
         cpu: &mut AtomicCpu,
@@ -329,7 +348,10 @@ pub trait ExecEngine {
         hier: &mut CacheHierarchy,
         limits: RunLimits,
         hook: &mut H,
-    ) -> Result<SimStats, SimError>;
+    ) -> Result<SimStats, SimError> {
+        self.run_until(cpu, mem, hier, limits, None, hook)
+            .map(|(stats, _)| stats)
+    }
 
     /// Runs at most `budget` instructions, stopping cleanly when the
     /// budget is reached; returns the prefix statistics and whether the
@@ -337,7 +359,7 @@ pub trait ExecEngine {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`ExecEngine::run_with_hook`].
+    /// Same conditions as [`ExecEngine::run_until`].
     fn run_prefix_with_hook<H: ExecHook>(
         &self,
         cpu: &mut AtomicCpu,
@@ -346,7 +368,9 @@ pub trait ExecEngine {
         limits: RunLimits,
         budget: u64,
         hook: &mut H,
-    ) -> Result<(SimStats, bool), SimError>;
+    ) -> Result<(SimStats, bool), SimError> {
+        self.run_until(cpu, mem, hier, limits, Some(budget), hook)
+    }
 }
 
 /// The original re-decoding execution loop: inspects the raw [`Program`]
@@ -365,28 +389,16 @@ impl<'p> InterpEngine<'p> {
 }
 
 impl ExecEngine for InterpEngine<'_> {
-    fn run_with_hook<H: ExecHook>(
+    fn run_until<H: ExecHook>(
         &self,
         cpu: &mut AtomicCpu,
         mem: &mut Memory,
         hier: &mut CacheHierarchy,
         limits: RunLimits,
-        hook: &mut H,
-    ) -> Result<SimStats, SimError> {
-        cpu.run_inner(self.prog, mem, hier, limits, None, hook)
-            .map(|(stats, _)| stats)
-    }
-
-    fn run_prefix_with_hook<H: ExecHook>(
-        &self,
-        cpu: &mut AtomicCpu,
-        mem: &mut Memory,
-        hier: &mut CacheHierarchy,
-        limits: RunLimits,
-        budget: u64,
+        stop_at: Option<u64>,
         hook: &mut H,
     ) -> Result<(SimStats, bool), SimError> {
-        cpu.run_inner(self.prog, mem, hier, limits, Some(budget), hook)
+        cpu.run_inner(self.prog, mem, hier, limits, stop_at, hook)
     }
 }
 
@@ -403,8 +415,10 @@ impl<'p> DecodedEngine<'p> {
     pub fn new(prog: &'p DecodedProgram) -> Self {
         DecodedEngine { prog }
     }
+}
 
-    fn run_decoded<H: ExecHook>(
+impl ExecEngine for DecodedEngine<'_> {
+    fn run_until<H: ExecHook>(
         &self,
         cpu: &mut AtomicCpu,
         mem: &mut Memory,
@@ -452,32 +466,6 @@ impl<'p> DecodedEngine<'p> {
             },
             completed,
         ))
-    }
-}
-
-impl ExecEngine for DecodedEngine<'_> {
-    fn run_with_hook<H: ExecHook>(
-        &self,
-        cpu: &mut AtomicCpu,
-        mem: &mut Memory,
-        hier: &mut CacheHierarchy,
-        limits: RunLimits,
-        hook: &mut H,
-    ) -> Result<SimStats, SimError> {
-        self.run_decoded(cpu, mem, hier, limits, None, hook)
-            .map(|(stats, _)| stats)
-    }
-
-    fn run_prefix_with_hook<H: ExecHook>(
-        &self,
-        cpu: &mut AtomicCpu,
-        mem: &mut Memory,
-        hier: &mut CacheHierarchy,
-        limits: RunLimits,
-        budget: u64,
-        hook: &mut H,
-    ) -> Result<(SimStats, bool), SimError> {
-        self.run_decoded(cpu, mem, hier, limits, Some(budget), hook)
     }
 }
 

@@ -34,18 +34,85 @@ pub struct SimOutcome {
     pub stats: SimStats,
     /// Memory after the run; read the output buffer from here.
     pub memory: Memory,
-    /// Name of the simulator flavor that produced this outcome
-    /// ("accurate", "fast-count", …) — indispensable when debugging
-    /// mixed-fidelity autotuning runs.
-    pub backend: String,
 }
 
-/// Loads and runs `exe` on a fresh instruction-accurate simulator instance
-/// with the given cache hierarchy — one "simulator instance" of the
-/// paper's `n_parallel` pool.
+/// Materializes `exe`'s prepared tensor segments into a fresh memory
+/// image — the loader half of every trial.
+fn load_image(exe: &Executable) -> Result<Memory, SimError> {
+    let mut mem = Memory::new();
+    for (base, values) in &exe.data_segments {
+        mem.write_f32_slice(*base, values)?;
+    }
+    Ok(mem)
+}
+
+/// The one way to run a trial: loads `exe` into a fresh memory image,
+/// builds the trial's hierarchy with `mk_hier` and a fresh CPU — one
+/// "simulator instance" of the paper's `n_parallel` pool — and replays
+/// `decoded` (the lowering of `exe.program` for `exe.target`, from
+/// [`Executable::decode`]) on `engine`, reporting every event to `hook`.
+/// With `stop_at` set the run stops cleanly once that many instructions
+/// retired. Returns the outcome and whether the program ran to
+/// completion.
+///
+/// The hierarchy arrives as a constructor, like [`replay_lanes`]'s, so
+/// that it is allocated *after* the memory image and freed before it:
+/// the image outlives the run inside the outcome, and a multi-megabyte
+/// cache model allocated below it pins the heap (measured: +70 % peak
+/// RSS on short x86 trials).
+///
+/// A fidelity tier is a choice of arguments, not a code path:
+///
+/// * accurate — [`CacheHierarchy::new`] + [`NoopHook`];
+/// * fast-count — [`CacheHierarchy::counting_only`] + [`NoopHook`]
+///   (the QEMU-plugin instrumentation style: accesses are tallied at
+///   line granularity, no cache is modeled);
+/// * sampled — a counting pass for the total, then
+///   `stop_at = Some(budget)` and linear extrapolation of the prefix;
+/// * pipelined — [`crate::TimingBridge`] as the hook.
+///
+/// All engines are observationally identical (see the differential
+/// suite) and raise the same per-retirement event sequence — `on_fetch`,
+/// then any `on_data_access`/`on_branch`, then `on_retire` — so the
+/// choice only moves host time. [`EngineKind::Batch`] is a batch-level
+/// concept ([`replay_lanes`]); a single trial runs on the decoded loop.
 ///
 /// The returned statistics include the host wall-clock time of the
-/// simulation (`t_simulator` in the paper's Equation 4).
+/// replay proper (`t_simulator` in the paper's Equation 4).
+///
+/// # Errors
+///
+/// Propagates any [`SimError`] from loading the segments or the run.
+pub fn replay<H: ExecHook>(
+    exe: &Executable,
+    decoded: &DecodedProgram,
+    mk_hier: impl FnOnce() -> CacheHierarchy,
+    engine: EngineKind,
+    limits: RunLimits,
+    stop_at: Option<u64>,
+    hook: &mut H,
+) -> Result<(SimOutcome, bool), SimError> {
+    let mut mem = load_image(exe)?;
+    let mut hier = mk_hier();
+    let mut cpu = AtomicCpu::new(&exe.target);
+    let (c, m, h) = (&mut cpu, &mut mem, &mut hier);
+    let start = Instant::now();
+    let (mut stats, completed) = match engine {
+        EngineKind::Interp => {
+            InterpEngine::new(&exe.program).run_until(c, m, h, limits, stop_at, hook)
+        }
+        EngineKind::Decoded | EngineKind::Batch => {
+            DecodedEngine::new(decoded).run_until(c, m, h, limits, stop_at, hook)
+        }
+        EngineKind::Threaded => ThreadedEngine::new(&ThreadedProgram::lower(decoded))
+            .run_until(c, m, h, limits, stop_at, hook),
+    }?;
+    stats.host_nanos = start.elapsed().as_nanos().max(1) as u64;
+    Ok((SimOutcome { stats, memory: mem }, completed))
+}
+
+/// Decode-inside convenience over [`replay`]: runs `exe` to completion on
+/// the full cache model of `hierarchy`, default engine, no hook.
 ///
 /// The program is lowered with [`Executable::decode`] first, so
 /// decode-time control-flow validation applies: a branch pointing
@@ -88,384 +155,10 @@ pub fn simulate(
     limits: RunLimits,
 ) -> Result<SimOutcome, SimError> {
     let decoded = exe.decode()?;
-    simulate_decoded(exe, &decoded, hierarchy, limits)
-}
-
-/// [`simulate`] over a pre-decoded program: the batch-driver entry point
-/// that amortizes [`DecodedProgram::decode`] across repeated runs of the
-/// same executable (sampling passes, memo-cache misses, sweep replays).
-///
-/// `decoded` must be the lowering of `exe.program` for `exe.target`
-/// (obtain it from [`Executable::decode`]).
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] from the run.
-pub fn simulate_decoded(
-    exe: &Executable,
-    decoded: &DecodedProgram,
-    hierarchy: &HierarchyConfig,
-    limits: RunLimits,
-) -> Result<SimOutcome, SimError> {
-    simulate_decoded_on(exe, decoded, hierarchy, limits, EngineKind::Decoded)
-}
-
-/// [`simulate_decoded`] on an explicit replay engine. All engines are
-/// observationally identical (see the differential suite); the choice
-/// only moves host time. [`EngineKind::Batch`] is a batch-level
-/// concept, so a single trial runs on the decoded loop.
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] from the run.
-pub fn simulate_decoded_on(
-    exe: &Executable,
-    decoded: &DecodedProgram,
-    hierarchy: &HierarchyConfig,
-    limits: RunLimits,
-    engine: EngineKind,
-) -> Result<SimOutcome, SimError> {
-    let mut mem = Memory::new();
-    for (base, values) in &exe.data_segments {
-        mem.write_f32_slice(*base, values)?;
-    }
-    let mut hier = CacheHierarchy::new(hierarchy.clone());
-    let mut cpu = AtomicCpu::new(&exe.target);
-    let start = Instant::now();
-    let mut stats = run_full(
-        &exe.program,
-        decoded,
-        engine,
-        &mut cpu,
-        &mut mem,
-        &mut hier,
-        limits,
-    )?;
-    stats.host_nanos = start.elapsed().as_nanos().max(1) as u64;
-    Ok(SimOutcome {
-        stats,
-        memory: mem,
-        backend: ACCURATE.into(),
-    })
-}
-
-/// Dispatches one full run to the selected engine.
-fn run_full(
-    prog: &Program,
-    decoded: &DecodedProgram,
-    engine: EngineKind,
-    cpu: &mut AtomicCpu,
-    mem: &mut Memory,
-    hier: &mut CacheHierarchy,
-    limits: RunLimits,
-) -> Result<SimStats, SimError> {
-    run_full_hooked(prog, decoded, engine, cpu, mem, hier, limits, &mut NoopHook)
-}
-
-/// Dispatches one full run to the selected engine with an explicit
-/// event hook. [`EngineKind::Batch`] is a batch-level concept, so a
-/// single hooked trial runs on the decoded loop — which keeps the
-/// per-retirement event sequence identical across all engine kinds.
-#[allow(clippy::too_many_arguments)] // mirrors the run entry points
-fn run_full_hooked<H: ExecHook>(
-    prog: &Program,
-    decoded: &DecodedProgram,
-    engine: EngineKind,
-    cpu: &mut AtomicCpu,
-    mem: &mut Memory,
-    hier: &mut CacheHierarchy,
-    limits: RunLimits,
-    hook: &mut H,
-) -> Result<SimStats, SimError> {
-    match engine {
-        EngineKind::Interp => InterpEngine::new(prog).run_with_hook(cpu, mem, hier, limits, hook),
-        EngineKind::Decoded | EngineKind::Batch => {
-            DecodedEngine::new(decoded).run_with_hook(cpu, mem, hier, limits, hook)
-        }
-        EngineKind::Threaded => {
-            let threaded = ThreadedProgram::lower(decoded);
-            ThreadedEngine::new(&threaded).run_with_hook(cpu, mem, hier, limits, hook)
-        }
-    }
-}
-
-/// [`simulate_decoded_on`] with an explicit [`ExecHook`] observing the
-/// run — the entry point timing tiers use to price every fetch, data
-/// access, branch resolution and retirement while the functional
-/// semantics stay byte-for-byte those of the accurate backend.
-///
-/// The hook's event order per retirement is fixed and identical across
-/// engines: `on_fetch`, then any `on_data_access`/`on_branch` raised by
-/// the instruction, then `on_retire`.
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] from the run.
-pub fn simulate_decoded_hooked_on<H: ExecHook>(
-    exe: &Executable,
-    decoded: &DecodedProgram,
-    hierarchy: &HierarchyConfig,
-    limits: RunLimits,
-    engine: EngineKind,
-    hook: &mut H,
-) -> Result<SimOutcome, SimError> {
-    let mut mem = Memory::new();
-    for (base, values) in &exe.data_segments {
-        mem.write_f32_slice(*base, values)?;
-    }
-    let mut hier = CacheHierarchy::new(hierarchy.clone());
-    let mut cpu = AtomicCpu::new(&exe.target);
-    let start = Instant::now();
-    let mut stats = run_full_hooked(
-        &exe.program,
-        decoded,
-        engine,
-        &mut cpu,
-        &mut mem,
-        &mut hier,
-        limits,
-        hook,
-    )?;
-    stats.host_nanos = start.elapsed().as_nanos().max(1) as u64;
-    Ok(SimOutcome {
-        stats,
-        memory: mem,
-        backend: ACCURATE.into(),
-    })
-}
-
-/// Dispatches one prefix run to the selected engine.
-#[allow(clippy::too_many_arguments)] // mirrors the run entry points
-fn run_prefix(
-    prog: &Program,
-    decoded: &DecodedProgram,
-    engine: EngineKind,
-    cpu: &mut AtomicCpu,
-    mem: &mut Memory,
-    hier: &mut CacheHierarchy,
-    limits: RunLimits,
-    budget: u64,
-) -> Result<(SimStats, bool), SimError> {
-    match engine {
-        EngineKind::Interp => InterpEngine::new(prog).run_prefix_with_hook(
-            cpu,
-            mem,
-            hier,
-            limits,
-            budget,
-            &mut NoopHook,
-        ),
-        EngineKind::Decoded | EngineKind::Batch => DecodedEngine::new(decoded)
-            .run_prefix_with_hook(cpu, mem, hier, limits, budget, &mut NoopHook),
-        EngineKind::Threaded => {
-            let threaded = ThreadedProgram::lower(decoded);
-            ThreadedEngine::new(&threaded).run_prefix_with_hook(
-                cpu,
-                mem,
-                hier,
-                limits,
-                budget,
-                &mut NoopHook,
-            )
-        }
-    }
-}
-
-/// Canonical name of the full instruction-accurate simulator flavor.
-pub const ACCURATE: &str = "accurate";
-/// Canonical name of the counting-only simulator flavor.
-pub const FAST_COUNT: &str = "fast-count";
-
-/// Loads and runs `exe` on a *counting-only* simulator instance: the
-/// program executes functionally and retired instructions plus memory
-/// accesses are tallied, but no cache hierarchy is modeled (the
-/// QEMU-plugin instrumentation style the paper names as the cheap
-/// alternative to gem5). `line_bytes` must match the reference
-/// hierarchy's line size so vector accesses touch the same line count.
-///
-/// Retired-instruction counts are bit-identical to [`simulate`]'s: both
-/// run the same functional CPU on the same inputs.
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] from the run.
-pub fn simulate_counting(
-    exe: &Executable,
-    line_bytes: u64,
-    limits: RunLimits,
-) -> Result<SimOutcome, SimError> {
-    let decoded = exe.decode()?;
-    simulate_counting_decoded(exe, &decoded, line_bytes, limits)
-}
-
-/// [`simulate_counting`] over a pre-decoded program; see
-/// [`simulate_decoded`] for the contract on `decoded`.
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] from the run.
-pub fn simulate_counting_decoded(
-    exe: &Executable,
-    decoded: &DecodedProgram,
-    line_bytes: u64,
-    limits: RunLimits,
-) -> Result<SimOutcome, SimError> {
-    simulate_counting_decoded_on(exe, decoded, line_bytes, limits, EngineKind::Decoded)
-}
-
-/// [`simulate_counting_decoded`] on an explicit replay engine; see
-/// [`simulate_decoded_on`] for the engine contract.
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] from the run.
-pub fn simulate_counting_decoded_on(
-    exe: &Executable,
-    decoded: &DecodedProgram,
-    line_bytes: u64,
-    limits: RunLimits,
-    engine: EngineKind,
-) -> Result<SimOutcome, SimError> {
-    let mut mem = Memory::new();
-    for (base, values) in &exe.data_segments {
-        mem.write_f32_slice(*base, values)?;
-    }
-    let mut hier = CacheHierarchy::counting_only(line_bytes);
-    let mut cpu = AtomicCpu::new(&exe.target);
-    let start = Instant::now();
-    let mut stats = run_full(
-        &exe.program,
-        decoded,
-        engine,
-        &mut cpu,
-        &mut mem,
-        &mut hier,
-        limits,
-    )?;
-    stats.host_nanos = start.elapsed().as_nanos().max(1) as u64;
-    Ok(SimOutcome {
-        stats,
-        memory: mem,
-        backend: FAST_COUNT.into(),
-    })
-}
-
-/// Loads and runs at most `budget` instructions of `exe` on a fresh
-/// instruction-accurate instance, stopping cleanly when the budget is
-/// reached. Returns the prefix outcome and whether the program ran to
-/// completion — the primitive a sampled backend extrapolates from.
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] from the run.
-pub fn simulate_prefix(
-    exe: &Executable,
-    hierarchy: &HierarchyConfig,
-    limits: RunLimits,
-    budget: u64,
-) -> Result<(SimOutcome, bool), SimError> {
-    let decoded = exe.decode()?;
-    simulate_prefix_decoded(exe, &decoded, hierarchy, limits, budget)
-}
-
-/// [`simulate_prefix`] over a pre-decoded program; see
-/// [`simulate_decoded`] for the contract on `decoded`.
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] from the run.
-pub fn simulate_prefix_decoded(
-    exe: &Executable,
-    decoded: &DecodedProgram,
-    hierarchy: &HierarchyConfig,
-    limits: RunLimits,
-    budget: u64,
-) -> Result<(SimOutcome, bool), SimError> {
-    simulate_prefix_decoded_on(exe, decoded, hierarchy, limits, budget, EngineKind::Decoded)
-}
-
-/// [`simulate_prefix_decoded`] on an explicit replay engine; see
-/// [`simulate_decoded_on`] for the engine contract.
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] from the run.
-pub fn simulate_prefix_decoded_on(
-    exe: &Executable,
-    decoded: &DecodedProgram,
-    hierarchy: &HierarchyConfig,
-    limits: RunLimits,
-    budget: u64,
-    engine: EngineKind,
-) -> Result<(SimOutcome, bool), SimError> {
-    let mut mem = Memory::new();
-    for (base, values) in &exe.data_segments {
-        mem.write_f32_slice(*base, values)?;
-    }
-    let mut hier = CacheHierarchy::new(hierarchy.clone());
-    let mut cpu = AtomicCpu::new(&exe.target);
-    let start = Instant::now();
-    let (mut stats, completed) = run_prefix(
-        &exe.program,
-        decoded,
-        engine,
-        &mut cpu,
-        &mut mem,
-        &mut hier,
-        limits,
-        budget,
-    )?;
-    stats.host_nanos = start.elapsed().as_nanos().max(1) as u64;
-    Ok((
-        SimOutcome {
-            stats,
-            memory: mem,
-            backend: ACCURATE.into(),
-        },
-        completed,
-    ))
-}
-
-/// Replays N same-program trials as lanes of one [`BatchEngine`] pass
-/// on the full cache model: every `exes[i]` must share `decoded`'s
-/// program and target, differing only in name and data segments.
-/// Returns one outcome per trial, in input order; lanes fail
-/// independently (a bad data segment or a mid-run [`SimError`] resolves
-/// that lane only).
-///
-/// Host time is measured once for the whole batch and attributed
-/// evenly across its lanes.
-pub fn simulate_batch_decoded(
-    exes: &[&Executable],
-    decoded: &DecodedProgram,
-    hierarchy: &HierarchyConfig,
-    limits: RunLimits,
-) -> Vec<Result<SimOutcome, SimError>> {
-    simulate_batch_inner(
-        exes,
-        decoded,
-        limits,
-        || CacheHierarchy::new(hierarchy.clone()),
-        ACCURATE,
-    )
-}
-
-/// [`simulate_batch_decoded`] on the counting-only hierarchy (the
-/// fast-count flavor); see [`simulate_counting`] for the `line_bytes`
-/// contract.
-pub fn simulate_counting_batch_decoded(
-    exes: &[&Executable],
-    decoded: &DecodedProgram,
-    line_bytes: u64,
-    limits: RunLimits,
-) -> Vec<Result<SimOutcome, SimError>> {
-    simulate_batch_inner(
-        exes,
-        decoded,
-        limits,
-        || CacheHierarchy::counting_only(line_bytes),
-        FAST_COUNT,
-    )
+    let hier = || CacheHierarchy::new(hierarchy.clone());
+    let engine = EngineKind::default();
+    let (out, _) = replay(exe, &decoded, hier, engine, limits, None, &mut NoopHook)?;
+    Ok(out)
 }
 
 struct LaneSlot {
@@ -475,25 +168,29 @@ struct LaneSlot {
     hook: NoopHook,
 }
 
-fn simulate_batch_inner(
+/// [`replay`]'s lane-parallel twin: N same-program trials as lanes of one
+/// [`BatchEngine`] pass, each on its own `mk_hier()` hierarchy. Every
+/// `exes[i]` must share `decoded`'s program and target, differing only
+/// in name and data segments. Returns one outcome per trial, in input
+/// order; lanes fail independently (a bad data segment or a mid-run
+/// [`SimError`] resolves that lane only).
+///
+/// Host time is measured once for the whole batch and attributed
+/// evenly across its lanes.
+pub fn replay_lanes(
     exes: &[&Executable],
     decoded: &DecodedProgram,
     limits: RunLimits,
     mk_hier: impl Fn() -> CacheHierarchy,
-    backend: &str,
 ) -> Vec<Result<SimOutcome, SimError>> {
     // Materialize every lane up front; a lane whose segments do not
     // load resolves to its error without joining the batch.
     let mut slots: Vec<Result<LaneSlot, SimError>> = exes
         .iter()
         .map(|exe| {
-            let mut mem = Memory::new();
-            for (base, values) in &exe.data_segments {
-                mem.write_f32_slice(*base, values)?;
-            }
             Ok(LaneSlot {
+                mem: load_image(exe)?,
                 cpu: AtomicCpu::new(&exe.target),
-                mem,
                 hier: mk_hier(),
                 hook: NoopHook,
             })
@@ -527,7 +224,6 @@ fn simulate_batch_inner(
             Ok(SimOutcome {
                 stats,
                 memory: std::mem::take(&mut lane.mem),
-                backend: backend.into(),
             })
         })
         .collect()
@@ -551,7 +247,7 @@ impl Executable {
     }
 
     /// Lowers this executable's program once for its target — the handle
-    /// the `*_decoded` simulation entry points replay.
+    /// [`replay`] and [`replay_lanes`] run.
     ///
     /// # Errors
     ///

@@ -24,11 +24,12 @@
 //! pre-bound handlers, and [`BatchEngine`] replays one decoded program
 //! across many data lanes at once. All engines share one semantic core,
 //! so their observable results are bit-identical; [`EngineKind`] names
-//! them for configuration. `simulate`, `simulate_counting` and
-//! `simulate_prefix` decode internally; their `*_decoded` variants
-//! accept a pre-decoded handle so batch drivers pay for decoding exactly
-//! once per executable, and the `*_decoded_on` variants additionally
-//! select the replay engine.
+//! them for configuration. [`replay`] is the one way to run a trial: it
+//! takes a pre-decoded handle (batch drivers pay for decoding exactly
+//! once per executable), the cache hierarchy, the engine, an optional
+//! stop point and an [`ExecHook`], so a fidelity tier is a choice of
+//! arguments; [`replay_lanes`] is its lane-parallel twin and
+//! [`simulate`] the decode-inside convenience.
 //!
 //! The ISA itself is a register RISC machine with scalar integer/float
 //! operations, fused multiply-add, and fixed-width vector operations whose
@@ -88,12 +89,7 @@ pub use cpu::{AtomicCpu, ExecHook, NoopHook, RunLimits};
 pub use decode::{DecodedEngine, DecodedProgram, ExecEngine, InterpEngine, MicroOp, MixClass};
 pub use engine::EngineKind;
 pub use error::{BuildProgramError, SimError};
-pub use exec::{
-    simulate, simulate_batch_decoded, simulate_counting, simulate_counting_batch_decoded,
-    simulate_counting_decoded, simulate_counting_decoded_on, simulate_decoded,
-    simulate_decoded_hooked_on, simulate_decoded_on, simulate_prefix, simulate_prefix_decoded,
-    simulate_prefix_decoded_on, Executable, SimOutcome, ACCURATE, FAST_COUNT,
-};
+pub use exec::{replay, replay_lanes, simulate, Executable, SimOutcome};
 pub use inst::{Fpr, Gpr, Inst, Label, Vr, MAX_LANES};
 pub use memory::Memory;
 pub use program::{Program, ProgramBuilder};

@@ -199,8 +199,10 @@ impl<'p> ThreadedEngine<'p> {
     pub fn new(prog: &'p ThreadedProgram) -> Self {
         ThreadedEngine { prog }
     }
+}
 
-    fn run_threaded<H: ExecHook>(
+impl ExecEngine for ThreadedEngine<'_> {
+    fn run_until<H: ExecHook>(
         &self,
         cpu: &mut AtomicCpu,
         mem: &mut Memory,
@@ -258,32 +260,6 @@ impl<'p> ThreadedEngine<'p> {
             },
             completed,
         ))
-    }
-}
-
-impl ExecEngine for ThreadedEngine<'_> {
-    fn run_with_hook<H: ExecHook>(
-        &self,
-        cpu: &mut AtomicCpu,
-        mem: &mut Memory,
-        hier: &mut CacheHierarchy,
-        limits: RunLimits,
-        hook: &mut H,
-    ) -> Result<SimStats, SimError> {
-        self.run_threaded(cpu, mem, hier, limits, None, hook)
-            .map(|(stats, _)| stats)
-    }
-
-    fn run_prefix_with_hook<H: ExecHook>(
-        &self,
-        cpu: &mut AtomicCpu,
-        mem: &mut Memory,
-        hier: &mut CacheHierarchy,
-        limits: RunLimits,
-        budget: u64,
-        hook: &mut H,
-    ) -> Result<(SimStats, bool), SimError> {
-        self.run_threaded(cpu, mem, hier, limits, Some(budget), hook)
     }
 }
 

@@ -4,8 +4,8 @@
 //!   concurrently (paper Fig. 1-I / Listing 3);
 //! * any simulator can be plugged in behind the runner through the
 //!   typed `SimBackend` registry, mirroring the paper's TVM registry
-//!   override (Listing 4) — including the bundled reduced-fidelity
-//!   tiers (fast-count, sampled).
+//!   override (Listing 4) — including every bundled fidelity tier
+//!   (fast-count, sampled, pipelined, accurate).
 //!
 //! ```text
 //! cargo run --release --example parallel_simulation
@@ -13,13 +13,36 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use simtune::cache::HierarchyConfig;
 use simtune::core::KernelBuilder;
 use simtune::hw::TargetSpec;
-use simtune::isa::{simulate, Executable, RunLimits, SimStats};
+use simtune::isa::{simulate, Executable, RunLimits};
 use simtune::tensor::{conv2d_bias_relu, Conv2dShape, SketchGenerator};
-use simtune::{BackendRegistry, FnBackend, SimSession};
+use simtune::{BackendError, BackendRegistry, SimBackend, SimReport, SimSession};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// A custom backend is one `run_one`: it could shell out to gem5/QEMU
+/// here; this one wraps the built-in simulator and tags the result.
+struct Gem5Wrapper(HierarchyConfig);
+
+impl SimBackend for Gem5Wrapper {
+    fn name(&self) -> &str {
+        "gem5-wrapper"
+    }
+
+    fn run_one(&self, exe: &Executable, limits: &RunLimits) -> Result<SimReport, BackendError> {
+        let mut stats = simulate(exe, &self.0, *limits)?.stats;
+        stats.host_nanos |= 1; // visible marker of the custom path
+        let backend = self.name().to_string();
+        Ok(SimReport {
+            stats,
+            backend,
+            extrapolated: false,
+            cycles: None,
+        })
+    }
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = TargetSpec::x86_ryzen_5800x();
@@ -98,17 +121,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Custom backend: plug any simulator into the same session (the
     // paper's registry-override integration, typed).
     println!("\nplugging a custom simulator backend into the session...");
-    let hierarchy = spec.hierarchy.clone();
-    let custom = FnBackend::new(
-        "gem5-wrapper",
-        Arc::new(move |exe: &Executable| -> Result<SimStats, _> {
-            // A custom backend could shell out to gem5/QEMU here; we
-            // wrap the built-in simulator and tag the result.
-            let mut stats = simulate(exe, &hierarchy, RunLimits::default())?.stats;
-            stats.host_nanos |= 1; // visible marker of the custom path
-            Ok(stats)
-        }),
-    );
+    let custom = Gem5Wrapper(spec.hierarchy.clone());
     let session = SimSession::builder().backend(Arc::new(custom)).build()?;
     let results = session.run(&exes[..4]);
     for (i, r) in results.iter().enumerate() {

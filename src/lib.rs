@@ -94,10 +94,10 @@
 pub use simtune_core::{
     tune_with_fidelity_escalation, AccurateBackend, BackendError, BackendRegistry, BatchTicket,
     ConvergenceStats, EscalatedTuneResult, EscalationOptions, EscalationPolicy, Evaluation,
-    FastCountBackend, Fidelity, FnBackend, MemoCacheStats, OnlinePredictor, PredictedBackend,
-    Prediction, Predictor, PredictorStats, SampledBackend, SearchSpace, SearchStrategy, SimBackend,
-    SimCache, SimReport, SimSession, SimSessionBuilder, SketchSpace, StageTimings, StrategySpec,
-    TemplateSpace, UncertaintyPolicy, WorkerPoolStats,
+    FastCountBackend, MemoCacheStats, OnlinePredictor, PredictedBackend, Prediction, Predictor,
+    PredictorStats, SampledBackend, SearchSpace, SearchStrategy, SimBackend, SimCache, SimReport,
+    SimSession, SimSessionBuilder, SketchSpace, StageTimings, StrategySpec, TemplateSpace,
+    UncertaintyPolicy, WorkerPoolStats,
 };
 
 pub use simtune_cache as cache;
