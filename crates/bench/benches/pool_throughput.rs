@@ -22,7 +22,9 @@
 //! same-program throughput win the raw-speed tentpole claims.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use simtune_core::{EngineKind, FastCountBackend, KernelBuilder, SimBackend, SimSession};
+use simtune_core::{
+    EngineKind, FastCountBackend, FidelitySpec, KernelBuilder, SimBackend, SimSession,
+};
 use simtune_hw::TargetSpec;
 use simtune_isa::{Executable, RunLimits};
 use simtune_tensor::{matmul, Schedule};
@@ -74,7 +76,7 @@ fn pool_throughput(c: &mut Criterion) {
         // once, every iteration reuses them — the steady state of a
         // tuning sweep.
         let session = SimSession::builder()
-            .fast_count(&spec.hierarchy)
+            .fidelity(&FidelitySpec::FastCount, &spec.hierarchy)
             .n_parallel(N_PARALLEL)
             .build()
             .expect("builds session");
@@ -100,7 +102,7 @@ fn pool_throughput(c: &mut Criterion) {
         // inside a tuning sweep's duplicate-heavy batches).
         for engine in [EngineKind::Decoded, EngineKind::Threaded, EngineKind::Batch] {
             let session = SimSession::builder()
-                .fast_count(&spec.hierarchy)
+                .fidelity(&FidelitySpec::FastCount, &spec.hierarchy)
                 .n_parallel(N_PARALLEL)
                 .engine(engine)
                 .build()

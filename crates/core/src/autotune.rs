@@ -8,22 +8,31 @@
 //! is selected through [`TuneOptions::strategy`]; the default
 //! [`RandomSearch`](crate::RandomSearch) reproduces the historical
 //! random-sampling tuner bit-for-bit.
+//!
+//! That loop exists once, as the private `drive`. A tuning flow is a
+//! search space plus an evaluator: the paper's Listing 3
+//! (Auto-Scheduler sketches) and Listing 4 (AutoTVM templates,
+//! [`tune_template_space`]) differ only in where candidates come from;
+//! simulator-plus-predictor, the board ([`tune_on_hardware`]) and the
+//! learned escalation tier differ only in what measures a built batch.
 
 use crate::backend::{SimBackend, SimSession};
-use crate::features::WindowKind;
+use crate::features::{WindowKind, WindowNormalizer};
 use crate::fidelity::FidelitySpec;
 use crate::memo::SimCache;
 use crate::metrics::{ConvergenceStats, PredictorStats, StageTimings};
 use crate::pool::BatchTicket;
-use crate::predicted::{shared_predictor, OnlinePredictor, PredictedBackend, Prediction};
+use crate::predicted::{
+    shared_predictor, OnlinePredictor, PredictedBackend, Prediction, SharedPredictor,
+};
 use crate::runner::{HardwareRunner, KernelBuilder};
 use crate::score::ScorePredictor;
 use crate::search::{Evaluation, SearchStrategy, StrategySpec};
 use crate::CoreError;
 use simtune_hw::TargetSpec;
-use simtune_isa::EngineKind;
+use simtune_isa::{EngineKind, Executable};
 use simtune_predict::PredictorKind;
-use simtune_tensor::{ComputeDef, Schedule, SketchGenerator, SketchParams};
+use simtune_tensor::{ComputeDef, ConfigSpace, Schedule, SketchGenerator, SketchParams};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -80,7 +89,8 @@ impl Default for TuneOptions {
 pub struct TuneRecord {
     /// Genotype description.
     pub description: String,
-    /// The applied schedule.
+    /// The applied schedule (`Schedule::default()` for a candidate that
+    /// failed to build).
     pub schedule: Schedule,
     /// Score assigned during tuning (lower = better; predictor score or
     /// measured seconds depending on the flow).
@@ -149,12 +159,7 @@ pub fn tune_with_predictor(
     predictor: &ScorePredictor,
     opts: &TuneOptions,
 ) -> Result<TuneResult, CoreError> {
-    let session = SimSession::builder()
-        .accurate(&spec.hierarchy)
-        .n_parallel(opts.n_parallel)
-        .memo_cache_opt(opts.memo_cache.clone())
-        .engine(opts.engine)
-        .build()?;
+    let session = session(FidelitySpec::Accurate.build(&spec.hierarchy)?, opts)?;
     tune_with_predictor_on(def, spec, predictor, opts, &session)
 }
 
@@ -175,103 +180,200 @@ pub fn tune_with_predictor_on(
     opts: &TuneOptions,
     session: &SimSession,
 ) -> Result<TuneResult, CoreError> {
-    if !predictor.is_trained() {
-        return Err(CoreError::Pipeline("predictor is not trained".into()));
-    }
-    let generator = SketchGenerator::new(def, spec.isa.clone());
-    let mut strategy = opts.strategy.build_sketch(generator.clone(), opts.seed);
-    let (history, sim_runs, timings, replay_nanos) =
-        explore(&generator, def, predictor, strategy.as_mut(), opts, session)?;
-    finish(history, strategy.as_ref(), sim_runs, timings, replay_nanos)
+    require_trained(predictor)?;
+    let mut eval = SessionScore::new(session, predictor, opts);
+    drive_sketch(def, spec, opts, 't', &mut eval)
 }
 
-/// A proposed-and-built batch whose simulation is in flight on the
-/// session's worker pool.
-struct StagedBatch<P> {
-    kept: Vec<P>,
-    failed: Vec<P>,
-    ticket: BatchTicket,
-}
-
-impl<P> StagedBatch<P> {
-    fn trials(&self) -> usize {
-        self.kept.len() + self.failed.len()
-    }
-}
-
-/// The shared exploration loop: the strategy proposes batch-wise, the
-/// loop builds, runs on `session`'s backend, scores with `predictor`,
-/// and feeds the evaluations back. Returns the full evaluation history,
-/// the number of simulations submitted (successful builds handed to the
-/// session, whether memoized, failed or completed), the per-stage
-/// producer timings and the summed replay host-nanoseconds.
+/// AutoTVM-style tuning (the paper's Listing 4): the same loop as
+/// [`tune_with_predictor`] over a template [`ConfigSpace`] instead of
+/// sketches. Configurations are materialized, built, run on
+/// `n_parallel` simulators and scored by a trained predictor; invalid
+/// configurations receive an infinite score, exactly like failed builds
+/// in TVM. The "selectable tuning algorithms" of Section II-A are the
+/// [`SearchStrategy`] implementations, selected through
+/// [`TuneOptions::strategy`].
 ///
-/// The loop is *pipelined*: batches are submitted asynchronously
-/// ([`SimSession::submit`]), and when the strategy's proposals cannot
-/// depend on scores ([`SearchStrategy::pipeline_safe`]) the next batch
-/// is proposed and built **while the previous one simulates** on the
-/// persistent pool — the Pac-Sim overlap trick, applied to lowering.
-/// Guided strategies keep strict propose → simulate → observe
-/// sequencing, so the visit order is bit-identical to the sequential
-/// loop for every strategy, at every `n_parallel`.
-fn explore(
-    generator: &SketchGenerator,
+/// # Errors
+///
+/// Propagates pipeline failures; returns [`CoreError::Pipeline`] when
+/// the predictor is untrained, the space yields nothing, or the
+/// strategy spec cannot drive a template space
+/// ([`crate::StrategySpec::Custom`]).
+pub fn tune_template_space(
     def: &ComputeDef,
+    spec: &TargetSpec,
+    space: &ConfigSpace,
     predictor: &ScorePredictor,
-    strategy: &mut dyn SearchStrategy<SketchParams>,
     opts: &TuneOptions,
-    session: &SimSession,
-) -> Result<(Vec<TuneRecord>, usize, StageTimings, u64), CoreError> {
-    let builder = KernelBuilder::new(def.clone(), generator.target().clone());
+) -> Result<TuneResult, CoreError> {
+    require_trained(predictor)?;
+    let session = session(FidelitySpec::Accurate.build(&spec.hierarchy)?, opts)?;
+    let mut eval = SessionScore::new(&session, predictor, opts);
+    let mut strategy = opts.strategy.build_template(space.clone(), opts.seed)?;
+    let materialize = |cfg: &Vec<usize>| (format!("config {cfg:?}"), space.schedule(def, cfg).ok());
+    drive(
+        def,
+        spec,
+        strategy.as_mut(),
+        opts,
+        'c',
+        materialize,
+        &mut eval,
+    )
+}
 
+/// Baseline flow: candidates are benchmarked on the (emulated) target
+/// hardware; the score is the measured `t_ref` in seconds. Record *i* of
+/// the history is measured under noise index *i*.
+///
+/// # Errors
+///
+/// Propagates pipeline failures.
+pub fn tune_on_hardware(
+    def: &ComputeDef,
+    spec: &TargetSpec,
+    opts: &TuneOptions,
+) -> Result<TuneResult, CoreError> {
+    let mut eval = HardwareMeasure(HardwareRunner {
+        noise_seed: opts.seed ^ 0x7A11,
+        ..HardwareRunner::new(spec.clone())
+    });
+    drive_sketch(def, spec, opts, 'h', &mut eval)
+}
+
+/// The one simulator-session recipe of the stand-alone fronts.
+fn session(backend: Arc<dyn SimBackend>, opts: &TuneOptions) -> Result<SimSession, CoreError> {
+    SimSession::builder()
+        .backend(backend)
+        .n_parallel(opts.n_parallel)
+        .memo_cache_opt(opts.memo_cache.clone())
+        .engine(opts.engine)
+        .build()
+}
+
+fn require_trained(predictor: &ScorePredictor) -> Result<(), CoreError> {
+    if predictor.is_trained() {
+        Ok(())
+    } else {
+        Err(CoreError::Pipeline("predictor is not trained".into()))
+    }
+}
+
+fn since(t0: Instant) -> u64 {
+    t0.elapsed().as_nanos() as u64
+}
+
+/// What measures a built batch — besides the search space, the only
+/// part of a tuning flow that varies. One score per executable comes
+/// back in submission order; `INFINITY` marks a failed run.
+trait Evaluate {
+    /// A batch handed over by [`Evaluate::start`], not yet scored.
+    type Pending;
+    /// True when `start` returns while the batch is still being
+    /// measured, so the driver may stage the next batch meanwhile.
+    const OVERLAPS: bool;
+
+    /// Takes a built batch whose first candidate will be history record
+    /// `first_index`.
+    fn start(&mut self, exes: Vec<Executable>, first_index: usize) -> Self::Pending;
+
+    /// Blocks until the batch is measured and scores it, charging the
+    /// wait to `sim_nanos` and the scoring to `score_nanos`.
+    fn finish(
+        &mut self,
+        pending: Self::Pending,
+        timings: &mut StageTimings,
+    ) -> Result<Vec<f64>, CoreError>;
+
+    /// Host nanoseconds spent inside simulator replay so far (`0` for
+    /// an evaluator that never replays on a simulator).
+    fn replay_nanos(&self) -> u64 {
+        0
+    }
+}
+
+/// A proposed-and-built batch handed to the evaluator. Failed builds
+/// never reach it; they trail the batch's records with `INFINITY`.
+struct Staged<P, T> {
+    kept: Vec<(P, String, Schedule)>,
+    failed: Vec<(P, String)>,
+    pending: T,
+}
+
+/// The tuning loop of the paper's Fig. 2, once: the strategy proposes
+/// batch-wise, the batch is materialized and built, `eval` measures and
+/// scores it, the scores go back to the strategy. Every front is this
+/// driver over a search space (`strategy` + `materialize`, which turns
+/// a point into its description and — unless the point is invalid — its
+/// schedule) and an [`Evaluate`] impl.
+///
+/// The loop is *pipelined*: when the strategy's proposals cannot depend
+/// on scores ([`SearchStrategy::pipeline_safe`]) and the evaluator
+/// measures asynchronously ([`Evaluate::OVERLAPS`]), the next batch is
+/// proposed and built **while the previous one simulates** on the
+/// persistent pool — the Pac-Sim overlap trick, applied to lowering.
+/// Otherwise propose → measure → observe stay strictly sequenced, so
+/// the visit order is bit-identical either way, at every `n_parallel`.
+///
+/// Each batch is recorded built candidates first, in proposal order,
+/// then the candidates that failed to build; `simulations` counts the
+/// built ones (handed to the evaluator, whether memoized, failed or
+/// completed).
+fn drive<P, E: Evaluate>(
+    def: &ComputeDef,
+    spec: &TargetSpec,
+    strategy: &mut dyn SearchStrategy<P>,
+    opts: &TuneOptions,
+    tag: char,
+    mut materialize: impl FnMut(&P) -> (String, Option<Schedule>),
+    eval: &mut E,
+) -> Result<TuneResult, CoreError> {
+    let builder = KernelBuilder::new(def.clone(), spec.isa.clone());
     let mut history: Vec<TuneRecord> = Vec::new();
-    let mut evaluations: Vec<Evaluation<SketchParams>> = Vec::new();
-    let mut sim_runs = 0usize;
+    let mut evaluations: Vec<Evaluation<P>> = Vec::new();
+    let mut simulations = 0usize;
     let mut timings = StageTimings::default();
-    let mut replay_nanos = 0u64;
-    let pipelined = strategy.pipeline_safe();
-    // One normalizer for the whole session: the window means evolve over
-    // the full candidate stream, not per batch.
-    let mut normalizer = crate::features::WindowNormalizer::new(opts.window);
-    let mut inflight: Option<StagedBatch<SketchParams>> = None;
+    let overlap = E::OVERLAPS && strategy.pipeline_safe();
+    let mut inflight: Option<Staged<P, E::Pending>> = None;
     let mut exhausted = false;
     loop {
-        // Stage the next batch. With a pipeline-safe strategy this
-        // happens while `inflight` is still simulating; otherwise only
-        // when nothing is in flight (scores must reach `observe` first).
-        let committed = history.len() + inflight.as_ref().map_or(0, StagedBatch::trials);
-        let staged = if !exhausted && committed < opts.n_trials && (pipelined || inflight.is_none())
-        {
+        // Stage the next batch. When overlapping this happens while
+        // `inflight` is still being measured; otherwise only when
+        // nothing is in flight (scores must reach `observe` first).
+        let committed = history.len()
+            + inflight
+                .as_ref()
+                .map_or(0, |s| s.kept.len() + s.failed.len());
+        let staged = if !exhausted && committed < opts.n_trials && (overlap || inflight.is_none()) {
             let want = opts.batch_size.min(opts.n_trials - committed);
             let t0 = Instant::now();
             let batch = strategy.propose(&evaluations, want);
-            timings.propose_nanos += t0.elapsed().as_nanos() as u64;
+            timings.propose_nanos += since(t0);
             if batch.is_empty() {
                 exhausted = true; // search space exhausted
                 None
             } else {
-                // Build; drop failures with a penalty score.
                 let t0 = Instant::now();
-                let mut exes = Vec::new();
-                let mut kept: Vec<SketchParams> = Vec::new();
-                let mut failed: Vec<SketchParams> = Vec::new();
+                let name = format!("{}{tag}{committed}", def.name);
+                let (mut exes, mut kept, mut failed) = (Vec::new(), Vec::new(), Vec::new());
                 for p in batch {
-                    let schedule = generator.schedule(&p);
-                    match builder.build(&schedule, &format!("{}t{committed}", def.name)) {
-                        Ok(e) => {
-                            exes.push(e);
-                            kept.push(p);
+                    let (description, schedule) = materialize(&p);
+                    let built = schedule.and_then(|s| Some((builder.build(&s, &name).ok()?, s)));
+                    match built {
+                        Some((exe, s)) => {
+                            exes.push(exe);
+                            kept.push((p, description, s));
                         }
-                        Err(_) => failed.push(p),
+                        None => failed.push((p, description)),
                     }
                 }
-                timings.build_nanos += t0.elapsed().as_nanos() as u64;
-                sim_runs += exes.len();
-                let ticket = session.submit(exes);
-                Some(StagedBatch {
+                timings.build_nanos += since(t0);
+                simulations += exes.len();
+                Some(Staged {
                     kept,
                     failed,
-                    ticket,
+                    pending: eval.start(exes, committed),
                 })
             }
         } else {
@@ -287,42 +389,157 @@ fn explore(
             continue;
         };
 
-        // Drain, score and observe the finished batch in submission
-        // order — parallelism and pipelining never reorder the stream
-        // the window normalizer and the strategy see.
+        // Score and observe the finished batch in submission order —
+        // parallelism and pipelining never reorder the stream the
+        // evaluator's normalizer and the strategy see.
+        let scores = eval.finish(done.pending, &mut timings)?;
         let t0 = Instant::now();
-        let stats = done.ticket.wait();
-        timings.sim_nanos += t0.elapsed().as_nanos() as u64;
+        let first = evaluations.len();
+        for ((point, description, schedule), score) in done.kept.into_iter().zip(scores) {
+            evaluations.push(Evaluation { point, score });
+            history.push(TuneRecord {
+                description,
+                schedule,
+                score,
+            });
+        }
+        for (point, description) in done.failed {
+            let score = f64::INFINITY;
+            evaluations.push(Evaluation { point, score });
+            history.push(TuneRecord {
+                description,
+                schedule: Schedule::default(),
+                score,
+            });
+        }
+        strategy.observe(&evaluations[first..]);
+        timings.score_nanos += since(t0);
+    }
+    let best_index = argmin_score(&history)
+        .ok_or_else(|| CoreError::Pipeline("tuning produced no candidates".into()))?;
+    Ok(TuneResult {
+        history,
+        best_index,
+        strategy: strategy.name().to_string(),
+        convergence: strategy.convergence(),
+        simulations,
+        timings,
+        predictor: None,
+        replay_nanos: eval.replay_nanos(),
+    })
+}
+
+/// [`drive`] over the Auto-Scheduler-style sketch space of the paper's
+/// Listing 3.
+fn drive_sketch<E: Evaluate>(
+    def: &ComputeDef,
+    spec: &TargetSpec,
+    opts: &TuneOptions,
+    tag: char,
+    eval: &mut E,
+) -> Result<TuneResult, CoreError> {
+    let generator = SketchGenerator::new(def, spec.isa.clone());
+    let mut strategy = opts.strategy.build_sketch(generator.clone(), opts.seed);
+    let materialize = |p: &SketchParams| (format!("{p:?}"), Some(generator.schedule(p)));
+    drive(def, spec, strategy.as_mut(), opts, tag, materialize, eval)
+}
+
+/// Index of the lowest score (the first one on ties); `None` for an
+/// empty history.
+fn argmin_score(history: &[TuneRecord]) -> Option<usize> {
+    history
+        .iter()
+        .enumerate()
+        .min_by(|a, b| a.1.score.partial_cmp(&b.1.score).expect("finite or inf"))
+        .map(|(i, _)| i)
+}
+
+/// *Session-score*: submit to a [`SimSession`], wait, turn each report
+/// into a score with the trained predictor. One normalizer for the
+/// whole run: the window means evolve over the full candidate stream,
+/// not per batch.
+struct SessionScore<'a> {
+    session: &'a SimSession,
+    predictor: &'a ScorePredictor,
+    normalizer: WindowNormalizer,
+    replay_nanos: u64,
+}
+
+impl<'a> SessionScore<'a> {
+    fn new(session: &'a SimSession, predictor: &'a ScorePredictor, opts: &TuneOptions) -> Self {
+        SessionScore {
+            session,
+            predictor,
+            normalizer: WindowNormalizer::new(opts.window),
+            replay_nanos: 0,
+        }
+    }
+}
+
+impl Evaluate for SessionScore<'_> {
+    type Pending = BatchTicket;
+    const OVERLAPS: bool = true;
+
+    fn start(&mut self, exes: Vec<Executable>, _first_index: usize) -> BatchTicket {
+        self.session.submit(exes)
+    }
+
+    fn finish(
+        &mut self,
+        ticket: BatchTicket,
+        timings: &mut StageTimings,
+    ) -> Result<Vec<f64>, CoreError> {
         let t0 = Instant::now();
-        let mut batch_evals: Vec<Evaluation<SketchParams>> = Vec::new();
-        for (p, s) in done.kept.into_iter().zip(stats) {
-            let score = match s {
+        let reports = ticket.wait();
+        timings.sim_nanos += since(t0);
+        let t0 = Instant::now();
+        let mut scores = Vec::with_capacity(reports.len());
+        for report in reports {
+            scores.push(match report {
                 Ok(report) => {
-                    replay_nanos += report.stats.host_nanos;
-                    predictor.score_streaming(&report.stats, &mut normalizer)?
+                    self.replay_nanos += report.stats.host_nanos;
+                    self.predictor
+                        .score_streaming(&report.stats, &mut self.normalizer)?
                 }
                 Err(_) => f64::INFINITY,
-            };
-            batch_evals.push(Evaluation { point: p, score });
-        }
-        for p in done.failed {
-            batch_evals.push(Evaluation {
-                point: p,
-                score: f64::INFINITY,
             });
         }
-        strategy.observe(&batch_evals);
-        for e in &batch_evals {
-            history.push(TuneRecord {
-                schedule: generator.schedule(&e.point),
-                description: format!("{:?}", e.point),
-                score: e.score,
-            });
-        }
-        evaluations.extend(batch_evals);
-        timings.score_nanos += t0.elapsed().as_nanos() as u64;
+        timings.score_nanos += since(t0);
+        Ok(scores)
     }
-    Ok((history, sim_runs, timings, replay_nanos))
+
+    fn replay_nanos(&self) -> u64 {
+        self.replay_nanos
+    }
+}
+
+/// *Hardware-measure*: the board benchmarks one binary at a time
+/// (Section IV), so nothing overlaps; the candidate that becomes history
+/// record *i* is measured under noise index *i*.
+struct HardwareMeasure(HardwareRunner);
+
+impl Evaluate for HardwareMeasure {
+    type Pending = (Vec<Executable>, usize);
+    const OVERLAPS: bool = false;
+
+    fn start(&mut self, exes: Vec<Executable>, first_index: usize) -> Self::Pending {
+        (exes, first_index)
+    }
+
+    fn finish(
+        &mut self,
+        (exes, first_index): Self::Pending,
+        timings: &mut StageTimings,
+    ) -> Result<Vec<f64>, CoreError> {
+        let t0 = Instant::now();
+        let measure = |(i, exe)| match self.0.run_one(exe, first_index + i) {
+            Ok(m) => m.t_ref,
+            Err(_) => f64::INFINITY,
+        };
+        let scores = exes.iter().enumerate().map(measure).collect();
+        timings.sim_nanos += since(t0);
+        Ok(scores)
+    }
 }
 
 /// Options of the fidelity-escalation mode: how many finalists graduate
@@ -335,16 +552,8 @@ pub struct EscalationOptions {
     pub top_k: usize,
     /// Exploration tier, named uniformly as a [`FidelitySpec`] — e.g.
     /// `FidelitySpec::Pipelined { .. }` for cycle-aware exploration.
-    /// When unset, falls back to `sample_fraction` and then to the
-    /// default [`FidelitySpec::FastCount`].
+    /// When unset, the default [`FidelitySpec::FastCount`].
     pub explore: Option<FidelitySpec>,
-    /// When set (and [`EscalationOptions::explore`] is not), exploration
-    /// uses a [`crate::SampledBackend`] at this fraction instead of the
-    /// default [`crate::FastCountBackend`] — a middle tier for workloads whose ranking
-    /// is cache-sensitive. Prefer `explore:
-    /// Some(FidelitySpec::Sampled { fraction })`, which this field
-    /// predates.
-    pub sample_fraction: Option<f64>,
     /// How candidates graduate to the accurate tier. The default
     /// [`EscalationPolicy::TopK`] keeps the original static-finalist
     /// behavior (and is the only mode that reads `top_k`);
@@ -359,23 +568,9 @@ impl Default for EscalationOptions {
         EscalationOptions {
             top_k: 8,
             explore: None,
-            sample_fraction: None,
             policy: EscalationPolicy::TopK,
         }
     }
-}
-
-/// The exploration tier an [`EscalationOptions`] names: `explore` wins,
-/// the legacy `sample_fraction` shim comes second, and the historical
-/// fast-count default closes the chain.
-fn explore_spec(esc: &EscalationOptions) -> FidelitySpec {
-    esc.explore
-        .clone()
-        .or_else(|| {
-            esc.sample_fraction
-                .map(|fraction| FidelitySpec::Sampled { fraction })
-        })
-        .unwrap_or(FidelitySpec::FastCount)
 }
 
 /// Which candidates graduate from the cheap exploration tier to the
@@ -501,42 +696,101 @@ pub fn tune_with_fidelity_escalation(
     opts: &TuneOptions,
     esc: &EscalationOptions,
 ) -> Result<EscalatedTuneResult, CoreError> {
-    if !predictor.is_trained() {
-        return Err(CoreError::Pipeline("predictor is not trained".into()));
-    }
-    if let EscalationPolicy::Uncertainty(pol) = &esc.policy {
-        if !pol.confidence.is_finite() || pol.confidence < 0.0 {
+    escalate(def, spec, predictor, opts, esc, &|backend| {
+        session(backend, opts)
+    })
+}
+
+/// [`tune_with_fidelity_escalation`] with its two sessions — the cheap
+/// exploration tier and the accurate tier — opened through
+/// `session_on`, so a [`crate::SimService`] tenant runs both on its own
+/// lane of the shared pool.
+pub(crate) fn escalate(
+    def: &ComputeDef,
+    spec: &TargetSpec,
+    predictor: &ScorePredictor,
+    opts: &TuneOptions,
+    esc: &EscalationOptions,
+    session_on: &dyn Fn(Arc<dyn SimBackend>) -> Result<SimSession, CoreError>,
+) -> Result<EscalatedTuneResult, CoreError> {
+    require_trained(predictor)?;
+    match &esc.policy {
+        EscalationPolicy::Uncertainty(pol)
+            if !pol.confidence.is_finite() || pol.confidence < 0.0 =>
+        {
             return Err(CoreError::Pipeline(
                 "uncertainty escalation needs a finite confidence >= 0".into(),
             ));
         }
-        return tune_with_uncertainty_escalation(def, spec, predictor, opts, esc, pol);
+        EscalationPolicy::TopK if esc.top_k == 0 => {
+            return Err(CoreError::Pipeline(
+                "fidelity escalation needs top_k >= 1".into(),
+            ));
+        }
+        _ => {}
     }
-    if esc.top_k == 0 {
-        return Err(CoreError::Pipeline(
-            "fidelity escalation needs top_k >= 1".into(),
-        ));
-    }
-    let explore_backend: Arc<dyn SimBackend> = explore_spec(esc).build(&spec.hierarchy)?;
-    let explore_name = explore_backend.name().to_string();
-    let session = SimSession::builder()
-        .backend(explore_backend)
-        .n_parallel(opts.n_parallel)
-        .memo_cache_opt(opts.memo_cache.clone())
-        .engine(opts.engine)
-        .build()?;
-    let generator = SketchGenerator::new(def, spec.isa.clone());
-    let mut strategy = opts.strategy.build_sketch(generator.clone(), opts.seed);
-    let (mut history, explore_runs, mut timings, mut replay_nanos) = explore(
-        &generator,
-        def,
-        predictor,
-        strategy.as_mut(),
-        opts,
-        &session,
-    )?;
+    let explore = esc.explore.clone().unwrap_or(FidelitySpec::FastCount);
+    let tier = explore.build(&spec.hierarchy)?;
+    let accurate = session_on(FidelitySpec::Accurate.build(&spec.hierarchy)?)?;
+    let builder = KernelBuilder::new(def.clone(), spec.isa.clone());
+    let (explore_backend, mut result, accurate_runs) = match &esc.policy {
+        EscalationPolicy::TopK => {
+            let cheap = session_on(tier)?;
+            let mut eval = SessionScore::new(&cheap, predictor, opts);
+            let mut result = drive_sketch(def, spec, opts, 't', &mut eval)?;
+            let runs = rescore_finalists(&mut result, esc.top_k, &builder, &accurate, predictor)?;
+            (cheap.backend_name().to_string(), result, runs)
+        }
+        EscalationPolicy::Uncertainty(pol) => {
+            let online = shared_predictor(OnlinePredictor::new(
+                pol.predictor,
+                opts.seed ^ 0x9E37,
+                pol.min_train,
+                pol.refit_every,
+            ));
+            let cheap = session_on(Arc::new(PredictedBackend::new(tier, Arc::clone(&online))))?;
+            let mut eval = UncertaintyEscalate {
+                cheap: &cheap,
+                accurate: &accurate,
+                predictor,
+                pol,
+                online,
+                feat_norm: WindowNormalizer::new(opts.window),
+                acc_norm: WindowNormalizer::new(opts.window),
+                verified: Vec::new(),
+                pred_pairs: Vec::new(),
+                stats: PredictorStats::default(),
+                accurate_runs: 0,
+                replay_nanos: 0,
+                incumbent: f64::INFINITY,
+            };
+            let mut result = drive_sketch(def, spec, opts, 't', &mut eval)?;
+            eval.verify_winner(&mut result, &builder)?;
+            (cheap.backend_name().to_string(), result, eval.accurate_runs)
+        }
+    };
+    let explore_runs = result.simulations;
+    result.simulations += accurate_runs;
+    Ok(EscalatedTuneResult {
+        result,
+        explore_backend,
+        final_backend: accurate.backend_name().to_string(),
+        explore_runs,
+        accurate_runs,
+    })
+}
 
-    // Graduate the top-k cheap-tier candidates to the accurate tier.
+/// The top-k post-pass: the `top_k` best cheap-tier records are rebuilt,
+/// re-simulated on `accurate` and rescored in place, and `best_index`
+/// moves to the best finalist. Returns the accurate runs submitted.
+fn rescore_finalists(
+    result: &mut TuneResult,
+    top_k: usize,
+    builder: &KernelBuilder,
+    accurate: &SimSession,
+    predictor: &ScorePredictor,
+) -> Result<usize, CoreError> {
+    let history = &mut result.history;
     let mut order: Vec<usize> = (0..history.len())
         .filter(|&i| history[i].score.is_finite())
         .collect();
@@ -546,38 +800,30 @@ pub fn tune_with_fidelity_escalation(
             .partial_cmp(&history[b].score)
             .expect("finite scores")
     });
-    order.truncate(esc.top_k);
+    order.truncate(top_k);
 
-    let builder = KernelBuilder::new(def.clone(), spec.isa.clone());
     let t0 = Instant::now();
     let mut finalist_idx = Vec::with_capacity(order.len());
     let mut finalist_exes = Vec::with_capacity(order.len());
     for &i in &order {
         // Rebuilding is deterministic (fixed data seed), so the finalist
         // executes byte-for-byte what the exploration round saw.
-        if let Ok(exe) = builder.build(&history[i].schedule, &format!("{}f{i}", def.name)) {
+        let name = format!("{}f{i}", builder.def().name);
+        if let Ok(exe) = builder.build(&history[i].schedule, &name) {
             finalist_idx.push(i);
             finalist_exes.push(exe);
         }
     }
-    timings.build_nanos += t0.elapsed().as_nanos() as u64;
-    let accurate = SimSession::builder()
-        .accurate(&spec.hierarchy)
-        .n_parallel(opts.n_parallel)
-        .memo_cache_opt(opts.memo_cache.clone())
-        .engine(opts.engine)
-        .build()?;
-    let final_name = accurate.backend_name().to_string();
-    let accurate_runs = finalist_exes.len();
+    result.timings.build_nanos += since(t0);
     let t0 = Instant::now();
     let reports = accurate.run_stats(&finalist_exes);
-    timings.sim_nanos += t0.elapsed().as_nanos() as u64;
+    result.timings.sim_nanos += since(t0);
 
     let mut survivors = Vec::new();
     let mut survivor_stats = Vec::new();
     for (i, r) in finalist_idx.iter().zip(reports) {
         if let Ok(stats) = r {
-            replay_nanos += stats.host_nanos;
+            result.replay_nanos += stats.host_nanos;
             survivors.push(*i);
             survivor_stats.push(stats);
         }
@@ -597,28 +843,15 @@ pub fn tune_with_fidelity_escalation(
             best = (i, s);
         }
     }
-    Ok(EscalatedTuneResult {
-        result: TuneResult {
-            history,
-            best_index: best.0,
-            strategy: strategy.name().to_string(),
-            convergence: strategy.convergence(),
-            simulations: explore_runs + accurate_runs,
-            timings,
-            predictor: None,
-            replay_nanos,
-        },
-        explore_backend: explore_name,
-        final_backend: final_name,
-        explore_runs,
-        accurate_runs,
-    })
+    result.best_index = best.0;
+    Ok(finalist_exes.len())
 }
 
-/// The [`EscalationPolicy::Uncertainty`] flow: active-learning
-/// escalation over the [`PredictedBackend`] tier. One batch at a time:
+/// *Uncertainty-escalate*: active-learning escalation over the
+/// [`PredictedBackend`] tier ([`EscalationPolicy::Uncertainty`]). One
+/// batch at a time:
 ///
-/// 1. propose, build and run every candidate on the cheap tier (the
+/// 1. run every built candidate on the cheap tier (the
 ///    [`PredictedBackend`] over counting/sampled statistics);
 /// 2. in submission order, extract each candidate's feature vector,
 ///    compute the [`ScorePredictor`]'s cheap-tier *provisional* score
@@ -635,96 +868,54 @@ pub fn tune_with_fidelity_escalation(
 ///
 /// Non-escalated candidates keep the corrected mean (or, during the
 /// cold start, the provisional score) — so the history mixes accurate
-/// and predicted scores, and the winner is re-verified after the sweep:
-/// while the best-scoring candidate holds a predicted score it is
-/// re-simulated accurately and rescored. The returned winner therefore
-/// always carries an accurate-tier score.
+/// and predicted scores, and [`UncertaintyEscalate::verify_winner`]
+/// re-verifies the winner after the sweep.
 ///
 /// All model training and querying happens here, on the producer
 /// thread, in submission order — `n_parallel` only changes how fast
 /// batches simulate, never what the model sees, which is what the
-/// escalation-determinism suite pins.
-fn tune_with_uncertainty_escalation(
-    def: &ComputeDef,
-    spec: &TargetSpec,
-    predictor: &ScorePredictor,
-    opts: &TuneOptions,
-    esc: &EscalationOptions,
-    pol: &UncertaintyPolicy,
-) -> Result<EscalatedTuneResult, CoreError> {
-    let inner: Arc<dyn SimBackend> = explore_spec(esc).build(&spec.hierarchy)?;
-    let online = shared_predictor(OnlinePredictor::new(
-        pol.predictor,
-        opts.seed ^ 0x9E37,
-        pol.min_train,
-        pol.refit_every,
-    ));
-    let tier = PredictedBackend::new(inner, Arc::clone(&online));
-    let explore_name = tier.name().to_string();
-    let cheap = SimSession::builder()
-        .backend(Arc::new(tier))
-        .n_parallel(opts.n_parallel)
-        .memo_cache_opt(opts.memo_cache.clone())
-        .engine(opts.engine)
-        .build()?;
-    let accurate = SimSession::builder()
-        .accurate(&spec.hierarchy)
-        .n_parallel(opts.n_parallel)
-        .memo_cache_opt(opts.memo_cache.clone())
-        .engine(opts.engine)
-        .build()?;
-    let final_name = accurate.backend_name().to_string();
+/// escalation-determinism suite pins. Nothing overlaps: the next
+/// proposal may depend on this batch's accurate scores.
+struct UncertaintyEscalate<'a> {
+    cheap: &'a SimSession,
+    accurate: &'a SimSession,
+    predictor: &'a ScorePredictor,
+    pol: &'a UncertaintyPolicy,
+    online: SharedPredictor,
+    /// Two normalizer streams: the feature stream sees every cheap-tier
+    /// sample (model inputs), the accurate stream only escalated
+    /// candidates (training labels / final scores). Both are fed in
+    /// submission order only.
+    feat_norm: WindowNormalizer,
+    acc_norm: WindowNormalizer,
+    /// Per history record: its score is final (accurate-tier, or the
+    /// failure penalty) rather than model-predicted.
+    verified: Vec<bool>,
+    pred_pairs: Vec<(f64, f64)>,
+    stats: PredictorStats,
+    accurate_runs: usize,
+    replay_nanos: u64,
+    incumbent: f64,
+}
 
-    let generator = SketchGenerator::new(def, spec.isa.clone());
-    let builder = KernelBuilder::new(def.clone(), spec.isa.clone());
-    let mut strategy = opts.strategy.build_sketch(generator.clone(), opts.seed);
-    let fc = predictor.feature_config();
-    // Two normalizer streams: the feature stream sees every cheap-tier
-    // sample (model inputs), the accurate stream only escalated
-    // candidates (training labels / final scores). Both are fed in
-    // submission order only.
-    let mut feat_norm = crate::features::WindowNormalizer::new(opts.window);
-    let mut acc_norm = crate::features::WindowNormalizer::new(opts.window);
+impl Evaluate for UncertaintyEscalate<'_> {
+    type Pending = (Vec<Executable>, usize);
+    const OVERLAPS: bool = false;
 
-    let mut history: Vec<TuneRecord> = Vec::new();
-    let mut verified: Vec<bool> = Vec::new();
-    let mut evaluations: Vec<Evaluation<SketchParams>> = Vec::new();
-    let mut pred_pairs: Vec<(f64, f64)> = Vec::new();
-    let mut stats = PredictorStats::default();
-    let mut timings = StageTimings::default();
-    let mut explore_runs = 0usize;
-    let mut accurate_runs = 0usize;
-    let mut replay_nanos = 0u64;
-    let mut incumbent = f64::INFINITY;
+    fn start(&mut self, exes: Vec<Executable>, first_index: usize) -> Self::Pending {
+        (exes, first_index)
+    }
 
-    while history.len() < opts.n_trials {
-        let committed = history.len();
-        let want = opts.batch_size.min(opts.n_trials - committed);
+    fn finish(
+        &mut self,
+        (kept_exes, first_index): Self::Pending,
+        timings: &mut StageTimings,
+    ) -> Result<Vec<f64>, CoreError> {
+        let (predictor, pol) = (self.predictor, self.pol);
+        let fc = predictor.feature_config();
         let t0 = Instant::now();
-        let batch = strategy.propose(&evaluations, want);
-        timings.propose_nanos += t0.elapsed().as_nanos() as u64;
-        if batch.is_empty() {
-            break;
-        }
-        let t0 = Instant::now();
-        let mut kept: Vec<SketchParams> = Vec::new();
-        let mut kept_exes = Vec::new();
-        let mut failed: Vec<SketchParams> = Vec::new();
-        for p in batch {
-            let schedule = generator.schedule(&p);
-            match builder.build(&schedule, &format!("{}t{committed}", def.name)) {
-                Ok(e) => {
-                    kept_exes.push(e);
-                    kept.push(p);
-                }
-                Err(_) => failed.push(p),
-            }
-        }
-        timings.build_nanos += t0.elapsed().as_nanos() as u64;
-        explore_runs += kept_exes.len();
-        let t0 = Instant::now();
-        let reports = cheap.run(&kept_exes);
-        timings.sim_nanos += t0.elapsed().as_nanos() as u64;
+        let reports = self.cheap.run(&kept_exes);
+        timings.sim_nanos += since(t0);
 
         // Decision pass, two phases. Phase 1 — strictly in submission
         // order (the normalizer streams and the model must see
@@ -735,8 +926,8 @@ fn tune_with_uncertainty_escalation(
         // observations the tier already ranks like the offline
         // predictor, and every escalation refines the correction.
         let t0 = Instant::now();
-        let mut model = online.lock().expect("predictor lock");
-        let n_kept = kept.len();
+        let mut model = self.online.lock().expect("predictor lock");
+        let n_kept = kept_exes.len();
         let mut features_of: Vec<Option<Vec<f64>>> = Vec::with_capacity(n_kept);
         let mut provisional: Vec<f64> = vec![f64::INFINITY; n_kept];
         let mut predictions: Vec<Option<Prediction>> = Vec::with_capacity(n_kept);
@@ -746,17 +937,17 @@ fn tune_with_uncertainty_escalation(
                 predictions.push(None);
                 continue;
             };
-            replay_nanos += report.stats.host_nanos;
+            self.replay_nanos += report.stats.host_nanos;
             let raw = crate::features::raw_sample(&report.stats, fc);
-            feat_norm.feed(&raw);
-            let feats = feat_norm.features(&raw, fc);
+            self.feat_norm.feed(&raw);
+            let feats = self.feat_norm.features(&raw, fc);
             provisional[i] = predictor.score_features(&feats)?;
             let q = model.predict(&feats).map(|p| Prediction {
                 mean: provisional[i] + p.mean,
                 std: p.std,
             });
             if q.is_some() {
-                stats.queries += 1;
+                self.stats.queries += 1;
             }
             features_of.push(Some(feats));
             predictions.push(q);
@@ -775,7 +966,10 @@ fn tune_with_uncertainty_escalation(
         eligible.sort_by(|&a, &b| promise(a).total_cmp(&promise(b)));
         let mut planned = 0usize;
         for &i in &eligible {
-            if pol.budget.is_some_and(|b| accurate_runs + planned >= b) {
+            if pol
+                .budget
+                .is_some_and(|b| self.accurate_runs + planned >= b)
+            {
                 break;
             }
             let esc_now = match &predictions[i] {
@@ -783,7 +977,7 @@ fn tune_with_uncertainty_escalation(
                 // exists. `planned` keeps one batch from overshooting
                 // `min_train` before the model ever fits.
                 None => model.observations() + planned < pol.min_train,
-                Some(p) => !incumbent.is_finite() || p.lower(pol.confidence) <= incumbent,
+                Some(p) => !self.incumbent.is_finite() || p.lower(pol.confidence) <= self.incumbent,
             };
             if esc_now {
                 escalate[i] = true;
@@ -796,25 +990,25 @@ fn tune_with_uncertainty_escalation(
                 scores[i] = promise(i);
             }
         }
-        timings.score_nanos += t0.elapsed().as_nanos() as u64;
+        timings.score_nanos += since(t0);
 
         // Accurate pass over the escalated originals, still in order.
         let esc_idx: Vec<usize> = (0..n_kept).filter(|&i| escalate[i]).collect();
         let esc_exes: Vec<_> = esc_idx.iter().map(|&i| kept_exes[i].clone()).collect();
-        accurate_runs += esc_exes.len();
-        stats.escalations += esc_exes.len() as u64;
+        self.accurate_runs += esc_exes.len();
+        self.stats.escalations += esc_exes.len() as u64;
         let t0 = Instant::now();
-        let acc_reports = accurate.run_stats(&esc_exes);
-        timings.sim_nanos += t0.elapsed().as_nanos() as u64;
+        let acc_reports = self.accurate.run_stats(&esc_exes);
+        timings.sim_nanos += since(t0);
         let t0 = Instant::now();
         for (&i, r) in esc_idx.iter().zip(acc_reports) {
             let Ok(s) = r else {
                 continue; // scores[i] stays the INFINITY penalty
             };
-            replay_nanos += s.host_nanos;
-            let score = predictor.score_streaming(&s, &mut acc_norm)?;
+            self.replay_nanos += s.host_nanos;
+            let score = predictor.score_streaming(&s, &mut self.acc_norm)?;
             if let Some(p) = &predictions[i] {
-                pred_pairs.push((p.mean, score));
+                self.pred_pairs.push((p.mean, score));
             }
             if let Some(f) = &features_of[i] {
                 // Train on the residual; the decision pass adds the
@@ -822,122 +1016,94 @@ fn tune_with_uncertainty_escalation(
                 model.observe(f, score - provisional[i]);
             }
             scores[i] = score;
-            incumbent = incumbent.min(score);
+            self.incumbent = self.incumbent.min(score);
         }
         if model.refit() {
-            stats.train_events += 1;
+            self.stats.train_events += 1;
         }
-        drop(model);
-
-        let mut batch_evals: Vec<Evaluation<SketchParams>> = Vec::new();
-        for (i, p) in kept.into_iter().enumerate() {
-            batch_evals.push(Evaluation {
-                point: p,
-                score: scores[i],
-            });
-            verified.push(escalate[i] || !scores[i].is_finite());
-        }
-        for p in failed {
-            batch_evals.push(Evaluation {
-                point: p,
-                score: f64::INFINITY,
-            });
-            verified.push(true);
-        }
-        strategy.observe(&batch_evals);
-        for e in &batch_evals {
-            history.push(TuneRecord {
-                schedule: generator.schedule(&e.point),
-                description: format!("{:?}", e.point),
-                score: e.score,
-            });
-        }
-        evaluations.extend(batch_evals);
-        timings.score_nanos += t0.elapsed().as_nanos() as u64;
-    }
-    if history.is_empty() {
-        return Err(CoreError::Pipeline("tuning produced no candidates".into()));
+        // Records between the batches handed over here are failed
+        // builds: their penalty score is final.
+        self.verified.resize(first_index, true);
+        self.verified
+            .extend((0..n_kept).map(|i| escalate[i] || !scores[i].is_finite()));
+        timings.score_nanos += since(t0);
+        Ok(scores)
     }
 
-    // Winner verification: the returned best always carries an
-    // accurate-tier score. Each round either confirms the current
-    // arg-min or demotes it, so this terminates within `history.len()`
-    // accurate runs (far fewer in practice — the winner usually *was*
-    // escalated).
-    loop {
-        let best = argmin_score(&history);
-        if history[best].score.is_infinite() {
-            return Err(CoreError::Pipeline(
-                "no candidate survived accurate verification".into(),
-            ));
-        }
-        if verified[best] {
-            break;
-        }
-        let t0 = Instant::now();
-        let built = builder.build(&history[best].schedule, &format!("{}v{best}", def.name));
-        timings.build_nanos += t0.elapsed().as_nanos() as u64;
-        let Ok(exe) = built else {
-            history[best].score = f64::INFINITY;
-            verified[best] = true;
-            continue;
-        };
-        accurate_runs += 1;
-        stats.escalations += 1;
-        let t0 = Instant::now();
-        let report = accurate
-            .run_stats(std::slice::from_ref(&exe))
-            .pop()
-            .expect("one report per executable");
-        timings.sim_nanos += t0.elapsed().as_nanos() as u64;
-        history[best].score = match report {
-            Ok(s) => {
-                replay_nanos += s.host_nanos;
-                predictor.score_streaming(&s, &mut acc_norm)?
-            }
-            Err(_) => f64::INFINITY,
-        };
-        verified[best] = true;
+    fn replay_nanos(&self) -> u64 {
+        self.replay_nanos
     }
-
-    stats.observations = online.lock().expect("predictor lock").observations() as u64;
-    stats.avoided_simulations = history
-        .iter()
-        .zip(&verified)
-        .filter(|(r, v)| r.score.is_finite() && !**v)
-        .count() as u64;
-    if !pred_pairs.is_empty() {
-        stats.mean_abs_error =
-            pred_pairs.iter().map(|(p, a)| (p - a).abs()).sum::<f64>() / pred_pairs.len() as f64;
-        stats.mean_abs_rank_error = rank_displacement(&pred_pairs);
-    }
-
-    let best_index = argmin_score(&history);
-    Ok(EscalatedTuneResult {
-        result: TuneResult {
-            history,
-            best_index,
-            strategy: strategy.name().to_string(),
-            convergence: strategy.convergence(),
-            simulations: explore_runs + accurate_runs,
-            timings,
-            predictor: Some(stats),
-            replay_nanos,
-        },
-        explore_backend: explore_name,
-        final_backend: final_name,
-        explore_runs,
-        accurate_runs,
-    })
 }
 
-fn argmin_score(history: &[TuneRecord]) -> usize {
-    history
-        .iter()
-        .enumerate()
-        .min_by(|a, b| a.1.score.partial_cmp(&b.1.score).expect("finite or inf"))
-        .map(|(i, _)| i)
-        .expect("non-empty history")
+impl UncertaintyEscalate<'_> {
+    /// Winner verification: the returned best always carries an
+    /// accurate-tier score. While the best-scoring record holds a
+    /// predicted score it is re-simulated accurately and rescored; each
+    /// round either confirms the current arg-min or demotes it, so this
+    /// terminates within `history.len()` accurate runs (far fewer in
+    /// practice — the winner usually *was* escalated). Then the run's
+    /// predictor counters are closed into `result`.
+    fn verify_winner(
+        &mut self,
+        result: &mut TuneResult,
+        builder: &KernelBuilder,
+    ) -> Result<(), CoreError> {
+        let history = &mut result.history;
+        self.verified.resize(history.len(), true);
+        loop {
+            let best = argmin_score(history).expect("drive returns a non-empty history");
+            if history[best].score.is_infinite() {
+                return Err(CoreError::Pipeline(
+                    "no candidate survived accurate verification".into(),
+                ));
+            }
+            if self.verified[best] {
+                result.best_index = best;
+                break;
+            }
+            self.verified[best] = true;
+            let t0 = Instant::now();
+            let name = format!("{}v{best}", builder.def().name);
+            let built = builder.build(&history[best].schedule, &name);
+            result.timings.build_nanos += since(t0);
+            let Ok(exe) = built else {
+                history[best].score = f64::INFINITY;
+                continue;
+            };
+            self.accurate_runs += 1;
+            self.stats.escalations += 1;
+            let t0 = Instant::now();
+            let report = self
+                .accurate
+                .run_stats(std::slice::from_ref(&exe))
+                .pop()
+                .expect("one report per executable");
+            result.timings.sim_nanos += since(t0);
+            history[best].score = match report {
+                Ok(s) => {
+                    self.replay_nanos += s.host_nanos;
+                    self.predictor.score_streaming(&s, &mut self.acc_norm)?
+                }
+                Err(_) => f64::INFINITY,
+            };
+        }
+
+        let model = self.online.lock().expect("predictor lock");
+        self.stats.observations = model.observations() as u64;
+        self.stats.avoided_simulations = history
+            .iter()
+            .zip(&self.verified)
+            .filter(|(r, v)| r.score.is_finite() && !**v)
+            .count() as u64;
+        if !self.pred_pairs.is_empty() {
+            let abs_error: f64 = self.pred_pairs.iter().map(|(p, a)| (p - a).abs()).sum();
+            self.stats.mean_abs_error = abs_error / self.pred_pairs.len() as f64;
+            self.stats.mean_abs_rank_error = rank_displacement(&self.pred_pairs);
+        }
+        result.predictor = Some(self.stats);
+        result.replay_nanos = self.replay_nanos;
+        Ok(())
+    }
 }
 
 /// Mean |rank(predicted) − rank(accurate)| over `(predicted, accurate)`
@@ -966,101 +1132,6 @@ fn rank_displacement(pairs: &[(f64, f64)]) -> f64 {
         .map(|(&a, &b)| (a as f64 - b as f64).abs())
         .sum();
     total / n as f64 / (n - 1) as f64
-}
-
-/// Baseline flow: candidates are benchmarked on the (emulated) target
-/// hardware; the score is the measured `t_ref` in seconds.
-///
-/// # Errors
-///
-/// Propagates pipeline failures.
-pub fn tune_on_hardware(
-    def: &ComputeDef,
-    spec: &TargetSpec,
-    opts: &TuneOptions,
-) -> Result<TuneResult, CoreError> {
-    let generator = SketchGenerator::new(def, spec.isa.clone());
-    let builder = KernelBuilder::new(def.clone(), spec.isa.clone());
-    let hw = HardwareRunner {
-        noise_seed: opts.seed ^ 0x7A11,
-        ..HardwareRunner::new(spec.clone())
-    };
-    let mut strategy = opts.strategy.build_sketch(generator.clone(), opts.seed);
-    let mut history: Vec<TuneRecord> = Vec::new();
-    let mut evaluations: Vec<Evaluation<SketchParams>> = Vec::new();
-    let mut hw_runs = 0usize;
-    let mut timings = StageTimings::default();
-    // Hardware measurement is inherently sequential (Section IV: the
-    // board benchmarks one binary at a time), so this loop does not
-    // pipeline; the timings still expose where the wall time goes.
-    while history.len() < opts.n_trials {
-        let want = opts.batch_size.min(opts.n_trials - history.len());
-        let t0 = Instant::now();
-        let batch = strategy.propose(&evaluations, want);
-        timings.propose_nanos += t0.elapsed().as_nanos() as u64;
-        if batch.is_empty() {
-            break;
-        }
-        let mut batch_evals: Vec<Evaluation<SketchParams>> = Vec::new();
-        for p in batch {
-            let schedule = generator.schedule(&p);
-            let t0 = Instant::now();
-            let built = builder.build(&schedule, &format!("{}h{}", def.name, history.len()));
-            timings.build_nanos += t0.elapsed().as_nanos() as u64;
-            let score = built
-                .and_then(|exe| {
-                    hw_runs += 1;
-                    let t0 = Instant::now();
-                    let measured = hw.run_one(&exe, history.len() + batch_evals.len());
-                    timings.sim_nanos += t0.elapsed().as_nanos() as u64;
-                    measured
-                })
-                .map(|m| m.t_ref)
-                .unwrap_or(f64::INFINITY);
-            batch_evals.push(Evaluation { point: p, score });
-        }
-        let t0 = Instant::now();
-        strategy.observe(&batch_evals);
-        for e in &batch_evals {
-            history.push(TuneRecord {
-                description: format!("{:?}", e.point),
-                schedule: generator.schedule(&e.point),
-                score: e.score,
-            });
-        }
-        evaluations.extend(batch_evals);
-        timings.score_nanos += t0.elapsed().as_nanos() as u64;
-    }
-    // Hardware measurement replays nothing on a simulator.
-    finish(history, strategy.as_ref(), hw_runs, timings, 0)
-}
-
-fn finish(
-    history: Vec<TuneRecord>,
-    strategy: &dyn SearchStrategy<SketchParams>,
-    simulations: usize,
-    timings: StageTimings,
-    replay_nanos: u64,
-) -> Result<TuneResult, CoreError> {
-    if history.is_empty() {
-        return Err(CoreError::Pipeline("tuning produced no candidates".into()));
-    }
-    let best_index = history
-        .iter()
-        .enumerate()
-        .min_by(|a, b| a.1.score.partial_cmp(&b.1.score).expect("finite or inf"))
-        .map(|(i, _)| i)
-        .expect("non-empty history");
-    Ok(TuneResult {
-        history,
-        best_index,
-        strategy: strategy.name().to_string(),
-        convergence: strategy.convergence(),
-        simulations,
-        timings,
-        predictor: None,
-        replay_nanos,
-    })
 }
 
 #[cfg(test)]
@@ -1313,5 +1384,101 @@ mod tests {
         let predictor = ScorePredictor::new(PredictorKind::LinReg, "riscv", "matmul", 1);
         let err = tune_with_predictor(&def, &spec, &predictor, &TuneOptions::default());
         assert!(matches!(err, Err(CoreError::Pipeline(_))));
+    }
+
+    fn template_setup() -> (ComputeDef, TargetSpec, ConfigSpace, ScorePredictor) {
+        let def = matmul(8, 8, 8);
+        let spec = TargetSpec::riscv_u74();
+        let space = ConfigSpace::matmul(&def, &spec.isa);
+        let data = collect_group_data(
+            &def,
+            &spec,
+            0,
+            &CollectOptions {
+                n_impls: 14,
+                n_parallel: 2,
+                seed: 3,
+                max_attempts_factor: 40,
+                ..CollectOptions::default()
+            },
+        )
+        .expect("collects");
+        let mut predictor = ScorePredictor::new(PredictorKind::LinReg, "riscv", "matmul", 1);
+        predictor
+            .train(std::slice::from_ref(&data))
+            .expect("trains");
+        (def, spec, space, predictor)
+    }
+
+    #[test]
+    fn template_tuning_end_to_end() {
+        let (def, spec, space, predictor) = template_setup();
+        let result = tune_template_space(
+            &def,
+            &spec,
+            &space,
+            &predictor,
+            &TuneOptions {
+                n_trials: 12,
+                batch_size: 4,
+                n_parallel: 2,
+                seed: 9,
+                ..TuneOptions::default()
+            },
+        )
+        .expect("tunes");
+        assert_eq!(result.history.len(), 12);
+        assert!(result.best().score.is_finite());
+        assert!(result.best().description.starts_with("config"));
+        assert_eq!(result.strategy, "random");
+        assert_eq!(result.convergence.observed, 12);
+    }
+
+    #[test]
+    fn grid_strategy_walks_the_template_space_in_order() {
+        let (def, spec, space, predictor) = template_setup();
+        let result = tune_template_space(
+            &def,
+            &spec,
+            &space,
+            &predictor,
+            &TuneOptions {
+                n_trials: 6,
+                batch_size: 3,
+                n_parallel: 2,
+                strategy: StrategySpec::Grid,
+                ..TuneOptions::default()
+            },
+        )
+        .expect("tunes");
+        assert_eq!(result.strategy, "grid");
+        // Grid visits configs 0..6 in index order.
+        for (i, record) in result.history.iter().enumerate() {
+            let cfg = space.config_from_index(i);
+            assert_eq!(record.description, format!("config {cfg:?}"));
+        }
+    }
+
+    #[test]
+    fn annealing_strategy_tunes_the_template_space() {
+        let (def, spec, space, predictor) = template_setup();
+        let result = tune_template_space(
+            &def,
+            &spec,
+            &space,
+            &predictor,
+            &TuneOptions {
+                n_trials: 12,
+                batch_size: 4,
+                n_parallel: 2,
+                seed: 7,
+                strategy: StrategySpec::Annealing,
+                ..TuneOptions::default()
+            },
+        )
+        .expect("tunes");
+        assert_eq!(result.strategy, "annealing");
+        assert_eq!(result.history.len(), 12);
+        assert!(result.best().score.is_finite());
     }
 }

@@ -48,7 +48,7 @@
 //!
 //! ```
 //! use simtune_cache::HierarchyConfig;
-//! use simtune_core::{KernelBuilder, SimSession};
+//! use simtune_core::{FidelitySpec, KernelBuilder, SimSession};
 //! use simtune_tensor::{matmul, Schedule, TargetIsa};
 //!
 //! # fn main() -> Result<(), simtune_core::CoreError> {
@@ -56,7 +56,7 @@
 //! let builder = KernelBuilder::new(def.clone(), TargetIsa::riscv_u74());
 //! let exe = builder.build(&Schedule::default_for(&def), "mm")?;
 //! let session = SimSession::builder()
-//!     .fast_count(&HierarchyConfig::riscv_u74())
+//!     .fidelity(&FidelitySpec::FastCount, &HierarchyConfig::riscv_u74())
 //!     .n_parallel(2)
 //!     .build()?;
 //! let reports = session.run(std::slice::from_ref(&exe));
@@ -718,7 +718,7 @@ impl BackendRegistry {
 ///
 /// ```
 /// use simtune_cache::HierarchyConfig;
-/// use simtune_core::SimSession;
+/// use simtune_core::{FidelitySpec, SimSession};
 /// use simtune_isa::{Executable, Gpr, Inst, ProgramBuilder, TargetIsa};
 ///
 /// # fn main() -> Result<(), simtune_core::CoreError> {
@@ -728,7 +728,7 @@ impl BackendRegistry {
 /// let exe = Executable::new("demo", b.build().unwrap(), TargetIsa::riscv_u74());
 ///
 /// let session = SimSession::builder()
-///     .fast_count(&HierarchyConfig::tiny_for_tests())
+///     .fidelity(&FidelitySpec::FastCount, &HierarchyConfig::tiny_for_tests())
 ///     .n_parallel(2)
 ///     .build()?;
 /// let report = session.run(&[exe]).remove(0).expect("simulates");
@@ -846,6 +846,19 @@ impl SimSession {
             .map(|r| r.map(|rep| rep.stats))
             .collect()
     }
+
+    /// A session on another backend and engine that keeps this one's
+    /// pool, scheduling lane, tenant counters, memo cache and limits —
+    /// how a [`crate::SimService`] tenant runs the tiers of an escalated
+    /// tune on its own lane.
+    pub(crate) fn on_backend(&self, backend: Arc<dyn SimBackend>, engine: EngineKind) -> Self {
+        SimSession {
+            backend,
+            engine,
+            inflight: Arc::new(InflightMap::default()),
+            ..self.clone()
+        }
+    }
 }
 
 /// Builder for [`SimSession`].
@@ -903,38 +916,11 @@ impl SimSessionBuilder {
         }
     }
 
-    /// Uses the instruction-accurate reference backend for `hierarchy`.
-    ///
-    /// Prefer [`SimSessionBuilder::fidelity`] with
-    /// [`crate::FidelitySpec::Accurate`]; this shim remains for
-    /// source compatibility.
+    /// Uses the instruction-accurate reference backend for `hierarchy`
+    /// — shorthand for [`SimSessionBuilder::fidelity`] with
+    /// [`crate::FidelitySpec::Accurate`], the tier most sessions run.
     pub fn accurate(self, hierarchy: &HierarchyConfig) -> Self {
         self.backend(Arc::new(AccurateBackend::new(hierarchy.clone())))
-    }
-
-    /// Uses the counting-only backend matched to `hierarchy`'s line size.
-    ///
-    /// Prefer [`SimSessionBuilder::fidelity`] with
-    /// [`crate::FidelitySpec::FastCount`]; this shim remains for
-    /// source compatibility.
-    pub fn fast_count(self, hierarchy: &HierarchyConfig) -> Self {
-        self.backend(Arc::new(FastCountBackend::matching(hierarchy)))
-    }
-
-    /// Uses the sampling backend at `fraction`; an invalid fraction
-    /// surfaces from [`SimSessionBuilder::build`].
-    ///
-    /// Prefer [`SimSessionBuilder::fidelity`] with
-    /// [`crate::FidelitySpec::Sampled`]; this shim remains for source
-    /// compatibility.
-    pub fn sampled(mut self, hierarchy: &HierarchyConfig, fraction: f64) -> Self {
-        match SampledBackend::new(hierarchy.clone(), fraction) {
-            Ok(b) => self.backend(Arc::new(b)),
-            Err(e) => {
-                self.error = Some(e.into());
-                self
-            }
-        }
     }
 
     /// Resolves `name` in `registry`; a miss surfaces from
@@ -1022,7 +1008,7 @@ impl SimSessionBuilder {
     /// # Errors
     ///
     /// Returns [`CoreError::Pipeline`] when no backend was chosen, or the
-    /// deferred error of an invalid [`SimSessionBuilder::sampled`] /
+    /// deferred error of an invalid [`SimSessionBuilder::fidelity`] /
     /// [`SimSessionBuilder::from_registry`] step.
     pub fn build(self) -> Result<SimSession, CoreError> {
         if let Some(e) = self.error {
@@ -1185,7 +1171,7 @@ mod tests {
         let err = SimSession::builder().build().unwrap_err();
         assert!(matches!(err, CoreError::Pipeline(_)));
         let err = SimSession::builder()
-            .sampled(&hier(), 2.0)
+            .fidelity(&crate::FidelitySpec::Sampled { fraction: 2.0 }, &hier())
             .build()
             .unwrap_err();
         assert!(matches!(err, CoreError::Backend { .. }));
@@ -1406,7 +1392,7 @@ mod tests {
     }
 
     #[test]
-    fn fn_backend_adapts_legacy_overrides() {
+    fn run_one_only_backend_serves_every_engine() {
         // The external-simulator shape: a backend that implements
         // `run_one` alone serves a session on every engine through the
         // trait's defaults, named and unmemoized.

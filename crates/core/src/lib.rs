@@ -57,13 +57,12 @@ mod score;
 pub mod search;
 mod service;
 mod snapshot;
-mod template_tune;
 mod workflow;
 
 pub use autotune::{
-    tune_on_hardware, tune_with_fidelity_escalation, tune_with_predictor, tune_with_predictor_on,
-    EscalatedTuneResult, EscalationOptions, EscalationPolicy, TuneOptions, TuneRecord, TuneResult,
-    UncertaintyPolicy,
+    tune_on_hardware, tune_template_space, tune_with_fidelity_escalation, tune_with_predictor,
+    tune_with_predictor_on, EscalatedTuneResult, EscalationOptions, EscalationPolicy, TuneOptions,
+    TuneRecord, TuneResult, UncertaintyPolicy,
 };
 pub use backend::{
     AccurateBackend, BackendError, BackendRegistry, FastCountBackend, SampledBackend, SimBackend,
@@ -102,7 +101,6 @@ pub use simtune_hw::CycleBreakdown;
 // `SimSessionBuilder` without a direct `simtune_isa` dependency.
 pub use simtune_isa::EngineKind;
 pub use snapshot::{atomic_write, SnapshotLoad, SNAPSHOT_SCHEMA};
-pub use template_tune::tune_template_space;
 pub use workflow::{
     collect_group_data, evaluate_predictor, holdout_group_curves, split_train_test, CollectOptions,
     EvalReport, SortedPrediction,

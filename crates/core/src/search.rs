@@ -32,12 +32,14 @@
 //! | [`Evolutionary`] | tournament selection + crossover/mutation | broad spaces with structure |
 //! | [`Annealing`] | single-point Metropolis walk | escaping local minima on a budget |
 //!
-//! The tuning loops ([`crate::tune_with_predictor`],
+//! One loop drives every strategy: the tuning fronts
+//! ([`crate::tune_with_predictor`],
 //! [`crate::tune_with_fidelity_escalation`], [`crate::tune_on_hardware`],
-//! [`crate::tune_template_space`]) take their strategy from
+//! [`crate::tune_template_space`]) are one private driver over a search
+//! space and an evaluator, and take their strategy from
 //! [`crate::TuneOptions::strategy`] as a [`StrategySpec`], so every
-//! strategy composes with the memo cache, the batch executor and all
-//! three bundled backends without further wiring. Convergence counters
+//! strategy composes with the memo cache, the batch executor and every
+//! bundled backend without further wiring. Convergence counters
 //! are surfaced per run as [`ConvergenceStats`] on
 //! [`crate::TuneResult`].
 //!
@@ -842,8 +844,8 @@ pub enum StrategySpec {
     /// [`Annealing`] Metropolis walk.
     Annealing,
     /// A user-provided factory producing a boxed [`SearchStrategy`] for
-    /// sketch tuning (template tuning rejects custom specs — implement
-    /// `SearchStrategy<Vec<usize>>` and drive the loop directly instead).
+    /// sketch tuning (template tuning rejects custom specs: the factory
+    /// cannot produce a `SearchStrategy<Vec<usize>>`).
     Custom(Arc<CustomStrategyFactory>),
 }
 
@@ -942,8 +944,8 @@ impl StrategySpec {
             StrategySpec::Annealing => Box::new(Annealing::new(space, seed)),
             StrategySpec::Custom(_) => {
                 return Err(CoreError::Pipeline(
-                    "custom strategy factories build sketch strategies; implement \
-                     SearchStrategy<Vec<usize>> and drive tune_template_space's loop directly"
+                    "custom strategy factories build sketch strategies; \
+                     tune_template_space takes a built-in StrategySpec"
                         .into(),
                 ))
             }

@@ -40,8 +40,8 @@
 //! busy time.
 
 use crate::autotune::{
-    tune_with_fidelity_escalation, tune_with_predictor_on, EscalatedTuneResult, EscalationOptions,
-    TuneOptions, TuneResult,
+    escalate, tune_with_predictor_on, EscalatedTuneResult, EscalationOptions, TuneOptions,
+    TuneResult,
 };
 use crate::backend::{SimBackend, SimSession};
 use crate::memo::SimCache;
@@ -397,11 +397,12 @@ impl TenantSession {
     /// Runs a fidelity-escalation tuning loop for this tenant
     /// ([`crate::tune_with_fidelity_escalation`]). Escalation needs two
     /// backends — a cheap exploration tier and the accurate tier — so
-    /// the loop runs on dedicated sessions rather than this tenant's
-    /// single-backend session, but it shares the service's memo cache
-    /// and inherits the service's worker count; `opts.n_parallel` and
-    /// `opts.memo_cache` are overridden accordingly. When the
-    /// uncertainty policy is active, the run's
+    /// the loop opens one sibling of this tenant's session per tier:
+    /// both run on the service's shared pool under this tenant's lane
+    /// and counters and hit the shared memo cache, whatever backend the
+    /// tenant itself was opened on. `opts.n_parallel` and
+    /// `opts.memo_cache` are ignored in favor of the service's pool and
+    /// cache. When the uncertainty policy is active, the run's
     /// [`PredictorStats`](crate::metrics::PredictorStats) are folded
     /// into this tenant's counters and surface through
     /// [`TenantSession::stats`] and [`SimService::tenant_stats`].
@@ -417,12 +418,9 @@ impl TenantSession {
         opts: &TuneOptions,
         esc: &EscalationOptions,
     ) -> Result<EscalatedTuneResult, CoreError> {
-        let opts = TuneOptions {
-            n_parallel: self.shared.pool.workers(),
-            memo_cache: Some(Arc::clone(&self.shared.cache)),
-            ..opts.clone()
-        };
-        let out = tune_with_fidelity_escalation(def, spec, predictor, &opts, esc)?;
+        let out = escalate(def, spec, predictor, opts, esc, &|backend| {
+            Ok(self.session.on_backend(backend, opts.engine))
+        })?;
         if let Some(ps) = &out.result.predictor {
             self.counters
                 .predictor

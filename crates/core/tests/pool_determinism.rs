@@ -223,7 +223,10 @@ fn submit_overlaps_with_caller_work_and_preserves_order() {
         .map(|i| builder.build(&schedule, &format!("b{i}")).unwrap())
         .collect();
     let session = SimSession::builder()
-        .fast_count(&simtune_cache::HierarchyConfig::riscv_u74())
+        .fidelity(
+            &simtune_core::FidelitySpec::FastCount,
+            &simtune_cache::HierarchyConfig::riscv_u74(),
+        )
         .n_parallel(4)
         .build()
         .unwrap();

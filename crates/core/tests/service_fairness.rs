@@ -7,10 +7,13 @@
 //! * **Warm start** — a tune over a cache restored from a snapshot
 //!   reproduces the cold run's result exactly while executing zero
 //!   simulations: every submission is answered by the memo.
+//! * **One pool** — an escalated tune runs both of its tiers on the
+//!   tenant's lane of the shared pool and shows up in its counters.
 
 use simtune_core::{
-    collect_group_data, tune_with_predictor, CollectOptions, ScorePredictor, SimCache, SimService,
-    SnapshotLoad, TuneOptions, TuneResult,
+    collect_group_data, tune_with_fidelity_escalation, tune_with_predictor, CollectOptions,
+    EscalationOptions, EscalationPolicy, ScorePredictor, SimCache, SimService, SnapshotLoad,
+    TuneOptions, TuneResult, UncertaintyPolicy,
 };
 use simtune_hw::TargetSpec;
 use simtune_predict::PredictorKind;
@@ -183,4 +186,59 @@ fn warm_loaded_snapshot_reproduces_the_cold_tune_with_zero_executions() {
     assert_eq!(stats.memo.misses, 0, "every submission must hit the memo");
     assert_eq!(stats.memo.hits, warm_result.simulations as u64);
     std::fs::remove_file(&snap).ok();
+}
+
+#[test]
+fn escalated_tunes_run_on_the_tenants_lane_of_the_shared_pool() {
+    let w = workload(8, 17);
+    let policies = [
+        EscalationPolicy::TopK,
+        EscalationPolicy::Uncertainty(UncertaintyPolicy {
+            predictor: PredictorKind::LinReg,
+            min_train: 4,
+            ..UncertaintyPolicy::default()
+        }),
+    ];
+    for policy in policies {
+        let esc = EscalationOptions {
+            top_k: 3,
+            policy,
+            ..EscalationOptions::default()
+        };
+        let solo = tune_with_fidelity_escalation(&w.def, &w.spec, &w.predictor, &w.opts, &esc)
+            .expect("stand-alone escalation");
+
+        let service = SimService::builder().n_parallel(2).build();
+        let tenant = service
+            .open_accurate("esc", &w.spec.hierarchy)
+            .expect("tenant");
+        let before = service.pool_stats().trials;
+        let out = tenant
+            .tune_escalated(&w.def, &w.spec, &w.predictor, &w.opts, &esc)
+            .expect("escalated tune");
+
+        assert_eq!(
+            digest(&out.result),
+            digest(&solo.result),
+            "{:?}: the served tune must match the stand-alone one",
+            esc.policy
+        );
+        assert_eq!(
+            (out.explore_runs, out.accurate_runs),
+            (solo.explore_runs, solo.accurate_runs)
+        );
+
+        // Both tiers ran on the shared pool, under this tenant: every
+        // submission is either a memo hit or one pool trial.
+        let stats = tenant.stats();
+        let submitted = (out.explore_runs + out.accurate_runs) as u64;
+        assert!(submitted > 0 && stats.memo.misses > 0);
+        assert_eq!(stats.pool.trials, submitted - stats.memo.hits);
+        assert_eq!(
+            service.pool_stats().trials - before,
+            submitted - stats.memo.hits,
+            "{:?}: the shared pool executed the escalated tune",
+            esc.policy
+        );
+    }
 }

@@ -34,11 +34,11 @@
 //! revisited candidates skip simulation entirely:
 //!
 //! ```no_run
-//! use simtune::{SimSession, cache::HierarchyConfig};
+//! use simtune::{cache::HierarchyConfig, core::FidelitySpec, SimSession};
 //!
 //! # fn main() -> Result<(), simtune::core::CoreError> {
 //! let session = SimSession::builder()
-//!     .fast_count(&HierarchyConfig::riscv_u74())
+//!     .fidelity(&FidelitySpec::FastCount, &HierarchyConfig::riscv_u74())
 //!     .n_parallel(8)
 //!     .build()?;
 //! # let exes = vec![];

@@ -5,7 +5,7 @@
 
 use simtune::core::{
     collect_group_data, tune_with_fidelity_escalation, tune_with_predictor, CollectOptions,
-    EscalationOptions, KernelBuilder, ScorePredictor, SimCache, TuneOptions,
+    EscalationOptions, FidelitySpec, KernelBuilder, ScorePredictor, SimCache, TuneOptions,
 };
 use simtune::hw::TargetSpec;
 use simtune::predict::PredictorKind;
@@ -28,8 +28,8 @@ fn sim_session_runs_one_batch_on_all_three_backends() {
 
     let sessions = [
         SimSession::builder().accurate(&spec.hierarchy),
-        SimSession::builder().fast_count(&spec.hierarchy),
-        SimSession::builder().sampled(&spec.hierarchy, 0.5),
+        SimSession::builder().fidelity(&FidelitySpec::FastCount, &spec.hierarchy),
+        SimSession::builder().fidelity(&FidelitySpec::Sampled { fraction: 0.5 }, &spec.hierarchy),
     ];
     let mut seen_backends = Vec::new();
     let mut totals = Vec::new();
