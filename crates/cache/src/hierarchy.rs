@@ -102,20 +102,6 @@ impl CacheHierarchy {
         self.counting.is_some()
     }
 
-    /// Credits `n` instruction fetches at once. Only meaningful in
-    /// counting-only mode, where the fetch stream is a pure tally (every
-    /// fetch "misses to memory"), so a replay engine that knows how many
-    /// µops a lane attempted may account them in one call with
-    /// bit-identical statistics. No-op when a real cache model is
-    /// attached — tag state depends on per-access addresses there, and
-    /// callers must take the per-fetch path.
-    pub fn bulk_fetches(&mut self, n: u64) {
-        if let Some(c) = &mut self.counting {
-            c.fetches += n;
-            self.dram_reads += n;
-        }
-    }
-
     /// The hierarchy's configuration.
     pub fn config(&self) -> &HierarchyConfig {
         &self.config

@@ -63,9 +63,7 @@ pub struct TuneOptions {
     pub memo_cache: Option<Arc<SimCache>>,
     /// Replay engine used by every simulator session this run creates —
     /// a pure host-speed knob, pinned bit-identical across engines by
-    /// the equivalence suite. [`EngineKind::Batch`] additionally lets
-    /// backends that support it replay same-program trials of one
-    /// submission as a single SoA batch.
+    /// the equivalence suite.
     pub engine: EngineKind,
 }
 

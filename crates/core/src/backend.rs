@@ -74,8 +74,8 @@ use crate::{CoreError, FidelitySpec};
 use simtune_cache::{CacheConfig, CacheHierarchy, CacheStats, HierarchyConfig, HierarchyStats};
 use simtune_hw::CycleBreakdown;
 use simtune_isa::{
-    replay, replay_lanes, DecodedProgram, EngineKind, Executable, InstMix, NoopHook, RunLimits,
-    SimError, SimOutcome, SimStats,
+    replay, DecodedProgram, EngineKind, Executable, InstMix, NoopHook, RunLimits, SimError,
+    SimStats,
 };
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -213,33 +213,6 @@ pub trait SimBackend: Send + Sync {
         self.run_one(exe, limits)
     }
 
-    /// True when [`SimBackend::run_soa_batch`] is cheaper than N calls
-    /// to [`SimBackend::run_one_decoded_on`] — i.e. the backend has a
-    /// real lane-parallel (structure-of-arrays) replay path. Sessions
-    /// configured with [`EngineKind::Batch`] group same-program trials
-    /// into one SoA batch only when this returns true; the default is
-    /// `false`, so external backends keep per-trial execution.
-    fn supports_soa_batch(&self) -> bool {
-        false
-    }
-
-    /// Replays `exes` — trials of the *same* decoded program differing
-    /// only in their data segments — as lanes of one batched run,
-    /// returning one report per trial in input order. Only called when
-    /// [`SimBackend::supports_soa_batch`] is true; the default falls
-    /// back to sequential per-trial execution so overriding the
-    /// capability probe alone cannot produce wrong results.
-    fn run_soa_batch(
-        &self,
-        exes: &[&Executable],
-        decoded: &DecodedProgram,
-        limits: &RunLimits,
-    ) -> Vec<Result<SimReport, BackendError>> {
-        exes.iter()
-            .map(|exe| self.run_one_decoded_on(exe, decoded, limits, EngineKind::Batch))
-            .collect()
-    }
-
     /// Canonical fidelity digest for the memoization layer, or `None`
     /// to opt out of memoization (the default): one string naming the
     /// tier *and* every configuration knob that changes results — the
@@ -262,18 +235,6 @@ pub(crate) fn decode_and_run(
 ) -> Result<SimReport, BackendError> {
     let decoded = exe.decode()?;
     backend.run_one_decoded_on(exe, &decoded, limits, EngineKind::default())
-}
-
-/// Lane outcomes of [`replay_lanes`] as whole-program reports of the
-/// backend called `name`.
-fn lane_reports(
-    outcomes: Vec<Result<SimOutcome, SimError>>,
-    name: &str,
-) -> Vec<Result<SimReport, BackendError>> {
-    outcomes
-        .into_iter()
-        .map(|r| Ok(SimReport::full(r?.stats, name)))
-        .collect()
 }
 
 /// Canonical digest of a cache geometry for [`SimBackend::fidelity_digest`]:
@@ -313,11 +274,6 @@ impl AccurateBackend {
     pub fn hierarchy(&self) -> &HierarchyConfig {
         &self.hierarchy
     }
-
-    /// One trial's cold cache model.
-    fn mk_hier(&self) -> CacheHierarchy {
-        CacheHierarchy::new(self.hierarchy.clone())
-    }
 }
 
 impl SimBackend for AccurateBackend {
@@ -336,23 +292,9 @@ impl SimBackend for AccurateBackend {
         limits: &RunLimits,
         engine: EngineKind,
     ) -> Result<SimReport, BackendError> {
-        let hier = || self.mk_hier();
+        let hier = || CacheHierarchy::new(self.hierarchy.clone());
         let (out, _) = replay(exe, decoded, hier, engine, *limits, None, &mut NoopHook)?;
         Ok(SimReport::full(out.stats, ACCURATE))
-    }
-
-    fn supports_soa_batch(&self) -> bool {
-        true
-    }
-
-    fn run_soa_batch(
-        &self,
-        exes: &[&Executable],
-        decoded: &DecodedProgram,
-        limits: &RunLimits,
-    ) -> Vec<Result<SimReport, BackendError>> {
-        let outcomes = replay_lanes(exes, decoded, *limits, || self.mk_hier());
-        lane_reports(outcomes, ACCURATE)
     }
 
     fn fidelity_digest(&self) -> Option<String> {
@@ -391,11 +333,6 @@ impl FastCountBackend {
     pub fn matching(hierarchy: &HierarchyConfig) -> Self {
         FastCountBackend::new(hierarchy.line_bytes())
     }
-
-    /// One trial's tally-only stand-in for a cache model.
-    fn mk_hier(&self) -> CacheHierarchy {
-        CacheHierarchy::counting_only(self.line_bytes)
-    }
 }
 
 impl SimBackend for FastCountBackend {
@@ -414,23 +351,9 @@ impl SimBackend for FastCountBackend {
         limits: &RunLimits,
         engine: EngineKind,
     ) -> Result<SimReport, BackendError> {
-        let hier = || self.mk_hier();
+        let hier = || CacheHierarchy::counting_only(self.line_bytes);
         let (out, _) = replay(exe, decoded, hier, engine, *limits, None, &mut NoopHook)?;
         Ok(SimReport::full(out.stats, FAST_COUNT))
-    }
-
-    fn supports_soa_batch(&self) -> bool {
-        true
-    }
-
-    fn run_soa_batch(
-        &self,
-        exes: &[&Executable],
-        decoded: &DecodedProgram,
-        limits: &RunLimits,
-    ) -> Vec<Result<SimReport, BackendError>> {
-        let outcomes = replay_lanes(exes, decoded, *limits, || self.mk_hier());
-        lane_reports(outcomes, FAST_COUNT)
     }
 
     fn fidelity_digest(&self) -> Option<String> {
@@ -960,12 +883,10 @@ impl SimSessionBuilder {
     /// Selects the replay engine for every trial (default
     /// [`EngineKind::Decoded`]). Bundled engines are bit-identical, so
     /// this is purely a host-speed knob: [`EngineKind::Threaded`] lowers
-    /// each decoded program once more into threaded code,
-    /// [`EngineKind::Batch`] additionally lets the session group
-    /// same-program trials of one submission into a lane-parallel SoA
-    /// replay when the backend supports it
-    /// ([`SimBackend::supports_soa_batch`]). Backends that do not
-    /// understand the bundled ladder ignore the selection.
+    /// each decoded program once more into threaded code, and
+    /// [`EngineKind::Batch`] is a label whose trials replay on the
+    /// decoded loop. Backends that do not understand the bundled ladder
+    /// ignore the selection.
     pub fn engine(mut self, engine: EngineKind) -> Self {
         self.engine = Some(engine);
         self
@@ -1420,18 +1341,14 @@ mod tests {
 /// The one unit-test stub, shaped like an external simulator: it
 /// implements [`SimBackend::run_one`] alone (a closure from the
 /// executable to its statistics), so the trait's defaults are what the
-/// tests drive. With a group journal attached it additionally opts
-/// into the SoA probe and records the lane count of every grouped
-/// replay it is handed.
+/// tests drive.
 #[cfg(test)]
 pub(crate) mod stub {
     use super::*;
-    use std::sync::Mutex;
 
     pub(crate) struct StubBackend {
         name: &'static str,
         run: Box<dyn Fn(&Executable) -> SimStats + Send + Sync>,
-        soa_groups: Option<Arc<Mutex<Vec<usize>>>>,
     }
 
     impl StubBackend {
@@ -1442,7 +1359,6 @@ pub(crate) mod stub {
             StubBackend {
                 name,
                 run: Box::new(run),
-                soa_groups: None,
             }
         }
 
@@ -1450,11 +1366,6 @@ pub(crate) mod stub {
         /// observable.
         pub(crate) fn marker(name: &'static str) -> Self {
             StubBackend::new(name, marker_stats)
-        }
-
-        pub(crate) fn with_soa_journal(mut self, groups: Arc<Mutex<Vec<usize>>>) -> Self {
-            self.soa_groups = Some(groups);
-            self
         }
     }
 
@@ -1473,22 +1384,6 @@ pub(crate) mod stub {
 
         fn run_one(&self, exe: &Executable, _: &RunLimits) -> Result<SimReport, BackendError> {
             Ok(SimReport::full((self.run)(exe), self.name))
-        }
-
-        fn supports_soa_batch(&self) -> bool {
-            self.soa_groups.is_some()
-        }
-
-        fn run_soa_batch(
-            &self,
-            exes: &[&Executable],
-            _decoded: &DecodedProgram,
-            limits: &RunLimits,
-        ) -> Vec<Result<SimReport, BackendError>> {
-            if let Some(groups) = &self.soa_groups {
-                groups.lock().unwrap().push(exes.len());
-            }
-            exes.iter().map(|e| self.run_one(e, limits)).collect()
         }
     }
 }

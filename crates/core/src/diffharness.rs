@@ -16,8 +16,8 @@
 //! One [`DiffHarness::run_case`] invocation covers, for a journaled
 //! `(config, seed)` identity (see [`simtune_isa::TortureConfig`]):
 //!
-//! 1. **Engine sweep, full state** — the program runs on every
-//!    [`EngineKind`] from identical cold state; statistics (host wall
+//! 1. **Engine sweep, full state** — the program runs on every engine
+//!    (`ENGINES`) from identical cold state; statistics (host wall
 //!    time excluded), all 32 integer/float/vector registers (floats by
 //!    bit pattern) and the data-window memory image must match the
 //!    interpreter exactly. A program that faults must fault identically
@@ -36,12 +36,11 @@
 //!    of at least one cycle per retired instruction, and reproduce that
 //!    breakdown bit-identically on a re-run.
 //! 3. **Session sweep** — persistent [`SimSession`]s at `n_parallel ∈
-//!    {1, 2, 4}` on both the per-trial and the SoA-batch
-//!    ([`EngineKind::Batch`]) paths run a multi-trial batch (same
-//!    program, distinct data images) through the worker pool; every
-//!    trial must match a direct single-threaded reference run.
+//!    {1, 2, 4}` run a multi-trial batch (same program, distinct data
+//!    images) through the worker pool; every trial must match a direct
+//!    single-threaded reference run.
 //!
-//! New engines opt in by joining [`EngineKind::ALL`]; new backends by
+//! New engines opt in by joining `ENGINES`; new backends by
 //! being added to the ladder in [`DiffHarness::diff_executable`] with
 //! their contract encoded as a comparison. The fuzz driver
 //! (`crates/bench`, `torture_fuzz`) loops this harness over the
@@ -56,19 +55,28 @@ use crate::{
 };
 use simtune_cache::{CacheHierarchy, HierarchyConfig};
 use simtune_isa::{
-    replay, torture_program_with, AtomicCpu, BatchEngine, BatchLane, DecodedEngine, DecodedProgram,
-    EngineKind, ExecEngine, Executable, Fpr, Gpr, InterpEngine, Memory, NoopHook, Program,
-    RunLimits, SimError, SimStats, TargetIsa, ThreadedEngine, ThreadedProgram, TortureConfig, Vr,
-    DATA_BASE, TORTURE_WINDOW,
+    replay, torture_program_with, AtomicCpu, DecodedEngine, DecodedProgram, EngineKind, ExecEngine,
+    Executable, Fpr, Gpr, InterpEngine, Memory, NoopHook, Program, RunLimits, SimError, SimStats,
+    TargetIsa, ThreadedEngine, ThreadedProgram, TortureConfig, Vr, DATA_BASE, TORTURE_WINDOW,
 };
+
+/// The engines with code of their own. [`EngineKind::Batch`] is a label
+/// whose trials replay on `Decoded`; that a `Batch` session returns
+/// `Decoded`'s reports is pinned once, in `tests/pool_determinism.rs`,
+/// not once per case here.
+const ENGINES: [EngineKind; 3] = [
+    EngineKind::Interp,
+    EngineKind::Decoded,
+    EngineKind::Threaded,
+];
 
 /// One observed disagreement between a combination under test and its
 /// reference, in a form that can be journaled and printed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Divergence {
     /// Which combination disagreed, e.g. `"engine:threaded"`,
-    /// `"backend:fast-count×engine:batch"`,
-    /// `"session:accurate×batch×np4[trial 2]"`.
+    /// `"backend:fast-count×engine:decoded"`,
+    /// `"session:accurate×decoded×np4[trial 2]"`.
     pub combo: String,
     /// Which observable field, e.g. `"stats.inst_mix"`, `"gpr"`,
     /// `"memory"`, `"error"`, `"extrapolated"`.
@@ -133,15 +141,14 @@ struct ObservedState {
 /// [`SimError`]; post-error state is unspecified and never compared.
 type Observed = Result<ObservedState, SimError>;
 
-/// The standing differential gate. Construction spawns six persistent
-/// worker-pool sessions (accurate backend, engines
-/// {[`EngineKind::Decoded`], [`EngineKind::Batch`]} × `n_parallel`
+/// The standing differential gate. Construction spawns three persistent
+/// worker-pool sessions (accurate backend, default engine, `n_parallel`
 /// {1, 2, 4}), so a fuzz loop pays thread startup once, not per case.
 pub struct DiffHarness {
     hierarchy: HierarchyConfig,
     limits: RunLimits,
-    /// (engine, n_parallel, session) — the pooled execution paths.
-    sessions: Vec<(EngineKind, usize, SimSession)>,
+    /// (n_parallel, session) — the pooled execution paths.
+    sessions: Vec<(usize, SimSession)>,
 }
 
 /// Fraction of the partial sampled tier under test; `min_insts` is
@@ -159,18 +166,17 @@ impl DiffHarness {
     /// Panics if a session fails to build — impossible for the bundled
     /// accurate backend.
     pub fn new(hierarchy: HierarchyConfig) -> Self {
-        let mut sessions = Vec::new();
-        for engine in [EngineKind::Decoded, EngineKind::Batch] {
-            for np in Self::N_PARALLEL {
+        let sessions = Self::N_PARALLEL
+            .into_iter()
+            .map(|np| {
                 let session = SimSession::builder()
                     .accurate(&hierarchy)
-                    .engine(engine)
                     .n_parallel(np)
                     .build()
                     .expect("accurate session always builds");
-                sessions.push((engine, np, session));
-            }
-        }
+                (np, session)
+            })
+            .collect();
         DiffHarness {
             hierarchy,
             limits: RunLimits::default(),
@@ -192,7 +198,7 @@ impl DiffHarness {
     /// Builds the canonical executable for a `(config, seed)` identity:
     /// the generated program over a deterministic data image filling the
     /// torture window. `data_seed` varies the image independently of the
-    /// program (batch lanes use siblings of the base seed).
+    /// program (session trials use siblings of the base seed).
     pub fn make_executable(
         scenario: &str,
         config: &TortureConfig,
@@ -235,7 +241,7 @@ impl DiffHarness {
         // 1. Engine sweep, full observable state vs the interpreter.
         let reference = self.observe(EngineKind::Interp, exe, &decoded);
         let faulted = reference.is_err();
-        for engine in EngineKind::ALL {
+        for engine in ENGINES {
             if engine == EngineKind::Interp {
                 continue;
             }
@@ -265,7 +271,7 @@ impl DiffHarness {
         );
         let ref_report =
             accurate.run_one_decoded_on(exe, &decoded, &self.limits, EngineKind::Interp);
-        for engine in EngineKind::ALL {
+        for engine in ENGINES {
             for (tier, backend) in [
                 ("accurate", &accurate as &dyn SimBackend),
                 ("fast-count", &fast),
@@ -312,11 +318,14 @@ impl DiffHarness {
             .iter()
             .map(|t| accurate.run_one_decoded_on(t, &decoded, &self.limits, EngineKind::Decoded))
             .collect();
-        for (engine, np, session) in &self.sessions {
+        for (np, session) in &self.sessions {
             let results = session.run(&trials);
             for (i, (got, want)) in results.iter().zip(&refs).enumerate() {
                 combos += 1;
-                let combo = format!("session:accurate×{}×np{np}[trial {i}]", engine.label());
+                let combo = format!(
+                    "session:accurate×{}×np{np}[trial {i}]",
+                    session.engine().label()
+                );
                 match (want, got) {
                     (Ok(w), Ok(g)) => {
                         diff_stats(&combo, &w.stats, &g.stats, &mut divs);
@@ -539,46 +548,18 @@ impl DiffHarness {
             })?;
         }
         let mut hier = CacheHierarchy::new(self.hierarchy.clone());
+        let (c, m, h) = (&mut cpu, &mut mem, &mut hier);
+        let (limits, hook) = (self.limits, &mut NoopHook);
         let stats = match engine {
-            EngineKind::Interp => InterpEngine::new(&exe.program).run_with_hook(
-                &mut cpu,
-                &mut mem,
-                &mut hier,
-                self.limits,
-                &mut NoopHook,
-            )?,
-            EngineKind::Decoded => DecodedEngine::new(decoded).run_with_hook(
-                &mut cpu,
-                &mut mem,
-                &mut hier,
-                self.limits,
-                &mut NoopHook,
-            )?,
-            EngineKind::Threaded => {
-                let threaded = ThreadedProgram::lower(decoded);
-                ThreadedEngine::new(&threaded).run_with_hook(
-                    &mut cpu,
-                    &mut mem,
-                    &mut hier,
-                    self.limits,
-                    &mut NoopHook,
-                )?
+            EngineKind::Interp => {
+                InterpEngine::new(&exe.program).run_with_hook(c, m, h, limits, hook)
             }
-            EngineKind::Batch => {
-                let mut hook = NoopHook;
-                let mut lanes = vec![BatchLane {
-                    cpu: &mut cpu,
-                    mem: &mut mem,
-                    hier: &mut hier,
-                    hook: &mut hook,
-                }];
-                let stats = BatchEngine::new(decoded)
-                    .run_lanes(&mut lanes, self.limits)
-                    .remove(0)?;
-                drop(lanes);
-                stats
+            EngineKind::Decoded | EngineKind::Batch => {
+                DecodedEngine::new(decoded).run_with_hook(c, m, h, limits, hook)
             }
-        };
+            EngineKind::Threaded => ThreadedEngine::new(&ThreadedProgram::lower(decoded))
+                .run_with_hook(c, m, h, limits, hook),
+        }?;
         Ok(capture(stats, &cpu, &mem))
     }
 }
@@ -747,7 +728,7 @@ mod tests {
         for seed in 0..4 {
             let out = harness.run_case("baseline", &TortureConfig::baseline(), seed);
             assert!(out.passed(), "seed {seed}: {:#?}", out.divergences);
-            assert!(out.combos > 40, "matrix should be broad: {}", out.combos);
+            assert_eq!(out.combos, 26, "the matrix is pinned exactly");
             assert!(!out.faulted);
         }
     }

@@ -84,10 +84,7 @@ impl SimBackend for PipelinedBackend {
         decode_and_run(self, exe, limits)
     }
 
-    // The accurate tier's replay with the timing model as the hook. No
-    // SoA path: each lane owns a timing model, so grouped replay would
-    // buy nothing — supports_soa_batch stays false (the default) and
-    // Batch sessions fall back to per-trial execution.
+    // The accurate tier's replay with the timing model as the hook.
     fn run_one_decoded_on(
         &self,
         exe: &Executable,

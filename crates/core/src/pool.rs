@@ -123,10 +123,7 @@ pub(crate) struct InflightMap {
 pub(crate) struct BatchCtx {
     pub(crate) backend: Arc<dyn SimBackend>,
     pub(crate) limits: RunLimits,
-    /// Replay engine every trial of this batch runs on; when it is
-    /// [`EngineKind::Batch`] and the backend opts in
-    /// ([`SimBackend::supports_soa_batch`]), planning additionally
-    /// groups same-program trials into SoA task units.
+    /// Replay engine every trial of this batch runs on.
     pub(crate) engine: EngineKind,
     pub(crate) memo: Option<Arc<SimCache>>,
     pub(crate) inflight: Arc<InflightMap>,
@@ -152,43 +149,17 @@ enum TrialPlan {
     Follower { cell: Arc<ResultCell> },
 }
 
-/// One unit of claimable work: a single trial, or a group of
-/// same-program trials a SoA-capable backend replays as lanes of one
-/// batched run ([`SimBackend::run_soa_batch`]).
-enum TaskUnit {
-    /// One trial, executed via [`SimBackend::run_one_decoded_on`].
-    Single(usize),
-    /// Trials of one program (differing only in data segments), in
-    /// submission order. Always at least two entries — a group of one
-    /// degenerates to `Single` at plan time.
-    Group(Vec<usize>),
-}
-
-impl TaskUnit {
-    fn trials(&self) -> usize {
-        match self {
-            TaskUnit::Single(_) => 1,
-            TaskUnit::Group(idxs) => idxs.len(),
-        }
-    }
-}
-
 /// One submitted batch: trials, plans, result slots and completion
 /// bookkeeping. Lives on the pool's deque until drained.
 pub(crate) struct Batch {
     ctx: BatchCtx,
     exes: Vec<Executable>,
     plans: Vec<TrialPlan>,
-    /// Work units that need a worker (leaders + unmemoized trials,
-    /// possibly grouped for SoA replay).
-    tasks: Vec<TaskUnit>,
+    /// Trials that need a worker (leaders + unmemoized trials), by
+    /// index into `exes`.
+    tasks: Vec<usize>,
     /// Chunk cursor into `tasks`; workers claim with `fetch_add`.
     next: AtomicUsize,
-    /// Task units a worker claims per cursor bump, weighted so one
-    /// claim carries about [`CHUNK`] *trials*: SoA groups already bundle
-    /// several trials, and claiming [`CHUNK`] of them at once would
-    /// serialize a whole duplicate-heavy batch onto one worker.
-    claim: usize,
     results: Mutex<Vec<Option<Result<SimReport, CoreError>>>>,
     /// Tasks not yet finished; guarded so `done` can signal exactly once.
     remaining: Mutex<usize>,
@@ -202,7 +173,7 @@ impl Batch {
     pub(crate) fn plan(ctx: BatchCtx, exes: Vec<Executable>) -> Arc<Batch> {
         let n = exes.len();
         let mut plans = Vec::with_capacity(n);
-        let mut execute = Vec::new();
+        let mut tasks = Vec::new();
         let mut results: Vec<Option<Result<SimReport, CoreError>>> = (0..n).map(|_| None).collect();
         let memo_cfg = ctx.ctx_memo();
         for (i, exe) in exes.iter().enumerate() {
@@ -242,21 +213,17 @@ impl Batch {
                 },
             };
             if matches!(plan, TrialPlan::Execute { .. }) {
-                execute.push(i);
+                tasks.push(i);
             }
             plans.push(plan);
         }
-        let tasks = plan_tasks(&ctx, &exes, execute);
         let remaining = tasks.len();
-        let widest = tasks.iter().map(TaskUnit::trials).max().unwrap_or(1);
-        let claim = (CHUNK / widest).max(1);
         Arc::new(Batch {
             ctx,
             exes,
             plans,
             tasks,
             next: AtomicUsize::new(0),
-            claim,
             results: Mutex::new(results),
             remaining: Mutex::new(remaining),
             done: Condvar::new(),
@@ -269,15 +236,6 @@ impl Batch {
 
     fn drained(&self) -> bool {
         self.next.load(Ordering::Relaxed) >= self.tasks.len()
-    }
-
-    /// Executes one claimed work unit; returns how many trials it held.
-    fn run_unit(&self, unit: &TaskUnit) -> usize {
-        match unit {
-            TaskUnit::Single(idx) => self.run_task(*idx),
-            TaskUnit::Group(idxs) => self.run_group(idxs),
-        }
-        unit.trials()
     }
 
     /// Executes one trial and publishes its result.
@@ -293,61 +251,6 @@ impl Batch {
                 )))
             });
         self.publish(idx, r);
-    }
-
-    /// Executes a group of same-program trials as lanes of one SoA
-    /// batch, publishing each lane's result independently.
-    fn run_group(&self, idxs: &[usize]) {
-        // One decode covers the whole group; a program the static
-        // validator rejects falls back to per-trial execution (which in
-        // turn falls back to the backend's raw entry point).
-        let decoded = match self.exes[idxs[0]].decode() {
-            Ok(d) => d,
-            Err(_) => {
-                for &idx in idxs {
-                    self.run_task(idx);
-                }
-                return;
-            }
-        };
-        let refs: Vec<&Executable> = idxs.iter().map(|&i| &self.exes[i]).collect();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            self.ctx
-                .backend
-                .run_soa_batch(&refs, &decoded, &self.ctx.limits)
-        }));
-        match outcome {
-            Ok(results) if results.len() == idxs.len() => {
-                for (&idx, r) in idxs.iter().zip(results) {
-                    self.publish(idx, r.map_err(CoreError::from));
-                }
-            }
-            Ok(results) => {
-                // A buggy override returned the wrong shape; every lane
-                // must still resolve or `wait` would hang.
-                for &idx in idxs {
-                    self.publish(
-                        idx,
-                        Err(CoreError::Pipeline(format!(
-                            "backend returned {} results for a {}-lane SoA batch",
-                            results.len(),
-                            idxs.len()
-                        ))),
-                    );
-                }
-            }
-            Err(_) => {
-                for &idx in idxs {
-                    self.publish(
-                        idx,
-                        Err(CoreError::Pipeline(format!(
-                            "backend panicked while simulating {:?}",
-                            self.exes[idx].name
-                        ))),
-                    );
-                }
-            }
-        }
     }
 
     /// Publishes one trial's result: memo insertion (leaders only),
@@ -398,45 +301,6 @@ impl BatchCtx {
             t.memo_hits.fetch_add(1, Ordering::Relaxed);
         }
     }
-}
-
-/// Most lanes one SoA work unit carries. Groups are split into chunks
-/// of this size so a duplicate-heavy batch still spreads across the
-/// pool's workers instead of serializing behind one giant group; the
-/// cap is a constant (not derived from `n_parallel`) so the planned
-/// units are identical at every parallelism level.
-const SOA_MAX_LANES: usize = 8;
-
-/// Turns the executable trial indices into claimable work units. With
-/// [`EngineKind::Batch`] on a SoA-capable backend, trials of one
-/// (program, target) are grouped into units of up to [`SOA_MAX_LANES`]
-/// lanes; grouping happens on the submitting thread, keyed by first
-/// occurrence in submission order, so the units — and therefore the
-/// memo traffic and results — are deterministic at every `n_parallel`.
-fn plan_tasks(ctx: &BatchCtx, exes: &[Executable], execute: Vec<usize>) -> Vec<TaskUnit> {
-    if ctx.engine != EngineKind::Batch || !ctx.backend.supports_soa_batch() {
-        return execute.into_iter().map(TaskUnit::Single).collect();
-    }
-    // Linear scan beats hashing here: batches are small and `Program`
-    // has no `Hash`.
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for i in execute {
-        let exe = &exes[i];
-        match groups.iter_mut().find(|g| {
-            let rep = &exes[g[0]];
-            g.len() < SOA_MAX_LANES && rep.target == exe.target && rep.program == exe.program
-        }) {
-            Some(group) => group.push(i),
-            None => groups.push(vec![i]),
-        }
-    }
-    groups
-        .into_iter()
-        .map(|g| match g.as_slice() {
-            [only] => TaskUnit::Single(*only),
-            _ => TaskUnit::Group(g),
-        })
-        .collect()
 }
 
 /// Runs one executable the way the per-batch scoped executor used to:
@@ -612,7 +476,7 @@ impl WorkerPool {
         // a box with few cores time-slices *against* the workers doing
         // real work. Busy workers re-scan the queue when their batch
         // drains, so undershooting cannot strand a later batch.
-        let chunks = batch.tasks.len().div_ceil(batch.claim.max(1));
+        let chunks = batch.tasks.len().div_ceil(CHUNK);
         let mut queue = relock(self.shared.queue.lock());
         queue.push(lane, batch);
         drop(queue);
@@ -680,16 +544,16 @@ fn worker_loop(shared: &PoolShared) {
         // once a batch starts it runs to completion, but the *next*
         // batch comes from the next lane in round-robin order.
         loop {
-            let start = batch.next.fetch_add(batch.claim, Ordering::Relaxed);
+            let start = batch.next.fetch_add(CHUNK, Ordering::Relaxed);
             if start >= batch.tasks.len() {
                 break;
             }
-            let end = (start + batch.claim).min(batch.tasks.len());
+            let end = (start + CHUNK).min(batch.tasks.len());
             let t0 = Instant::now();
-            let mut executed = 0u64;
-            for unit in &batch.tasks[start..end] {
-                executed += batch.run_unit(unit) as u64;
+            for &idx in &batch.tasks[start..end] {
+                batch.run_task(idx);
             }
+            let executed = (end - start) as u64;
             let elapsed = t0.elapsed().as_nanos() as u64;
             shared.busy_nanos.fetch_add(elapsed, Ordering::Relaxed);
             shared.trials.fetch_add(executed, Ordering::Relaxed);
@@ -706,6 +570,8 @@ fn worker_loop(shared: &PoolShared) {
 mod tests {
     use super::*;
     use crate::backend::stub::{marker_stats, StubBackend};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn exe(name: &str) -> Executable {
         use simtune_isa::{Gpr, Inst, ProgramBuilder, TargetIsa};
@@ -796,55 +662,168 @@ mod tests {
         assert!(matches!(cell.wait(), Err(CoreError::Pipeline(_))));
     }
 
-    #[test]
-    fn batch_engine_groups_same_program_trials() {
-        use simtune_isa::{Gpr, Inst, ProgramBuilder, TargetIsa, DATA_BASE};
-        let variant = |imm: i64, name: &str, datum: f32| {
-            let mut b = ProgramBuilder::new();
-            b.push(Inst::Li { rd: Gpr(1), imm });
-            b.push(Inst::Halt);
-            Executable::new(name, b.build().unwrap(), TargetIsa::riscv_u74())
-                .with_segment(DATA_BASE, vec![datum])
-        };
-        // Three trials of program A (data-only variants), two of B, in
-        // interleaved submission order.
-        let exes = vec![
-            variant(1, "a-one", 0.0),
-            variant(2, "b-one!", 1.0),
-            variant(1, "a-two2", 2.0),
-            variant(2, "b-two!!", 3.0),
-            variant(1, "a-three3", 4.0),
-        ];
-        let groups = Arc::new(Mutex::new(Vec::new()));
-        let ctx = BatchCtx {
-            backend: Arc::new(StubBackend::marker("soa-marker").with_soa_journal(groups.clone())),
-            limits: RunLimits::default(),
-            engine: EngineKind::Batch,
-            memo: None,
-            inflight: Arc::new(InflightMap::default()),
-            lane: 0,
-            tenant: None,
-        };
-        let pool = WorkerPool::new(2);
-        let batch = Batch::plan(ctx, exes.clone());
-        assert_eq!(batch.n_tasks(), 2, "one task unit per distinct program");
-        pool.enqueue(batch.clone());
-        let out = BatchTicket::new(batch, pool.clone()).wait();
-        for (exe, r) in exes.iter().zip(&out) {
-            assert_eq!(
-                r.as_ref().unwrap().stats.host_nanos,
-                exe.name.len() as u64,
-                "lane results must land in submission order"
-            );
+    /// Backend of the stress lane: memoizable, reports the trial's first
+    /// data word (so a result names its fingerprint whoever executed
+    /// it), counts executions per trial name and panics on names
+    /// starting with "boom".
+    #[derive(Default)]
+    struct StressBackend {
+        runs: Mutex<HashMap<String, u32>>,
+    }
+
+    impl SimBackend for StressBackend {
+        fn name(&self) -> &str {
+            "stress"
         }
-        let mut sizes = groups.lock().unwrap().clone();
-        sizes.sort_unstable();
-        assert_eq!(sizes, [2, 3]);
-        assert_eq!(
-            pool.stats().trials,
-            5,
-            "trial counters see lanes, not units"
-        );
+
+        fn run_one(
+            &self,
+            exe: &Executable,
+            _: &RunLimits,
+        ) -> Result<SimReport, crate::BackendError> {
+            *relock(self.runs.lock())
+                .entry(exe.name.clone())
+                .or_default() += 1;
+            assert!(!exe.name.starts_with("boom"), "backend bug");
+            let stats = simtune_isa::SimStats {
+                host_nanos: exe.data_segments[0].1[0] as u64,
+                ..Default::default()
+            };
+            Ok(SimReport::full(stats, "stress"))
+        }
+
+        fn fidelity_digest(&self) -> Option<String> {
+            Some("stress".into())
+        }
+    }
+
+    const STRESS_SUBMITTERS: usize = 8;
+    const STRESS_BATCHES: usize = 200;
+    const STRESS_LANES: usize = 3;
+    /// Keys below this are drawn again and again (leaders, followers and
+    /// memo hits); every other key is used once.
+    const STRESS_SHARED_KEYS: u64 = 6;
+    /// Shared keys below this may carry a panicking name, so a trial on
+    /// them may legitimately fail (its leader panicked).
+    const STRESS_BOOM_KEYS: u64 = 2;
+
+    /// One submitter: 200 batches of 0–9 trials with up to two tickets
+    /// in flight, every result checked against its position. Returns
+    /// the number of trials submitted.
+    fn stress_submitter(t: usize, session: &crate::SimSession) -> usize {
+        let check = |(expect, ticket): (Vec<(u64, bool)>, BatchTicket)| {
+            let out = ticket.wait();
+            assert_eq!(out.len(), expect.len());
+            for ((key, boom), r) in expect.into_iter().zip(out) {
+                let unique = key >= STRESS_SHARED_KEYS;
+                match r {
+                    Ok(rep) => {
+                        assert_eq!(rep.stats.host_nanos, key, "result out of order");
+                        assert!(!(boom && unique), "a panicking leader reported success");
+                    }
+                    Err(CoreError::Pipeline(_)) => {
+                        assert!(boom || key < STRESS_BOOM_KEYS, "key {key} cannot fail")
+                    }
+                    Err(e) => panic!("unexpected error {e}"),
+                }
+            }
+        };
+        let mut rng = StdRng::seed_from_u64(t as u64);
+        let mut pending = VecDeque::new();
+        let mut submitted = 0;
+        for b in 0..STRESS_BATCHES {
+            let mut expect = Vec::new();
+            let mut exes = Vec::new();
+            for i in 0..rng.gen_range(0..10) {
+                let key = if rng.gen_bool(0.25) {
+                    rng.gen_range(0..STRESS_SHARED_KEYS)
+                } else {
+                    STRESS_SHARED_KEYS + ((t * STRESS_BATCHES + b) * 10 + i) as u64
+                };
+                let boom =
+                    !(STRESS_BOOM_KEYS..STRESS_SHARED_KEYS).contains(&key) && rng.gen_bool(0.125);
+                let name = format!("{}-{t}-{b}-{i}", if boom { "boom" } else { "ok" });
+                exes.push(exe(&name).with_segment(simtune_isa::DATA_BASE, vec![key as f32]));
+                expect.push((key, boom));
+            }
+            submitted += exes.len();
+            pending.push_back((expect, session.submit(exes)));
+            if pending.len() == 2 {
+                check(pending.pop_front().expect("two pending"));
+            }
+        }
+        pending.into_iter().for_each(check);
+        submitted
+    }
+
+    fn stress_round(n_parallel: usize) {
+        let pool = WorkerPool::new(n_parallel);
+        let backend = Arc::new(StressBackend::default());
+        let memo = Arc::new(SimCache::new());
+        let tenants: Vec<_> = (0..STRESS_LANES)
+            .map(|_| Arc::new(TenantCounters::default()))
+            .collect();
+        // One session per lane; submitters of a lane share its in-flight
+        // map (leader/follower), lanes share only the memo cache.
+        let sessions: Vec<_> = tenants
+            .iter()
+            .enumerate()
+            .map(|(lane, tenant)| {
+                crate::SimSession::builder()
+                    .backend(backend.clone())
+                    .memo_cache(memo.clone())
+                    .shared_pool(pool.clone(), lane, Some(tenant.clone()))
+                    .build()
+                    .unwrap()
+            })
+            .collect();
+        let submitted: usize = std::thread::scope(|s| {
+            let submitters: Vec<_> = (0..STRESS_SUBMITTERS)
+                .map(|t| {
+                    let session = &sessions[t % STRESS_LANES];
+                    s.spawn(move || stress_submitter(t, session))
+                })
+                .collect();
+            submitters
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .sum()
+        });
+        let runs = relock(backend.runs.lock());
+        assert!(runs.values().all(|&n| n == 1), "a trial executed twice");
+        let executed = runs.len() as u64;
+        let stats = pool.stats();
+        assert_eq!(stats.trials, executed);
+        // Every miss plans exactly one leader, and nothing else executes.
+        assert_eq!(memo.stats().misses, executed);
+        assert_eq!(memo.stats().hits + executed, submitted as u64);
+        let sum = |f: fn(&TenantCounters) -> &AtomicU64| -> u64 {
+            tenants.iter().map(|t| f(t).load(Ordering::Relaxed)).sum()
+        };
+        assert_eq!(sum(|t| &t.trials), stats.trials);
+        assert_eq!(sum(|t| &t.batches), stats.batches);
+    }
+
+    #[test]
+    fn stress_every_ticket_returns_in_order_and_counters_add_up() {
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        for n_parallel in [1, 2, 4] {
+            let (tx, rx) = channel();
+            let round = std::thread::spawn(move || {
+                stress_round(n_parallel);
+                let _ = tx.send(());
+            });
+            // A lost wakeup or a batch completed twice (which underflows
+            // `remaining` and kills the worker) shows up as a ticket that
+            // never returns: the watchdog turns the hang into a failure.
+            if rx.recv_timeout(std::time::Duration::from_secs(60)) == Err(RecvTimeoutError::Timeout)
+            {
+                panic!("a ticket never returned at n_parallel = {n_parallel}");
+            }
+            round
+                .join()
+                .unwrap_or_else(|e| std::panic::resume_unwind(e));
+        }
     }
 
     #[test]

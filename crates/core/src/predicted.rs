@@ -226,7 +226,7 @@ pub fn shared_predictor(p: impl Predictor + 'static) -> SharedPredictor {
 /// attached [`Predictor`] instead of an accurate simulation.
 ///
 /// The backend itself only forwards every run to the inner backend —
-/// engine and SoA grouping included — re-stamps the reports with its
+/// engine included — re-stamps the reports with its
 /// own name, and opts out of memoization (its meaning
 /// changes as the model learns, so cached reports would lie); the
 /// escalate-or-trust decision lives in the tuning loop, which reads
@@ -293,20 +293,6 @@ impl SimBackend for PredictedBackend {
         engine: EngineKind,
     ) -> Result<SimReport, BackendError> {
         self.restamp(self.inner.run_one_decoded_on(exe, decoded, limits, engine))
-    }
-
-    fn supports_soa_batch(&self) -> bool {
-        self.inner.supports_soa_batch()
-    }
-
-    fn run_soa_batch(
-        &self,
-        exes: &[&Executable],
-        decoded: &DecodedProgram,
-        limits: &RunLimits,
-    ) -> Vec<Result<SimReport, BackendError>> {
-        let reports = self.inner.run_soa_batch(exes, decoded, limits);
-        reports.into_iter().map(|r| self.restamp(r)).collect()
     }
 }
 
@@ -407,12 +393,11 @@ mod tests {
         assert!(backend.predictor().lock().unwrap().observations() == 0);
     }
 
-    /// Inner backend that journals what reaches it: the engine of every
-    /// per-trial run and the lane count of every SoA batch.
+    /// Inner backend that journals the engine of every run that reaches
+    /// it.
     #[derive(Default)]
     struct Recorder {
         engines: Mutex<Vec<EngineKind>>,
-        lanes: Mutex<Vec<usize>>,
     }
 
     impl SimBackend for Recorder {
@@ -432,28 +417,15 @@ mod tests {
             self.engines.lock().unwrap().push(engine);
             self.run_one(exe, limits)
         }
-        fn supports_soa_batch(&self) -> bool {
-            true
-        }
-        fn run_soa_batch(
-            &self,
-            exes: &[&Executable],
-            _: &DecodedProgram,
-            limits: &RunLimits,
-        ) -> Vec<Result<SimReport, BackendError>> {
-            self.lanes.lock().unwrap().push(exes.len());
-            exes.iter().map(|e| self.run_one(e, limits)).collect()
-        }
     }
 
     #[test]
-    fn engine_and_soa_probe_reach_the_inner_backend() {
+    fn engine_reaches_the_inner_backend() {
         let inner = Arc::new(Recorder::default());
         let backend = Arc::new(PredictedBackend::new(
             inner.clone(),
             shared_predictor(OnlinePredictor::new(PredictorKind::LinReg, 0, 4, 2)),
         ));
-        assert!(backend.supports_soa_batch(), "the probe is the inner's");
         let def = matmul(4, 4, 4);
         let builder = KernelBuilder::new(def.clone(), TargetIsa::riscv_u74());
         let schedule = Schedule::default_for(&def);
@@ -468,20 +440,13 @@ mod tests {
                 .build()
                 .unwrap()
         };
-        // Per-trial engines arrive as configured, not as the default.
-        for engine in [EngineKind::Interp, EngineKind::Threaded] {
+        // Engines arrive as configured, not as the default.
+        for engine in EngineKind::ALL {
             for r in session(engine).run(&exes) {
                 assert_eq!(r.unwrap().backend, "predicted(recorder)");
             }
             assert_eq!(*inner.engines.lock().unwrap(), [engine; 3]);
             inner.engines.lock().unwrap().clear();
         }
-        // A Batch session hands the three same-program trials to the
-        // inner backend's SoA path as one group, restamped per lane.
-        for r in session(EngineKind::Batch).run(&exes) {
-            assert_eq!(r.unwrap().backend, "predicted(recorder)");
-        }
-        assert_eq!(*inner.lanes.lock().unwrap(), [3]);
-        assert!(inner.engines.lock().unwrap().is_empty());
     }
 }

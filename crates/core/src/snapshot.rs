@@ -54,7 +54,7 @@ use simtune_isa::{InstMix, SimStats};
 use std::fs;
 use std::io;
 use std::path::Path;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Version tag accepted by this reader; anything else is rejected (and
 /// degrades to a cold start). v2: fingerprints gained the replay-engine
@@ -98,16 +98,19 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
         }
         _ => std::path::PathBuf::from("."),
     };
-    // Unique per process: concurrent writers race on the rename (last
+    // Unique per call (`SimService` is `Sync`: threads of one process
+    // save to one path): concurrent writers race on the rename (last
     // one wins, which is fine — both files are complete), never on the
     // temporary file itself.
+    static CALLS: AtomicU64 = AtomicU64::new(0);
     let file_name = path
         .file_name()
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?;
     let tmp = dir.join(format!(
-        ".{}.tmp.{}",
+        ".{}.tmp.{}.{}",
         file_name.to_string_lossy(),
-        std::process::id()
+        std::process::id(),
+        CALLS.fetch_add(1, Ordering::Relaxed)
     ));
     fs::write(&tmp, bytes)?;
     fs::rename(&tmp, path).inspect_err(|_| {
@@ -426,6 +429,67 @@ mod tests {
         }
         assert_eq!(fresh.snapshot_stats().loaded_entries, fids.len() as u64);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn concurrent_saves_to_one_path_never_expose_a_partial_file() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+        const WRITERS: usize = 8;
+        // Differently sized snapshots, so a writer truncating another's
+        // temporary mid-write leaves a file that does not parse.
+        let caches: Vec<SimCache> = (0..WRITERS)
+            .map(|t| {
+                let cache = SimCache::new();
+                for i in 0..(t as u32 + 1) * 40 {
+                    cache.insert(i.to_le_bytes().to_vec(), report(u64::from(i), "accurate"));
+                }
+                cache
+            })
+            .collect();
+        let dir = tmp("concurrent");
+        let path = dir.join("cache.json");
+        let start = Barrier::new(WRITERS + 1);
+        let done = AtomicBool::new(false);
+        let (saves, loads) = std::thread::scope(|s| {
+            let loader = s.spawn(|| {
+                start.wait();
+                let mut loads = Vec::new();
+                while !done.load(Ordering::SeqCst) {
+                    loads.push(SimCache::new().load_from(&path));
+                }
+                loads
+            });
+            let writers: Vec<_> = caches
+                .iter()
+                .map(|cache| {
+                    s.spawn(|| {
+                        start.wait();
+                        (0..20).map(|_| cache.save_to(&path)).collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            let saves: Vec<_> = writers
+                .into_iter()
+                .flat_map(|w| w.join().expect("writer thread"))
+                .collect();
+            done.store(true, Ordering::SeqCst);
+            (saves, loader.join().expect("loader thread"))
+        });
+        for load in loads {
+            let load = load.expect("no I/O error");
+            assert!(!matches!(load, SnapshotLoad::Rejected(_)), "{load:?}");
+        }
+        for save in saves {
+            save.expect("every save lands");
+        }
+        let leftovers: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .filter(|n| n.to_string_lossy().contains(".tmp."))
+            .collect();
+        assert!(leftovers.is_empty(), "{leftovers:?}");
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -97,11 +97,11 @@ fn memoized_sweep_is_bit_identical_at_every_parallelism() {
 }
 
 #[test]
-fn soa_batched_sweep_is_bit_identical_to_decoded_at_every_parallelism() {
-    // The SoA replay path regroups a batch's trials and finishes
-    // diverged lanes scalar — none of which may leak into results: a
-    // sweep on `EngineKind::Batch` must reproduce the decoded-engine
-    // sweep bit-for-bit at every parallelism.
+fn batch_label_sweep_is_bit_identical_to_decoded_at_every_parallelism() {
+    // `EngineKind::Batch` is a label: its trials replay on the decoded
+    // loop, so a sweep under it must reproduce the decoded-engine sweep
+    // bit-for-bit at every parallelism. This is the one place that
+    // equivalence is pinned.
     let (def, spec, predictor) = workload();
     let mut reference = None;
     for engine in [EngineKind::Decoded, EngineKind::Batch] {
@@ -134,6 +134,30 @@ fn soa_batched_sweep_is_bit_identical_to_decoded_at_every_parallelism() {
             }
         }
     }
+
+    // And below the tuning loop: the reports themselves, wall time aside.
+    let builder = simtune_core::KernelBuilder::new(def.clone(), TargetIsa::riscv_u74());
+    let schedule = Schedule::default_for(&def);
+    let exes: Vec<_> = (0..3)
+        .map(|i| builder.build(&schedule, &format!("t{i}")).unwrap())
+        .collect();
+    let reports = |engine| -> Vec<_> {
+        SimSession::builder()
+            .accurate(&simtune_cache::HierarchyConfig::riscv_u74())
+            .engine(engine)
+            .n_parallel(2)
+            .build()
+            .unwrap()
+            .run(&exes)
+            .into_iter()
+            .map(|r| {
+                let mut r = r.expect("simulates");
+                r.stats.host_nanos = 0;
+                r
+            })
+            .collect()
+    };
+    assert_eq!(reports(EngineKind::Batch), reports(EngineKind::Decoded));
 }
 
 #[test]

@@ -29,13 +29,6 @@ impl Default for RunLimits {
 /// cycles and drive prefetchers (which is why [`ExecHook::on_data_access`]
 /// receives the hierarchy mutably).
 pub trait ExecHook {
-    /// True only for hooks that observe nothing. Engines may use this to
-    /// batch deterministic event accounting (e.g. crediting a lockstep
-    /// block's instruction fetches in one call) instead of synthesizing
-    /// per-event callbacks nobody consumes; the resulting statistics
-    /// must stay bit-identical either way.
-    const IS_NOOP: bool = false;
-
     /// Called after the fetch of each instruction.
     fn on_fetch(&mut self, pc: usize, serviced: ServicedBy) {
         let _ = (pc, serviced);
@@ -67,9 +60,7 @@ pub trait ExecHook {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoopHook;
 
-impl ExecHook for NoopHook {
-    const IS_NOOP: bool = true;
-}
+impl ExecHook for NoopHook {}
 
 /// Where control goes after one retired instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -38,9 +38,6 @@
 //!   once more into threaded-code form ([`crate::ThreadedProgram`]):
 //!   per-retirement work is one indirect call through a pre-bound,
 //!   per-kind-specialized handler plus a successor read from the thunk.
-//! * [`crate::BatchEngine`] — not an [`ExecEngine`] (its unit of work is
-//!   a whole batch): replays one decoded program across many data lanes
-//!   in lockstep, falling back to the scalar loop on divergence.
 //!
 //! All engines share the single-instruction semantic core
 //! (`AtomicCpu::exec_inst`), so their architectural results and

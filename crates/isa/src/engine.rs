@@ -5,12 +5,12 @@
 //! 1. [`crate::InterpEngine`] — re-inspects the raw program each step;
 //! 2. [`crate::DecodedEngine`] — replays the pre-decoded µop array;
 //! 3. [`crate::ThreadedEngine`] — threaded-code dispatch over pre-bound
-//!    handler pointers with pre-resolved successors;
-//! 4. [`crate::BatchEngine`] — batched structure-of-arrays replay of the
-//!    same program over many data sets at once.
+//!    handler pointers with pre-resolved successors.
 //!
-//! All four are observationally identical (same statistics, registers
+//! All three are observationally identical (same statistics, registers
 //! and memory, bit for bit); the choice only moves host time.
+//! [`EngineKind`] carries a fourth name, [`EngineKind::Batch`], that has
+//! no engine of its own.
 
 use std::fmt;
 
@@ -28,8 +28,10 @@ pub enum EngineKind {
     /// Threaded-code dispatch ([`crate::ThreadedEngine`]): lowers the
     /// µop array once into pre-bound handler pointers.
     Threaded,
-    /// Batched SoA replay ([`crate::BatchEngine`]) for groups of trials
-    /// sharing one program; single trials fall back to the decoded loop.
+    /// A label with no engine of its own: its trials replay on
+    /// [`crate::DecodedEngine`] and return `Decoded`'s bits. The name
+    /// stays while memo fingerprints, `--engine batch` and the benchmark
+    /// ledger row `isa.mips.batch` carry it, and leaves with that row.
     Batch,
 }
 

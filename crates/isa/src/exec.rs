@@ -1,7 +1,7 @@
 use crate::{
-    AtomicCpu, BatchEngine, BatchLane, DecodedEngine, DecodedProgram, EngineKind, ExecEngine,
-    ExecHook, InterpEngine, Memory, NoopHook, Program, RunLimits, SimError, SimStats, TargetIsa,
-    ThreadedEngine, ThreadedProgram,
+    AtomicCpu, DecodedEngine, DecodedProgram, EngineKind, ExecEngine, ExecHook, InterpEngine,
+    Memory, NoopHook, Program, RunLimits, SimError, SimStats, TargetIsa, ThreadedEngine,
+    ThreadedProgram,
 };
 use simtune_cache::{CacheHierarchy, HierarchyConfig};
 use std::time::Instant;
@@ -36,16 +36,6 @@ pub struct SimOutcome {
     pub memory: Memory,
 }
 
-/// Materializes `exe`'s prepared tensor segments into a fresh memory
-/// image — the loader half of every trial.
-fn load_image(exe: &Executable) -> Result<Memory, SimError> {
-    let mut mem = Memory::new();
-    for (base, values) in &exe.data_segments {
-        mem.write_f32_slice(*base, values)?;
-    }
-    Ok(mem)
-}
-
 /// The one way to run a trial: loads `exe` into a fresh memory image,
 /// builds the trial's hierarchy with `mk_hier` and a fresh CPU — one
 /// "simulator instance" of the paper's `n_parallel` pool — and replays
@@ -55,11 +45,11 @@ fn load_image(exe: &Executable) -> Result<Memory, SimError> {
 /// retired. Returns the outcome and whether the program ran to
 /// completion.
 ///
-/// The hierarchy arrives as a constructor, like [`replay_lanes`]'s, so
-/// that it is allocated *after* the memory image and freed before it:
-/// the image outlives the run inside the outcome, and a multi-megabyte
-/// cache model allocated below it pins the heap (measured: +70 % peak
-/// RSS on short x86 trials).
+/// The hierarchy arrives as a constructor so that it is allocated
+/// *after* the memory image and freed before it: the image outlives the
+/// run inside the outcome, and a multi-megabyte cache model allocated
+/// below it pins the heap (measured: +70 % peak RSS on short x86
+/// trials).
 ///
 /// A fidelity tier is a choice of arguments, not a code path:
 ///
@@ -74,8 +64,8 @@ fn load_image(exe: &Executable) -> Result<Memory, SimError> {
 /// All engines are observationally identical (see the differential
 /// suite) and raise the same per-retirement event sequence — `on_fetch`,
 /// then any `on_data_access`/`on_branch`, then `on_retire` — so the
-/// choice only moves host time. [`EngineKind::Batch`] is a batch-level
-/// concept ([`replay_lanes`]); a single trial runs on the decoded loop.
+/// choice only moves host time. [`EngineKind::Batch`] is a label with
+/// no engine of its own; its trials run on the decoded loop.
 ///
 /// The returned statistics include the host wall-clock time of the
 /// replay proper (`t_simulator` in the paper's Equation 4).
@@ -92,7 +82,10 @@ pub fn replay<H: ExecHook>(
     stop_at: Option<u64>,
     hook: &mut H,
 ) -> Result<(SimOutcome, bool), SimError> {
-    let mut mem = load_image(exe)?;
+    let mut mem = Memory::new();
+    for (base, values) in &exe.data_segments {
+        mem.write_f32_slice(*base, values)?;
+    }
     let mut hier = mk_hier();
     let mut cpu = AtomicCpu::new(&exe.target);
     let (c, m, h) = (&mut cpu, &mut mem, &mut hier);
@@ -161,74 +154,6 @@ pub fn simulate(
     Ok(out)
 }
 
-struct LaneSlot {
-    cpu: AtomicCpu,
-    mem: Memory,
-    hier: CacheHierarchy,
-    hook: NoopHook,
-}
-
-/// [`replay`]'s lane-parallel twin: N same-program trials as lanes of one
-/// [`BatchEngine`] pass, each on its own `mk_hier()` hierarchy. Every
-/// `exes[i]` must share `decoded`'s program and target, differing only
-/// in name and data segments. Returns one outcome per trial, in input
-/// order; lanes fail independently (a bad data segment or a mid-run
-/// [`SimError`] resolves that lane only).
-///
-/// Host time is measured once for the whole batch and attributed
-/// evenly across its lanes.
-pub fn replay_lanes(
-    exes: &[&Executable],
-    decoded: &DecodedProgram,
-    limits: RunLimits,
-    mk_hier: impl Fn() -> CacheHierarchy,
-) -> Vec<Result<SimOutcome, SimError>> {
-    // Materialize every lane up front; a lane whose segments do not
-    // load resolves to its error without joining the batch.
-    let mut slots: Vec<Result<LaneSlot, SimError>> = exes
-        .iter()
-        .map(|exe| {
-            Ok(LaneSlot {
-                mem: load_image(exe)?,
-                cpu: AtomicCpu::new(&exe.target),
-                hier: mk_hier(),
-                hook: NoopHook,
-            })
-        })
-        .collect();
-    let start = Instant::now();
-    let mut lanes: Vec<BatchLane<'_, NoopHook>> = slots
-        .iter_mut()
-        .filter_map(|s| s.as_mut().ok())
-        .map(|s| BatchLane {
-            cpu: &mut s.cpu,
-            mem: &mut s.mem,
-            hier: &mut s.hier,
-            hook: &mut s.hook,
-        })
-        .collect();
-    let n_lanes = lanes.len();
-    let outcomes = BatchEngine::new(decoded).run_lanes(&mut lanes, limits);
-    drop(lanes);
-    let per_lane_nanos = (start.elapsed().as_nanos() as u64 / n_lanes.max(1) as u64).max(1);
-    let mut outcome_iter = outcomes.into_iter();
-    slots
-        .iter_mut()
-        .map(|slot| {
-            // Take the memory in place instead of moving the whole slot:
-            // the register files alone are ~1.4 KiB per lane and nothing
-            // past this point reads them.
-            let lane = slot.as_mut().map_err(|e| e.clone())?;
-            let mut stats = outcome_iter.next().expect("one outcome per lane")?;
-            stats.host_nanos = per_lane_nanos;
-            Ok(SimOutcome {
-                stats,
-                memory: std::mem::take(&mut lane.mem),
-            })
-        })
-        .collect()
-}
-
 impl Executable {
     /// Convenience constructor.
     pub fn new(name: impl Into<String>, program: Program, target: TargetIsa) -> Self {
@@ -247,7 +172,7 @@ impl Executable {
     }
 
     /// Lowers this executable's program once for its target — the handle
-    /// [`replay`] and [`replay_lanes`] run.
+    /// [`replay`] runs.
     ///
     /// # Errors
     ///

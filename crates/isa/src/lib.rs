@@ -19,17 +19,15 @@
 //! addresses, per-instruction [`MixClass`], basic-block index), and the
 //! [`ExecEngine`] implementations drive the CPU over either form —
 //! [`InterpEngine`] re-inspects the raw program each step,
-//! [`DecodedEngine`] replays the µop array, [`ThreadedEngine`] replays a
-//! further-lowered threaded-code form ([`ThreadedProgram`]) with
-//! pre-bound handlers, and [`BatchEngine`] replays one decoded program
-//! across many data lanes at once. All engines share one semantic core,
+//! [`DecodedEngine`] replays the µop array and [`ThreadedEngine`] replays
+//! a further-lowered threaded-code form ([`ThreadedProgram`]) with
+//! pre-bound handlers. All engines share one semantic core,
 //! so their observable results are bit-identical; [`EngineKind`] names
 //! them for configuration. [`replay`] is the one way to run a trial: it
 //! takes a pre-decoded handle (batch drivers pay for decoding exactly
 //! once per executable), the cache hierarchy, the engine, an optional
 //! stop point and an [`ExecHook`], so a fidelity tier is a choice of
-//! arguments; [`replay_lanes`] is its lane-parallel twin and
-//! [`simulate`] the decode-inside convenience.
+//! arguments; [`simulate`] is the decode-inside convenience.
 //!
 //! The ISA itself is a register RISC machine with scalar integer/float
 //! operations, fused multiply-add, and fixed-width vector operations whose
@@ -66,7 +64,6 @@
 //! ```
 
 mod asm;
-mod batch;
 mod cpu;
 mod decode;
 mod disasm;
@@ -84,12 +81,11 @@ mod timing;
 mod torture;
 
 pub use asm::{parse_inst, parse_program, AsmError};
-pub use batch::{BatchEngine, BatchLane};
 pub use cpu::{AtomicCpu, ExecHook, NoopHook, RunLimits};
 pub use decode::{DecodedEngine, DecodedProgram, ExecEngine, InterpEngine, MicroOp, MixClass};
 pub use engine::EngineKind;
 pub use error::{BuildProgramError, SimError};
-pub use exec::{replay, replay_lanes, simulate, Executable, SimOutcome};
+pub use exec::{replay, simulate, Executable, SimOutcome};
 pub use inst::{Fpr, Gpr, Inst, Label, Vr, MAX_LANES};
 pub use memory::Memory;
 pub use program::{Program, ProgramBuilder};
