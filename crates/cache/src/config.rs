@@ -31,7 +31,8 @@ pub enum ConfigError {
         name: String,
         /// Declared total size.
         size_bytes: u64,
-        /// Size implied by `sets * assoc * line`.
+        /// Size implied by `sets * assoc * line`, `u64::MAX` when the
+        /// product does not fit 64 bits.
         implied_bytes: u64,
     },
     /// Sets or line size is not a power of two, or a field is zero.
@@ -68,13 +69,21 @@ impl fmt::Display for ConfigError {
 
 impl Error for ConfigError {}
 
+/// Bits of a way's packed word that hold the tag; the other two are the
+/// valid and dirty flags (see `cache.rs`).
+pub(crate) const TAG_BITS: u32 = 62;
+
 impl CacheConfig {
     /// Creates a validated cache configuration.
     ///
     /// # Errors
     ///
     /// Returns [`ConfigError`] if any field is zero, `num_sets` or
-    /// `line_bytes` is not a power of two, or the geometry is inconsistent.
+    /// `line_bytes` is not a power of two, `num_sets * line_bytes` is
+    /// below 4 (index and offset must take at least two address bits, so
+    /// that the tag packs into one word with its valid and dirty flags),
+    /// or the geometry is inconsistent — including a `num_sets *
+    /// associativity * line_bytes` that does not fit 64 bits.
     pub fn new(
         name: impl Into<String>,
         size_bytes: u64,
@@ -83,41 +92,58 @@ impl CacheConfig {
         line_bytes: u64,
         policy: ReplacementPolicy,
     ) -> Result<Self, ConfigError> {
-        let name = name.into();
-        if size_bytes == 0 || num_sets == 0 || associativity == 0 || line_bytes == 0 {
-            return Err(ConfigError::InvalidField {
-                name,
-                reason: "all geometry fields must be non-zero",
-            });
-        }
-        if !num_sets.is_power_of_two() {
-            return Err(ConfigError::InvalidField {
-                name,
-                reason: "num_sets must be a power of two",
-            });
-        }
-        if !line_bytes.is_power_of_two() {
-            return Err(ConfigError::InvalidField {
-                name,
-                reason: "line_bytes must be a power of two",
-            });
-        }
-        let implied = num_sets * associativity * line_bytes;
-        if implied != size_bytes {
-            return Err(ConfigError::InconsistentGeometry {
-                name,
-                size_bytes,
-                implied_bytes: implied,
-            });
-        }
-        Ok(CacheConfig {
-            name,
+        let config = CacheConfig {
+            name: name.into(),
             size_bytes,
             num_sets,
             associativity,
             line_bytes,
             policy,
-        })
+        };
+        config.validate()?;
+        Ok(config)
+    }
+
+    /// The checks behind [`CacheConfig::new`]; [`crate::Cache::new`]
+    /// repeats them because the fields are public.
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
+        let invalid = |reason| {
+            Err(ConfigError::InvalidField {
+                name: self.name.clone(),
+                reason,
+            })
+        };
+        let &CacheConfig {
+            size_bytes,
+            num_sets,
+            associativity,
+            line_bytes,
+            ..
+        } = self;
+        if size_bytes == 0 || num_sets == 0 || associativity == 0 || line_bytes == 0 {
+            return invalid("all geometry fields must be non-zero");
+        }
+        if !num_sets.is_power_of_two() {
+            return invalid("num_sets must be a power of two");
+        }
+        if !line_bytes.is_power_of_two() {
+            return invalid("line_bytes must be a power of two");
+        }
+        if num_sets.trailing_zeros() + line_bytes.trailing_zeros() < u64::BITS - TAG_BITS {
+            return invalid("num_sets * line_bytes must be at least 4");
+        }
+        // A product past 64 bits can equal no declared size.
+        let implied = num_sets
+            .checked_mul(associativity)
+            .and_then(|lines| lines.checked_mul(line_bytes));
+        if implied != Some(size_bytes) {
+            return Err(ConfigError::InconsistentGeometry {
+                name: self.name.clone(),
+                size_bytes,
+                implied_bytes: implied.unwrap_or(u64::MAX),
+            });
+        }
+        Ok(())
     }
 
     /// Returns a copy with a different replacement policy (useful for the
@@ -261,6 +287,54 @@ mod tests {
     fn rejects_non_power_of_two_sets() {
         let err = CacheConfig::new("bad", 3 * 64 * 64, 3, 64, 64, ReplacementPolicy::Lru);
         assert!(matches!(err, Err(ConfigError::InvalidField { .. })));
+    }
+
+    #[test]
+    fn rejects_a_size_product_past_64_bits() {
+        // 2^40 sets x 2^40 ways x 64 B does not fit 64 bits.
+        let err = CacheConfig::new("big", 64, 1 << 40, 1 << 40, 64, ReplacementPolicy::Lru);
+        assert_eq!(
+            err,
+            Err(ConfigError::InconsistentGeometry {
+                name: "big".into(),
+                size_bytes: 64,
+                implied_bytes: u64::MAX,
+            })
+        );
+        // The largest product that does fit is still compared exactly.
+        let err = CacheConfig::new(
+            "big",
+            64,
+            1 << 32,
+            (1 << 26) - 1,
+            64,
+            ReplacementPolicy::Lru,
+        );
+        assert!(matches!(
+            err,
+            Err(ConfigError::InconsistentGeometry { implied_bytes, .. })
+                if implied_bytes == ((1u64 << 26) - 1) << 38
+        ));
+    }
+
+    #[test]
+    fn rejects_a_tag_wider_than_the_packed_word() {
+        // One set of 1- or 2-byte lines leaves a 64- or 63-bit tag, and a
+        // way's word has 62 bits for it.
+        for line in [1, 2] {
+            let err = CacheConfig::new("thin", 8 * line, 1, 8, line, ReplacementPolicy::Lru);
+            assert!(
+                matches!(err, Err(ConfigError::InvalidField { reason, .. })
+                    if reason.contains("at least 4")),
+                "{line}-byte lines: {err:?}"
+            );
+        }
+        // Two address bits between index and offset are enough, however
+        // they are split.
+        for (sets, line) in [(4, 1), (2, 2), (1, 4)] {
+            CacheConfig::new("ok", sets * line, sets, 1, line, ReplacementPolicy::Lru)
+                .expect("62-bit tag fits");
+        }
     }
 
     #[test]

@@ -49,6 +49,13 @@ struct AccessCounters {
 impl CacheHierarchy {
     /// Builds an empty hierarchy from a validated configuration.
     ///
+    /// Cheap enough to do per trial: each level takes the arrays a
+    /// dropped cache of its shape left behind (see [`Cache`]), so once a
+    /// geometry has been built and dropped, building it again allocates
+    /// nothing but the configuration's strings, whatever the cache sizes
+    /// — and the result is still indistinguishable from a hierarchy on
+    /// fresh memory.
+    ///
     /// # Panics
     ///
     /// Panics if `config` fails [`HierarchyConfig::validate`]; construct
@@ -82,7 +89,11 @@ impl CacheHierarchy {
     /// Panics if `line_bytes` is not a power of two.
     pub fn counting_only(line_bytes: u64) -> Self {
         let policy = crate::ReplacementPolicy::Lru;
-        let line = crate::CacheConfig::new("count", line_bytes, 1, 1, line_bytes, policy)
+        // Placeholder levels, never accessed: one line each — four where
+        // the line is under 4 bytes, the narrowest `CacheConfig::new`
+        // takes for a single set.
+        let sets = if line_bytes < 4 { 4 } else { 1 };
+        let line = crate::CacheConfig::new("count", sets * line_bytes, sets, 1, line_bytes, policy)
             .expect("line_bytes must be a power of two");
         let config = HierarchyConfig {
             name: "counting-only".into(),
@@ -268,7 +279,7 @@ impl CacheHierarchy {
     }
 
     /// Invalidates all levels (paper: caches are flushed before each
-    /// repetition).
+    /// repetition). O(1): one generation increment per level.
     pub fn flush(&mut self) {
         self.l1d.flush();
         self.l1i.flush();
@@ -371,8 +382,10 @@ mod tests {
         // Every access — fetches included — goes to memory.
         assert_eq!(s.dram_reads, 3);
         assert_eq!(s.dram_writes, 1);
-        // Line size is honored (it drives lines_touched in the CPU).
+        // Line size is honored (it drives lines_touched in the CPU), down
+        // to single bytes.
         assert_eq!(h.line_bytes(), 64);
+        assert_eq!(CacheHierarchy::counting_only(1).line_bytes(), 1);
         h.reset_stats();
         assert_eq!(h.stats().l1d.read_misses, 0);
     }

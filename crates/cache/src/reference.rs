@@ -1,0 +1,340 @@
+//! The oracle for [`Cache`]: the nested model the flat one replaced —
+//! one `Vec` of ways per set, a `SetState` with its own tick `Vec`
+//! beside each, every line zeroed at construction — kept as it was,
+//! and a proptest holding the flat, recycled model to it access by
+//! access.
+
+use crate::{AccessKind, Cache, CacheConfig, CacheOutcome, CacheStats, ReplacementPolicy};
+use proptest::prelude::*;
+
+#[derive(Debug, Clone, Copy, Default)]
+struct Line {
+    valid: bool,
+    dirty: bool,
+    tag: u64,
+}
+
+/// Per-set replacement bookkeeping.
+#[derive(Debug, Clone)]
+struct SetState {
+    policy: ReplacementPolicy,
+    /// LRU: last-touch tick per way. FIFO: fill tick per way.
+    ticks: Vec<u64>,
+    /// Tree-PLRU node bits.
+    plru_bits: u64,
+}
+
+impl SetState {
+    fn new(policy: ReplacementPolicy, ways: usize) -> Self {
+        SetState {
+            policy,
+            ticks: vec![0; ways],
+            plru_bits: 0,
+        }
+    }
+
+    /// True PLRU iff the ways are a power of two in `2..=64`, else LRU.
+    fn is_tree(&self) -> bool {
+        let n = self.ticks.len();
+        n.is_power_of_two() && n > 1 && n <= 64
+    }
+
+    fn on_access(&mut self, way: usize, tick: u64, fill: bool) {
+        match self.policy {
+            ReplacementPolicy::Lru => self.ticks[way] = tick,
+            ReplacementPolicy::Fifo => {
+                if fill {
+                    self.ticks[way] = tick;
+                }
+            }
+            ReplacementPolicy::Random => {}
+            ReplacementPolicy::TreePlru => {
+                if self.is_tree() {
+                    self.plru_touch(way);
+                } else {
+                    self.ticks[way] = tick;
+                }
+            }
+        }
+    }
+
+    fn victim(&self, rng_draw: u64) -> usize {
+        match self.policy {
+            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => self.oldest(),
+            ReplacementPolicy::Random => (rng_draw % self.ticks.len() as u64) as usize,
+            ReplacementPolicy::TreePlru => {
+                if self.is_tree() {
+                    self.plru_victim()
+                } else {
+                    self.oldest()
+                }
+            }
+        }
+    }
+
+    fn oldest(&self) -> usize {
+        (0..self.ticks.len())
+            .min_by_key(|&way| self.ticks[way])
+            .unwrap_or(0)
+    }
+
+    fn plru_touch(&mut self, way: usize) {
+        let levels = self.ticks.len().trailing_zeros();
+        let mut node = 0usize;
+        for level in 0..levels {
+            let bit_of_way = (way >> (levels - 1 - level)) & 1;
+            if bit_of_way == 0 {
+                self.plru_bits |= 1 << node;
+            } else {
+                self.plru_bits &= !(1 << node);
+            }
+            node = 2 * node + 1 + bit_of_way;
+        }
+    }
+
+    fn plru_victim(&self) -> usize {
+        let levels = self.ticks.len().trailing_zeros();
+        let (mut node, mut way) = (0usize, 0usize);
+        for _ in 0..levels {
+            let bit = ((self.plru_bits >> node) & 1) as usize;
+            way = (way << 1) | bit;
+            node = 2 * node + 1 + bit;
+        }
+        way
+    }
+}
+
+/// The nested cache model.
+struct RefCache {
+    sets: Vec<Vec<Line>>,
+    states: Vec<SetState>,
+    stats: CacheStats,
+    tick: u64,
+    rng_state: u64,
+    line_shift: u32,
+    set_mask: u64,
+}
+
+impl RefCache {
+    fn new(config: &CacheConfig) -> Self {
+        let ways = config.associativity as usize;
+        let nsets = config.num_sets as usize;
+        RefCache {
+            sets: vec![vec![Line::default(); ways]; nsets],
+            states: vec![SetState::new(config.policy, ways); nsets],
+            stats: CacheStats::default(),
+            tick: 0,
+            rng_state: 0x2545F4914F6CDD1D,
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_mask: config.num_sets - 1,
+        }
+    }
+
+    fn flush(&mut self) {
+        for line in self.sets.iter_mut().flatten() {
+            *line = Line::default();
+        }
+    }
+
+    fn contains(&self, addr: u64) -> bool {
+        let (set, tag) = self.locate(addr);
+        self.sets[set].iter().any(|l| l.valid && l.tag == tag)
+    }
+
+    fn access(&mut self, addr: u64, kind: AccessKind) -> CacheOutcome {
+        self.tick += 1;
+        let (set_idx, tag) = self.locate(addr);
+        let set_bits = self.set_mask.count_ones();
+        let set = &mut self.sets[set_idx];
+        let state = &mut self.states[set_idx];
+
+        if let Some(way) = set.iter().position(|l| l.valid && l.tag == tag) {
+            state.on_access(way, self.tick, false);
+            if kind == AccessKind::Write {
+                set[way].dirty = true;
+                self.stats.write_hits += 1;
+            } else {
+                self.stats.read_hits += 1;
+            }
+            return CacheOutcome {
+                hit: true,
+                writeback: None,
+            };
+        }
+
+        let way = match set.iter().position(|l| !l.valid) {
+            Some(w) => w,
+            None => {
+                self.rng_state ^= self.rng_state << 13;
+                self.rng_state ^= self.rng_state >> 7;
+                self.rng_state ^= self.rng_state << 17;
+                state.victim(self.rng_state)
+            }
+        };
+        let victim = set[way];
+        let writeback = (victim.valid && victim.dirty)
+            .then(|| ((victim.tag << set_bits) | set_idx as u64) << self.line_shift);
+        set[way] = Line {
+            valid: true,
+            dirty: kind == AccessKind::Write,
+            tag,
+        };
+        state.on_access(way, self.tick, true);
+        let (misses, replacements) = match kind {
+            AccessKind::Read => (
+                &mut self.stats.read_misses,
+                &mut self.stats.read_replacements,
+            ),
+            AccessKind::Write => (
+                &mut self.stats.write_misses,
+                &mut self.stats.write_replacements,
+            ),
+        };
+        *misses += 1;
+        *replacements += u64::from(victim.valid);
+        CacheOutcome {
+            hit: false,
+            writeback,
+        }
+    }
+
+    fn locate(&self, addr: u64) -> (usize, u64) {
+        let line_addr = addr >> self.line_shift;
+        let set = (line_addr & self.set_mask) as usize;
+        (set, line_addr >> self.set_mask.count_ones())
+    }
+}
+
+/// Associativities worth drawing: every small one, the PLRU tree's
+/// widest, and both sides of where it gives way to LRU.
+const WAYS: [u64; 12] = [1, 2, 3, 4, 5, 6, 7, 8, 16, 63, 64, 128];
+
+/// A valid geometry from three draws.
+fn geometry(set_bits: u32, line_bits: u32, ways: usize, policy: usize) -> CacheConfig {
+    // Index and offset take at least two address bits (the tag's width).
+    let line_bits = line_bits.max(2u32.saturating_sub(set_bits));
+    let (sets, line, ways) = (1u64 << set_bits, 1u64 << line_bits, WAYS[ways]);
+    let policy = ReplacementPolicy::all()[policy];
+    CacheConfig::new("prop", sets * ways * line, sets, ways, line, policy).expect("valid geometry")
+}
+
+/// Turns a draw into an address. Tags come from a range three wider
+/// than the associativity and three draws in four land in one set, so
+/// even a 128-way set can fill and evict inside a sequence; one draw in
+/// eight is mirrored to the top of the address space, where the tag's
+/// high bits are all set.
+fn address(config: &CacheConfig, draw: u64) -> u64 {
+    let (sets, line) = (config.num_sets, config.line_bytes);
+    let r = draw >> 9;
+    let set = if r & 3 == 0 { (r >> 5) % sets } else { 0 };
+    let tag = (r >> 16) % (config.associativity + 3);
+    let low = (tag * sets + set) * line + (r >> 32) % line;
+    if r & 28 == 0 {
+        !low
+    } else {
+        low
+    }
+}
+
+fn kind(draw: u64) -> AccessKind {
+    if draw >> 63 == 0 {
+        AccessKind::Read
+    } else {
+        AccessKind::Write
+    }
+}
+
+/// Where the cache under test comes from.
+#[derive(Debug, Clone, Copy)]
+enum Origin {
+    /// `Cache::new`, on whatever the idle list holds.
+    New,
+    /// `Cache::new` right after a cache of the same shape, dirtied by a
+    /// different sequence, was dropped.
+    Dirtied,
+    /// The same, this many generations below the stamp's wrap and with
+    /// the dirtied sets stamped as the generations after the wrap.
+    NearWrap(u32),
+}
+
+fn build(config: &CacheConfig, origin: Origin, draws: &[u64]) -> Cache {
+    if !matches!(origin, Origin::New) {
+        let mut other = Cache::new(config.clone());
+        for &draw in draws {
+            let draw = draw.rotate_left(17) ^ 0x9E37_79B9_7F4A_7C15;
+            other.access(address(config, draw), kind(draw));
+        }
+    }
+    match origin {
+        Origin::New | Origin::Dirtied => Cache::new(config.clone()),
+        Origin::NearWrap(below) => Cache::at_generation(config.clone(), u32::MAX - below),
+    }
+}
+
+fn cases(default: u32) -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases(256)))]
+
+    /// Every outcome, every `contains` answer and the final counters of
+    /// the flat model equal the nested model's, wherever the flat
+    /// model's arrays came from and across `flush`, `reset_stats` and
+    /// drop-and-rebuild points.
+    #[test]
+    fn flat_model_matches_the_nested_reference(
+        set_bits in 0u32..7,
+        line_bits in 0u32..8,
+        ways in 0usize..WAYS.len(),
+        policy in 0usize..4,
+        origin in 0u32..6,
+        draws in prop::collection::vec(any::<u64>(), 1..1500),
+    ) {
+        let config = geometry(set_bits, line_bits, ways, policy);
+        let origin = match origin {
+            0 => Origin::New,
+            1 | 2 => Origin::Dirtied,
+            below => Origin::NearWrap(below - 3),
+        };
+        let mut flat = build(&config, origin, &draws);
+        let mut nested = RefCache::new(&config);
+        for (i, &draw) in draws.iter().enumerate() {
+            match draw % 512 {
+                0 => {
+                    flat.flush();
+                    nested.flush();
+                }
+                1 => {
+                    flat.reset_stats();
+                    nested.stats = CacheStats::default();
+                }
+                2 => {
+                    // Dropped mid-sequence and built again: the arrays
+                    // come back through the idle list, the cache new.
+                    drop(flat);
+                    flat = Cache::new(config.clone());
+                    nested = RefCache::new(&config);
+                }
+                _ => {
+                    let addr = address(&config, draw);
+                    let (got, want) = (flat.access(addr, kind(draw)), nested.access(addr, kind(draw)));
+                    prop_assert!(
+                        got == want,
+                        "op {i}, access {addr:#x}: {got:?}, nested {want:?} ({config:?}, {origin:?})"
+                    );
+                }
+            }
+            let probe = address(&config, draw.rotate_right(29));
+            prop_assert!(
+                flat.contains(probe) == nested.contains(probe),
+                "op {i}, contains({probe:#x}): nested {} ({config:?}, {origin:?})",
+                nested.contains(probe)
+            );
+        }
+        prop_assert_eq!(*flat.stats(), nested.stats);
+    }
+}

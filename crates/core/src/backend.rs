@@ -163,9 +163,16 @@ impl SimReport {
 /// `simulator_run` hook.
 ///
 /// Implementations must be shareable across the runner's `n_parallel`
-/// worker threads, hence `Send + Sync`; per-run state (CPU, memory,
-/// cache hierarchy) is created inside the run methods so every
-/// candidate starts cold.
+/// worker threads, hence `Send + Sync`, and every candidate starts
+/// cold: a run method's report is a function of its arguments and the
+/// backend's configuration, never of the runs before it. The bundled
+/// tiers keep that contract by creating the per-run state (CPU, memory
+/// image, cache hierarchy) inside the run methods; the hierarchy's
+/// arrays may be ones an earlier trial used — `simtune_cache` recycles
+/// them — but [`CacheHierarchy::new`] returns a hierarchy that is
+/// observably new (same outcomes, counters and replacement decisions as
+/// on fresh memory), also after a trial that faulted or panicked
+/// mid-run. A backend that pools state of its own owes the same.
 ///
 /// The two run methods have distinct jobs. An external simulator
 /// implements [`SimBackend::run_one`] and nothing else; the bundled
