@@ -5,7 +5,7 @@
 //! handler failures.
 
 use simtune_bench::serve::{roundtrip, Request, Server};
-use simtune_core::SimService;
+use simtune_core::{SimService, SNAPSHOT_SCHEMA};
 
 fn req(op: &str) -> Request {
     Request {
@@ -89,6 +89,32 @@ fn hostile_predictor_sizes_are_a_handler_error_and_the_server_lives() {
 
     // Every tenant is still served.
     assert!(roundtrip(&mut server, &req("ping")).unwrap().ok);
+}
+
+#[test]
+fn a_snapshot_with_a_non_ascii_key_is_a_cold_start_and_the_server_lives() {
+    // The key has an even byte length with a character boundary inside
+    // a byte pair; slicing it as a `str` panicked the serve loop, and
+    // with it every tenant.
+    let path = std::env::temp_dir().join(format!(
+        "simtune_serve_hostile_snapshot_{}.json",
+        std::process::id()
+    ));
+    let snapshot = format!(
+        r#"{{"schema":"{SNAPSHOT_SCHEMA}","entries":[{{"key":"aé1","backend":"b","extrapolated":false,"stats":{{"mix":[0,0,0,0,0,0,0,0],"l1d":{{"counters":[0,0,0,0,0,0]}},"l1i":{{"counters":[0,0,0,0,0,0]}},"l2":{{"counters":[0,0,0,0,0,0]}},"l3":null,"dram":[0,0],"host_nanos":0}},"cycles":null}}]}}"#
+    );
+    std::fs::write(&path, snapshot).expect("writes");
+    let mut server = server();
+    let load = Request {
+        path: Some(path.to_string_lossy().into_owned()),
+        ..req("load_cache")
+    };
+    let resp = roundtrip(&mut server, &load).unwrap();
+    assert!(resp.ok, "a rejected snapshot is a cold start: {resp:?}");
+    assert_eq!(resp.entries, Some(0));
+    assert!(resp.message.unwrap().contains("rejected"));
+    assert!(roundtrip(&mut server, &req("ping")).unwrap().ok);
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]

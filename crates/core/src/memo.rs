@@ -15,18 +15,39 @@
 //!
 //! # Fingerprint
 //!
-//! The key covers everything result-relevant and nothing else:
+//! The key is a 16-byte digest of everything result-relevant and
+//! nothing else, streamed word by word (no intermediate text or buffer)
+//! in one canonical, endian-fixed order:
 //!
-//! * the program bytes (disassembly listing — complete and canonical,
-//!   including resolved branch targets) and the target ISA,
-//! * the prepared data segments (bit-exact `f32` contents),
+//! * the target ISA (name, vector lanes, instruction bytes),
 //! * the fidelity digest ([`crate::SimBackend::fidelity_digest`]) — one
 //!   canonical string naming the tier and every configuration knob, in
 //!   [`crate::FidelitySpec`] grammar for the bundled backends,
 //! * the replay [`EngineKind`] — engines are bit-identical by contract,
 //!   but the fingerprint still separates them so an equivalence bug can
 //!   never let one engine's report masquerade as another's,
-//! * the [`RunLimits`].
+//! * the [`RunLimits`],
+//! * the program: instruction count, then every instruction's
+//!   [`canonical_words`](simtune_isa::Inst::canonical_words) (opcode,
+//!   registers, immediate *bits*, resolved branch targets),
+//! * the prepared data segments: count, then each segment's base,
+//!   length and bit-exact `f32` contents.
+//!
+//! Strings and sequences are length-prefixed, so no two distinct
+//! requests share a word stream; the stream is hashed with
+//! SipHash-1-3 (128-bit output, fixed key).
+//!
+//! **What a digest key promises.** Equal requests always collide. Two
+//! *different* requests share a key only if the hash collides: for `n`
+//! distinct simulations the odds are about n²/2¹²⁹ (10⁹ entries:
+//! ~10⁻²¹), after which one would be served the other's report. That is
+//! a content-identity argument, not a security one — the key is public
+//! and the digest is not a MAC, so someone who chooses raw programs
+//! freely could in principle search for a collision. It is acceptable
+//! here because nobody does choose them: the service compiles every
+//! program itself from `(workload, schedule)` requests, tenants never
+//! submit raw programs, and a snapshot file is as trusted as the
+//! process that reads it.
 //!
 //! The executable's *name* is deliberately excluded: tuning loops stamp
 //! a fresh name on every trial ("conv2d g3 t17"), and two differently
@@ -60,7 +81,6 @@ use crate::SimReport;
 use simtune_isa::{EngineKind, Executable, RunLimits};
 use std::collections::HashMap;
 use std::fmt;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{LockResult, Mutex, MutexGuard};
 
@@ -421,48 +441,151 @@ impl SimCache {
     }
 }
 
-/// Builds the canonical fingerprint of one simulation request.
+/// Streaming SipHash-`C`-`D` with 128-bit output (Aumasson & Bernstein's
+/// published construction) over the little-endian byte image of a
+/// stream of `u64` words. Hand-written because the digest is persisted
+/// in snapshots: it must not change with the toolchain, the host's
+/// endianness or `std::hash`'s unspecified internals. The unit tests
+/// check the 2-4 instance against the reference implementation's
+/// vectors.
+struct SipHash128<const C: usize, const D: usize> {
+    v: [u64; 4],
+    words: u64,
+}
+
+/// The fingerprint's instance: one compression round, three finalisation
+/// rounds and the all-zero key — the variant rustc's `StableHasher`
+/// computes incremental-compilation fingerprints with, the same job
+/// (content identity, no adversary).
+type Digest128 = SipHash128<1, 3>;
+
+impl<const C: usize, const D: usize> SipHash128<C, D> {
+    fn keyed(k0: u64, k1: u64) -> Self {
+        SipHash128 {
+            v: [
+                k0 ^ 0x736f_6d65_7073_6575,
+                k1 ^ 0x646f_7261_6e64_6f6d ^ 0xee,
+                k0 ^ 0x6c79_6765_6e65_7261,
+                k1 ^ 0x7465_6462_7974_6573,
+            ],
+            words: 0,
+        }
+    }
+
+    fn rounds(&mut self, n: usize) {
+        let [mut v0, mut v1, mut v2, mut v3] = self.v;
+        for _ in 0..n {
+            v0 = v0.wrapping_add(v1);
+            v1 = v1.rotate_left(13) ^ v0;
+            v0 = v0.rotate_left(32);
+            v2 = v2.wrapping_add(v3);
+            v3 = v3.rotate_left(16) ^ v2;
+            v0 = v0.wrapping_add(v3);
+            v3 = v3.rotate_left(21) ^ v0;
+            v2 = v2.wrapping_add(v1);
+            v1 = v1.rotate_left(17) ^ v2;
+            v2 = v2.rotate_left(32);
+        }
+        self.v = [v0, v1, v2, v3];
+    }
+
+    fn compress(&mut self, m: u64) {
+        self.v[3] ^= m;
+        self.rounds(C);
+        self.v[0] ^= m;
+    }
+
+    fn word(&mut self, w: u64) {
+        self.compress(w);
+        self.words = self.words.wrapping_add(1);
+    }
+
+    /// A length-prefixed byte string, zero-padded to whole words (the
+    /// prefix keeps the padding unambiguous).
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.word(bytes.len() as u64);
+        for chunk in bytes.chunks(8) {
+            let mut le = [0u8; 8];
+            le[..chunk.len()].copy_from_slice(chunk);
+            self.word(u64::from_le_bytes(le));
+        }
+    }
+
+    fn finish(mut self) -> [u8; 16] {
+        // SipHash's last block: the byte length mod 256 in the top
+        // byte; the stream is whole words, so no tail bytes below it.
+        self.compress(self.words.wrapping_mul(8) << 56);
+        self.v[2] ^= 0xee;
+        self.rounds(D);
+        let lo = self.v[0] ^ self.v[1] ^ self.v[2] ^ self.v[3];
+        self.v[1] ^= 0xdd;
+        self.rounds(D);
+        let hi = self.v[0] ^ self.v[1] ^ self.v[2] ^ self.v[3];
+        let mut out = [0u8; 16];
+        out[..8].copy_from_slice(&lo.to_le_bytes());
+        out[8..].copy_from_slice(&hi.to_le_bytes());
+        out
+    }
+}
+
+/// Builds the canonical fingerprint of one simulation request: a
+/// 16-byte SipHash-1-3 digest of the target, fidelity digest, engine
+/// label, limits, program
+/// ([`canonical_words`](simtune_isa::Inst::canonical_words) per
+/// instruction) and bit-exact data segments — everything
+/// result-relevant, and not the executable's name.
 ///
-/// The full key (not a digest) is stored, so distinct simulations can
-/// never collide. Public (re-exported as `memo_fingerprint`) so the
-/// differential and property suites can assert the collision contract —
-/// equal (program, data, target, fidelity digest, limits, engine)
-/// collide, any differing component misses — directly against the real
-/// key. `fidelity_digest` is the backend's
-/// [`crate::SimBackend::fidelity_digest`]: one canonical string naming
-/// the tier and every configuration knob.
+/// Equal requests always share a key; different requests share one only
+/// on a hash collision, about n²/2¹²⁹ for `n` distinct simulations. The
+/// digest identifies content and is not a MAC: it is sound for programs
+/// this process compiles itself (the service builds every program from
+/// `(workload, schedule)` requests), not as a defence against someone
+/// free to craft raw programs.
+///
+/// Public (re-exported as `memo_fingerprint`) so the differential and
+/// property suites can assert the collision contract — equal (program,
+/// data, target, fidelity digest, limits, engine) collide, any differing
+/// component misses — directly against the real key. `fidelity_digest`
+/// is the backend's [`crate::SimBackend::fidelity_digest`]: one
+/// canonical string naming the tier and every configuration knob.
 pub fn fingerprint(
     exe: &Executable,
     fidelity_digest: &str,
     limits: &RunLimits,
     engine: EngineKind,
 ) -> Vec<u8> {
-    let mut text = String::new();
+    let mut h = Digest128::keyed(0, 0);
     // Target ISA: everything that changes execution or fetch layout.
     let t = &exe.target;
-    let _ = writeln!(
-        text,
-        "target={} lanes={} inst_bytes={}",
-        t.name, t.vector_lanes, t.inst_bytes
-    );
-    let _ = writeln!(text, "fidelity=[{fidelity_digest}]");
-    let _ = writeln!(text, "engine={}", engine.label());
-    let _ = writeln!(text, "max_insts={}", limits.max_insts);
-    // Program bytes: the disassembly listing is complete (every operand
-    // and resolved branch target is printed) and canonical.
-    text.push_str(&exe.program.disassemble());
-    let mut key = text.into_bytes();
+    h.bytes(t.name.as_bytes());
+    h.word(t.vector_lanes as u64);
+    h.word(t.inst_bytes);
+    h.bytes(fidelity_digest.as_bytes());
+    h.bytes(engine.label().as_bytes());
+    h.word(limits.max_insts);
+    // Program: two words per instruction, branch targets resolved.
+    let insts = exe.program.insts();
+    h.word(insts.len() as u64);
+    for inst in insts {
+        let [head, imm] = inst.canonical_words();
+        h.word(head);
+        h.word(imm);
+    }
     // Data segments: bit-exact, so value-identical but bit-different
     // floats (e.g. -0.0 vs 0.0) fingerprint apart, matching simulator
-    // behavior exactly.
+    // behavior exactly. Two values per word; the length prefix keeps an
+    // odd tail's zero padding unambiguous.
+    h.word(exe.data_segments.len() as u64);
     for (base, values) in &exe.data_segments {
-        key.extend_from_slice(&base.to_le_bytes());
-        key.extend_from_slice(&(values.len() as u64).to_le_bytes());
-        for v in values {
-            key.extend_from_slice(&v.to_bits().to_le_bytes());
+        h.word(*base);
+        h.word(values.len() as u64);
+        for pair in values.chunks(2) {
+            let lo = u64::from(pair[0].to_bits());
+            let hi = pair.get(1).map_or(0, |v| u64::from(v.to_bits()));
+            h.word(lo | hi << 32);
         }
     }
-    key
+    h.finish().to_vec()
 }
 
 #[cfg(test)]
@@ -493,6 +616,7 @@ mod tests {
         let a = exe("first", 7, vec![1.0, 2.0]);
         let renamed = exe("second", 7, vec![1.0, 2.0]);
         assert_eq!(key_of(&a), key_of(&renamed), "name must not matter");
+        assert_eq!(key_of(&a).len(), 16, "a key is the digest, nothing more");
 
         let other_prog = exe("first", 8, vec![1.0, 2.0]);
         assert_ne!(key_of(&a), key_of(&other_prog), "program must matter");
@@ -528,6 +652,34 @@ mod tests {
             let other_engine = fingerprint(&a, "accurate @ cfg", &RunLimits::default(), engine);
             assert_ne!(key_of(&a), other_engine, "engine must matter ({engine})");
         }
+    }
+
+    #[test]
+    fn siphash_2_4_matches_the_reference_vectors() {
+        // `vectors_sip128` of the reference implementation: key
+        // 00 01 .. 0f, message 00 01 .. (n-1); entries n = 0 and n = 8
+        // are the whole-word messages this hasher can express.
+        let key = |lo: u8| u64::from_le_bytes(std::array::from_fn(|i| lo + i as u8));
+        let hex = |bytes: [u8; 16]| bytes.map(|b| format!("{b:02x}")).concat();
+        let empty = SipHash128::<2, 4>::keyed(key(0), key(8));
+        assert_eq!(hex(empty.finish()), "a3817f04ba25a8e66df67214c7550293");
+        let mut one_word = SipHash128::<2, 4>::keyed(key(0), key(8));
+        one_word.word(key(0));
+        assert_eq!(hex(one_word.finish()), "3b62a9ba6258f5610f83e264f31497b4");
+    }
+
+    #[test]
+    fn byte_strings_are_length_prefixed() {
+        // Without the prefix, trailing zero bytes and the split between
+        // two adjacent strings would vanish into the word padding.
+        let digest = |parts: &[&[u8]]| {
+            let mut h = Digest128::keyed(0, 0);
+            parts.iter().for_each(|p| h.bytes(p));
+            h.finish()
+        };
+        assert_ne!(digest(&[b"ab"]), digest(&[b"ab\0"]));
+        assert_ne!(digest(&[b"ab", b"c"]), digest(&[b"a", b"bc"]));
+        assert_ne!(digest(&[b"12345678", b""]), digest(&[b"", b"12345678"]));
     }
 
     #[test]

@@ -12,10 +12,11 @@
 //!
 //! # Format and versioning
 //!
-//! A snapshot is one JSON object (`{"schema": "simtune-simcache-v4",
-//! "entries": [...]}`). Each entry stores the canonical fingerprint
-//! (hex-encoded — fingerprints embed raw little-endian `f32` data bytes
-//! and are not UTF-8) plus the memoized [`SimReport`] flattened into the
+//! A snapshot is one JSON object (`{"schema": "simtune-simcache-v5",
+//! "entries": [...]}`). Each entry stores its fingerprint — the 16-byte
+//! digest of [`crate::memo`], as 32 lowercase hex characters; the
+//! reader accepts any even-length hex string, keys being opaque bytes
+//! to the cache — plus the memoized [`SimReport`] flattened into the
 //! same counter-array shape `simtune-bench` uses for persisted datasets.
 //! Entries are sorted by fingerprint, so equal caches serialize to
 //! byte-identical files.
@@ -66,8 +67,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// refused (logged cold start) rather than replayed under stale keys.
 /// v4: entries lost the `fidelity`/`fraction` members (reports no
 /// longer carry a fidelity enum; the tier lives in the fingerprint's
-/// digest) — v3 snapshots are refused the same way.
-pub const SNAPSHOT_SCHEMA: &str = "simtune-simcache-v4";
+/// digest) — v3 snapshots are refused the same way. v5: keys are
+/// 128-bit digests of the canonical request instead of its full text, so
+/// a v4 entry could never be looked up again — v4 snapshots are refused
+/// too.
+pub const SNAPSHOT_SCHEMA: &str = "simtune-simcache-v5";
 
 /// Outcome of [`SimCache::load_from`]. Every variant leaves the cache
 /// usable; only I/O errors surface as `Err`.
@@ -234,22 +238,31 @@ struct PersistedSnapshot {
 }
 
 fn encode_hex(bytes: &[u8]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let mut out = String::with_capacity(bytes.len() * 2);
     for b in bytes {
-        out.push_str(&format!("{b:02x}"));
+        out.push(char::from(DIGITS[usize::from(b >> 4)]));
+        out.push(char::from(DIGITS[usize::from(b & 0xf)]));
     }
     out
 }
 
+/// Decodes over the raw bytes — a `str` index could land inside a
+/// multi-byte character of a hostile file and panic.
 fn decode_hex(s: &str) -> Result<Vec<u8>, String> {
+    let nibble = |i: usize, c: u8| {
+        char::from(c)
+            .to_digit(16)
+            .map(|d| d as u8)
+            .ok_or_else(|| format!("bad hex key byte at {i}"))
+    };
     if !s.len().is_multiple_of(2) {
         return Err("odd-length hex key".into());
     }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| {
-            u8::from_str_radix(&s[i..i + 2], 16).map_err(|_| format!("bad hex key byte at {i}"))
-        })
+    s.as_bytes()
+        .chunks_exact(2)
+        .enumerate()
+        .map(|(i, pair)| Ok(nibble(2 * i, pair[0])? << 4 | nibble(2 * i, pair[1])?))
         .collect()
 }
 
@@ -399,6 +412,14 @@ mod tests {
                 control: n as f64,
             }),
         }
+    }
+
+    /// A current-schema snapshot of one zeroed entry under `key`, with
+    /// `extra_members` spliced into the entry.
+    fn one_entry_snapshot(key: &str, extra_members: &str) -> String {
+        format!(
+            r#"{{"schema":"{SNAPSHOT_SCHEMA}","entries":[{{"key":"{key}","backend":"b",{extra_members}"extrapolated":false,"stats":{{"mix":[0,0,0,0,0,0,0,0],"l1d":{{"counters":[0,0,0,0,0,0]}},"l1i":{{"counters":[0,0,0,0,0,0]}},"l2":{{"counters":[0,0,0,0,0,0]}},"l3":null,"dram":[0,0],"host_nanos":0}},"cycles":null}}]}}"#
+        )
     }
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -554,9 +575,7 @@ mod tests {
         // reader: an entry that still carries them rejects the file even
         // under the current schema tag.
         let path = tmp("fidelity.json");
-        let json = format!(
-            r#"{{"schema":"{SNAPSHOT_SCHEMA}","entries":[{{"key":"00","backend":"b","fidelity":"quantum","fraction":null,"extrapolated":false,"stats":{{"mix":[0,0,0,0,0,0,0,0],"l1d":{{"counters":[0,0,0,0,0,0]}},"l1i":{{"counters":[0,0,0,0,0,0]}},"l2":{{"counters":[0,0,0,0,0,0]}},"l3":null,"dram":[0,0],"host_nanos":0}},"cycles":null}}]}}"#
-        );
+        let json = one_entry_snapshot("00", r#""fidelity":"quantum","fraction":null,"#);
         atomic_write(&path, json.as_bytes()).unwrap();
         let cache = SimCache::new();
         assert!(matches!(
@@ -587,6 +606,28 @@ mod tests {
     fn hex_rejects_garbage() {
         assert!(decode_hex("0").is_err());
         assert!(decode_hex("zz").is_err());
+        assert!(decode_hex("+f").is_err(), "a sign is not a hex digit");
         assert_eq!(decode_hex("00ff").unwrap(), vec![0x00, 0xFF]);
+        assert_eq!(decode_hex("aBCd").unwrap(), vec![0xAB, 0xCD]);
+        let every_byte: Vec<u8> = (0..=255).collect();
+        assert_eq!(decode_hex(&encode_hex(&every_byte)).unwrap(), every_byte);
+        assert!(encode_hex(&every_byte).ends_with("fdfeff"));
+    }
+
+    #[test]
+    fn a_non_ascii_hex_key_is_a_rejection_not_a_panic() {
+        // "aé1" is four bytes (even), and a `str` slice of its first two
+        // would end inside `é`.
+        let path = tmp("non_ascii_key.json");
+        let json = one_entry_snapshot("aé1", "");
+        atomic_write(&path, json.as_bytes()).unwrap();
+        let cache = SimCache::new();
+        match cache.load_from(&path).unwrap() {
+            SnapshotLoad::Rejected(reason) => assert!(reason.contains("hex"), "{reason}"),
+            other => panic!("expected rejection, got {other:?}"),
+        }
+        assert!(cache.is_empty());
+        assert_eq!(cache.snapshot_stats().rejected_snapshots, 1);
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -11,8 +11,9 @@ use simtune_isa::SimStats;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Fingerprints embed raw little-endian f32 bytes in production, so the
-/// keys here deliberately include non-UTF-8 bytes.
+/// Keys are opaque bytes to the cache (production ones are 16-byte
+/// digests), so the keys here vary in length and deliberately include
+/// non-UTF-8 bytes.
 fn key(idx: u8) -> Vec<u8> {
     let mut k = vec![0xFF, idx, 0x00];
     k.extend(format!("snap-{idx}").into_bytes());
@@ -61,27 +62,29 @@ fn fill(cache: &SimCache, idxs: &[u8], markers: &[u64], selectors: &[u8]) {
     }
 }
 
-/// One entry in the exact shape `schema` wrote: v3 entries carried
-/// `fidelity`/`fraction` members, v4 entries do not.
-fn one_entry_snapshot(schema: &str, v3_members: &str) -> String {
+/// One entry in the shape both v4 and v5 write; what changed between
+/// them is what a key is.
+fn one_entry_snapshot(schema: &str, key_hex: &str) -> String {
     let level = r#"{"counters":[1,2,3,4,5,6]}"#;
     format!(
-        r#"{{"schema":"{schema}","entries":[{{"key":"ff00","backend":"accurate",{v3_members}"extrapolated":false,"stats":{{"mix":[1,2,3,4,5,6,7,8],"l1d":{level},"l1i":{level},"l2":{level},"l3":null,"dram":[9,10],"host_nanos":11}},"cycles":null}}]}}"#
+        r#"{{"schema":"{schema}","entries":[{{"key":"{key_hex}","backend":"accurate","extrapolated":false,"stats":{{"mix":[1,2,3,4,5,6,7,8],"l1d":{level},"l1i":{level},"l2":{level},"l3":null,"dram":[9,10],"host_nanos":11}},"cycles":null}}]}}"#
     )
 }
 
-/// The schema bump: a well-formed v3 snapshot (the parent's writer's
-/// exact shape) is refused to a logged cold start, and the same entry
-/// in v4 shape loads and re-saves byte-identically.
+/// The schema bump: a well-formed v4 snapshot (the parent's writer's
+/// exact shape, keyed on the hex of the request's full text) is refused
+/// to a logged cold start, and a v5 entry under a 32-hex-character
+/// digest key loads and re-saves byte-identically.
 #[test]
-fn v3_is_refused_and_v4_roundtrips_byte_identically() {
-    assert_eq!(SNAPSHOT_SCHEMA, "simtune-simcache-v4");
+fn v4_is_refused_and_v5_roundtrips_byte_identically() {
+    assert_eq!(SNAPSHOT_SCHEMA, "simtune-simcache-v5");
     let path = temp_snapshot();
-    let v3 = one_entry_snapshot(
-        "simtune-simcache-v3",
-        r#""fidelity":"accurate","fraction":null,"#,
-    );
-    std::fs::write(&path, &v3).expect("writes");
+    let text_key: String = b"target=riscv-u74 lanes=1 inst_bytes=4\nfidelity=[accurate @ cfg]\n"
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect();
+    let v4 = one_entry_snapshot("simtune-simcache-v4", &text_key);
+    std::fs::write(&path, &v4).expect("writes");
     let cache = SimCache::new();
     let (outcome, logs) = simtune_core::log::capture(|| cache.load_from(&path).expect("reads"));
     assert!(matches!(outcome, SnapshotLoad::Rejected(_)), "{outcome:?}");
@@ -90,15 +93,15 @@ fn v3_is_refused_and_v4_roundtrips_byte_identically() {
     assert_eq!(logs.len(), 1, "{logs:?}");
     assert!(logs[0].contains("cold start"), "{logs:?}");
 
-    let v4 = one_entry_snapshot(SNAPSHOT_SCHEMA, "");
-    std::fs::write(&path, &v4).expect("writes");
+    let v5 = one_entry_snapshot(SNAPSHOT_SCHEMA, "00ff7f80a5c3e1d2b4968778695a4b3c");
+    std::fs::write(&path, &v5).expect("writes");
     assert_eq!(
         cache.load_from(&path).expect("reads"),
         SnapshotLoad::Loaded(1)
     );
     let again = temp_snapshot();
     cache.save_to(&again).expect("re-saves");
-    assert_eq!(std::fs::read_to_string(&again).expect("re-saved bytes"), v4);
+    assert_eq!(std::fs::read_to_string(&again).expect("re-saved bytes"), v5);
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(&again).ok();
 }

@@ -67,6 +67,7 @@ mod asm;
 mod cpu;
 mod decode;
 mod disasm;
+mod encode;
 mod engine;
 mod error;
 mod exec;
