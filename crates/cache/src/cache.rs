@@ -219,6 +219,13 @@ impl Cache {
         cache
     }
 
+    /// Accesses made so far: the logical clock LRU and FIFO stamp ways
+    /// with.
+    #[cfg(test)]
+    pub(crate) fn tick(&self) -> u64 {
+        self.tick
+    }
+
     /// The cache's configuration.
     pub fn config(&self) -> &CacheConfig {
         &self.config
@@ -257,6 +264,36 @@ impl Cache {
     /// if the victim was valid, the replacement is counted and, if the
     /// victim was dirty, its base address is returned for write-back.
     pub fn access(&mut self, addr: u64, kind: AccessKind) -> CacheOutcome {
+        self.access_way(addr, kind).0
+    }
+
+    /// `n` back-to-back reads of the line holding `addr`, in one call:
+    /// the first is a real [`Cache::access`] and its outcome is the
+    /// run's; the other `n - 1` can only hit the way the first one
+    /// touched or filled, so they are credited to it — the tick advances
+    /// by `n - 1`, the way's replacement state is touched once at the
+    /// final tick (LRU keeps the last stamp, a second tree-PLRU touch
+    /// changes no bit, FIFO and `Random` ignore hits) and `read_hits`
+    /// grows by `n - 1`. Indistinguishable afterwards from `n` single
+    /// reads; `reference.rs` holds it to that.
+    #[inline]
+    pub(crate) fn read_run(&mut self, addr: u64, n: u64) -> CacheOutcome {
+        assert!(n > 0, "a run has a first access");
+        let (outcome, set, way) = self.access_way(addr, AccessKind::Read);
+        let rest = n - 1;
+        if rest > 0 {
+            self.tick += rest;
+            self.stats.read_hits += rest;
+            let state = &mut self.store.repl[set * self.state_words..][..self.state_words];
+            replacement::on_access(self.policy, state, self.ways, way, self.tick, false);
+        }
+        outcome
+    }
+
+    /// [`Cache::access`], also naming the set and the way the line is in
+    /// afterwards.
+    #[inline(always)]
+    fn access_way(&mut self, addr: u64, kind: AccessKind) -> (CacheOutcome, usize, usize) {
         self.tick += 1;
         let (set, tag) = self.locate(addr);
         let (ways, policy, tick) = (self.ways, self.policy, self.tick);
@@ -279,10 +316,11 @@ impl Cache {
             } else {
                 self.stats.read_hits += 1;
             }
-            return CacheOutcome {
+            let outcome = CacheOutcome {
                 hit: true,
                 writeback: None,
             };
+            return (outcome, set, way);
         }
 
         // Miss: pick a way (an invalid one if available, otherwise the
@@ -320,10 +358,11 @@ impl Cache {
                 }
             }
         }
-        CacheOutcome {
+        let outcome = CacheOutcome {
             hit: false,
             writeback,
-        }
+        };
+        (outcome, set, way)
     }
 
     fn locate(&self, addr: u64) -> (usize, u64) {
@@ -502,6 +541,50 @@ mod tests {
             return;
         }
         panic!("a dropped cache's arrays never reached the next cache of its shape");
+    }
+
+    #[test]
+    fn a_read_run_leaves_the_arrays_as_that_many_single_reads_do() {
+        // Later outcomes cannot tell a way stamped at the run's first
+        // tick from one stamped at its last (nothing else in the set is
+        // touched in between), so this looks at the arrays themselves.
+        for policy in ReplacementPolicy::all() {
+            for ways in [2, 3, 4] {
+                let config = CacheConfig::new("t", 2 * ways * 64, 2, ways, 64, policy);
+                let config = config.expect("valid");
+                let mut single = Cache::new(config.clone());
+                let mut run = Cache::new(config);
+                let mut x = 0x9E37_79B9_7F4A_7C15u64;
+                for op in 0..500 {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let addr = (x >> 16) % (2 * (ways + 2) * 64);
+                    if x & 1 == 0 {
+                        single.access(addr, AccessKind::Write);
+                        run.access(addr, AccessKind::Write);
+                    } else {
+                        let n = 1 + (x >> 40) % 5;
+                        let outcomes: Vec<_> = (0..n)
+                            .map(|_| single.access(addr, AccessKind::Read))
+                            .collect();
+                        assert_eq!(run.read_run(addr, n), outcomes[0]);
+                    }
+                    assert_eq!((run.tick, run.stats), (single.tick, single.stats));
+                    let (set, _) = run.locate(addr);
+                    let ways = ways as usize;
+                    assert_eq!(
+                        run.store.words[set * ways..][..ways],
+                        single.store.words[set * ways..][..ways]
+                    );
+                    assert_eq!(
+                        run.store.repl[set * run.state_words..][..run.state_words],
+                        single.store.repl[set * run.state_words..][..run.state_words],
+                        "{policy} x {ways}, op {op}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,9 +2,15 @@
 //! one `Vec` of ways per set, a `SetState` with its own tick `Vec`
 //! beside each, every line zeroed at construction — kept as it was,
 //! and a proptest holding the flat, recycled model to it access by
-//! access.
+//! access. It knows nothing of runs, so it is also what pins the
+//! one-call forms: a read run on a [`Cache`] against that many single
+//! accesses of the nested model, and [`CacheHierarchy::fetch_run`]
+//! against that many [`CacheHierarchy::fetch`] calls.
 
-use crate::{AccessKind, Cache, CacheConfig, CacheOutcome, CacheStats, ReplacementPolicy};
+use crate::{
+    AccessKind, Cache, CacheConfig, CacheHierarchy, CacheOutcome, CacheStats, HierarchyConfig,
+    ReplacementPolicy,
+};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -257,6 +263,18 @@ enum Origin {
     NearWrap(u32),
 }
 
+impl Origin {
+    /// From a draw in `0..6`: one in six new, two dirtied, three 0 to 2
+    /// generations below the wrap.
+    fn from_draw(draw: u32) -> Origin {
+        match draw {
+            0 => Origin::New,
+            1 | 2 => Origin::Dirtied,
+            below => Origin::NearWrap(below - 3),
+        }
+    }
+}
+
 fn build(config: &CacheConfig, origin: Origin, draws: &[u64]) -> Cache {
     if !matches!(origin, Origin::New) {
         let mut other = Cache::new(config.clone());
@@ -295,11 +313,7 @@ proptest! {
         draws in prop::collection::vec(any::<u64>(), 1..1500),
     ) {
         let config = geometry(set_bits, line_bits, ways, policy);
-        let origin = match origin {
-            0 => Origin::New,
-            1 | 2 => Origin::Dirtied,
-            below => Origin::NearWrap(below - 3),
-        };
+        let origin = Origin::from_draw(origin);
         let mut flat = build(&config, origin, &draws);
         let mut nested = RefCache::new(&config);
         for (i, &draw) in draws.iter().enumerate() {
@@ -336,5 +350,120 @@ proptest! {
             );
         }
         prop_assert_eq!(*flat.stats(), nested.stats);
+    }
+
+    /// A burst of reads of one line issued to the flat model as one
+    /// `read_run` leaves it where the nested model is after that many
+    /// single reads: the burst's outcome, every later outcome and
+    /// write-back (so every later victim), every `contains` answer, the
+    /// counters and the tick — under all four policies, the PLRU → LRU
+    /// fallbacks, and on recycled and near-wrap stores.
+    #[test]
+    fn a_read_run_is_that_many_single_reads(
+        set_bits in 0u32..4,
+        line_bits in 0u32..8,
+        ways in 0usize..WAYS.len(),
+        policy in 0usize..4,
+        origin in 0u32..6,
+        draws in prop::collection::vec(any::<u64>(), 1..1000),
+    ) {
+        let config = geometry(set_bits, line_bits, ways, policy);
+        let origin = Origin::from_draw(origin);
+        let mut flat = build(&config, origin, &draws);
+        let mut nested = RefCache::new(&config);
+        for (i, &draw) in draws.iter().enumerate() {
+            let addr = address(&config, draw);
+            // One op in four is a burst of 2 to 41 reads, each at its
+            // own offset into the line.
+            if draw & 3 == 0 {
+                let n = 2 + (draw >> 3) % 40;
+                let line = addr & !(config.line_bytes - 1);
+                let got = flat.read_run(addr, n);
+                let want = nested.access(addr, AccessKind::Read);
+                prop_assert!(
+                    got == want,
+                    "op {i}, {n} x {addr:#x}: {got:?}, nested {want:?} ({config:?}, {origin:?})"
+                );
+                for k in 1..n {
+                    let offset = (draw >> k) % config.line_bytes;
+                    let rest = nested.access(line + offset, AccessKind::Read);
+                    prop_assert!(rest.hit && rest.writeback.is_none(), "op {i}: read {k} of {n}");
+                }
+            } else {
+                let got = flat.access(addr, kind(draw));
+                let want = nested.access(addr, kind(draw));
+                prop_assert!(
+                    got == want,
+                    "op {i}, access {addr:#x}: {got:?}, nested {want:?} ({config:?}, {origin:?})"
+                );
+            }
+            let probe = address(&config, draw.rotate_right(29));
+            prop_assert_eq!(flat.contains(probe), nested.contains(probe));
+            prop_assert!(
+                flat.tick() == nested.tick && *flat.stats() == nested.stats,
+                "op {i}: tick {} and {:?}, nested {} and {:?} ({config:?}, {origin:?})",
+                flat.tick(), flat.stats(), nested.tick, nested.stats
+            );
+        }
+    }
+
+    /// `fetch_run(addr, n)` on one hierarchy against `n` `fetch` calls
+    /// on its twin, with data reads and writes (which share L2 and L3
+    /// with the fetches) between the runs: the same answer to every
+    /// call and the same counters throughout — with and without an L3,
+    /// under every policy, and counting only.
+    #[test]
+    fn a_fetch_run_is_that_many_fetches(
+        l1_ways in 1u64..5,
+        policy in 0usize..4,
+        l3 in any::<bool>(),
+        counting in 0u32..4,
+        draws in prop::collection::vec(any::<u64>(), 1..1000),
+    ) {
+        const LINE: u64 = 16;
+        let level = |name: &str, sets: u64, ways: u64| {
+            let policy = ReplacementPolicy::all()[policy];
+            CacheConfig::new(name, sets * ways * LINE, sets, ways, LINE, policy)
+                .expect("valid geometry")
+        };
+        let config = HierarchyConfig {
+            name: "prop".into(),
+            l1d: level("L1D", 2, l1_ways),
+            l1i: level("L1I", 2, l1_ways),
+            l2: level("L2", 4, 4),
+            l3: l3.then(|| level("L3", 8, 4)),
+        };
+        let build = || match counting {
+            0 => CacheHierarchy::counting_only(LINE),
+            _ => CacheHierarchy::new(config.clone()),
+        };
+        let (mut single, mut runs) = (build(), build());
+        for (i, &draw) in draws.iter().enumerate() {
+            // Code and data share 64 lines, so they meet in L2 and L3.
+            let addr = (draw >> 8) % (64 * LINE);
+            match draw % 8 {
+                0..=2 => {
+                    let n = 1 + (draw >> 40) % 24;
+                    let (first, rest) = runs.fetch_run(addr, n);
+                    let line = addr & !(LINE - 1);
+                    prop_assert!(single.fetch(addr) == first, "op {i}: head of a run of {n}");
+                    for k in 1..n {
+                        let got = single.fetch(line + (draw >> k) % LINE);
+                        prop_assert!(
+                            got == rest,
+                            "op {i}: fetch {k} of {n} was {got:?}, the run said {rest:?}"
+                        );
+                    }
+                }
+                3..=5 => prop_assert_eq!(single.data_read(addr), runs.data_read(addr)),
+                6 => prop_assert_eq!(single.data_write(addr), runs.data_write(addr)),
+                _ => prop_assert_eq!(single.fetch(addr), runs.fetch(addr)),
+            }
+            prop_assert!(
+                single.stats() == runs.stats(),
+                "op {i}: {:?}, with runs {:?} ({config:?})",
+                single.stats(), runs.stats()
+            );
+        }
     }
 }

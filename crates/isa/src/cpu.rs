@@ -1,7 +1,9 @@
 use crate::inst::MAX_LANES;
 use crate::program::{FPR_FILE, GPR_FILE, VR_FILE};
 use crate::CODE_BASE;
-use crate::{Fpr, Gpr, Inst, InstMix, Memory, Program, SimError, SimStats, TargetIsa, Vr};
+use crate::{
+    Fpr, Gpr, Inst, InstMix, Memory, Program, SimError, SimStats, TargetIsa, UopEvent, Vr,
+};
 use simtune_cache::{lines_touched, CacheHierarchy, ServicedBy};
 
 /// Execution budget for one simulation.
@@ -39,7 +41,21 @@ pub trait ExecHook {
         let _ = inst;
     }
 
-    /// Called once per cache line touched by a data access.
+    /// What [`crate::DecodedEngine`] calls in place of
+    /// [`ExecHook::on_retire`]: the same retirement, with the
+    /// [`UopEvent`] the decode pass already derived from `inst`
+    /// (`uop == &uop_event(inst)`). Forwards to `on_retire` unless a
+    /// hook that wants µops overrides it to skip re-deriving them.
+    fn on_retire_uop(&mut self, inst: &Inst, uop: &UopEvent) {
+        let _ = uop;
+        self.on_retire(inst);
+    }
+
+    /// Called once per cache line touched by a data access. `hier` is
+    /// there for data-side traffic (prefetch fills):
+    /// [`crate::DecodedEngine`] fetches a run of instructions at a time,
+    /// so an instruction fetch issued from here would reach the L1I
+    /// after fetches the interpreter has yet to make.
     fn on_data_access(
         &mut self,
         line_addr: u64,

@@ -16,12 +16,50 @@
 //!
 //! The lowered form is a dense array of [`MicroOp`]s carrying the
 //! original instruction, its precomputed fetch address, its
-//! [`MixClass`], and the index of the basic block it belongs to.
+//! [`MixClass`], and the index of the basic block it belongs to, with
+//! the [`UopEvent`] of every instruction in a table beside it.
 //! Control-flow validity is established **once** at decode time: every
 //! branch target must land inside the program and the last instruction
 //! must not fall through past the end ([`SimError::InvalidPc`]
 //! otherwise), so the execution loop needs no per-step PC range checks
 //! and can never fail with [`SimError::PcOutOfRange`].
+//!
+//! # Replaying a block, not an instruction
+//!
+//! Control enters a basic block at its first instruction and leaves at
+//! its last (or by a fault), so [`DecodedEngine`] does once per block,
+//! or once per stretch of a block, what the interpreter does per
+//! retirement:
+//!
+//! * **Limits.** `max_insts` and the prefix stop are compared with the
+//!   block's length on entry. A block the budget ends inside is cut to
+//!   what is left of the budget and the run ends after the cut, at the
+//!   retirement the interpreter ends at — with its error or its clean
+//!   stop.
+//! * **Instruction fetch.** A *fetch run* is a maximal stretch of a
+//!   block whose fetch addresses lie in one I-line. Its length follows
+//!   from the first fetch address, the hierarchy's line size and the
+//!   encoding width, whatever the two are — a width that does not divide
+//!   the line, exceeds it, or is zero (one fetch address for the whole
+//!   program: a block is one run). The run makes one
+//!   [`CacheHierarchy::fetch_run`] call: the first fetch for real, the
+//!   others credited as the L1I hits they are. That is exact because
+//!   nothing but a fetch touches the L1I — data accesses, and the stride
+//!   prefetcher, which fills through `data_read`, go to the L1D and
+//!   below — and every cache level keeps its own tick. (A hook that
+//!   fetched through the hierarchy it is handed in
+//!   [`ExecHook::on_data_access`] would break this; none does.)
+//! * **Timing events.** [`ExecHook::on_retire_uop`] hands the timing
+//!   tier the µop's precomputed [`UopEvent`] instead of having it
+//!   re-derived from the [`Inst`] at every retirement.
+//!
+//! Hooks still see every event in the interpreter's order — `on_fetch`
+//! (the later instructions of a run report what `fetch_run` says
+//! serviced them), any `on_data_access`/`on_branch`, the retirement —
+//! and a run that faults has told its hook of nothing past the faulting
+//! instruction. Fetches are credited per run, so the hierarchy of a
+//! faulted run has counted the rest of the faulting run's; a fault
+//! returns `Err`, which carries no statistics.
 //!
 //! # Engines
 //!
@@ -29,11 +67,13 @@
 //! over a program":
 //!
 //! * [`InterpEngine`] — the original loop: re-inspects the raw
-//!   [`Program`] on every retirement. Kept as the reference
-//!   implementation and for one-shot runs where decoding would not
-//!   amortize.
-//! * [`DecodedEngine`] — replays a [`DecodedProgram`]; per-retirement
-//!   work is a single indexed load of the µop.
+//!   [`Program`], checks the limits and fetches through the L1I on
+//!   every retirement. Kept as the reference implementation the block
+//!   loop is diffed against, and for one-shot runs where decoding would
+//!   not amortize.
+//! * [`DecodedEngine`] — replays a [`DecodedProgram`] block by block
+//!   (above); per-retirement work is the µop's load, its execution and
+//!   the hook calls. The production engine.
 //! * [`crate::ThreadedEngine`] — replays a [`DecodedProgram`] lowered
 //!   once more into threaded-code form ([`crate::ThreadedProgram`]):
 //!   per-retirement work is one indirect call through a pre-bound,
@@ -41,9 +81,10 @@
 //!
 //! All engines share the single-instruction semantic core
 //! (`AtomicCpu::exec_inst`), so their architectural results and
-//! [`SimStats`] are bit-identical by construction — a property pinned
-//! down by the differential property suite in `tests/`. [`crate::EngineKind`]
-//! names the ladder for configuration plumbing.
+//! instruction mix are bit-identical by construction, and their cache
+//! counters by the fetch-run argument above — both pinned down by the
+//! differential suites in `tests/` and `crates/isa/tests/block_limits.rs`.
+//! [`crate::EngineKind`] names the ladder for configuration plumbing.
 //!
 //! # Example
 //!
@@ -80,8 +121,8 @@
 
 use crate::cpu::Step;
 use crate::{
-    AtomicCpu, ExecHook, Inst, InstMix, Memory, Program, RunLimits, SimError, SimStats, TargetIsa,
-    CODE_BASE,
+    uop_event, AtomicCpu, ExecHook, Inst, InstMix, Memory, Program, RunLimits, SimError, SimStats,
+    TargetIsa, UopEvent, CODE_BASE,
 };
 use simtune_cache::CacheHierarchy;
 
@@ -170,6 +211,11 @@ pub struct MicroOp {
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecodedProgram {
     ops: Vec<MicroOp>,
+    /// `uop_event(&ops[pc].inst)` for every `pc`: what a timing tier
+    /// is handed at each retirement. Beside `ops`, not inside
+    /// [`MicroOp`] — the functional tiers never read it, and a wider
+    /// µop costs them cache lines.
+    uops: Vec<UopEvent>,
     block_starts: Vec<usize>,
     inst_bytes: u64,
 }
@@ -230,20 +276,24 @@ impl DecodedProgram {
         let block_starts: Vec<usize> = (0..len).filter(|&pc| leader[pc]).collect();
 
         let mut ops = Vec::with_capacity(len);
+        let mut uops = Vec::with_capacity(len);
         let mut block = 0u32;
         for (pc, inst) in insts.iter().enumerate() {
             if pc > 0 && leader[pc] {
                 block += 1;
             }
+            let uop = uop_event(inst);
             ops.push(MicroOp {
                 inst: *inst,
                 fetch_addr: CODE_BASE + pc as u64 * target.inst_bytes,
-                class: MixClass::of(inst),
+                class: uop.class,
                 block,
             });
+            uops.push(uop);
         }
         Ok(DecodedProgram {
             ops,
+            uops,
             block_starts,
             inst_bytes: target.inst_bytes,
         })
@@ -399,9 +449,9 @@ impl ExecEngine for InterpEngine<'_> {
     }
 }
 
-/// The fast path: replays a [`DecodedProgram`]. Per-retirement work is
-/// one indexed µop load — no PC bounds check (validated at decode), no
-/// fetch-address arithmetic (precomputed).
+/// The fast path: replays a [`DecodedProgram`] one basic block at a
+/// time — see the module documentation for what that saves and why it
+/// is exact.
 #[derive(Debug, Clone, Copy)]
 pub struct DecodedEngine<'p> {
     prog: &'p DecodedProgram,
@@ -424,37 +474,77 @@ impl ExecEngine for DecodedEngine<'_> {
         stop_at: Option<u64>,
         hook: &mut H,
     ) -> Result<(SimStats, bool), SimError> {
-        let ops = self.prog.ops.as_slice();
-        let mut mix = InstMix::default();
-        let mut pc = 0usize;
+        let DecodedProgram {
+            ops,
+            uops,
+            block_starts,
+            inst_bytes,
+        } = self.prog;
         let line_bytes = hier.line_bytes();
-        let mut completed = true;
-        loop {
-            let retired = mix.total();
-            if retired >= limits.max_insts {
-                return Err(SimError::InstLimitExceeded {
-                    limit: limits.max_insts,
-                });
+        // Instructions the run may retire before one of the two limits
+        // applies.
+        let budget = limits.max_insts.min(stop_at.unwrap_or(u64::MAX));
+        let mut mix = InstMix::default();
+        let mut retired = 0u64;
+        let mut pc = 0usize;
+        let completed = loop {
+            // `pc` is a block's first instruction — the entry, a branch
+            // target or the fall-through of a branch — and in range by
+            // decode-time validation. Everything up to the block's last
+            // instruction falls through, so the limits are checked once:
+            // a block the budget ends inside is cut to what is left of
+            // the budget (less than the block, so it fits a `usize`).
+            let block = ops[pc].block as usize;
+            let block_end = block_starts.get(block + 1).copied().unwrap_or(ops.len());
+            let left = budget - retired;
+            let end = if left < (block_end - pc) as u64 {
+                pc + left as usize
+            } else {
+                block_end
+            };
+            let mut step = Step::Next;
+            while pc < end {
+                // A fetch run: the instructions from `pc` on that lie in
+                // its I-line, one L1I access for all of them. Fetches
+                // later instructions of the run never make (a fault in
+                // between) are credited all the same: an `Err` carries
+                // no statistics out and the hierarchy is the trial's.
+                let addr = ops[pc].fetch_addr;
+                let room = line_bytes - 1 - (addr & (line_bytes - 1));
+                // Zero-width encodings: every fetch is one address.
+                let in_line = room
+                    .checked_div(*inst_bytes)
+                    .map_or(u64::MAX, |more| more + 1);
+                let n = in_line.min((end - pc) as u64);
+                let (first, rest) = hier.fetch_run(addr, n);
+                let run_end = pc + n as usize;
+                let mut serviced = first;
+                for (op, uop) in ops[pc..run_end].iter().zip(&uops[pc..run_end]) {
+                    hook.on_fetch(pc, serviced);
+                    serviced = rest;
+                    // Copy the architectural fields to locals so they
+                    // live in registers across the step.
+                    let inst = op.inst;
+                    step = cpu.exec_inst(&inst, pc, mem, hier, hook, line_bytes, &mut mix)?;
+                    hook.on_retire_uop(&inst, uop);
+                    pc += 1;
+                    retired += 1;
+                }
             }
-            if stop_at.is_some_and(|budget| retired >= budget) {
-                completed = false;
-                break;
+            if end < block_end {
+                if retired >= limits.max_insts {
+                    return Err(SimError::InstLimitExceeded {
+                        limit: limits.max_insts,
+                    });
+                }
+                break false;
             }
-            // In range by decode-time validation: every reachable pc is a
-            // fall-through (checked against the last instruction) or a
-            // validated branch target. Copy the architectural fields to
-            // locals so they live in registers across the step.
-            let op = &ops[pc];
-            let inst = op.inst;
-            hook.on_fetch(pc, hier.fetch(op.fetch_addr));
-            let step = cpu.exec_inst(&inst, pc, mem, hier, hook, line_bytes, &mut mix)?;
-            hook.on_retire(&inst);
             match step {
-                Step::Next => pc += 1,
+                Step::Next => {}
                 Step::Jump(target) => pc = target,
-                Step::Stop => break,
+                Step::Stop => break true,
             }
-        }
+        };
         Ok((
             SimStats {
                 inst_mix: mix,

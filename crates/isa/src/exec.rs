@@ -67,9 +67,17 @@ pub struct SimOutcome {
 ///
 /// All engines are observationally identical (see the differential
 /// suite) and raise the same per-retirement event sequence — `on_fetch`,
-/// then any `on_data_access`/`on_branch`, then `on_retire` — so the
-/// choice only moves host time. [`EngineKind::Batch`] is a label with
-/// no engine of its own; its trials run on the decoded loop.
+/// then any `on_data_access`/`on_branch`, then the retirement
+/// (`on_retire`, or from the decoded loop `on_retire_uop`, which
+/// forwards to it) — so the choice only moves host time. It moves it
+/// most on [`EngineKind::Decoded`], the default and the engine every
+/// bundled workload runs: it replays a basic block at a time — one
+/// limit check per block, one L1I access per run of instructions in one
+/// I-line (`decode.rs` says why that is exact) — where
+/// [`EngineKind::Interp`], the oracle it is diffed against, and
+/// [`EngineKind::Threaded`] do both per instruction.
+/// [`EngineKind::Batch`] is a label with no engine of its own; its
+/// trials run on the decoded loop.
 ///
 /// The returned statistics include the host wall-clock time of the
 /// replay proper (`t_simulator` in the paper's Equation 4).

@@ -169,8 +169,9 @@ pub trait TimingHook {
 }
 
 /// Adapts a [`TimingHook`] into an [`ExecHook`], translating each
-/// retirement into its [`UopEvent`] — so timing tiers plug into the
-/// unmodified replay engines.
+/// retirement into its [`UopEvent`] — derived from the instruction, or
+/// taken as is from an engine that hands over the one its decode pass
+/// made — so timing tiers plug into the unmodified replay engines.
 #[derive(Debug)]
 pub struct TimingBridge<'h, H: TimingHook> {
     hook: &'h mut H,
@@ -190,6 +191,10 @@ impl<H: TimingHook> ExecHook for TimingBridge<'_, H> {
 
     fn on_retire(&mut self, inst: &Inst) {
         self.hook.on_uop(&uop_event(inst));
+    }
+
+    fn on_retire_uop(&mut self, _: &Inst, uop: &UopEvent) {
+        self.hook.on_uop(uop);
     }
 
     fn on_data_access(

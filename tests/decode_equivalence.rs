@@ -20,12 +20,13 @@
 //! step raises it well above the local default.
 
 use proptest::prelude::*;
-use simtune::cache::{CacheHierarchy, HierarchyConfig};
+use simtune::cache::{CacheConfig, CacheHierarchy, HierarchyConfig, ReplacementPolicy};
 use simtune::core::diffharness::DiffHarness;
+use simtune::hw::{CycleBreakdown, PipelineModel, TargetSpec};
 use simtune::isa::{
-    AtomicCpu, DecodedEngine, DecodedProgram, ExecEngine, Executable, Fpr, Gpr, Inst, InterpEngine,
-    Memory, NoopHook, Program, ProgramBuilder, RunLimits, TargetIsa, ThreadedEngine,
-    ThreadedProgram, TortureConfig, Vr, DATA_BASE,
+    replay, AtomicCpu, DecodedEngine, DecodedProgram, EngineKind, ExecEngine, Executable, Fpr, Gpr,
+    Inst, InterpEngine, Memory, NoopHook, Program, ProgramBuilder, RunLimits, SimError, SimStats,
+    TargetIsa, ThreadedEngine, ThreadedProgram, TimingBridge, TortureConfig, Vr, DATA_BASE,
 };
 use std::sync::OnceLock;
 
@@ -387,6 +388,91 @@ fn assert_outputs_identical(a: &RunOutput, b: &RunOutput) {
     assert_eq!(a.fpr_bits, b.fpr_bits, "float register files diverged");
     assert_eq!(a.vr_bits, b.vr_bits, "vector register files diverged");
     assert_eq!(a.mem_bits, b.mem_bits, "memory images diverged");
+}
+
+/// The tiny test hierarchy's shape (4 × 4 L1s over a 32 × 4 L2) at
+/// any line size.
+fn tiny_hierarchy(line_bytes: u64) -> HierarchyConfig {
+    let level = |name: &str, sets: u64| {
+        CacheConfig::new(
+            name,
+            sets * 4 * line_bytes,
+            sets,
+            4,
+            line_bytes,
+            ReplacementPolicy::Lru,
+        )
+        .expect("valid geometry")
+    };
+    HierarchyConfig {
+        name: format!("tiny-{line_bytes}"),
+        l1d: level("L1D", 4),
+        l1i: level("L1I", 4),
+        l2: level("L2", 32),
+        l3: None,
+    }
+}
+
+/// One trial of `exe` on `engine` over `hierarchy`, through [`replay`]
+/// as a backend makes it — with the pipeline model hooked in through a
+/// [`TimingBridge`] when `timed`. Host time is zeroed out of the result.
+fn run_on(
+    engine: EngineKind,
+    exe: &Executable,
+    decoded: &DecodedProgram,
+    hierarchy: &HierarchyConfig,
+    timed: bool,
+) -> Result<(SimStats, Option<CycleBreakdown>), SimError> {
+    let hier = || CacheHierarchy::new(hierarchy.clone());
+    let limits = RunLimits::default();
+    let (out, cycles) = if timed {
+        let mut spec = TargetSpec::riscv_u74();
+        spec.hierarchy = hierarchy.clone();
+        let mut model = PipelineModel::new(&spec, 64, 4);
+        let mut bridge = TimingBridge::new(&mut model);
+        let (out, _) = replay(exe, decoded, hier, engine, limits, None, &mut bridge)?;
+        (out, Some(model.breakdown()))
+    } else {
+        let (out, _) = replay(exe, decoded, hier, engine, limits, None, &mut NoopHook)?;
+        (out, None)
+    };
+    let stats = SimStats {
+        host_nanos: 0,
+        ..out.stats
+    };
+    Ok((stats, cycles))
+}
+
+/// `TargetIsa::inst_bytes` and `CacheConfig::line_bytes` are public and
+/// unrelated, and the block loop derives its fetch runs from both: the
+/// torture presets under encodings that are zero bytes wide (one fetch
+/// address for the whole program), do not divide the line, fill it
+/// exactly or overflow it, on a line of one word and on the usual one —
+/// every counter of every level, the outcome of faulting programs and
+/// the pipeline model's cycles equal the per-instruction interpreter's.
+#[test]
+fn fetch_runs_agree_with_the_interpreter_at_any_encoding_width_and_line_size() {
+    for (scenario, config) in TortureConfig::corpus() {
+        for seed in 1..=3u64 {
+            let mut exe = DiffHarness::make_executable(scenario, &config, seed, seed ^ 0x5EED_DA7A);
+            for inst_bytes in [0, 3, 4, 6, 64, 128] {
+                exe.target.inst_bytes = inst_bytes;
+                let decoded = exe.decode().expect("torture programs decode");
+                for line_bytes in [4, 64] {
+                    let hierarchy = tiny_hierarchy(line_bytes);
+                    for timed in [false, true] {
+                        let interp = run_on(EngineKind::Interp, &exe, &decoded, &hierarchy, timed);
+                        let block = run_on(EngineKind::Decoded, &exe, &decoded, &hierarchy, timed);
+                        assert_eq!(
+                            block, interp,
+                            "{}: inst_bytes {inst_bytes}, line_bytes {line_bytes}, timed {timed}",
+                            exe.name
+                        );
+                    }
+                }
+            }
+        }
+    }
 }
 
 proptest! {
