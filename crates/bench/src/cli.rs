@@ -2,49 +2,41 @@
 //! CLI dependency).
 
 use crate::Scale;
-use simtune_core::{EngineKind, FidelitySpec, StrategySpec};
+use simtune_core::{FidelitySpec, StrategySpec};
 
 /// Fidelity mode of the tuning loop the sweep binaries drive.
 ///
-/// The sweep either pins every trial to one [`FidelitySpec`] tier
-/// (`Tier`) or runs one of the two escalation policies (`TopK`,
-/// `Predicted`) that mix a cheap exploration tier with accurate
-/// re-simulation. `--fidelity` therefore accepts the policy names
-/// *plus* the whole spec grammar: `--fidelity pipelined:btb=64,ras=4`
-/// sweeps with top-k escalation exploring on the pipelined tier.
+/// The sweep either explores on one [`FidelitySpec`] tier (`Tier`) or
+/// runs the learned tier (`Predicted`). `--fidelity` therefore accepts
+/// `predicted` *plus* the whole spec grammar: `--fidelity
+/// pipelined:btb=64,ras=4` sweeps with top-k escalation exploring on
+/// the pipelined tier.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FidelityMode {
     /// Candidates explore on the named [`FidelitySpec`] tier; any tier
     /// other than `accurate` re-simulates the static top-k finalists
     /// accurately. `Tier(FidelitySpec::Accurate)` is the default.
     Tier(FidelitySpec),
-    /// Cheap exploration, then the static top-k finalists re-simulate
-    /// accurately (`EscalationPolicy::TopK`).
-    TopK,
     /// The learned tier: uncertainty-driven active-learning escalation
     /// over a `PredictedBackend` (`EscalationPolicy::Uncertainty`).
     Predicted,
 }
 
 impl FidelityMode {
-    /// Parses the `--fidelity` values: the escalation-policy names
-    /// `topk|top-k|predicted`, or any [`FidelitySpec`] string
-    /// (`accurate`, `fast-count`, `sampled:fraction=0.3`,
-    /// `pipelined:btb=512,ras=8`, ...).
+    /// Parses the `--fidelity` values: `predicted`, or any
+    /// [`FidelitySpec`] string (`accurate`, `fast-count`,
+    /// `sampled:fraction=0.3`, `pipelined:btb=512,ras=8`, ...).
     pub fn parse(s: &str) -> Option<FidelityMode> {
         match s {
-            "topk" | "top-k" => Some(FidelityMode::TopK),
             "predicted" => Some(FidelityMode::Predicted),
             spec => spec.parse::<FidelitySpec>().ok().map(FidelityMode::Tier),
         }
     }
 
-    /// Stable label for logs and provenance lines (the spec digest for
-    /// `Tier` modes).
+    /// Stable label for logs (the spec digest for `Tier` modes).
     pub fn label(&self) -> String {
         match self {
             FidelityMode::Tier(spec) => spec.digest(),
-            FidelityMode::TopK => "topk".into(),
             FidelityMode::Predicted => "predicted".into(),
         }
     }
@@ -82,24 +74,10 @@ pub struct Args {
     pub refresh: bool,
     /// Optional output directory for CSV artifacts.
     pub out_dir: Option<String>,
-    /// Emit a machine-readable JSON summary on stdout instead of the
-    /// human tables (supported by the sweep binaries; the perf-smoke CI
-    /// job and local perf runs share this one format).
-    pub json: bool,
-    /// Warm the simulation memo cache from this snapshot before the run
-    /// (missing or corrupt snapshots degrade to a cold start).
-    pub load_cache: Option<String>,
-    /// Save the simulation memo cache to this snapshot after the run
-    /// (written atomically; see `simtune_core::atomic_write`).
-    pub save_cache: Option<String>,
     /// Fidelity mode for the tuning sweeps (`--fidelity <spec>` with
-    /// any [`FidelitySpec`] string, or `topk|predicted` for the
-    /// escalation policies).
+    /// any [`FidelitySpec`] string, or `predicted` for the learned
+    /// tier).
     pub fidelity: FidelityMode,
-    /// Replay engine for the tuning sweeps
-    /// (`--engine interp|decoded|threaded|batch`) — a pure host-speed
-    /// knob, bit-identical results by the equivalence contract.
-    pub engine: EngineKind,
 }
 
 impl Default for Args {
@@ -117,11 +95,7 @@ impl Default for Args {
             strategy: None,
             refresh: false,
             out_dir: None,
-            json: false,
-            load_cache: None,
-            save_cache: None,
             fidelity: FidelityMode::default(),
-            engine: EngineKind::default(),
         }
     }
 }
@@ -130,7 +104,7 @@ impl Args {
     /// Parses `std::env::args()`-style flags:
     /// `--arch x86 --scale quarter --impls 120 --test 30 --rounds 10
     ///  --parallel 8 --seed 42 --strategy evolutionary --refresh
-    ///  --json --out results/ --load-cache snap.json --save-cache snap.json`.
+    ///  --out results/ --fidelity pipelined`.
     ///
     /// # Panics
     ///
@@ -179,23 +153,14 @@ impl Args {
                     };
                 }
                 "--refresh" => out.refresh = true,
-                "--json" => out.json = true,
                 "--out" => out.out_dir = Some(need(&mut it, "--out")),
-                "--load-cache" => out.load_cache = Some(need(&mut it, "--load-cache")),
-                "--save-cache" => out.save_cache = Some(need(&mut it, "--save-cache")),
                 "--fidelity" => {
                     let v = need(&mut it, "--fidelity");
                     out.fidelity = FidelityMode::parse(&v).unwrap_or_else(|| {
                         panic!(
-                            "unknown fidelity {v} (topk | predicted | accurate | fast-count | \
+                            "unknown fidelity {v} (predicted | accurate | fast-count | \
                              sampled[:fraction=F] | pipelined[:btb=N,ras=N])"
                         )
-                    });
-                }
-                "--engine" => {
-                    let v = need(&mut it, "--engine");
-                    out.engine = EngineKind::parse(&v).unwrap_or_else(|| {
-                        panic!("unknown engine {v} (interp|decoded|threaded|batch)")
                     });
                 }
                 other => panic!("unknown flag {other}"),
@@ -228,9 +193,8 @@ mod tests {
 
     #[test]
     fn parses_flags() {
-        let a = parse(
-            "--arch riscv --scale smoke --impls 40 --test 10 --rounds 3 --seed 7 --refresh --json",
-        );
+        let a =
+            parse("--arch riscv --scale smoke --impls 40 --test 10 --rounds 3 --seed 7 --refresh");
         assert_eq!(a.archs, vec!["riscv"]);
         assert_eq!(a.scale, Scale::Smoke);
         assert_eq!(a.impls, 40);
@@ -238,8 +202,6 @@ mod tests {
         assert_eq!(a.rounds, 3);
         assert_eq!(a.seed, 7);
         assert!(a.refresh);
-        assert!(a.json);
-        assert!(!parse("--seed 1").json, "json is opt-in");
     }
 
     #[test]
@@ -248,8 +210,6 @@ mod tests {
             parse("--seed 1").fidelity,
             FidelityMode::Tier(FidelitySpec::Accurate)
         );
-        assert_eq!(parse("--fidelity topk").fidelity, FidelityMode::TopK);
-        assert_eq!(parse("--fidelity top-k").fidelity, FidelityMode::TopK);
         assert_eq!(
             parse("--fidelity predicted").fidelity,
             FidelityMode::Predicted
@@ -283,30 +243,6 @@ mod tests {
     #[should_panic(expected = "unknown fidelity")]
     fn bad_fidelity_panics() {
         parse("--fidelity exact");
-    }
-
-    #[test]
-    fn engine_flag_parses_the_whole_ladder() {
-        assert_eq!(parse("--seed 1").engine, EngineKind::Decoded);
-        assert_eq!(parse("--engine interp").engine, EngineKind::Interp);
-        assert_eq!(parse("--engine decoded").engine, EngineKind::Decoded);
-        assert_eq!(parse("--engine threaded").engine, EngineKind::Threaded);
-        assert_eq!(parse("--engine batch").engine, EngineKind::Batch);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown engine")]
-    fn bad_engine_panics() {
-        parse("--engine jit");
-    }
-
-    #[test]
-    fn cache_snapshot_flags_parse() {
-        let a = parse("--load-cache warm.json --save-cache out.json");
-        assert_eq!(a.load_cache.as_deref(), Some("warm.json"));
-        assert_eq!(a.save_cache.as_deref(), Some("out.json"));
-        let d = parse("--seed 1");
-        assert!(d.load_cache.is_none() && d.save_cache.is_none());
     }
 
     #[test]

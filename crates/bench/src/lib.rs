@@ -10,7 +10,6 @@ pub mod cli;
 pub mod engine;
 pub mod format;
 pub mod fuzz;
-pub mod perf;
 pub mod scale;
 pub mod serve;
 
@@ -19,7 +18,4 @@ pub use cli::{Args, FidelityMode};
 pub use engine::{collect_arch_datasets, dataset_cache_path, ExperimentConfig};
 pub use format::{ascii_plot, format_metric_table, write_csv};
 pub use fuzz::{replay_case, run_fuzz, FuzzOptions, FuzzSummary, FUZZ_SCHEMA};
-pub use perf::{
-    gate, warm_gate, GateReport, PerfSummary, PerfTotals, StrategyPerf, WarmReport, PERF_SCHEMA,
-};
 pub use scale::Scale;

@@ -2,10 +2,15 @@
 //! field: opening tenants at a named tier, escalated tunes with a
 //! spec-named exploration tier, the escalation knobs with and without
 //! a spec, and grammar errors — hostile predictor sizes included — as
-//! handler failures.
+//! handler failures. Hostile frames (deep nesting, many keys) are
+//! refused with `ok: false` and the loop keeps serving.
 
-use simtune_bench::serve::{roundtrip, Request, Server};
+use simtune_bench::serve::{
+    read_frame, roundtrip, serve_loop, write_frame, Request, Response, Server,
+};
 use simtune_core::{SimService, SNAPSHOT_SCHEMA};
+use std::io::Cursor;
+use std::time::Instant;
 
 fn req(op: &str) -> Request {
     Request {
@@ -17,6 +22,26 @@ fn req(op: &str) -> Request {
 
 fn server() -> Server {
     Server::new(SimService::builder().n_parallel(2).build())
+}
+
+/// Serves the raw frame `hostile`, then a `ping`, through one serve
+/// loop, and returns both responses.
+fn hostile_then_ping(hostile: &str) -> (Response, Response) {
+    let mut input = Vec::new();
+    write_frame(&mut input, hostile).expect("frame fits");
+    write_frame(&mut input, &serde_json::to_string(&req("ping")).unwrap()).unwrap();
+    let mut output = Vec::new();
+    serve_loop(&mut Cursor::new(input), &mut output, &mut server()).expect("the loop survives");
+    let mut out = Cursor::new(output);
+    let mut next = || -> Response {
+        serde_json::from_str(
+            &read_frame(&mut out)
+                .unwrap()
+                .expect("one response per frame"),
+        )
+        .unwrap()
+    };
+    (next(), next())
 }
 
 fn open_req(tenant: &str, fidelity: Option<&str>) -> Request {
@@ -193,4 +218,46 @@ fn old_wire_frames_without_the_fidelity_member_still_parse() {
     let (resp, done) = server.handle(&req);
     assert!(resp.ok);
     assert!(!done);
+}
+
+#[test]
+fn a_deeply_nested_frame_is_refused_and_the_server_lives() {
+    // 200 KB, far under `MAX_FRAME_BYTES`: skipping the unknown member
+    // recursed once per level and overflowed the loop thread's stack.
+    let depth = 100_000;
+    let frame = format!(
+        r#"{{"op":"ping","x":{}{}}}"#,
+        "[".repeat(depth),
+        "]".repeat(depth)
+    );
+    let (refused, ping) = hostile_then_ping(&frame);
+    assert!(!refused.ok);
+    let err = refused.error.unwrap();
+    assert!(err.contains("nest deeper"), "{err}");
+    assert!(ping.ok);
+    assert_eq!(ping.op, "ping");
+}
+
+#[test]
+fn a_frame_with_many_distinct_keys_is_refused_in_linear_time() {
+    // A valid `ping` plus 200 000 unknown members (2.3 MB). Checking
+    // each new key against every earlier one held the only loop thread
+    // for ~50 s in a release build.
+    let ping = serde_json::to_string(&req("ping")).unwrap();
+    let mut frame = ping.trim_end_matches('}').to_string();
+    for i in 0..200_000 {
+        frame.push_str(&format!(r#","k{i}":0"#));
+    }
+    frame.push('}');
+    let start = Instant::now();
+    let (refused, ping) = hostile_then_ping(&frame);
+    let elapsed = start.elapsed();
+    assert!(!refused.ok);
+    let err = refused.error.unwrap();
+    assert!(err.contains("unknown field"), "{err}");
+    assert!(ping.ok);
+    assert!(
+        elapsed.as_secs() < 20,
+        "the frame took {elapsed:?}; the key check is not linear"
+    );
 }

@@ -4,16 +4,17 @@
 //!   `SimService` each reproduce, bit for bit, the result they would
 //!   have gotten tuning alone, at every pool width. Fair round-robin
 //!   scheduling changes *when* a batch runs, never *what* it computes.
-//! * **Warm start** — a tune over a cache restored from a snapshot
-//!   reproduces the cold run's result exactly while executing zero
-//!   simulations: every submission is answered by the memo.
+//! * **Warm start** — tunes over a cache restored from a snapshot
+//!   reproduce the cold runs' results exactly while executing zero
+//!   simulations: every submission of every strategy is answered by the
+//!   memo.
 //! * **One pool** — an escalated tune runs both of its tiers on the
 //!   tenant's lane of the shared pool and shows up in its counters.
 
 use simtune_core::{
     collect_group_data, tune_with_fidelity_escalation, tune_with_predictor, CollectOptions,
     EscalationOptions, EscalationPolicy, ScorePredictor, SimCache, SimService, SnapshotLoad,
-    TuneOptions, TuneResult, UncertaintyPolicy,
+    StrategySpec, TenantSession, TuneOptions, TuneResult, UncertaintyPolicy,
 };
 use simtune_hw::TargetSpec;
 use simtune_predict::PredictorKind;
@@ -149,15 +150,30 @@ fn concurrent_tenants_reproduce_their_solo_results_at_every_pool_width() {
 fn warm_loaded_snapshot_reproduces_the_cold_tune_with_zero_executions() {
     let w = workload(8, 42);
     let snap = std::env::temp_dir().join(format!("simtune_warm_tune_{}.json", std::process::id()));
+    // Every built-in strategy, one after another on one tenant, so the
+    // snapshot holds what five strategies sharing a cache simulated.
+    let tune_all = |tenant: &TenantSession| -> Vec<_> {
+        StrategySpec::all()
+            .iter()
+            .map(|strategy| {
+                let opts = TuneOptions {
+                    strategy: strategy.clone(),
+                    ..w.opts.clone()
+                };
+                let r = tenant
+                    .tune(&w.def, &w.spec, &w.predictor, &opts)
+                    .expect("tune");
+                (strategy.label(), digest(&r))
+            })
+            .collect()
+    };
 
     // Cold: tune on a fresh service, snapshot the cache it filled.
     let cold_service = SimService::builder().n_parallel(2).build();
     let cold = cold_service
         .open_accurate("cold", &w.spec.hierarchy)
         .expect("cold tenant");
-    let cold_result = cold
-        .tune(&w.def, &w.spec, &w.predictor, &w.opts)
-        .expect("cold tune");
+    let cold_results = tune_all(&cold);
     assert!(cold.stats().pool.trials > 0, "cold run must execute");
     let written = cold_service.save_snapshot(&snap).expect("snapshot");
     assert!(written > 0);
@@ -172,19 +188,17 @@ fn warm_loaded_snapshot_reproduces_the_cold_tune_with_zero_executions() {
     let warm = warm_service
         .open_accurate("warm", &w.spec.hierarchy)
         .expect("warm tenant");
-    let warm_result = warm
-        .tune(&w.def, &w.spec, &w.predictor, &w.opts)
-        .expect("warm tune");
+    let warm_results = tune_all(&warm);
 
     assert_eq!(
-        digest(&warm_result),
-        digest(&cold_result),
-        "warm tune must be bit-identical to the cold one"
+        warm_results, cold_results,
+        "warm tunes must be bit-identical to the cold ones"
     );
     let stats = warm.stats();
-    assert_eq!(stats.pool.trials, 0, "warm tune must execute nothing");
+    assert_eq!(stats.pool.trials, 0, "warm tunes must execute nothing");
     assert_eq!(stats.memo.misses, 0, "every submission must hit the memo");
-    assert_eq!(stats.memo.hits, warm_result.simulations as u64);
+    let simulations: usize = warm_results.iter().map(|(_, d)| d.3).sum();
+    assert_eq!(stats.memo.hits, simulations as u64);
     std::fs::remove_file(&snap).ok();
 }
 

@@ -106,6 +106,31 @@ fn v4_is_refused_and_v5_roundtrips_byte_identically() {
     std::fs::remove_file(&again).ok();
 }
 
+/// A 200 KB snapshot nesting 100 000 arrays deep (what a `--cache`
+/// path can point at) is a logged cold start; skipping it recursed
+/// once per level and overflowed the stack of the booting server.
+#[test]
+fn a_deeply_nested_snapshot_is_a_logged_cold_start() {
+    let path = temp_snapshot();
+    let depth = 100_000;
+    let deep = format!(
+        r#"{{"schema":"{SNAPSHOT_SCHEMA}","entries":{}{}}}"#,
+        "[".repeat(depth),
+        "]".repeat(depth)
+    );
+    std::fs::write(&path, deep).expect("writes");
+    let cache = SimCache::new();
+    let (outcome, logs) = simtune_core::log::capture(|| cache.load_from(&path).expect("reads"));
+    match outcome {
+        SnapshotLoad::Rejected(reason) => assert!(reason.contains("nest deeper"), "{reason}"),
+        other => panic!("expected a rejection, got {other:?}"),
+    }
+    assert!(cache.is_empty());
+    assert_eq!(logs.len(), 1, "{logs:?}");
+    assert!(logs[0].contains("cold start"), "{logs:?}");
+    std::fs::remove_file(&path).ok();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
