@@ -15,7 +15,7 @@
 //! | `op` | uses | effect |
 //! |---|---|---|
 //! | `ping` | — | liveness check |
-//! | `open` | `tenant`, `arch`, `workload`, `dim`, `impls`, `seed`, `fidelity` | open a named tenant, collect a training set and fit its score predictor |
+//! | `open` | `tenant`, `arch`, `workload`, `dim`, `impls`, `seed`, `fidelity` | open a named tenant, collect a training set on its lane of the shared pool and fit its score predictor |
 //! | `tune` | `tenant`, `n_trials`, `batch_size`, `seed`, `strategy`, `fidelity`, `escalation_budget`, `escalation_confidence` | run one predictor-guided tuning loop on the tenant's session |
 //!
 //! # Fidelity selection
@@ -51,7 +51,7 @@
 
 use serde::{Deserialize, Serialize};
 use simtune_core::{
-    collect_group_data, CollectOptions, EscalationOptions, EscalationPolicy, FidelitySpec,
+    collect_group_data_on, CollectOptions, EscalationOptions, EscalationPolicy, FidelitySpec,
     ScorePredictor, SimService, TenantSession, TuneOptions, UncertaintyPolicy,
 };
 use simtune_hw::TargetSpec;
@@ -335,20 +335,21 @@ impl Server {
             Ok(s) => s,
             Err(e) => return Response::fail(req, e.to_string()),
         };
-        // Training collection runs outside the shared pool (it owns its
-        // own short-lived sessions) but feeds the shared cache, so the
-        // samples it simulates warm every tenant.
-        let collected = collect_group_data(
+        // Training collection runs on the tenant's lane of the shared
+        // pool, at the accurate tier whatever tier the tenant opened, and
+        // feeds the shared cache, so the samples it simulates warm every
+        // tenant and show in this tenant's counters.
+        let collected = collect_group_data_on(
             &def,
             &spec,
             0,
             &CollectOptions {
                 n_impls: impls,
-                n_parallel: self.service.n_parallel(),
                 seed,
                 max_attempts_factor: 40,
-                memo_cache: Some(self.service.cache().clone()),
+                ..CollectOptions::default()
             },
+            session.session(),
         );
         let data = match collected {
             Ok(d) => d,

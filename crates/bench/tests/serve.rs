@@ -75,6 +75,50 @@ fn open_accepts_a_fidelity_spec_and_echoes_the_tier() {
 }
 
 #[test]
+fn open_collects_its_training_set_on_the_tenants_lane_at_the_accurate_tier() {
+    let mut server = server();
+    let stats = |server: &mut Server, tenant: &str| {
+        let resp = roundtrip(
+            server,
+            &Request {
+                tenant: Some(tenant.into()),
+                ..req("stats")
+            },
+        )
+        .unwrap();
+        (
+            resp.trials.unwrap(),
+            resp.memo_hits.unwrap(),
+            resp.memo_misses.unwrap(),
+        )
+    };
+    // Opened at a cheap tier, the tenant still simulates its training
+    // samples, accurately, on its own lane: every miss is one trial.
+    assert!(
+        roundtrip(&mut server, &open_req("cheap", Some("fast-count")))
+            .unwrap()
+            .ok
+    );
+    let (trials, _, misses) = stats(&mut server, "cheap");
+    assert!(
+        misses > 0,
+        "the collection must show in the tenant's counters"
+    );
+    assert_eq!(trials, misses);
+    let all = roundtrip(&mut server, &req("stats")).unwrap();
+    assert_eq!(
+        all.trials,
+        Some(trials),
+        "the shared pool ran the collection"
+    );
+    // The same training set for an accurate tenant is all memo hits.
+    assert!(roundtrip(&mut server, &open_req("acc", None)).unwrap().ok);
+    let (trials, hits, misses) = stats(&mut server, "acc");
+    assert_eq!((trials, misses), (0, 0));
+    assert!(hits > 0);
+}
+
+#[test]
 fn malformed_fidelity_is_a_handler_error_with_the_grammar() {
     let mut server = server();
     let resp = roundtrip(&mut server, &open_req("bad", Some("warp-speed"))).unwrap();

@@ -16,10 +16,10 @@
 //! simulator-plus-predictor, the board ([`tune_on_hardware`]) and the
 //! learned escalation tier differ only in what measures a built batch.
 
-use crate::backend::{SimBackend, SimSession};
+use crate::backend::{SimBackend, SimReport, SimSession};
 use crate::features::{WindowKind, WindowNormalizer};
 use crate::fidelity::FidelitySpec;
-use crate::memo::SimCache;
+use crate::memo::{RequestKey, RequestKeys, SimCache};
 use crate::metrics::{ConvergenceStats, PredictorStats, StageTimings};
 use crate::pool::BatchTicket;
 use crate::predicted::{
@@ -113,10 +113,11 @@ pub struct TuneResult {
     /// [`crate::SimCache::stats`] for hit/miss counters.
     pub simulations: usize,
     /// Producer-side wall time per pipeline stage. `sim_nanos` only
-    /// counts time the loop *blocked* on simulation — with a
-    /// pipeline-safe strategy, simulation overlapped by the build of the
-    /// next batch is invisible here. Wall-clock values: identical
-    /// reruns produce identical history but different timings.
+    /// counts time the loop spent submitting to, and blocked on, the
+    /// simulator — with a pipeline-safe strategy, simulation overlapped
+    /// by the build of the next batch is invisible here. Wall-clock
+    /// values: identical reruns produce identical history but different
+    /// timings.
     pub timings: StageTimings,
     /// Online-model counters when the run used the learned
     /// [`EscalationPolicy::Uncertainty`] tier; `None` for every other
@@ -263,8 +264,8 @@ fn since(t0: Instant) -> u64 {
 }
 
 /// What measures a built batch — besides the search space, the only
-/// part of a tuning flow that varies. One score per executable comes
-/// back in submission order; `INFINITY` marks a failed run.
+/// part of a tuning flow that varies. One score per trial comes back in
+/// submission order; `INFINITY` marks a failed run.
 trait Evaluate {
     /// A batch handed over by [`Evaluate::start`], not yet scored.
     type Pending;
@@ -272,9 +273,22 @@ trait Evaluate {
     /// measured, so the driver may stage the next batch meanwhile.
     const OVERLAPS: bool;
 
-    /// Takes a built batch whose first candidate will be history record
+    /// Request keys for `builder`'s candidates when this evaluator can
+    /// [recall](Evaluate::recall) them; `None` (the default) computes
+    /// no key and builds every candidate.
+    fn request_keys(&self, _builder: &KernelBuilder) -> Option<RequestKeys> {
+        None
+    }
+
+    /// The report of a candidate already simulated under `request`, so
+    /// the driver need not build it; `None` builds it.
+    fn recall(&self, _request: &RequestKey) -> Option<SimReport> {
+        None
+    }
+
+    /// Takes a staged batch whose first trial will be history record
     /// `first_index`.
-    fn start(&mut self, exes: Vec<Executable>, first_index: usize) -> Self::Pending;
+    fn start(&mut self, trials: Vec<Trial>, first_index: usize) -> Self::Pending;
 
     /// Blocks until the batch is measured and scores it, charging the
     /// wait to `sim_nanos` and the scoring to `score_nanos`.
@@ -291,12 +305,38 @@ trait Evaluate {
     }
 }
 
-/// A proposed-and-built batch handed to the evaluator. Failed builds
+/// One candidate of a staged batch, as the evaluator receives it.
+enum Trial {
+    /// Built, with its request key when the evaluator computes them.
+    Built(Executable, Option<RequestKey>),
+    /// Answered by [`Evaluate::recall`], never built.
+    Recalled(SimReport),
+}
+
+impl Trial {
+    /// The executable of a built trial, for evaluators that recall
+    /// nothing and so never receive any other.
+    fn into_built(self) -> Executable {
+        match self {
+            Trial::Built(exe, _) => exe,
+            Trial::Recalled(_) => unreachable!("an evaluator without request keys recalls nothing"),
+        }
+    }
+}
+
+/// A proposed-and-staged batch handed to the evaluator. Failed builds
 /// never reach it; they trail the batch's records with `INFINITY`.
 struct Staged<P, T> {
     kept: Vec<(P, String, Schedule)>,
     failed: Vec<(P, String)>,
     pending: T,
+}
+
+/// Builds one candidate of [`drive`]; unit tests count the calls.
+fn build(builder: &KernelBuilder, schedule: &Schedule, name: &str) -> Option<Executable> {
+    #[cfg(test)]
+    tests::BUILDS.with(|n| n.set(n.get() + 1));
+    builder.build(schedule, name).ok()
 }
 
 /// The tuning loop of the paper's Fig. 2, once: the strategy proposes
@@ -314,10 +354,16 @@ struct Staged<P, T> {
 /// Otherwise propose → measure → observe stay strictly sequenced, so
 /// the visit order is bit-identical either way, at every `n_parallel`.
 ///
-/// Each batch is recorded built candidates first, in proposal order,
-/// then the candidates that failed to build; `simulations` counts the
-/// built ones (handed to the evaluator, whether memoized, failed or
-/// completed).
+/// Before building a candidate the driver asks the evaluator to
+/// [recall](Evaluate::recall) it by its request key: a candidate whose
+/// report the memo already holds skips build, fingerprint and submit,
+/// and its report joins the batch in submission order — so the scores,
+/// the strategy and the history are what building it would have given.
+///
+/// Each batch is recorded built (or recalled) candidates first, in
+/// proposal order, then the candidates that failed to build;
+/// `simulations` counts the former (handed to the evaluator, whether
+/// memoized, failed or completed).
 fn drive<P, E: Evaluate>(
     def: &ComputeDef,
     spec: &TargetSpec,
@@ -328,6 +374,7 @@ fn drive<P, E: Evaluate>(
     eval: &mut E,
 ) -> Result<TuneResult, CoreError> {
     let builder = KernelBuilder::new(def.clone(), spec.isa.clone());
+    let requests = eval.request_keys(&builder);
     let mut history: Vec<TuneRecord> = Vec::new();
     let mut evaluations: Vec<Evaluation<P>> = Vec::new();
     let mut simulations = 0usize;
@@ -354,24 +401,36 @@ fn drive<P, E: Evaluate>(
             } else {
                 let t0 = Instant::now();
                 let name = format!("{}{tag}{committed}", def.name);
-                let (mut exes, mut kept, mut failed) = (Vec::new(), Vec::new(), Vec::new());
+                let (mut trials, mut kept, mut failed) = (Vec::new(), Vec::new(), Vec::new());
                 for p in batch {
                     let (description, schedule) = materialize(&p);
-                    let built = schedule.and_then(|s| Some((builder.build(&s, &name).ok()?, s)));
-                    match built {
-                        Some((exe, s)) => {
-                            exes.push(exe);
-                            kept.push((p, description, s));
-                        }
-                        None => failed.push((p, description)),
-                    }
+                    let Some(schedule) = schedule else {
+                        failed.push((p, description));
+                        continue;
+                    };
+                    let request = requests.as_ref().map(|keys| keys.key(&schedule));
+                    let trial = match request.and_then(|r| eval.recall(&r)) {
+                        Some(report) => Trial::Recalled(report),
+                        None => match build(&builder, &schedule, &name) {
+                            Some(exe) => Trial::Built(exe, request),
+                            None => {
+                                failed.push((p, description));
+                                continue;
+                            }
+                        },
+                    };
+                    trials.push(trial);
+                    kept.push((p, description, schedule));
                 }
                 timings.build_nanos += since(t0);
-                simulations += exes.len();
+                simulations += trials.len();
+                let t0 = Instant::now();
+                let pending = eval.start(trials, committed);
+                timings.sim_nanos += since(t0);
                 Some(Staged {
                     kept,
                     failed,
-                    pending: eval.start(exes, committed),
+                    pending,
                 })
             }
         } else {
@@ -456,6 +515,12 @@ fn argmin_score(history: &[TuneRecord]) -> Option<usize> {
 /// into a score with the trained predictor. One normalizer for the
 /// whole run: the window means evolve over the full candidate stream,
 /// not per batch.
+///
+/// The one evaluator that recalls: when the session memoizes, a
+/// candidate whose request already built a program with a resident
+/// report is answered by `SimSession::recall` (counted as the memo hit
+/// its submission would have been) and never built; its report takes
+/// its place among the batch's reports.
 struct SessionScore<'a> {
     session: &'a SimSession,
     predictor: &'a ScorePredictor,
@@ -475,24 +540,50 @@ impl<'a> SessionScore<'a> {
 }
 
 impl Evaluate for SessionScore<'_> {
-    type Pending = BatchTicket;
+    /// The submitted builds, and per trial its recalled report (`None`
+    /// for a built trial, answered by the ticket in order).
+    type Pending = (BatchTicket, Vec<Option<SimReport>>);
     const OVERLAPS: bool = true;
 
-    fn start(&mut self, exes: Vec<Executable>, _first_index: usize) -> BatchTicket {
-        self.session.submit(exes)
+    fn request_keys(&self, builder: &KernelBuilder) -> Option<RequestKeys> {
+        self.session.request_keys(builder)
+    }
+
+    fn recall(&self, request: &RequestKey) -> Option<SimReport> {
+        self.session.recall(request)
+    }
+
+    fn start(&mut self, trials: Vec<Trial>, _first_index: usize) -> Self::Pending {
+        let (mut exes, mut requests) = (Vec::new(), Vec::new());
+        let recalled = trials
+            .into_iter()
+            .map(|trial| match trial {
+                Trial::Built(exe, request) => {
+                    exes.push(exe);
+                    requests.extend(request);
+                    None
+                }
+                Trial::Recalled(report) => Some(report),
+            })
+            .collect();
+        (self.session.submit_keyed(exes, &requests), recalled)
     }
 
     fn finish(
         &mut self,
-        ticket: BatchTicket,
+        (ticket, recalled): Self::Pending,
         timings: &mut StageTimings,
     ) -> Result<Vec<f64>, CoreError> {
         let t0 = Instant::now();
-        let reports = ticket.wait();
+        let mut simulated = ticket.wait().into_iter();
         timings.sim_nanos += since(t0);
         let t0 = Instant::now();
-        let mut scores = Vec::with_capacity(reports.len());
-        for report in reports {
+        let mut scores = Vec::with_capacity(recalled.len());
+        for slot in recalled {
+            let report = match slot {
+                Some(report) => Ok(report),
+                None => simulated.next().expect("one report per built trial"),
+            };
             scores.push(match report {
                 Ok(report) => {
                     self.replay_nanos += report.stats.host_nanos;
@@ -520,8 +611,11 @@ impl Evaluate for HardwareMeasure {
     type Pending = (Vec<Executable>, usize);
     const OVERLAPS: bool = false;
 
-    fn start(&mut self, exes: Vec<Executable>, first_index: usize) -> Self::Pending {
-        (exes, first_index)
+    fn start(&mut self, trials: Vec<Trial>, first_index: usize) -> Self::Pending {
+        (
+            trials.into_iter().map(Trial::into_built).collect(),
+            first_index,
+        )
     }
 
     fn finish(
@@ -900,8 +994,11 @@ impl Evaluate for UncertaintyEscalate<'_> {
     type Pending = (Vec<Executable>, usize);
     const OVERLAPS: bool = false;
 
-    fn start(&mut self, exes: Vec<Executable>, first_index: usize) -> Self::Pending {
-        (exes, first_index)
+    fn start(&mut self, trials: Vec<Trial>, first_index: usize) -> Self::Pending {
+        (
+            trials.into_iter().map(Trial::into_built).collect(),
+            first_index,
+        )
     }
 
     fn finish(
@@ -1138,9 +1235,146 @@ mod tests {
     use crate::workflow::{collect_group_data, CollectOptions};
     use simtune_predict::PredictorKind;
     use simtune_tensor::matmul;
+    use std::cell::Cell;
+    use std::time::Duration;
+
+    thread_local! {
+        /// Candidates [`drive`] built on this thread.
+        pub(super) static BUILDS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    fn builds() -> usize {
+        BUILDS.with(Cell::get)
+    }
 
     fn setup() -> (ComputeDef, TargetSpec) {
         (matmul(8, 8, 8), TargetSpec::riscv_u74())
+    }
+
+    /// Scores every trial 1.0, after `start` spun for [`SPIN`].
+    struct SlowSubmit;
+
+    const SPIN: Duration = Duration::from_millis(2);
+
+    impl Evaluate for SlowSubmit {
+        type Pending = usize;
+        const OVERLAPS: bool = false;
+
+        fn start(&mut self, trials: Vec<Trial>, _first_index: usize) -> usize {
+            let t0 = Instant::now();
+            while t0.elapsed() < SPIN {
+                std::hint::spin_loop();
+            }
+            trials.len()
+        }
+
+        fn finish(&mut self, n: usize, _: &mut StageTimings) -> Result<Vec<f64>, CoreError> {
+            Ok(vec![1.0; n])
+        }
+    }
+
+    #[test]
+    fn submission_time_is_charged_to_sim_nanos() {
+        let (def, spec) = setup();
+        let opts = TuneOptions {
+            n_trials: 8,
+            batch_size: 4,
+            ..TuneOptions::default()
+        };
+        let result = drive_sketch(&def, &spec, &opts, 't', &mut SlowSubmit).unwrap();
+        let spun = SPIN.as_nanos() as u64 * 2; // two batches
+        let t = result.timings;
+        assert!(t.sim_nanos >= spun, "{t:?}");
+        assert!(t.total_nanos() >= spun, "{t:?}");
+    }
+
+    /// The history down to the score bits, plus the run's counts.
+    fn bits(r: &TuneResult) -> (Vec<(String, Schedule, u64)>, usize, usize) {
+        let history = r
+            .history
+            .iter()
+            .map(|h| (h.description.clone(), h.schedule.clone(), h.score.to_bits()))
+            .collect();
+        (history, r.simulations, r.best_index)
+    }
+
+    #[test]
+    fn a_warm_tune_recalls_every_candidate_and_builds_nothing() {
+        let (def, spec) = setup();
+        let predictor = trained_predictor(&def, &spec);
+        for strategy in StrategySpec::all() {
+            let label = strategy.label();
+            let cache = Arc::new(SimCache::new());
+            let opts = TuneOptions {
+                n_trials: 12,
+                batch_size: 4,
+                n_parallel: 2,
+                seed: 5,
+                strategy,
+                memo_cache: Some(cache.clone()),
+                ..TuneOptions::default()
+            };
+            let cold = tune_with_predictor(&def, &spec, &predictor, &opts).unwrap();
+            let after_cold = cache.stats();
+            let before = builds();
+            let warm = tune_with_predictor(&def, &spec, &predictor, &opts).unwrap();
+            assert_eq!(builds(), before, "{label}: the warm tune built programs");
+            assert_eq!(bits(&warm), bits(&cold), "{label}: warm differs from cold");
+            assert_eq!(
+                warm.replay_nanos, cold.replay_nanos,
+                "{label}: not the stored reports"
+            );
+            let s = cache.stats();
+            assert_eq!(s.misses, after_cold.misses, "{label}: the warm tune missed");
+            assert_eq!(s.hits - after_cold.hits, warm.simulations as u64);
+        }
+    }
+
+    #[test]
+    fn a_recall_whose_report_was_flushed_builds_and_re_executes() {
+        let (def, spec) = setup();
+        let predictor = trained_predictor(&def, &spec);
+        // Sequential batches on one worker, so a bounded cache flushes
+        // at the same points on every run.
+        let opts = |cache: &Arc<SimCache>| TuneOptions {
+            n_trials: 8,
+            batch_size: 4,
+            n_parallel: 1,
+            seed: 3,
+            strategy: StrategySpec::HillClimb,
+            memo_cache: Some(cache.clone()),
+            ..TuneOptions::default()
+        };
+        // The same tune twice on a cache too small for what it simulates.
+        let cache = Arc::new(SimCache::bounded(3));
+        let cold = tune_with_predictor(&def, &spec, &predictor, &opts(&cache)).unwrap();
+        let after_cold = cache.stats();
+        let before = builds();
+        let warm = tune_with_predictor(&def, &spec, &predictor, &opts(&cache)).unwrap();
+        assert_eq!(bits(&warm), bits(&cold));
+        assert!(builds() > before, "flushed requests must build again");
+        assert!(
+            cache.stats().misses > after_cold.misses,
+            "and simulate again"
+        );
+
+        // What the two tunes count when every trial is built and
+        // submitted without a request key — the path before recall.
+        let reference = Arc::new(SimCache::bounded(3));
+        let session = session(
+            FidelitySpec::Accurate.build(&spec.hierarchy).unwrap(),
+            &opts(&reference),
+        )
+        .unwrap();
+        let builder = KernelBuilder::new(def, spec.isa);
+        for batch in cold.history.chunks(4).chain(warm.history.chunks(4)) {
+            let exes: Vec<_> = batch
+                .iter()
+                .map(|r| builder.build(&r.schedule, "reference").unwrap())
+                .collect();
+            session.run(&exes);
+        }
+        assert_eq!(cache.stats(), reference.stats());
     }
 
     fn trained_predictor(def: &ComputeDef, spec: &TargetSpec) -> ScorePredictor {

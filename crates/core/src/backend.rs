@@ -67,10 +67,10 @@
 //! # }
 //! ```
 
-use crate::memo::SimCache;
+use crate::memo::{RequestKey, RequestKeys, SimCache};
 use crate::metrics::WorkerPoolStats;
 use crate::pool::{Batch, BatchCtx, BatchTicket, InflightMap, WorkerPool};
-use crate::{CoreError, FidelitySpec};
+use crate::{CoreError, FidelitySpec, KernelBuilder};
 use simtune_cache::{CacheConfig, CacheHierarchy, CacheStats, HierarchyConfig, HierarchyStats};
 use simtune_hw::CycleBreakdown;
 use simtune_isa::{
@@ -745,6 +745,18 @@ impl SimSession {
     /// workers while the caller is free to prepare the next batch.
     /// [`BatchTicket::wait`] returns results in submission order.
     pub fn submit(&self, exes: Vec<Executable>) -> BatchTicket {
+        self.submit_keyed(exes, &[])
+    }
+
+    /// [`SimSession::submit`] for executables built from requests:
+    /// `requests` is empty or holds the request key of each executable,
+    /// and the memo records which program each request built, so the
+    /// next [`SimSession::recall`] of that request needs no build.
+    pub(crate) fn submit_keyed(
+        &self,
+        exes: Vec<Executable>,
+        requests: &[RequestKey],
+    ) -> BatchTicket {
         let ctx = BatchCtx {
             backend: self.backend.clone(),
             limits: self.limits,
@@ -754,11 +766,41 @@ impl SimSession {
             lane: self.lane,
             tenant: self.tenant.clone(),
         };
-        let batch = Batch::plan(ctx, exes);
+        let batch = Batch::plan(ctx, exes, requests);
         if batch.n_tasks() > 0 {
             self.pool.enqueue(batch.clone());
         }
         BatchTicket::new(batch, self.pool.clone())
+    }
+
+    /// Request keys for `builder`'s candidates on this session, when it
+    /// memoizes (a memo cache and a backend with a fidelity digest);
+    /// `None` otherwise, and then nothing can be recalled.
+    pub(crate) fn request_keys(&self, builder: &KernelBuilder) -> Option<RequestKeys> {
+        self.memo.as_ref()?;
+        let digest = self.backend.fidelity_digest()?;
+        Some(RequestKeys::new(
+            builder,
+            &digest,
+            &self.limits,
+            self.engine,
+        ))
+    }
+
+    /// The memoized report of the program `request` built, counted as
+    /// the memo hit submitting that program would have counted (on the
+    /// cache and on the tenant). `None` — counting nothing — when the
+    /// request is unknown or its report is not resident: the caller
+    /// builds and submits it, and the submission counts the outcome.
+    pub(crate) fn recall(&self, request: &RequestKey) -> Option<SimReport> {
+        let memo = self.memo.as_ref()?;
+        let report = memo.recall(request)?;
+        memo.note_hit();
+        if let Some(t) = &self.tenant {
+            t.memo_hits
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+        Some(report)
     }
 
     /// Runs every executable on the session's persistent worker pool,

@@ -75,10 +75,37 @@
 //! Hit/miss counters are surfaced as
 //! [`MemoCacheStats`](crate::metrics::MemoCacheStats) through
 //! [`SimCache::stats`].
+//!
+//! # Request keys
+//!
+//! A fingerprint needs the built program, and building costs more than
+//! everything else a warm trial does. So the tuning loop also keys a
+//! candidate *before* it builds it: a 16-byte request key, the same
+//! SipHash-1-3 over the
+//! [`ComputeDef`](simtune_tensor::ComputeDef) (its `Debug` text), the
+//! schedule's fields, the target ISA, the builder's `data_seed` and the
+//! session context the fingerprint covers (fidelity digest,
+//! `max_insts`, engine label). Beside its shards the cache keeps one map
+//! from request key to the program fingerprint that request built. The
+//! contract runs one way: equal request keys build equal programs, so
+//! they share a fingerprint; several requests may still build one
+//! program. A request whose mapping and report are both resident is
+//! answered without building, fingerprinting or submitting anything
+//! (the session-score evaluator of `crate::autotune`, through
+//! `SimSession::recall`); otherwise it builds and submits as before, and
+//! `Batch::plan` records the mapping from the fingerprint it computes
+//! anyway.
+//!
+//! The map lives in memory only. It is cleared whenever the shards are,
+//! is not written to snapshots (a server booted from one rebuilds each
+//! distinct request once and simulates nothing), and needs no codegen
+//! version: a process only ever meets its own code generator.
 
 use crate::metrics::{MemoCacheStats, SnapshotStats};
+use crate::runner::KernelBuilder;
 use crate::SimReport;
 use simtune_isa::{EngineKind, Executable, RunLimits};
+use simtune_tensor::{Schedule, SubVar, VarRef};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -112,6 +139,8 @@ const DEFAULT_SHARDS: usize = 16;
 /// execution, so within one session a fingerprint simulates at most
 /// once and the hit/miss counters are deterministic at every
 /// `n_parallel` (for unbounded caches; see `crates/core/src/pool.rs`).
+/// A tuning loop answers a revisited candidate before building it, from
+/// the [request-key](self#request-keys) map kept beside the shards.
 ///
 /// # Capacity and eviction
 ///
@@ -162,10 +191,15 @@ const DEFAULT_SHARDS: usize = 16;
 /// One lock stripe: fingerprint → memoized report.
 type Shard = Mutex<HashMap<Vec<u8>, SimReport>>;
 
+/// A candidate's key before it is built (see the module docs).
+pub(crate) type RequestKey = [u8; 16];
+
 pub struct SimCache {
     shards: Box<[Shard]>,
     /// `shards.len() - 1`; the shard count is a power of two.
     mask: usize,
+    /// Request key → fingerprint of the program that request built.
+    requests: Mutex<HashMap<RequestKey, [u8; 16]>>,
     max_entries: Option<usize>,
     /// Resident entries across all shards, maintained on insert/flush
     /// so the bounded-capacity check never locks every stripe.
@@ -216,6 +250,7 @@ impl SimCache {
         SimCache {
             shards: (0..count).map(|_| Mutex::new(HashMap::new())).collect(),
             mask: count - 1,
+            requests: Mutex::new(HashMap::new()),
             max_entries: None,
             resident: AtomicUsize::new(0),
             hits: AtomicU64::new(0),
@@ -341,24 +376,49 @@ impl SimCache {
     }
 
     /// Locks every shard in index order (the one consistent order, so
-    /// two concurrent flushes cannot deadlock) and clears them all.
+    /// two concurrent flushes cannot deadlock) and clears them all, and
+    /// the request map with them.
     fn flush_all(&self) {
         let mut guards: Vec<MutexGuard<'_, _>> =
             self.shards.iter().map(|s| relock(s.lock())).collect();
         for guard in &mut guards {
             guard.clear();
         }
+        relock(self.requests.lock()).clear();
         self.resident.store(0, Ordering::Relaxed);
     }
 
-    /// Clones every resident entry, shard by shard — the snapshot
-    /// writer's view. Entries inserted concurrently may or may not be
+    /// The resident report of the program `request` built, without
+    /// touching the counters; `None` when the request was never recorded
+    /// or its report is not resident (in flight, failed or flushed).
+    pub(crate) fn recall(&self, request: &RequestKey) -> Option<SimReport> {
+        let program = *relock(self.requests.lock()).get(request)?;
+        self.peek(&program)
+    }
+
+    /// Records that `request` built the program fingerprinted `program`.
+    /// A bounded cache holds at most `max_entries` of these too, and
+    /// starts the map over when it is full: a forgotten request only
+    /// builds again.
+    pub(crate) fn remember(&self, request: RequestKey, program: &[u8]) {
+        let mut fingerprint = [0u8; 16];
+        fingerprint.copy_from_slice(program);
+        let mut requests = relock(self.requests.lock());
+        if self.max_entries.is_some_and(|cap| requests.len() >= cap)
+            && !requests.contains_key(&request)
+        {
+            requests.clear();
+        }
+        requests.insert(request, fingerprint);
+    }
+
+    /// Every resident fingerprint, shard by shard — the snapshot
+    /// writer's index. Entries inserted concurrently may or may not be
     /// included; each shard is internally consistent.
-    pub(crate) fn export_entries(&self) -> Vec<(Vec<u8>, SimReport)> {
+    pub(crate) fn export_keys(&self) -> Vec<Vec<u8>> {
         let mut out = Vec::new();
         for shard in self.shards.iter() {
-            let map = relock(shard.lock());
-            out.extend(map.iter().map(|(k, v)| (k.clone(), v.clone())));
+            out.extend(relock(shard.lock()).keys().cloned());
         }
         out
     }
@@ -448,6 +508,7 @@ impl SimCache {
 /// endianness or `std::hash`'s unspecified internals. The unit tests
 /// check the 2-4 instance against the reference implementation's
 /// vectors.
+#[derive(Clone)]
 struct SipHash128<const C: usize, const D: usize> {
     v: [u64; 4],
     words: u64,
@@ -586,6 +647,78 @@ pub fn fingerprint(
         }
     }
     h.finish().to_vec()
+}
+
+/// The request keys of one tuning run (see [request keys](self#request-keys)):
+/// the kernel, target, data seed and session context are hashed once,
+/// and each candidate's schedule onto a copy of that prefix.
+pub(crate) struct RequestKeys {
+    prefix: Digest128,
+}
+
+impl RequestKeys {
+    /// Keys for `builder`'s candidates on a session with this fidelity
+    /// digest, limits and engine.
+    pub(crate) fn new(
+        builder: &KernelBuilder,
+        fidelity_digest: &str,
+        limits: &RunLimits,
+        engine: EngineKind,
+    ) -> Self {
+        let mut h = Digest128::keyed(0, 0);
+        // A request key never leaves the process, so `Debug` text is a
+        // faithful enough encoding of the kernel and the target.
+        h.bytes(format!("{:?}", builder.def()).as_bytes());
+        h.bytes(format!("{:?}", builder.target()).as_bytes());
+        h.word(builder.data_seed);
+        h.bytes(fidelity_digest.as_bytes());
+        h.word(limits.max_insts);
+        h.bytes(engine.label().as_bytes());
+        RequestKeys { prefix: h }
+    }
+
+    /// The key of building `schedule`: every field, length-prefixed.
+    pub(crate) fn key(&self, schedule: &Schedule) -> RequestKey {
+        let mut h = self.prefix.clone();
+        h.word(schedule.splits.len() as u64);
+        for split in &schedule.splits {
+            hash_var(&mut h, split.var);
+            h.word(split.factors.len() as u64);
+            for &factor in &split.factors {
+                h.word(factor as u64);
+            }
+        }
+        for subs in [&schedule.order, &schedule.unroll] {
+            h.word(subs.len() as u64);
+            for &sub in subs {
+                hash_sub(&mut h, sub);
+            }
+        }
+        for annotation in [schedule.vectorize, schedule.parallel] {
+            match annotation {
+                None => h.word(0),
+                Some(sub) => {
+                    h.word(1);
+                    hash_sub(&mut h, sub);
+                }
+            }
+        }
+        h.finish()
+    }
+}
+
+fn hash_var(h: &mut Digest128, var: VarRef) {
+    let (kind, axis) = match var {
+        VarRef::Spatial(axis) => (0, axis),
+        VarRef::Reduce(axis) => (1, axis),
+    };
+    h.word(kind);
+    h.word(axis as u64);
+}
+
+fn hash_sub(h: &mut Digest128, sub: SubVar) {
+    hash_var(h, sub.var);
+    h.word(sub.piece as u64);
 }
 
 #[cfg(test)]
@@ -779,5 +912,147 @@ mod tests {
     fn custom_backends_opt_out_by_default() {
         let opaque = crate::backend::stub::StubBackend::marker("opaque");
         assert_eq!(opaque.fidelity_digest(), None);
+    }
+
+    const DIGEST: &str = "accurate @ cfg";
+
+    fn request_keys(builder: &KernelBuilder) -> RequestKeys {
+        RequestKeys::new(builder, DIGEST, &RunLimits::default(), EngineKind::Decoded)
+    }
+
+    /// The one-way contract: over the conv groups, matmul, sketch and
+    /// template schedules, on both targets, every schedule built twice
+    /// by two builders — equal request keys always fingerprint equal.
+    #[test]
+    fn request_key_contract_equal_keys_build_equal_programs() {
+        use rand::{rngs::StdRng, SeedableRng};
+        use simtune_tensor::{
+            conv2d_bias_relu, matmul, ConfigSpace, Conv2dShape, SketchGenerator, TargetIsa,
+        };
+        let convs = Conv2dShape::paper_groups()
+            .into_iter()
+            .map(|g| (conv2d_bias_relu(&g.scaled(8, 8)), true));
+        let defs: Vec<_> = convs.chain([(matmul(8, 8, 8), false)]).collect();
+        for target in [TargetIsa::riscv_u74(), TargetIsa::x86_ryzen_5800x()] {
+            for (def, conv) in &defs {
+                let generator = SketchGenerator::new(def, target.clone());
+                let mut rng = StdRng::seed_from_u64(7);
+                let mut schedules: Vec<Schedule> = (0..10)
+                    .map(|_| generator.schedule(&generator.random(&mut rng)))
+                    .collect();
+                let space = if *conv {
+                    ConfigSpace::conv2d(def, &target)
+                } else {
+                    ConfigSpace::matmul(def, &target)
+                };
+                schedules.extend((0..6).filter_map(|i| {
+                    let cfg = space.config_from_index(i * 7 % space.len());
+                    space.schedule(def, &cfg).ok()
+                }));
+                let keys = request_keys(&KernelBuilder::new(def.clone(), target.clone()));
+                let mut programs: HashMap<RequestKey, Option<Vec<u8>>> = HashMap::new();
+                for schedule in schedules.iter().chain(&schedules) {
+                    let builder = KernelBuilder::new(def.clone(), target.clone());
+                    let program = builder.build(schedule, "contract").ok().map(|exe| {
+                        fingerprint(&exe, DIGEST, &RunLimits::default(), EngineKind::Decoded)
+                    });
+                    let known = programs
+                        .entry(keys.key(schedule))
+                        .or_insert(program.clone());
+                    assert_eq!(
+                        *known, program,
+                        "{} on {}: one request key, two programs",
+                        def.name, target.name
+                    );
+                }
+                assert!(programs.len() > 1, "the schedules must differ");
+            }
+        }
+    }
+
+    #[test]
+    fn request_key_covers_every_component() {
+        use simtune_tensor::{matmul, Split, TargetIsa};
+        let def = matmul(8, 8, 8);
+        let builder = KernelBuilder::new(def.clone(), TargetIsa::riscv_u74());
+        let mut base = Schedule::default_for(&def);
+        base.splits.push(Split {
+            var: VarRef::Spatial(0),
+            factors: vec![2],
+        });
+        let key = |b: &KernelBuilder, s: &Schedule| request_keys(b).key(s);
+        let reference = key(&builder, &base);
+        assert_eq!(reference, key(&builder.clone(), &base.clone()));
+
+        let mut others = Vec::new();
+        others.push(key(
+            &KernelBuilder::new(matmul(8, 8, 9), TargetIsa::riscv_u74()),
+            &base,
+        ));
+        others.push(key(
+            &KernelBuilder::new(def.clone(), TargetIsa::x86_ryzen_5800x()),
+            &base,
+        ));
+        let mut reseeded = builder.clone();
+        reseeded.data_seed += 1;
+        others.push(key(&reseeded, &base));
+        let limits = RunLimits::default();
+        for digest in ["accurate @ other-cfg", "fast-count @ line_bytes=64"] {
+            others
+                .push(RequestKeys::new(&builder, digest, &limits, EngineKind::Decoded).key(&base));
+        }
+        let short = RunLimits { max_insts: 5 };
+        others.push(RequestKeys::new(&builder, DIGEST, &short, EngineKind::Decoded).key(&base));
+        for engine in [EngineKind::Interp, EngineKind::Threaded, EngineKind::Batch] {
+            others.push(RequestKeys::new(&builder, DIGEST, &limits, engine).key(&base));
+        }
+        let edits: [fn(&mut Schedule); 7] = [
+            |s| s.splits[0].factors[0] = 4,
+            |s| s.splits[0].var = VarRef::Spatial(1),
+            |s| s.splits.clear(),
+            |s| s.order.swap(0, 1),
+            |s| s.unroll.push(s.order[2]),
+            |s| s.vectorize = Some(s.order[2]),
+            |s| s.parallel = Some(s.order[0]),
+        ];
+        for edit in edits {
+            let mut schedule = base.clone();
+            edit(&mut schedule);
+            others.push(key(&builder, &schedule));
+        }
+        let mut repieced = base.clone();
+        repieced.order[0].piece = 1;
+        others.push(key(&builder, &repieced));
+
+        for (i, other) in others.iter().enumerate() {
+            assert_ne!(*other, reference, "variant {i} kept the key");
+        }
+        let distinct: std::collections::HashSet<_> = others.iter().collect();
+        assert_eq!(distinct.len(), others.len(), "two variants share a key");
+    }
+
+    #[test]
+    fn recall_needs_the_mapping_and_the_report() {
+        let cache = SimCache::bounded(2);
+        let report = SimReport::full(SimStats::default(), "accurate");
+        let program = key_of(&exe("e", 1, vec![]));
+        let request = [7u8; 16];
+        assert!(cache.recall(&request).is_none(), "never recorded");
+        cache.remember(request, &program);
+        assert!(cache.recall(&request).is_none(), "recorded, not resident");
+        cache.insert(program.clone(), report.clone());
+        assert_eq!(cache.recall(&request), Some(report.clone()));
+        assert_eq!(cache.stats().lookups(), 0, "a recall counts nothing itself");
+        // A flush drops the mapping with the reports.
+        cache.clear();
+        cache.insert(program, report);
+        assert!(cache.recall(&request).is_none(), "flushed with the shards");
+        // A bounded map starts over when a new request finds it full.
+        let requests = [[1u8; 16], [2u8; 16], [3u8; 16]];
+        for r in requests {
+            cache.remember(r, &key_of(&exe("e", 1, vec![])));
+        }
+        assert!(cache.recall(&requests[0]).is_none());
+        assert!(cache.recall(&requests[2]).is_some());
     }
 }

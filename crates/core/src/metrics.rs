@@ -167,8 +167,9 @@ impl WorkerPoolStats {
 /// and surfaced on [`crate::TuneResult::timings`].
 ///
 /// With a pipeline-safe strategy the loop lowers batch *k+1* while
-/// batch *k* simulates, so `sim_nanos` — the time the producer actually
-/// *blocked* on simulation tickets — shrinks as overlap improves; the
+/// batch *k* simulates, so `sim_nanos` — the time the producer spent
+/// submitting and actually *blocked* on simulation tickets — shrinks as
+/// overlap improves; the
 /// simulation cost hidden behind the build stage never appears here.
 /// Compare with [`WorkerPoolStats::busy_nanos`] to see how much
 /// simulation ran in the shadow of other stages.
@@ -178,7 +179,9 @@ pub struct StageTimings {
     pub propose_nanos: u64,
     /// Time spent lowering/building candidates into executables.
     pub build_nanos: u64,
-    /// Time the producer blocked waiting on simulation results.
+    /// Time the producer spent submitting to, and blocked on, the
+    /// simulator: memo planning, fingerprints and enqueueing at submit,
+    /// then the wait for results.
     pub sim_nanos: u64,
     /// Time spent scoring results and feeding strategies back.
     pub score_nanos: u64,

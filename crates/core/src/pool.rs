@@ -34,9 +34,15 @@
 //! in flight, and a *failed* leader is deliberately not memoized, so in
 //! those two corner cases the counters — never the results — can vary
 //! with timing.)
+//!
+//! A tuning run may settle a hit even earlier: when the memo maps the
+//! candidate's request key to a resident report, `SimSession::recall`
+//! answers it before it is built, counting the same hit, and it never
+//! reaches `Batch::plan`. Every other candidate arrives here as before,
+//! with its request key, which the plan records against the fingerprint.
 
 use crate::backend::{SimBackend, SimReport};
-use crate::memo::{fingerprint, SimCache};
+use crate::memo::{fingerprint, RequestKey, SimCache};
 use crate::metrics::{PredictorStats, WorkerPoolStats};
 use crate::CoreError;
 use simtune_isa::{EngineKind, Executable, RunLimits};
@@ -170,7 +176,14 @@ impl Batch {
     /// Plans a batch on the submitting thread: memo lookups and
     /// in-flight deduplication happen here, in submission order, so the
     /// cache's hit/miss decision is independent of worker timing.
-    pub(crate) fn plan(ctx: BatchCtx, exes: Vec<Executable>) -> Arc<Batch> {
+    /// `requests` is empty or holds the request key each executable was
+    /// built for; with a memo, each is recorded against the
+    /// executable's fingerprint.
+    pub(crate) fn plan(
+        ctx: BatchCtx,
+        exes: Vec<Executable>,
+        requests: &[RequestKey],
+    ) -> Arc<Batch> {
         let n = exes.len();
         let mut plans = Vec::with_capacity(n);
         let mut tasks = Vec::new();
@@ -180,6 +193,9 @@ impl Batch {
             let plan = match &memo_cfg {
                 Some((cache, digest)) => {
                     let key = fingerprint(exe, digest, &ctx.limits, ctx.engine);
+                    if let Some(&request) = requests.get(i) {
+                        cache.remember(request, &key);
+                    }
                     // Hold the in-flight lock across the cache probe so a
                     // leader finishing concurrently is seen in exactly one
                     // of the two places (it inserts into the cache before
@@ -605,7 +621,7 @@ mod tests {
         for round in 0..16 {
             let names: Vec<String> = (0..9).map(|i| "x".repeat(round * 9 + i + 1)).collect();
             let exes: Vec<Executable> = names.iter().map(|n| exe(n)).collect();
-            let batch = Batch::plan(ctx(None), exes);
+            let batch = Batch::plan(ctx(None), exes, &[]);
             pool.enqueue(batch.clone());
             let out = BatchTicket::new(batch, pool.clone()).wait();
             for (name, r) in names.iter().zip(out) {
@@ -623,14 +639,14 @@ mod tests {
     fn panicking_backend_yields_an_error_not_a_hang() {
         let pool = WorkerPool::new(2);
         let exes = vec![exe("ok1"), exe("boom"), exe("ok2")];
-        let batch = Batch::plan(ctx(Some("boom")), exes);
+        let batch = Batch::plan(ctx(Some("boom")), exes, &[]);
         pool.enqueue(batch.clone());
         let out = BatchTicket::new(batch, pool.clone()).wait();
         assert!(out[0].is_ok());
         assert!(matches!(out[1], Err(CoreError::Pipeline(_))));
         assert!(out[2].is_ok());
         // The pool survives the panic and keeps serving batches.
-        let batch = Batch::plan(ctx(None), vec![exe("after")]);
+        let batch = Batch::plan(ctx(None), vec![exe("after")], &[]);
         pool.enqueue(batch.clone());
         assert!(BatchTicket::new(batch, pool.clone()).wait()[0].is_ok());
     }
@@ -638,7 +654,7 @@ mod tests {
     #[test]
     fn dropping_the_pool_joins_workers() {
         let pool = WorkerPool::new(3);
-        let batch = Batch::plan(ctx(None), vec![exe("a"), exe("b")]);
+        let batch = Batch::plan(ctx(None), vec![exe("a"), exe("b")], &[]);
         pool.enqueue(batch.clone());
         BatchTicket::new(batch, pool).wait();
         // Drop happened here; reaching this line without hanging is the
@@ -864,14 +880,17 @@ mod tests {
         let a1 = Batch::plan(
             gated_ctx(0, Some(t0.clone())),
             (0..4).map(|i| exe(&format!("a{i}"))).collect(),
+            &[],
         );
         let a2 = Batch::plan(
             gated_ctx(0, Some(t0.clone())),
             (4..8).map(|i| exe(&format!("a{i}"))).collect(),
+            &[],
         );
         let b = Batch::plan(
             gated_ctx(1, Some(t1.clone())),
             (0..4).map(|i| exe(&format!("b{i}"))).collect(),
+            &[],
         );
         pool.enqueue(a1.clone());
         pool.enqueue(a2.clone());

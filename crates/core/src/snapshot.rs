@@ -231,6 +231,29 @@ struct PersistedEntry {
     cycles: Option<[u64; 3]>,
 }
 
+impl PersistedEntry {
+    fn new(key: &[u8], report: SimReport) -> Self {
+        PersistedEntry {
+            key: encode_hex(key),
+            backend: report.backend,
+            extrapolated: report.extrapolated,
+            stats: (&report.stats).into(),
+            cycles: report.cycles.map(|c| {
+                [
+                    c.pipeline.to_bits(),
+                    c.memory.to_bits(),
+                    c.control.to_bits(),
+                ]
+            }),
+        }
+    }
+}
+
+/// About what one entry of a bundled tier takes in the document.
+const ENTRY_BYTES: usize = 352;
+
+/// The snapshot document. [`SimCache::save_to`] writes its encoding
+/// entry by entry; the reader parses it whole.
 #[derive(Debug, Serialize, Deserialize)]
 struct PersistedSnapshot {
     schema: String,
@@ -306,29 +329,29 @@ impl SimCache {
     ///
     /// Propagates filesystem errors; serialization itself cannot fail.
     pub fn save_to(&self, path: &Path) -> io::Result<usize> {
-        let mut entries = self.export_entries();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        let persisted = PersistedSnapshot {
-            schema: SNAPSHOT_SCHEMA.to_string(),
-            entries: entries
-                .iter()
-                .map(|(key, report)| PersistedEntry {
-                    key: encode_hex(key),
-                    backend: report.backend.clone(),
-                    extrapolated: report.extrapolated,
-                    stats: (&report.stats).into(),
-                    cycles: report.cycles.as_ref().map(|c| {
-                        [
-                            c.pipeline.to_bits(),
-                            c.memory.to_bits(),
-                            c.control.to_bits(),
-                        ]
-                    }),
-                })
-                .collect(),
-        };
-        let n = persisted.entries.len();
-        let json = serde_json::to_string(&persisted)?;
+        // The document of `PersistedSnapshot`, serialized one entry at a
+        // time into one buffer: besides the key list, the text is the
+        // only copy of the cache a save holds, so a server saving after
+        // every batch of requests keeps no second cache resident.
+        let mut keys = self.export_keys();
+        keys.sort_unstable();
+        let mut json = String::with_capacity(64 + keys.len() * ENTRY_BYTES);
+        json.push_str("{\"schema\":");
+        SNAPSHOT_SCHEMA.serialize(&mut json);
+        json.push_str(",\"entries\":[");
+        let mut n = 0;
+        for key in &keys {
+            // An entry flushed since the keys were listed is left out.
+            let Some(report) = self.peek(key) else {
+                continue;
+            };
+            if n > 0 {
+                json.push(',');
+            }
+            PersistedEntry::new(key, report).serialize(&mut json);
+            n += 1;
+        }
+        json.push_str("]}");
         atomic_write(path, json.as_bytes())?;
         self.snap_saved.fetch_add(1, Ordering::Relaxed);
         Ok(n)
@@ -600,6 +623,41 @@ mod tests {
         assert_eq!(std::fs::read(&pa).unwrap(), std::fs::read(&pb).unwrap());
         std::fs::remove_file(&pa).ok();
         std::fs::remove_file(&pb).ok();
+    }
+
+    #[test]
+    fn a_streamed_save_is_the_serialized_document() {
+        let cache = SimCache::with_shards(4);
+        let tiers = ["accurate", "sampled", "pipelined", "fast-count"];
+        for i in 0..12u8 {
+            cache.insert(
+                vec![i.wrapping_mul(37), i],
+                report(i.into(), tiers[i as usize % 4]),
+            );
+        }
+        let path = tmp("streamed.json");
+        assert_eq!(cache.save_to(&path).unwrap(), 12);
+        let mut keys = cache.export_keys();
+        keys.sort();
+        let whole = PersistedSnapshot {
+            schema: SNAPSHOT_SCHEMA.to_string(),
+            entries: keys
+                .iter()
+                .map(|k| PersistedEntry::new(k, cache.peek(k).unwrap()))
+                .collect(),
+        };
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            serde_json::to_string(&whole).unwrap()
+        );
+        std::fs::remove_file(&path).ok();
+        // An empty cache writes an empty document.
+        SimCache::new().save_to(&path).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            format!(r#"{{"schema":"{SNAPSHOT_SCHEMA}","entries":[]}}"#)
+        );
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

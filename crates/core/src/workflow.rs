@@ -7,7 +7,7 @@ use crate::metrics::{prediction_metrics, PredictionMetrics};
 use crate::runner::{HardwareRunner, KernelBuilder};
 use crate::score::{GroupData, ScorePredictor};
 use crate::search::{RandomSearch, SearchStrategy, SketchSpace};
-use crate::CoreError;
+use crate::{CoreError, FidelitySpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simtune_hw::TargetSpec;
@@ -58,6 +58,33 @@ pub fn collect_group_data(
     group_id: usize,
     opts: &CollectOptions,
 ) -> Result<GroupData, CoreError> {
+    let session = SimSession::builder()
+        .accurate(&spec.hierarchy)
+        .n_parallel(opts.n_parallel)
+        .memo_cache_opt(opts.memo_cache.clone())
+        .build()?;
+    collect_group_data_on(def, spec, group_id, opts, &session)
+}
+
+/// [`collect_group_data`] on a caller-provided session instead of a
+/// freshly built one — what a [`crate::SimService`] tenant uses, so its
+/// training collection runs on its own lane of the shared pool and
+/// shows in its counters. `opts.n_parallel` and `opts.memo_cache` are
+/// ignored in favor of the session's pool and cache. The samples are
+/// simulated on the accurate tier, with the session's limits and engine,
+/// whatever backend the session itself drives: predictors are fit
+/// against accurate cache statistics.
+///
+/// # Errors
+///
+/// Same conditions as [`collect_group_data`].
+pub fn collect_group_data_on(
+    def: &ComputeDef,
+    spec: &TargetSpec,
+    group_id: usize,
+    opts: &CollectOptions,
+    session: &SimSession,
+) -> Result<GroupData, CoreError> {
     let generator = SketchGenerator::new(def, spec.isa.clone());
     // Sample distinct, valid schedules through the shared RandomSearch
     // strategy — the same sampling loop that used to live inline here,
@@ -100,15 +127,11 @@ pub fn collect_group_data(
     // Build and simulate, pipelined: executables are submitted to the
     // session's persistent pool chunk-wise, so chunk k simulates in
     // parallel (Contribution I) while chunk k+1 is still being built on
-    // this thread. Training labels must come from the reference
-    // backend: predictors are fit against accurate cache statistics.
-    let sim = SimSession::builder()
-        .accurate(&spec.hierarchy)
-        .n_parallel(opts.n_parallel)
-        .memo_cache_opt(opts.memo_cache.clone())
-        .build()?;
+    // this thread.
+    let accurate = FidelitySpec::Accurate.build(&spec.hierarchy)?;
+    let sim = session.on_backend(accurate, session.engine());
     let builder = KernelBuilder::new(def.clone(), spec.isa.clone());
-    let chunk_len = (opts.n_parallel.max(1) * 4).max(8);
+    let chunk_len = (sim.n_parallel() * 4).max(8);
     let mut exes = Vec::new();
     let mut descriptions = Vec::new();
     let mut tickets = Vec::new();

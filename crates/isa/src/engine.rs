@@ -30,8 +30,8 @@ pub enum EngineKind {
     Threaded,
     /// A label with no engine of its own: its trials replay on
     /// [`crate::DecodedEngine`] and return `Decoded`'s bits. The name
-    /// stays while memo fingerprints, `--engine batch` and the benchmark
-    /// ledger row `isa.mips.batch` carry it, and leaves with that row.
+    /// stays while memo fingerprints and the benchmark ledger row
+    /// `isa.mips.batch` carry it, and leaves with that row.
     Batch,
 }
 

@@ -47,14 +47,16 @@ impl Default for GbtConfig {
     }
 }
 
-/// A node of a regression tree, stored in a flat arena.
+/// A node of a regression tree, stored in a flat arena. Indices are
+/// `u32` so a node takes 24 bytes, not 40: a fitted 300-tree model is
+/// resident for as long as it scores, and a tree never nears 2³² nodes.
 #[derive(Debug, Clone)]
 enum Node {
     Split {
-        feature: usize,
+        feature: u32,
         threshold: f64,
-        left: usize,
-        right: usize,
+        left: u32,
+        right: u32,
     },
     Leaf {
         weight: f64,
@@ -63,7 +65,7 @@ enum Node {
 
 #[derive(Debug, Clone)]
 struct Tree {
-    nodes: Vec<Node>,
+    nodes: Box<[Node]>,
 }
 
 impl Tree {
@@ -78,10 +80,10 @@ impl Tree {
                     left,
                     right,
                 } => {
-                    at = if row[*feature] < *threshold {
-                        *left
+                    at = if row[*feature as usize] < *threshold {
+                        *left as usize
                     } else {
-                        *right
+                        *right as usize
                     };
                 }
             }
@@ -225,10 +227,10 @@ impl GbtRegressor {
         let left = self.grow(x, grad, hess, &left_rows, features, depth + 1, nodes);
         let right = self.grow(x, grad, hess, &right_rows, features, depth + 1, nodes);
         nodes[slot] = Node::Split {
-            feature,
+            feature: feature as u32,
             threshold,
-            left,
-            right,
+            left: left as u32,
+            right: right as u32,
         };
         slot
     }
@@ -280,7 +282,10 @@ impl Regressor for GbtRegressor {
             let mut nodes = Vec::new();
             let root = self.grow(x, &grad, &hess, &rows, &feats, 0, &mut nodes);
             debug_assert_eq!(root, 0);
-            let tree = Tree { nodes };
+            // Exactly sized: the growth slack of 300 trees adds up.
+            let tree = Tree {
+                nodes: nodes.into_boxed_slice(),
+            };
             for (i, p) in pred.iter_mut().enumerate() {
                 *p += self.config.learning_rate * tree.predict(x.row(i));
             }
