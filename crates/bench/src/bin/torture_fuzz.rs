@@ -20,9 +20,9 @@
 //!
 //! `--fidelity <spec>` (any `simtune_core::FidelitySpec` string, e.g.
 //! `pipelined` or `pipelined:btb=64,ras=4`) adds a focus lane: every
-//! case is also replayed on that tier across all engines and must
-//! report bit-identically, cycles included — the nightly long-fuzz
-//! matrix runs one lane per tier this way.
+//! case is also replayed on that tier on the decoded engine and must
+//! report bit-identically to its interp run, cycles included — the
+//! nightly long-fuzz matrix runs one lane per tier this way.
 //!
 //! `--replay` re-runs one journaled case verbosely (the workflow for a
 //! failure found by the long-fuzz lane: copy the `scenario:seed` from

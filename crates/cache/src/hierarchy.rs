@@ -162,9 +162,10 @@ impl CacheHierarchy {
 
     /// Instruction fetch: read against L1I, then the unified levels.
     pub fn fetch(&mut self, addr: u64) -> ServicedBy {
-        // Not `fetch_run(addr, 1).0`: the per-instruction engines make
-        // this call at every retirement, and a run's bookkeeping measured
-        // ~3 ns on each.
+        // Not `fetch_run(addr, 1).0`: the interpreter — the one
+        // per-instruction engine, the oracle the block loop is diffed
+        // against — makes this call at every retirement, and a run's
+        // bookkeeping measured ~3 ns on each.
         if let Some(c) = &mut self.counting {
             c.fetches += 1;
             self.dram_reads += 1;

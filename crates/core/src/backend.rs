@@ -5,11 +5,13 @@
 //! *simulator-agnostic*: anything that can execute a candidate and
 //! report statistics may sit behind `auto_scheduler.local_runner.run`,
 //! trading fidelity for speed. This module turns that claim into a
-//! first-class API built around three pieces:
+//! first-class API built around two pieces:
 //!
 //! * [`SimBackend`] — the trait every simulator flavor implements:
-//!   `run_one(&Executable, &RunLimits) -> Result<SimReport, _>`;
-//! * [`BackendRegistry`] — a typed registry of named backends;
+//!   `run_one(&Executable, &RunLimits) -> Result<SimReport, _>`; a
+//!   bundled tier is picked by [`crate::FidelitySpec`]
+//!   ([`SimSessionBuilder::fidelity`]), any other simulator plugs in
+//!   through [`SimSessionBuilder::backend`];
 //! * [`SimSession`] — a builder-style entry point that pairs one
 //!   backend with a parallelism degree, run limits and an optional
 //!   [`SimCache`], re-exported from the `simtune` façade. Sessions
@@ -70,14 +72,13 @@
 use crate::memo::{RequestKey, RequestKeys, SimCache};
 use crate::metrics::WorkerPoolStats;
 use crate::pool::{Batch, BatchCtx, BatchTicket, InflightMap, WorkerPool};
-use crate::{CoreError, FidelitySpec, KernelBuilder};
+use crate::{CoreError, KernelBuilder};
 use simtune_cache::{CacheConfig, CacheHierarchy, CacheStats, HierarchyConfig, HierarchyStats};
 use simtune_hw::CycleBreakdown;
 use simtune_isa::{
     replay, DecodedProgram, EngineKind, Executable, InstMix, NoopHook, RunLimits, SimError,
     SimStats,
 };
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -179,8 +180,7 @@ impl SimReport {
 /// tiers put their one run body in [`SimBackend::run_one_decoded_on`]
 /// and their `run_one` merely decodes first.
 pub trait SimBackend: Send + Sync {
-    /// Stable name used as the registry key and stamped on every
-    /// [`SimReport`].
+    /// Stable name stamped on every [`SimReport`].
     fn name(&self) -> &str;
 
     /// Runs one executable from its raw form — the entry point of
@@ -202,7 +202,7 @@ pub trait SimBackend: Send + Sync {
     /// tier's sizing pass plus prefix pass) replay the same µop array.
     /// The default ignores both and delegates to
     /// [`SimBackend::run_one`] — correct for external backends with no
-    /// notion of the bundled replay ladder. All bundled engines are
+    /// notion of the bundled replay engines. The two bundled engines are
     /// bit-identical, so honoring the engine changes host speed only,
     /// never statistics.
     ///
@@ -515,109 +515,6 @@ pub(crate) fn extrapolate(prefix: &SimStats, total: u64, retired: u64) -> SimSta
     }
 }
 
-/// A typed registry of named simulator backends — where the paper's
-/// `register_func(..., override=True)` lands. Iteration order (and thus
-/// [`BackendRegistry::names`]) is the names' lexicographic order.
-#[derive(Default, Clone)]
-pub struct BackendRegistry {
-    backends: BTreeMap<String, Arc<dyn SimBackend>>,
-}
-
-impl fmt::Debug for BackendRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("BackendRegistry")
-            .field("registered", &self.names())
-            .finish()
-    }
-}
-
-impl BackendRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registry pre-populated with every bundled fidelity tier
-    /// ([`FidelitySpec::all`]) for `hierarchy`, each under its tier
-    /// label, the sampled tier at `sample_fraction`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BackendError::Config`] (as [`CoreError`]) for an
-    /// invalid `sample_fraction`.
-    pub fn with_defaults(
-        hierarchy: &HierarchyConfig,
-        sample_fraction: f64,
-    ) -> Result<Self, CoreError> {
-        let mut reg = BackendRegistry::new();
-        for spec in FidelitySpec::all() {
-            let spec = match spec {
-                FidelitySpec::Sampled { .. } => FidelitySpec::Sampled {
-                    fraction: sample_fraction,
-                },
-                other => other,
-            };
-            reg.register(spec.build(hierarchy)?, false)?;
-        }
-        Ok(reg)
-    }
-
-    /// Registers `backend` under its own [`SimBackend::name`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Registry`] when the name is taken and
-    /// overriding was not requested.
-    pub fn register(
-        &mut self,
-        backend: Arc<dyn SimBackend>,
-        override_existing: bool,
-    ) -> Result<(), CoreError> {
-        let name = backend.name().to_string();
-        self.register_as(&name, backend, override_existing)
-    }
-
-    /// Registers `backend` under an explicit `name` (aliases, A/B
-    /// experiments).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Registry`] when the name is taken and
-    /// overriding was not requested.
-    pub fn register_as(
-        &mut self,
-        name: &str,
-        backend: Arc<dyn SimBackend>,
-        override_existing: bool,
-    ) -> Result<(), CoreError> {
-        if self.backends.contains_key(name) && !override_existing {
-            return Err(CoreError::Registry { name: name.into() });
-        }
-        self.backends.insert(name.to_string(), backend);
-        Ok(())
-    }
-
-    /// Resolves a backend by name.
-    pub fn get(&self, name: &str) -> Option<Arc<dyn SimBackend>> {
-        self.backends.get(name).cloned()
-    }
-
-    /// Registered names, sorted.
-    pub fn names(&self) -> Vec<&str> {
-        self.backends.keys().map(String::as_str).collect()
-    }
-
-    /// Number of registered backends.
-    pub fn len(&self) -> usize {
-        self.backends.len()
-    }
-
-    /// True when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.backends.is_empty()
-    }
-}
-
 /// One configured simulation context: a backend plus parallelism, run
 /// limits and an optional memo cache — the runner of the paper's
 /// Listing 3, and what the autotuning loops drive.
@@ -865,7 +762,8 @@ impl fmt::Debug for SimSessionBuilder {
 impl SimSessionBuilder {
     /// Uses an explicit backend instance. Clears any deferred error from
     /// an earlier failed selection step, so fallback chains like
-    /// `from_registry(...).backend(...)` recover.
+    /// `fidelity(...).backend(...)` recover. This is how an external
+    /// simulator plugs in: `.backend(Arc::new(MySimulator))`.
     pub fn backend(mut self, backend: Arc<dyn SimBackend>) -> Self {
         self.backend = Some(backend);
         self.error = None;
@@ -895,18 +793,6 @@ impl SimSessionBuilder {
         self.backend(Arc::new(AccurateBackend::new(hierarchy.clone())))
     }
 
-    /// Resolves `name` in `registry`; a miss surfaces from
-    /// [`SimSessionBuilder::build`].
-    pub fn from_registry(mut self, registry: &BackendRegistry, name: &str) -> Self {
-        match registry.get(name) {
-            Some(b) => self.backend(b),
-            None => {
-                self.error = Some(CoreError::Registry { name: name.into() });
-                self
-            }
-        }
-    }
-
     /// Sets the number of parallel simulator instances — the worker
     /// threads the session's persistent pool spawns (clamped to at
     /// least 1).
@@ -930,12 +816,13 @@ impl SimSessionBuilder {
     }
 
     /// Selects the replay engine for every trial (default
-    /// [`EngineKind::Decoded`]). Bundled engines are bit-identical, so
-    /// this is purely a host-speed knob: [`EngineKind::Threaded`] lowers
-    /// each decoded program once more into threaded code, and
-    /// [`EngineKind::Batch`] is a label whose trials replay on the
-    /// decoded loop. Backends that do not understand the bundled ladder
-    /// ignore the selection.
+    /// [`EngineKind::Decoded`]). The two bundled engines are
+    /// bit-identical, so this is purely a host-speed knob:
+    /// [`EngineKind::Interp`] is the per-instruction oracle, and
+    /// [`EngineKind::Threaded`] and [`EngineKind::Batch`] are labels
+    /// whose trials replay on the decoded loop under their own memo key.
+    /// Backends that do not understand the bundled engines ignore the
+    /// selection.
     pub fn engine(mut self, engine: EngineKind) -> Self {
         self.engine = Some(engine);
         self
@@ -978,8 +865,8 @@ impl SimSessionBuilder {
     /// # Errors
     ///
     /// Returns [`CoreError::Pipeline`] when no backend was chosen, or the
-    /// deferred error of an invalid [`SimSessionBuilder::fidelity`] /
-    /// [`SimSessionBuilder::from_registry`] step.
+    /// deferred error of an invalid [`SimSessionBuilder::fidelity`]
+    /// step.
     pub fn build(self) -> Result<SimSession, CoreError> {
         if let Some(e) = self.error {
             return Err(e);
@@ -1093,27 +980,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_rejects_collisions_with_registry_error() {
-        let mut reg = BackendRegistry::with_defaults(&hier(), 0.5).unwrap();
-        // One roster: every `FidelitySpec::all()` tier, nothing else.
-        assert_eq!(
-            reg.names(),
-            ["accurate", "fast-count", "pipelined", "sampled"]
-        );
-        let err = reg
-            .register(Arc::new(AccurateBackend::new(hier())), false)
-            .unwrap_err();
-        assert!(matches!(err, CoreError::Registry { ref name } if name == "accurate"));
-        // Overriding is allowed when asked for.
-        reg.register(Arc::new(AccurateBackend::new(hier())), true)
-            .unwrap();
-        assert_eq!(reg.len(), FidelitySpec::all().len());
-        // The caller's sample fraction reaches the sampled tier.
-        let digest = reg.get("sampled").unwrap().fidelity_digest().unwrap();
-        assert!(digest.starts_with("sampled:fraction=0.5 @ "), "{digest}");
-    }
-
-    #[test]
     fn session_runs_parallel_and_preserves_order() {
         let exes = exes(6);
         let seq = SimSession::builder()
@@ -1145,15 +1011,9 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, CoreError::Backend { .. }));
-        let reg = BackendRegistry::new();
-        let err = SimSession::builder()
-            .from_registry(&reg, "missing")
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, CoreError::Registry { ref name } if name == "missing"));
-        // A later explicit selection recovers from the failed lookup.
+        // A later explicit selection recovers from the failed one.
         let session = SimSession::builder()
-            .from_registry(&reg, "missing")
+            .fidelity(&crate::FidelitySpec::Sampled { fraction: 2.0 }, &hier())
             .accurate(&hier())
             .build()
             .unwrap();

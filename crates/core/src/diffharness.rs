@@ -57,24 +57,20 @@ use simtune_cache::{CacheHierarchy, HierarchyConfig};
 use simtune_isa::{
     replay, torture_program_with, AtomicCpu, DecodedEngine, DecodedProgram, EngineKind, ExecEngine,
     Executable, Fpr, Gpr, InterpEngine, Memory, NoopHook, Program, RunLimits, SimError, SimStats,
-    TargetIsa, ThreadedEngine, ThreadedProgram, TortureConfig, Vr, DATA_BASE, TORTURE_WINDOW,
+    TargetIsa, TortureConfig, Vr, DATA_BASE, TORTURE_WINDOW,
 };
 
-/// The engines with code of their own. [`EngineKind::Batch`] is a label
-/// whose trials replay on `Decoded`; that a `Batch` session returns
-/// `Decoded`'s reports is pinned once, in `tests/pool_determinism.rs`,
-/// not once per case here.
-const ENGINES: [EngineKind; 3] = [
-    EngineKind::Interp,
-    EngineKind::Decoded,
-    EngineKind::Threaded,
-];
+/// The engines with code of their own. [`EngineKind::Threaded`] and
+/// [`EngineKind::Batch`] are labels whose trials replay on `Decoded`;
+/// that a session under either returns `Decoded`'s reports is pinned
+/// once, in `tests/pool_determinism.rs`, not once per case here.
+const ENGINES: [EngineKind; 2] = [EngineKind::Interp, EngineKind::Decoded];
 
 /// One observed disagreement between a combination under test and its
 /// reference, in a form that can be journaled and printed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Divergence {
-    /// Which combination disagreed, e.g. `"engine:threaded"`,
+    /// Which combination disagreed, e.g. `"engine:decoded"`,
     /// `"backend:fast-count×engine:decoded"`,
     /// `"session:accurate×decoded×np4[trial 2]"`.
     pub combo: String,
@@ -554,11 +550,9 @@ impl DiffHarness {
             EngineKind::Interp => {
                 InterpEngine::new(&exe.program).run_with_hook(c, m, h, limits, hook)
             }
-            EngineKind::Decoded | EngineKind::Batch => {
+            EngineKind::Decoded | EngineKind::Threaded | EngineKind::Batch => {
                 DecodedEngine::new(decoded).run_with_hook(c, m, h, limits, hook)
             }
-            EngineKind::Threaded => ThreadedEngine::new(&ThreadedProgram::lower(decoded))
-                .run_with_hook(c, m, h, limits, hook),
         }?;
         Ok(capture(stats, &cpu, &mem))
     }
@@ -728,7 +722,8 @@ mod tests {
         for seed in 0..4 {
             let out = harness.run_case("baseline", &TortureConfig::baseline(), seed);
             assert!(out.passed(), "seed {seed}: {:#?}", out.divergences);
-            assert_eq!(out.combos, 26, "the matrix is pinned exactly");
+            // 1 engine diff + 5 tiers × 2 engines + 3 sessions × 3 trials.
+            assert_eq!(out.combos, 20, "the matrix is pinned exactly");
             assert!(!out.faulted);
         }
     }

@@ -8,7 +8,7 @@ use std::fmt;
 /// Unified error type of the autotuning/prediction pipeline.
 ///
 /// Marked `#[non_exhaustive]`: the pipeline keeps growing (backends,
-/// registries, remote runners), so downstream matches must carry a
+/// remote runners), so downstream matches must carry a
 /// wildcard arm.
 ///
 /// `Clone` because the simulator is deterministic: when the worker pool
@@ -26,12 +26,6 @@ pub enum CoreError {
     Sim(SimError),
     /// A predictor failed to fit or predict.
     Predict(PredictError),
-    /// A name collision or unresolved name in a backend/function
-    /// registry.
-    Registry {
-        /// The conflicting (or missing) registration name.
-        name: String,
-    },
     /// A simulator backend was misconfigured.
     Backend {
         /// Which backend rejected its configuration.
@@ -50,9 +44,6 @@ impl fmt::Display for CoreError {
             CoreError::Codegen(e) => write!(f, "codegen error: {e}"),
             CoreError::Sim(e) => write!(f, "simulation error: {e}"),
             CoreError::Predict(e) => write!(f, "predictor error: {e}"),
-            CoreError::Registry { name } => {
-                write!(f, "registry error: conflicting or unknown name {name:?}")
-            }
             CoreError::Backend { backend, message } => {
                 write!(f, "backend {backend:?} misconfigured: {message}")
             }
@@ -116,10 +107,6 @@ mod tests {
         assert!(e.to_string().contains("no groups"));
         let e: CoreError = SimError::PcOutOfRange { pc: 3 }.into();
         assert!(e.to_string().contains("simulation"));
-        let e = CoreError::Registry {
-            name: "accurate".into(),
-        };
-        assert!(e.to_string().contains("accurate"));
         let e = CoreError::Backend {
             backend: "sampled".into(),
             message: "fraction 2".into(),

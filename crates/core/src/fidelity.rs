@@ -1,8 +1,8 @@
 //! One name for a fidelity tier: [`FidelitySpec`].
 //!
 //! Every layer that selects a tier — session builder, escalation
-//! options, service protocol, CLI, memo fingerprint, backend registry —
-//! consumes this one spelling:
+//! options, service protocol, CLI, memo fingerprint — consumes this one
+//! spelling:
 //!
 //! * **grammar** — `tier[:key=value,...]`, e.g. `accurate`,
 //!   `fast-count`, `sampled:fraction=0.25`, `pipelined:btb=512,ras=8`;
@@ -187,10 +187,16 @@ impl std::str::FromStr for FidelitySpec {
                 let mut fraction = DEFAULT_SAMPLE_FRACTION;
                 for (k, v) in key_values(args)? {
                     match k {
+                        // The range `SampledBackend::new` accepts, checked
+                        // here so a spec that parses also builds.
                         "fraction" => {
-                            fraction = v.parse().map_err(|_| {
-                                bad_spec(format!("fraction must be a number, got {v:?}"))
-                            })?;
+                            fraction = v
+                                .parse()
+                                .ok()
+                                .filter(|f: &f64| f.is_finite() && *f > 0.0 && *f <= 1.0)
+                                .ok_or_else(|| {
+                                    bad_spec(format!("fraction must be in (0, 1], got {v:?}"))
+                                })?;
                         }
                         other => {
                             return Err(bad_spec(format!("unknown sampled parameter {other:?}")))
@@ -294,6 +300,11 @@ mod tests {
             "pipelined:ras=1025",
             "pipelined:ras=1000000000000000",
             "pipelined:btb=99999999999999999999999999",
+            "sampled:fraction=2",
+            "sampled:fraction=0",
+            "sampled:fraction=-0.5",
+            "sampled:fraction=nan",
+            "sampled:fraction=inf",
             "accurate:x=1",
             "fast-count:y=2",
         ] {
@@ -320,5 +331,77 @@ mod tests {
     #[test]
     fn default_is_the_reference_tier() {
         assert_eq!(FidelitySpec::default(), FidelitySpec::Accurate);
+    }
+
+    /// What hostile spec strings are assembled from: the grammar's tier
+    /// names, separators and keys, and values at, inside and past every
+    /// bound.
+    const TIERS: [&str; 9] = [
+        "accurate",
+        "acc",
+        "FAST-COUNT",
+        "count",
+        "sampled",
+        "sample",
+        "pipelined",
+        " pipeline ",
+        "warp",
+    ];
+    const SEPS: [&str; 4] = [":", ":", "::", ""];
+    const KEYS: [&str; 5] = ["fraction", "btb", "ras", "Fraction", ""];
+    const VALUES: [&str; 22] = [
+        "0",
+        "1",
+        "2",
+        "0.5",
+        "1.0",
+        "-0",
+        "-0.5",
+        "1e-320",
+        "1e309",
+        "nan",
+        "NaN",
+        "inf",
+        "-inf",
+        "1048576",
+        "1048577",
+        "1024",
+        "1025",
+        "99999999999999999999",
+        "0x10",
+        "+1",
+        "",
+        " 0.25 ",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4096))]
+
+        /// Any string: the parser never panics, a spec that parses builds
+        /// against a real hierarchy, and its digest parses back to it.
+        #[test]
+        fn any_spec_that_parses_builds_and_round_trips(
+            tier in 0usize..TIERS.len(),
+            sep in 0usize..SEPS.len(),
+            params in proptest::collection::vec(0usize..KEYS.len() * VALUES.len(), 0..4),
+            noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 1..6),
+            noise_at in 0usize..64,
+        ) {
+            let params: Vec<String> = params
+                .iter()
+                .map(|&p| format!("{}={}", KEYS[p / VALUES.len()], VALUES[p % VALUES.len()]))
+                .collect();
+            let mut text = format!("{}{}{}", TIERS[tier], SEPS[sep], params.join(","));
+            // About half the strings also carry arbitrary bytes somewhere.
+            if noise_at <= text.len() && text.is_char_boundary(noise_at) {
+                text.insert_str(noise_at, &String::from_utf8_lossy(&noise));
+            }
+            if let Ok(spec) = text.parse::<FidelitySpec>() {
+                let built = spec.build(&HierarchyConfig::tiny_for_tests());
+                proptest::prop_assert!(built.is_ok(), "{text:?} parsed but did not build");
+                let again = spec.digest().parse::<FidelitySpec>();
+                proptest::prop_assert_eq!(again.ok(), Some(spec));
+            }
+        }
     }
 }

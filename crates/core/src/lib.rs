@@ -7,9 +7,9 @@
 //!
 //! | paper artifact | module |
 //! |---|---|
-//! | "any simulator can be plugged in" (Section II-C) | [`SimBackend`], [`BackendRegistry`], [`SimSession`] |
+//! | "any simulator can be plugged in" (Section II-C) | `impl` [`SimBackend`] + [`SimSessionBuilder::backend`], [`SimSession`] |
 //! | repeated performance queries made cheap (the paper's throughput argument) | [`SimCache`] memoization + pre-decoded execution ([`simtune_isa::DecodedProgram`]) |
-//! | runner on `n_parallel` simulators / `local_run` override (Listings 3–4, Fig. 1-I) | [`SimSession`], [`SimBackend`], [`BackendRegistry`] |
+//! | runner on `n_parallel` simulators / `local_run` override (Listings 3–4, Fig. 1-I) | [`SimSession`], `impl` [`SimBackend`] + [`SimSessionBuilder::backend`] |
 //! | fidelity/speed trade-off across simulators (Fig. 1) | [`FidelitySpec`], [`AccurateBackend`], [`PipelinedBackend`], [`FastCountBackend`], [`SampledBackend`], [`tune_with_fidelity_escalation`] |
 //! | simulator statistics → predictor inputs (Eqs. 1–2) | [`raw_sample`], [`GroupMeans`] |
 //! | static/dynamic window mean approximation (Section III-E) | [`WindowNormalizer`] |
@@ -65,8 +65,8 @@ pub use autotune::{
     TuneRecord, TuneResult, UncertaintyPolicy,
 };
 pub use backend::{
-    AccurateBackend, BackendError, BackendRegistry, FastCountBackend, SampledBackend, SimBackend,
-    SimReport, SimSession, SimSessionBuilder, ACCURATE, FAST_COUNT, SAMPLED,
+    AccurateBackend, BackendError, FastCountBackend, SampledBackend, SimBackend, SimReport,
+    SimSession, SimSessionBuilder, ACCURATE, FAST_COUNT, SAMPLED,
 };
 pub use error::CoreError;
 pub use features::{

@@ -97,14 +97,14 @@ fn memoized_sweep_is_bit_identical_at_every_parallelism() {
 }
 
 #[test]
-fn batch_label_sweep_is_bit_identical_to_decoded_at_every_parallelism() {
-    // `EngineKind::Batch` is a label: its trials replay on the decoded
-    // loop, so a sweep under it must reproduce the decoded-engine sweep
-    // bit-for-bit at every parallelism. This is the one place that
-    // equivalence is pinned.
+fn label_sweeps_are_bit_identical_to_decoded_at_every_parallelism() {
+    // `EngineKind::Threaded` and `EngineKind::Batch` are labels: their
+    // trials replay on the decoded loop, so a sweep under either must
+    // reproduce the decoded-engine sweep bit-for-bit at every
+    // parallelism. This is the one place that equivalence is pinned.
     let (def, spec, predictor) = workload();
     let mut reference = None;
-    for engine in [EngineKind::Decoded, EngineKind::Batch] {
+    for engine in [EngineKind::Decoded, EngineKind::Threaded, EngineKind::Batch] {
         for n_parallel in [1, 2, 4] {
             let result = tune_with_predictor(
                 &def,
@@ -157,7 +157,10 @@ fn batch_label_sweep_is_bit_identical_to_decoded_at_every_parallelism() {
             })
             .collect()
     };
-    assert_eq!(reports(EngineKind::Batch), reports(EngineKind::Decoded));
+    let decoded = reports(EngineKind::Decoded);
+    for label in [EngineKind::Threaded, EngineKind::Batch] {
+        assert_eq!(reports(label), decoded, "{label}");
+    }
 }
 
 #[test]

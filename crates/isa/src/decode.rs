@@ -74,17 +74,13 @@
 //! * [`DecodedEngine`] — replays a [`DecodedProgram`] block by block
 //!   (above); per-retirement work is the µop's load, its execution and
 //!   the hook calls. The production engine.
-//! * [`crate::ThreadedEngine`] — replays a [`DecodedProgram`] lowered
-//!   once more into threaded-code form ([`crate::ThreadedProgram`]):
-//!   per-retirement work is one indirect call through a pre-bound,
-//!   per-kind-specialized handler plus a successor read from the thunk.
 //!
-//! All engines share the single-instruction semantic core
+//! Both engines share the single-instruction semantic core
 //! (`AtomicCpu::exec_inst`), so their architectural results and
 //! instruction mix are bit-identical by construction, and their cache
 //! counters by the fetch-run argument above — both pinned down by the
 //! differential suites in `tests/` and `crates/isa/tests/block_limits.rs`.
-//! [`crate::EngineKind`] names the ladder for configuration plumbing.
+//! [`crate::EngineKind`] names them for configuration plumbing.
 //!
 //! # Example
 //!

@@ -1,42 +1,42 @@
 //! Replay-engine selection: which [`crate::ExecEngine`] drives a run.
 //!
-//! The ladder, from most general to fastest on repeated replay:
+//! Two engines have code:
 //!
 //! 1. [`crate::InterpEngine`] — re-inspects the raw program each step;
-//! 2. [`crate::DecodedEngine`] — replays the pre-decoded µop array;
-//! 3. [`crate::ThreadedEngine`] — threaded-code dispatch over pre-bound
-//!    handler pointers with pre-resolved successors.
+//!    the oracle;
+//! 2. [`crate::DecodedEngine`] — replays the pre-decoded µop array a
+//!    basic block at a time; the production engine.
 //!
-//! All three are observationally identical (same statistics, registers
-//! and memory, bit for bit); the choice only moves host time.
-//! [`EngineKind`] carries a fourth name, [`EngineKind::Batch`], that has
-//! no engine of its own.
+//! Both are observationally identical (same statistics, registers and
+//! memory, bit for bit); the choice only moves host time.
+//! [`EngineKind`] carries two more names, [`EngineKind::Threaded`] and
+//! [`EngineKind::Batch`], that are labels with no engine of their own.
 
 use std::fmt;
 
-/// Names one rung of the replay-engine ladder. Carried by tuning
-/// sessions so every simulation — and every memoization fingerprint —
-/// knows which engine produced it.
+/// Names a replay engine. Carried by tuning sessions so every
+/// simulation — and every memoization fingerprint — knows which engine
+/// produced it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum EngineKind {
     /// Re-decoding interpreter ([`crate::InterpEngine`]): the reference
     /// loop, right for one-shot runs where decoding would not amortize.
     Interp,
-    /// Pre-decoded µop replay ([`crate::DecodedEngine`]): the default.
+    /// Pre-decoded block replay ([`crate::DecodedEngine`]): the default.
     #[default]
     Decoded,
-    /// Threaded-code dispatch ([`crate::ThreadedEngine`]): lowers the
-    /// µop array once into pre-bound handler pointers.
-    Threaded,
     /// A label with no engine of its own: its trials replay on
     /// [`crate::DecodedEngine`] and return `Decoded`'s bits. The name
     /// stays while memo fingerprints and the benchmark ledger row
-    /// `isa.mips.batch` carry it, and leaves with that row.
+    /// `isa.mips.threaded` carry it, and leaves with that row.
+    Threaded,
+    /// A label like [`EngineKind::Threaded`], carried for the ledger row
+    /// `isa.mips.batch`.
     Batch,
 }
 
 impl EngineKind {
-    /// Every engine, in ladder order.
+    /// Every engine name: the two engines, then the two labels.
     pub const ALL: [EngineKind; 4] = [
         EngineKind::Interp,
         EngineKind::Decoded,
@@ -44,8 +44,8 @@ impl EngineKind {
         EngineKind::Batch,
     ];
 
-    /// Stable lowercase name, used in CLI flags, perf summaries and
-    /// memo fingerprints.
+    /// Stable lowercase name, used in perf summaries and memo
+    /// fingerprints.
     pub fn label(self) -> &'static str {
         match self {
             EngineKind::Interp => "interp",
@@ -53,11 +53,6 @@ impl EngineKind {
             EngineKind::Threaded => "threaded",
             EngineKind::Batch => "batch",
         }
-    }
-
-    /// Parses a [`EngineKind::label`] back into the engine.
-    pub fn parse(s: &str) -> Option<EngineKind> {
-        EngineKind::ALL.into_iter().find(|e| e.label() == s)
     }
 }
 
@@ -73,11 +68,12 @@ mod tests {
 
     #[test]
     fn labels_round_trip() {
-        for e in EngineKind::ALL {
-            assert_eq!(EngineKind::parse(e.label()), Some(e));
+        // Labels key memo fingerprints, so they stay distinct and are
+        // what `Display` prints.
+        for (i, e) in EngineKind::ALL.into_iter().enumerate() {
             assert_eq!(format!("{e}"), e.label());
+            assert!(EngineKind::ALL[..i].iter().all(|o| o.label() != e.label()));
         }
-        assert_eq!(EngineKind::parse("jit"), None);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 use crate::{
     AtomicCpu, DecodedEngine, DecodedProgram, EngineKind, ExecEngine, ExecHook, InterpEngine,
-    Memory, NoopHook, Program, RunLimits, SimError, SimStats, TargetIsa, ThreadedEngine,
-    ThreadedProgram,
+    Memory, NoopHook, Program, RunLimits, SimError, SimStats, TargetIsa,
 };
 use simtune_cache::{CacheHierarchy, HierarchyConfig};
 use std::time::Instant;
@@ -65,19 +64,18 @@ pub struct SimOutcome {
 ///   `stop_at = Some(budget)` and linear extrapolation of the prefix;
 /// * pipelined — [`crate::TimingBridge`] as the hook.
 ///
-/// All engines are observationally identical (see the differential
+/// The two engines are observationally identical (see the differential
 /// suite) and raise the same per-retirement event sequence — `on_fetch`,
 /// then any `on_data_access`/`on_branch`, then the retirement
 /// (`on_retire`, or from the decoded loop `on_retire_uop`, which
-/// forwards to it) — so the choice only moves host time. It moves it
-/// most on [`EngineKind::Decoded`], the default and the engine every
-/// bundled workload runs: it replays a basic block at a time — one
-/// limit check per block, one L1I access per run of instructions in one
-/// I-line (`decode.rs` says why that is exact) — where
-/// [`EngineKind::Interp`], the oracle it is diffed against, and
-/// [`EngineKind::Threaded`] do both per instruction.
-/// [`EngineKind::Batch`] is a label with no engine of its own; its
-/// trials run on the decoded loop.
+/// forwards to it) — so the choice only moves host time.
+/// [`EngineKind::Decoded`], the default and the engine every bundled
+/// workload runs, replays a basic block at a time — one limit check per
+/// block, one L1I access per run of instructions in one I-line
+/// (`decode.rs` says why that is exact) — where [`EngineKind::Interp`],
+/// the oracle it is diffed against, does both per instruction.
+/// [`EngineKind::Threaded`] and [`EngineKind::Batch`] are labels with no
+/// engine of their own; their trials run on the decoded loop.
 ///
 /// The returned statistics include the host wall-clock time of the
 /// replay proper (`t_simulator` in the paper's Equation 4).
@@ -106,11 +104,9 @@ pub fn replay<H: ExecHook>(
         EngineKind::Interp => {
             InterpEngine::new(&exe.program).run_until(c, m, h, limits, stop_at, hook)
         }
-        EngineKind::Decoded | EngineKind::Batch => {
+        EngineKind::Decoded | EngineKind::Threaded | EngineKind::Batch => {
             DecodedEngine::new(decoded).run_until(c, m, h, limits, stop_at, hook)
         }
-        EngineKind::Threaded => ThreadedEngine::new(&ThreadedProgram::lower(decoded))
-            .run_until(c, m, h, limits, stop_at, hook),
     }?;
     stats.host_nanos = start.elapsed().as_nanos().max(1) as u64;
     Ok((SimOutcome { stats, memory: mem }, completed))
@@ -276,11 +272,7 @@ mod tests {
         b.push(Inst::Halt);
         let exe = Executable::new("wrap", b.build().unwrap(), TargetIsa::riscv_u74());
         let decoded = exe.decode().unwrap();
-        for engine in [
-            EngineKind::Interp,
-            EngineKind::Decoded,
-            EngineKind::Threaded,
-        ] {
+        for engine in [EngineKind::Interp, EngineKind::Decoded] {
             let hier = || CacheHierarchy::new(HierarchyConfig::tiny_for_tests());
             let limits = RunLimits::default();
             let err = replay(&exe, &decoded, hier, engine, limits, None, &mut NoopHook)

@@ -17,13 +17,13 @@
 //! [`DecodedProgram::decode`] lowers a validated [`Program`] once into a
 //! dense µop array (pre-resolved control flow, precomputed fetch
 //! addresses, per-instruction [`MixClass`], basic-block index), and the
-//! [`ExecEngine`] implementations drive the CPU over either form —
-//! [`InterpEngine`] re-inspects the raw program each step,
-//! [`DecodedEngine`] replays the µop array and [`ThreadedEngine`] replays
-//! a further-lowered threaded-code form ([`ThreadedProgram`]) with
-//! pre-bound handlers. All engines share one semantic core,
-//! so their observable results are bit-identical; [`EngineKind`] names
-//! them for configuration. [`replay`] is the one way to run a trial: it
+//! two [`ExecEngine`] implementations drive the CPU over either form —
+//! [`InterpEngine`], the oracle, re-inspects the raw program each step,
+//! and [`DecodedEngine`] replays the µop array a basic block at a time.
+//! Both share one semantic core, so their observable results are
+//! bit-identical; [`EngineKind`] names them for configuration (its
+//! `Threaded` and `Batch` names are labels that replay on
+//! [`DecodedEngine`]). [`replay`] is the one way to run a trial: it
 //! takes a pre-decoded handle (batch drivers pay for decoding exactly
 //! once per executable), the cache hierarchy, the engine, an optional
 //! stop point and an [`ExecHook`], so a fidelity tier is a choice of
@@ -77,7 +77,6 @@ mod program;
 mod shrink;
 mod stats;
 mod target;
-mod threaded;
 mod timing;
 mod torture;
 
@@ -93,7 +92,6 @@ pub use program::{Program, ProgramBuilder};
 pub use shrink::shrink_program;
 pub use stats::{InstMix, SimStats};
 pub use target::TargetIsa;
-pub use threaded::{ThreadedEngine, ThreadedProgram};
 pub use timing::{uop_event, Reg, TimingBridge, TimingHook, UopEvent, TIMING_REGS};
 pub use torture::{
     torture_program, torture_program_with, MemoryPattern, TortureConfig, TORTURE_FAULT_CODE,

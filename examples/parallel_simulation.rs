@@ -2,10 +2,11 @@
 //!
 //! * `n_parallel` simulator instances process a candidate batch
 //!   concurrently (paper Fig. 1-I / Listing 3);
-//! * any simulator can be plugged in behind the runner through the
-//!   typed `SimBackend` registry, mirroring the paper's TVM registry
-//!   override (Listing 4) — including every bundled fidelity tier
-//!   (fast-count, sampled, pipelined, accurate).
+//! * every bundled fidelity tier (fast-count, sampled, pipelined,
+//!   accurate) is one `FidelitySpec` away, and any other simulator plugs
+//!   in behind the runner as an `impl SimBackend` handed to
+//!   `SimSessionBuilder::backend`, mirroring the paper's TVM registry
+//!   override (Listing 4).
 //!
 //! ```text
 //! cargo run --release --example parallel_simulation
@@ -14,11 +15,11 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simtune::cache::HierarchyConfig;
-use simtune::core::KernelBuilder;
+use simtune::core::{FidelitySpec, KernelBuilder};
 use simtune::hw::TargetSpec;
 use simtune::isa::{simulate, Executable, RunLimits};
 use simtune::tensor::{conv2d_bias_relu, Conv2dShape, SketchGenerator};
-use simtune::{BackendError, BackendRegistry, SimBackend, SimReport, SimSession};
+use simtune::{BackendError, SimBackend, SimReport, SimSession};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -101,10 +102,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Fidelity tiers: the same batch on every bundled backend.
     println!("\nsame batch across the bundled fidelity tiers...");
-    let registry = BackendRegistry::with_defaults(&spec.hierarchy, 0.25)?;
-    for name in registry.names() {
+    for tier in FidelitySpec::all() {
+        let tier = match tier {
+            FidelitySpec::Sampled { .. } => FidelitySpec::Sampled { fraction: 0.25 },
+            other => other,
+        };
+        let name = tier.label();
         let session = SimSession::builder()
-            .from_registry(&registry, name)
+            .fidelity(&tier, &spec.hierarchy)
             .n_parallel(8)
             .build()?;
         let t0 = Instant::now();
@@ -119,7 +124,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Custom backend: plug any simulator into the same session (the
-    // paper's registry-override integration, typed).
+    // paper's registry override, typed: `.backend(Arc::new(..))`).
     println!("\nplugging a custom simulator backend into the session...");
     let custom = Gem5Wrapper(spec.hierarchy.clone());
     let session = SimSession::builder().backend(Arc::new(custom)).build()?;

@@ -92,12 +92,12 @@
 // them to the root so `simtune::SimSession` / `simtune::SearchStrategy`
 // work without spelling out the core crate.
 pub use simtune_core::{
-    tune_with_fidelity_escalation, AccurateBackend, BackendError, BackendRegistry, BatchTicket,
-    ConvergenceStats, EscalatedTuneResult, EscalationOptions, EscalationPolicy, Evaluation,
-    FastCountBackend, MemoCacheStats, OnlinePredictor, PredictedBackend, Prediction, Predictor,
-    PredictorStats, SampledBackend, SearchSpace, SearchStrategy, SimBackend, SimCache, SimReport,
-    SimSession, SimSessionBuilder, SketchSpace, StageTimings, StrategySpec, TemplateSpace,
-    UncertaintyPolicy, WorkerPoolStats,
+    tune_with_fidelity_escalation, AccurateBackend, BackendError, BatchTicket, ConvergenceStats,
+    EscalatedTuneResult, EscalationOptions, EscalationPolicy, Evaluation, FastCountBackend,
+    MemoCacheStats, OnlinePredictor, PredictedBackend, Prediction, Predictor, PredictorStats,
+    SampledBackend, SearchSpace, SearchStrategy, SimBackend, SimCache, SimReport, SimSession,
+    SimSessionBuilder, SketchSpace, StageTimings, StrategySpec, TemplateSpace, UncertaintyPolicy,
+    WorkerPoolStats,
 };
 
 pub use simtune_cache as cache;

@@ -26,7 +26,7 @@ use simtune::hw::{CycleBreakdown, PipelineModel, TargetSpec};
 use simtune::isa::{
     replay, AtomicCpu, DecodedEngine, DecodedProgram, EngineKind, ExecEngine, Executable, Fpr, Gpr,
     Inst, InterpEngine, Memory, NoopHook, Program, ProgramBuilder, RunLimits, SimError, SimStats,
-    TargetIsa, ThreadedEngine, ThreadedProgram, TimingBridge, TortureConfig, Vr, DATA_BASE,
+    TargetIsa, TimingBridge, TortureConfig, Vr, DATA_BASE,
 };
 use std::sync::OnceLock;
 
@@ -89,7 +89,7 @@ fn assert_matrix_agrees(exe: &Executable) {
             .collect::<Vec<_>>()
             .join("\n")
     );
-    assert_eq!(combos, 26, "{}: differential matrix changed size", exe.name);
+    assert_eq!(combos, 20, "{}: differential matrix changed size", exe.name);
 }
 
 /// The deterministic data image backing seed `seed`: distinct,
@@ -532,29 +532,6 @@ proptest! {
 
         let interp = run_engine(&InterpEngine::new(&prog), target, Some(budget));
         let fast = run_engine(&DecodedEngine::new(&decoded), target, Some(budget));
-        assert_outputs_identical(&interp, &fast);
-        prop_assert_eq!(interp.completed, budget_percent >= 100);
-    }
-
-    /// Threaded prefix runs stop at the same retirement as the
-    /// interpreter, with identical partial state.
-    #[test]
-    fn threaded_prefix_runs_match_interpreter(
-        words in prop::collection::vec(0u64..u64::MAX, 4..24),
-        iters in 2i64..6,
-        budget_percent in 5u64..150,
-    ) {
-        let target = &TargetIsa::arm_cortex_a72();
-        let prog = build_program(&words, iters);
-        let decoded = DecodedProgram::decode(&prog, target).expect("decodes");
-        let threaded = ThreadedProgram::lower(&decoded);
-
-        let full = run_engine(&InterpEngine::new(&prog), target, None);
-        let total = full.stats.inst_mix.total();
-        let budget = (total * budget_percent / 100).max(1);
-
-        let interp = run_engine(&InterpEngine::new(&prog), target, Some(budget));
-        let fast = run_engine(&ThreadedEngine::new(&threaded), target, Some(budget));
         assert_outputs_identical(&interp, &fast);
         prop_assert_eq!(interp.completed, budget_percent >= 100);
     }
