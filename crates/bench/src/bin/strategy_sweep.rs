@@ -213,7 +213,6 @@ fn run_tune(
             let esc = EscalationOptions {
                 policy: EscalationPolicy::Uncertainty(UncertaintyPolicy {
                     min_train: 4,
-                    refit_every: 4,
                     ..UncertaintyPolicy::default()
                 }),
                 ..EscalationOptions::default()

@@ -6,8 +6,9 @@ use simtune_core::{FidelitySpec, StrategySpec};
 
 /// Fidelity mode of the tuning loop the sweep binaries drive.
 ///
-/// The sweep either explores on one [`FidelitySpec`] tier (`Tier`) or
-/// runs the learned tier (`Predicted`). `--fidelity` therefore accepts
+/// The sweep either explores on one [`FidelitySpec`] tier with top-k
+/// escalation (`Tier`) or runs the uncertainty escalation policy on the
+/// default exploration tier (`Predicted`). `--fidelity` therefore accepts
 /// `predicted` *plus* the whole spec grammar: `--fidelity
 /// pipelined:btb=64,ras=4` sweeps with top-k escalation exploring on
 /// the pipelined tier.
@@ -17,8 +18,9 @@ pub enum FidelityMode {
     /// other than `accurate` re-simulates the static top-k finalists
     /// accurately. `Tier(FidelitySpec::Accurate)` is the default.
     Tier(FidelitySpec),
-    /// The learned tier: uncertainty-driven active-learning escalation
-    /// over a `PredictedBackend` (`EscalationPolicy::Uncertainty`).
+    /// The learned tier, which is an escalation policy, not a backend:
+    /// candidates explore on the default tier and an online model picks
+    /// which escalate (`EscalationPolicy::Uncertainty`).
     Predicted,
 }
 

@@ -30,13 +30,14 @@
 //! # Escalation-policy block
 //!
 //! A `tune` request that sets `escalation_budget` and/or
-//! `escalation_confidence` runs under the learned fidelity tier instead
-//! of all-accurate simulation: candidates are explored on a
-//! `PredictedBackend` and only uncertainty-selected ones escalate to the
-//! accurate simulator (`EscalationPolicy::Uncertainty`; the winner is
-//! always re-verified accurately). The response then echoes the run's
-//! `PredictorStats` through `escalations`, `avoided_simulations` and
-//! `mean_abs_rank_error`; all three are `null` for plain tunes.
+//! `escalation_confidence` runs under the uncertainty escalation policy
+//! instead of all-accurate simulation: candidates are explored on the
+//! cheap tier and only those an online model cannot rule out escalate
+//! to the accurate simulator (`EscalationPolicy::Uncertainty`; the
+//! winner is always re-verified accurately). The response then echoes
+//! the run's `PredictorStats` through `escalations`,
+//! `avoided_simulations` and `mean_abs_rank_error`; all three are
+//! `null` for plain tunes.
 //! Without a `fidelity` spec the escalated tune explores on the default
 //! exploration tier.
 //! | `stats` | `tenant` (optional) | per-tenant counters, or service-wide cache totals |

@@ -1,6 +1,7 @@
-//! The learned fidelity tier (`PredictedBackend` +
-//! `EscalationPolicy::Uncertainty`) against its two baselines, on one
-//! fixed-seed experiment over the paper's smoke-scale Conv2D group.
+//! The learned fidelity tier — the `EscalationPolicy::Uncertainty`
+//! policy over the default exploration tier — against its two
+//! baselines, on one fixed-seed experiment over the paper's smoke-scale
+//! Conv2D group.
 //! Three tuning modes share the strategy, seed and trial budget:
 //!
 //! 1. **accurate-only** — every trial simulates accurately (the
@@ -111,7 +112,6 @@ fn uncertainty_escalation_matches_the_accurate_winner_on_six_accurate_simulation
         &EscalationOptions {
             policy: EscalationPolicy::Uncertainty(UncertaintyPolicy {
                 min_train: 4,
-                refit_every: 4,
                 budget: Some(6),
                 ..UncertaintyPolicy::default()
             }),

@@ -218,34 +218,59 @@ fn tune_with_fidelity_runs_spec_tier_escalation_without_a_note() {
 }
 
 #[test]
-fn per_field_escalation_still_works_but_carries_a_deprecation_note() {
+fn escalation_knobs_run_the_uncertainty_policy_with_or_without_a_spec() {
     let mut server = server();
-    assert!(roundtrip(&mut server, &open_req("old", None)).unwrap().ok);
+    // x86 is the target with an L3: its fast-count reports must still
+    // be scorable by a predictor trained at the accurate tier.
+    for arch in ["riscv", "x86"] {
+        let open = Request {
+            arch: Some(arch.into()),
+            ..open_req(arch, None)
+        };
+        assert!(roundtrip(&mut server, &open).unwrap().ok);
+        let tune = Request {
+            tenant: Some(arch.into()),
+            n_trials: Some(8),
+            batch_size: Some(4),
+            seed: Some(1),
+            strategy: Some("random".into()),
+            escalation_budget: Some(6),
+            escalation_confidence: Some(1.0),
+            ..req("tune")
+        };
+        let resp = roundtrip(&mut server, &tune).unwrap();
+        // Knobs without a spec: the uncertainty policy on the default
+        // exploration tier.
+        assert!(resp.ok, "{arch}: escalated tune failed: {:?}", resp.error);
+        assert!(
+            resp.escalations.is_some(),
+            "{arch}: uncertainty policy runs"
+        );
+
+        // A spec alongside the knobs names the exploration tier instead.
+        let both = Request {
+            fidelity: Some("fast-count".into()),
+            ..tune
+        };
+        let resp = roundtrip(&mut server, &both).unwrap();
+        assert!(resp.ok, "{arch}: {:?}", resp.error);
+        assert!(resp.message.is_none());
+        assert!(resp.escalations.is_some());
+    }
+
+    // A plain tune on an x86 tenant opened at the counting tier.
+    let open = Request {
+        arch: Some("x86".into()),
+        ..open_req("x86-fast", Some("fast-count"))
+    };
+    assert!(roundtrip(&mut server, &open).unwrap().ok);
     let tune = Request {
-        tenant: Some("old".into()),
+        tenant: Some("x86-fast".into()),
         n_trials: Some(8),
-        batch_size: Some(4),
-        seed: Some(1),
-        strategy: Some("random".into()),
-        escalation_budget: Some(6),
-        escalation_confidence: Some(1.0),
         ..req("tune")
     };
     let resp = roundtrip(&mut server, &tune).unwrap();
-    // Knobs without a spec: the uncertainty policy on the default
-    // exploration tier.
-    assert!(resp.ok, "escalated tune failed: {:?}", resp.error);
-    assert!(resp.escalations.is_some(), "uncertainty tier still runs");
-
-    // A spec alongside the knobs names the exploration tier instead.
-    let both = Request {
-        fidelity: Some("fast-count".into()),
-        ..tune
-    };
-    let resp = roundtrip(&mut server, &both).unwrap();
-    assert!(resp.ok, "{:?}", resp.error);
-    assert!(resp.message.is_none());
-    assert!(resp.escalations.is_some());
+    assert!(resp.ok, "fast-count x86 tune failed: {:?}", resp.error);
 }
 
 #[test]

@@ -14,7 +14,10 @@
 //! (Auto-Scheduler sketches) and Listing 4 (AutoTVM templates,
 //! [`tune_template_space`]) differ only in where candidates come from;
 //! simulator-plus-predictor, the board ([`tune_on_hardware`]) and the
-//! learned escalation tier differ only in what measures a built batch.
+//! uncertainty escalation policy differ only in what measures a built
+//! batch. The learned tier is that policy, not a backend: it explores on
+//! the same [`FidelitySpec`] tier session as top-k and keeps its online
+//! model beside the simulator.
 
 use crate::backend::{SimBackend, SimReport, SimSession};
 use crate::features::{WindowKind, WindowNormalizer};
@@ -22,9 +25,7 @@ use crate::fidelity::FidelitySpec;
 use crate::memo::{RequestKey, RequestKeys, SimCache};
 use crate::metrics::{ConvergenceStats, PredictorStats, StageTimings};
 use crate::pool::BatchTicket;
-use crate::predicted::{
-    shared_predictor, OnlinePredictor, PredictedBackend, Prediction, SharedPredictor,
-};
+use crate::predicted::{OnlinePredictor, Prediction};
 use crate::runner::{HardwareRunner, KernelBuilder};
 use crate::score::ScorePredictor;
 use crate::search::{Evaluation, SearchStrategy, StrategySpec};
@@ -649,9 +650,8 @@ pub struct EscalationOptions {
     /// How candidates graduate to the accurate tier. The default
     /// [`EscalationPolicy::TopK`] keeps the original static-finalist
     /// behavior (and is the only mode that reads `top_k`);
-    /// [`EscalationPolicy::Uncertainty`] activates the learned
-    /// [`crate::PredictedBackend`] tier with active-learning
-    /// escalation.
+    /// [`EscalationPolicy::Uncertainty`] lets an online model, trained
+    /// during the sweep, pick which `explore` candidates escalate.
     pub policy: EscalationPolicy,
 }
 
@@ -674,12 +674,12 @@ pub enum EscalationPolicy {
     /// `top_k` accurate runs no matter how confident the ranking is.
     #[default]
     TopK,
-    /// Uncertainty-driven active learning: an online model
-    /// ([`crate::OnlinePredictor`]) is trained on escalated candidates
-    /// *during* the sweep, and a candidate graduates only while the
-    /// model is cold or its lower confidence bound still overlaps the
-    /// incumbent best accurate score. The final winner is always
-    /// re-verified on the accurate tier.
+    /// Uncertainty-driven active learning: every candidate runs on the
+    /// exploration tier, an online model is trained on escalated
+    /// candidates *during* the sweep, and a candidate graduates only
+    /// while the model is cold or its lower confidence bound still
+    /// overlaps the incumbent best accurate score. The final winner is
+    /// always re-verified on the accurate tier.
     Uncertainty(UncertaintyPolicy),
 }
 
@@ -698,11 +698,10 @@ pub struct UncertaintyPolicy {
     /// Observations required before the first fit. Until the model has
     /// seen this many accurate scores, candidates escalate outright
     /// (the cold start that produces the first training set) — so keep
-    /// this comfortably below the sweep's trial count.
+    /// this comfortably below the sweep's trial count. After the first
+    /// fit the model refits, on the full history, every four new
+    /// observations.
     pub min_train: usize,
-    /// The model refits (on the full observation history) once this
-    /// many new observations accumulated since the last fit.
-    pub refit_every: usize,
     /// Hard cap on in-sweep accurate simulations (cold start
     /// included). `None` leaves escalation bounded only by the
     /// confidence test. The final winner verification always runs and
@@ -717,7 +716,6 @@ impl Default for UncertaintyPolicy {
             predictor: PredictorKind::Bayes,
             confidence: 1.0,
             min_train: 6,
-            refit_every: 4,
             budget: None,
         }
     }
@@ -824,29 +822,22 @@ pub(crate) fn escalate(
     let explore = esc.explore.clone().unwrap_or(FidelitySpec::FastCount);
     let tier = explore.build(&spec.hierarchy)?;
     let accurate = session_on(FidelitySpec::Accurate.build(&spec.hierarchy)?)?;
+    let cheap = session_on(tier)?;
     let builder = KernelBuilder::new(def.clone(), spec.isa.clone());
-    let (explore_backend, mut result, accurate_runs) = match &esc.policy {
+    let (mut result, accurate_runs) = match &esc.policy {
         EscalationPolicy::TopK => {
-            let cheap = session_on(tier)?;
             let mut eval = SessionScore::new(&cheap, predictor, opts);
             let mut result = drive_sketch(def, spec, opts, 't', &mut eval)?;
             let runs = rescore_finalists(&mut result, esc.top_k, &builder, &accurate, predictor)?;
-            (cheap.backend_name().to_string(), result, runs)
+            (result, runs)
         }
         EscalationPolicy::Uncertainty(pol) => {
-            let online = shared_predictor(OnlinePredictor::new(
-                pol.predictor,
-                opts.seed ^ 0x9E37,
-                pol.min_train,
-                pol.refit_every,
-            ));
-            let cheap = session_on(Arc::new(PredictedBackend::new(tier, Arc::clone(&online))))?;
             let mut eval = UncertaintyEscalate {
                 cheap: &cheap,
                 accurate: &accurate,
                 predictor,
                 pol,
-                online,
+                online: OnlinePredictor::new(pol.predictor, opts.seed ^ 0x9E37, pol.min_train),
                 feat_norm: WindowNormalizer::new(opts.window),
                 acc_norm: WindowNormalizer::new(opts.window),
                 verified: Vec::new(),
@@ -858,14 +849,14 @@ pub(crate) fn escalate(
             };
             let mut result = drive_sketch(def, spec, opts, 't', &mut eval)?;
             eval.verify_winner(&mut result, &builder)?;
-            (cheap.backend_name().to_string(), result, eval.accurate_runs)
+            (result, eval.accurate_runs)
         }
     };
     let explore_runs = result.simulations;
     result.simulations += accurate_runs;
     Ok(EscalatedTuneResult {
         result,
-        explore_backend,
+        explore_backend: cheap.backend_name().to_string(),
         final_backend: accurate.backend_name().to_string(),
         explore_runs,
         accurate_runs,
@@ -939,12 +930,12 @@ fn rescore_finalists(
     Ok(finalist_exes.len())
 }
 
-/// *Uncertainty-escalate*: active-learning escalation over the
-/// [`PredictedBackend`] tier ([`EscalationPolicy::Uncertainty`]). One
-/// batch at a time:
+/// *Uncertainty-escalate*: active-learning escalation from the
+/// exploration tier ([`EscalationPolicy::Uncertainty`]). One batch at a
+/// time:
 ///
-/// 1. run every built candidate on the cheap tier (the
-///    [`PredictedBackend`] over counting/sampled statistics);
+/// 1. run every built candidate on the cheap tier's session — the same
+///    one top-k explores on, memoized when a cache is attached;
 /// 2. in submission order, extract each candidate's feature vector,
 ///    compute the [`ScorePredictor`]'s cheap-tier *provisional* score
 ///    and query the online model, which learns the **residual** between
@@ -973,7 +964,7 @@ struct UncertaintyEscalate<'a> {
     accurate: &'a SimSession,
     predictor: &'a ScorePredictor,
     pol: &'a UncertaintyPolicy,
-    online: SharedPredictor,
+    online: OnlinePredictor,
     /// Two normalizer streams: the feature stream sees every cheap-tier
     /// sample (model inputs), the accurate stream only escalated
     /// candidates (training labels / final scores). Both are fed in
@@ -1021,7 +1012,6 @@ impl Evaluate for UncertaintyEscalate<'_> {
         // observations the tier already ranks like the offline
         // predictor, and every escalation refines the correction.
         let t0 = Instant::now();
-        let mut model = self.online.lock().expect("predictor lock");
         let n_kept = kept_exes.len();
         let mut features_of: Vec<Option<Vec<f64>>> = Vec::with_capacity(n_kept);
         let mut provisional: Vec<f64> = vec![f64::INFINITY; n_kept];
@@ -1037,7 +1027,7 @@ impl Evaluate for UncertaintyEscalate<'_> {
             self.feat_norm.feed(&raw);
             let feats = self.feat_norm.features(&raw, fc);
             provisional[i] = predictor.score_features(&feats)?;
-            let q = model.predict(&feats).map(|p| Prediction {
+            let q = self.online.predict(&feats).map(|p| Prediction {
                 mean: provisional[i] + p.mean,
                 std: p.std,
             });
@@ -1071,7 +1061,7 @@ impl Evaluate for UncertaintyEscalate<'_> {
                 // Cold start: simulate until the first training set
                 // exists. `planned` keeps one batch from overshooting
                 // `min_train` before the model ever fits.
-                None => model.observations() + planned < pol.min_train,
+                None => self.online.observations() + planned < pol.min_train,
                 Some(p) => !self.incumbent.is_finite() || p.lower(pol.confidence) <= self.incumbent,
             };
             if esc_now {
@@ -1108,12 +1098,12 @@ impl Evaluate for UncertaintyEscalate<'_> {
             if let Some(f) = &features_of[i] {
                 // Train on the residual; the decision pass adds the
                 // provisional back when querying.
-                model.observe(f, score - provisional[i]);
+                self.online.observe(f, score - provisional[i]);
             }
             scores[i] = score;
             self.incumbent = self.incumbent.min(score);
         }
-        if model.refit() {
+        if self.online.refit() {
             self.stats.train_events += 1;
         }
         // Records between the batches handed over here are failed
@@ -1183,8 +1173,7 @@ impl UncertaintyEscalate<'_> {
             };
         }
 
-        let model = self.online.lock().expect("predictor lock");
-        self.stats.observations = model.observations() as u64;
+        self.stats.observations = self.online.observations() as u64;
         self.stats.avoided_simulations = history
             .iter()
             .zip(&self.verified)
@@ -1497,7 +1486,6 @@ mod tests {
             policy: EscalationPolicy::Uncertainty(UncertaintyPolicy {
                 predictor: kind,
                 min_train: 4,
-                refit_every: 4,
                 confidence: 1.0,
                 budget,
             }),
@@ -1509,16 +1497,24 @@ mod tests {
     fn uncertainty_escalation_needs_fewer_accurate_sims() {
         let (def, spec) = setup();
         let predictor = trained_predictor(&def, &spec);
+        let cache = Arc::new(SimCache::new());
         let opts = TuneOptions {
             n_trials: 24,
             batch_size: 8,
             n_parallel: 4,
             seed: 9,
+            memo_cache: Some(cache.clone()),
             ..Default::default()
         };
         let esc = uncertainty_esc(PredictorKind::LinReg, None);
         let out = tune_with_fidelity_escalation(&def, &spec, &predictor, &opts, &esc).unwrap();
-        assert_eq!(out.explore_backend, "predicted(fast-count)");
+        // The policy explores on the plain tier session, so the cheap
+        // pass is memoized like the accurate one.
+        assert_eq!(out.explore_backend, "fast-count");
+        assert_eq!(
+            cache.stats().lookups(),
+            (out.explore_runs + out.accurate_runs) as u64
+        );
         assert_eq!(out.final_backend, "accurate");
         assert_eq!(out.result.history.len(), 24);
         assert_eq!(
@@ -1560,7 +1556,6 @@ mod tests {
             policy: EscalationPolicy::Uncertainty(UncertaintyPolicy {
                 predictor: PredictorKind::LinReg,
                 min_train: 4,
-                refit_every: 4,
                 confidence: 1e6,
                 budget: Some(5),
             }),

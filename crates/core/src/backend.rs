@@ -315,9 +315,15 @@ impl SimBackend for AccurateBackend {
 /// bit-identical to [`AccurateBackend`]'s; cache hit/miss counters are
 /// absent (every access reports as an L1 miss). Use it for cheap early
 /// autotuning rounds where candidate ranking by work volume suffices.
+///
+/// Reports keep the shape of the hierarchy they stand in for: one built
+/// [`FastCountBackend::matching`] a hierarchy with an L3 reports an
+/// all-zero `l3`, so its feature vectors are as wide as the accurate
+/// tier's and a predictor trained on accurate data can score them.
 #[derive(Debug, Clone)]
 pub struct FastCountBackend {
     line_bytes: u64,
+    has_l3: bool,
 }
 
 impl FastCountBackend {
@@ -333,12 +339,19 @@ impl FastCountBackend {
             line_bytes.is_power_of_two(),
             "line_bytes must be a power of two"
         );
-        FastCountBackend { line_bytes }
+        FastCountBackend {
+            line_bytes,
+            has_l3: false,
+        }
     }
 
-    /// Counting backend whose line size matches `hierarchy`.
+    /// Counting backend whose line size and report shape (L3 or not)
+    /// match `hierarchy`.
     pub fn matching(hierarchy: &HierarchyConfig) -> Self {
-        FastCountBackend::new(hierarchy.line_bytes())
+        FastCountBackend {
+            has_l3: hierarchy.l3.is_some(),
+            ..FastCountBackend::new(hierarchy.line_bytes())
+        }
     }
 }
 
@@ -359,12 +372,18 @@ impl SimBackend for FastCountBackend {
         engine: EngineKind,
     ) -> Result<SimReport, BackendError> {
         let hier = || CacheHierarchy::counting_only(self.line_bytes);
-        let (out, _) = replay(exe, decoded, hier, engine, *limits, None, &mut NoopHook)?;
+        let (mut out, _) = replay(exe, decoded, hier, engine, *limits, None, &mut NoopHook)?;
+        if self.has_l3 {
+            out.stats.cache.l3 = Some(CacheStats::default());
+        }
         Ok(SimReport::full(out.stats, FAST_COUNT))
     }
 
+    // The L3 shape is named only where there is one, so digests (and
+    // memo keys) of L3-free hierarchies read as they always have.
     fn fidelity_digest(&self) -> Option<String> {
-        Some(format!("fast-count @ line_bytes={}", self.line_bytes))
+        let l3 = if self.has_l3 { " l3=zero" } else { "" };
+        Some(format!("fast-count @ line_bytes={}{l3}", self.line_bytes))
     }
 }
 

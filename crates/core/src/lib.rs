@@ -82,9 +82,6 @@ pub use metrics::{
 };
 pub use pipelined::{PipelinedBackend, PIPELINED};
 pub use pool::BatchTicket;
-pub use predicted::{
-    shared_predictor, OnlinePredictor, PredictedBackend, Prediction, Predictor, SharedPredictor,
-};
 pub use runner::{HardwareRunner, KernelBuilder};
 pub use score::{GroupData, ScorePredictor};
 pub use search::{

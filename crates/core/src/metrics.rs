@@ -72,13 +72,12 @@ pub struct TenantStats {
     pub pool: WorkerPoolStats,
     /// Accumulated online-predictor counters over all of this tenant's
     /// escalated tunes (all-zero when the tenant never used the
-    /// predicted tier).
+    /// uncertainty policy).
     pub predictor: PredictorStats,
 }
 
-/// Counters of the online prediction subsystem
-/// ([`crate::PredictedBackend`] + the uncertainty escalation policy),
-/// surfaced on [`crate::TuneResult::predictor`] and aggregated per
+/// Counters of the uncertainty escalation policy's online model
+/// ([`crate::EscalationPolicy::Uncertainty`]), surfaced on [`crate::TuneResult::predictor`] and aggregated per
 /// tenant on [`TenantStats::predictor`].
 ///
 /// `avoided_simulations` is the headline number: candidates whose score

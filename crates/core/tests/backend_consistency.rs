@@ -6,13 +6,23 @@
 //!   *exactly* on every kernel of the paper's workload set;
 //! * `SampledBackend` at sample fraction 1.0 covers the whole program,
 //!   so its statistics (instruction mix *and* cache counters) must equal
-//!   the accurate backend's.
+//!   the accurate backend's;
+//! * a predictor trained on accurate data must be able to score the
+//!   counting tier on every paper target, so `FastCountBackend` reports
+//!   keep the accurate feature width — on x86, the one target with an
+//!   L3, too.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use simtune_core::{AccurateBackend, FastCountBackend, KernelBuilder, SampledBackend, SimBackend};
+use simtune_core::{
+    collect_group_data, raw_sample, tune_with_fidelity_escalation, AccurateBackend, CollectOptions,
+    EscalationOptions, EscalationPolicy, FastCountBackend, FeatureConfig, KernelBuilder,
+    SampledBackend, ScorePredictor, SimBackend, TuneOptions, UncertaintyPolicy, WindowKind,
+    WindowNormalizer,
+};
 use simtune_hw::TargetSpec;
 use simtune_isa::{Executable, RunLimits};
+use simtune_predict::PredictorKind;
 use simtune_tensor::{conv2d_bias_relu, matmul, ComputeDef, Schedule, SketchGenerator};
 
 /// The paper's five Conv2D+Bias+ReLU groups (Table II) at smoke scale
@@ -100,6 +110,73 @@ fn sampled_at_fraction_one_equals_accurate_on_paper_workloads() {
             );
             assert_eq!(a.stats.inst_mix, s.stats.inst_mix, "mix on {}", exe.name);
             assert_eq!(a.stats.cache, s.stats.cache, "cache on {}", exe.name);
+        }
+    }
+}
+
+#[test]
+fn fast_count_is_scorable_and_escalation_completes_on_every_paper_target() {
+    let def = matmul(8, 8, 8);
+    let config = FeatureConfig::default();
+    for spec in TargetSpec::paper_targets() {
+        let arch = spec.name();
+        let exe = &candidates(&def, &spec, 0xFEA7)[0];
+        let width = |backend: &dyn SimBackend| {
+            let report = backend.run_one(exe, &RunLimits::default()).expect("runs");
+            let raw = raw_sample(&report.stats, &config);
+            let mut norm = WindowNormalizer::new(WindowKind::Dynamic);
+            norm.feed(&raw);
+            norm.features(&raw, &config).len()
+        };
+        assert_eq!(
+            width(&FastCountBackend::matching(&spec.hierarchy)),
+            width(&AccurateBackend::new(spec.hierarchy.clone())),
+            "{arch}: fast-count and accurate feature widths"
+        );
+
+        let data = collect_group_data(
+            &def,
+            &spec,
+            0,
+            &CollectOptions {
+                n_impls: 12,
+                n_parallel: 2,
+                seed: 5,
+                max_attempts_factor: 40,
+                ..CollectOptions::default()
+            },
+        )
+        .expect("collects");
+        let mut predictor = ScorePredictor::new(PredictorKind::LinReg, arch, "matmul", 1);
+        predictor
+            .train(std::slice::from_ref(&data))
+            .expect("trains");
+        let opts = TuneOptions {
+            n_trials: 12,
+            batch_size: 4,
+            n_parallel: 2,
+            seed: 3,
+            ..TuneOptions::default()
+        };
+        let uncertainty = UncertaintyPolicy {
+            predictor: PredictorKind::LinReg,
+            min_train: 4,
+            ..UncertaintyPolicy::default()
+        };
+        for policy in [
+            EscalationPolicy::TopK,
+            EscalationPolicy::Uncertainty(uncertainty),
+        ] {
+            // The default exploration tier: fast-count.
+            let esc = EscalationOptions {
+                top_k: 4,
+                policy,
+                ..EscalationOptions::default()
+            };
+            let out = tune_with_fidelity_escalation(&def, &spec, &predictor, &opts, &esc)
+                .unwrap_or_else(|e| panic!("{arch}: escalated tune failed: {e}"));
+            assert_eq!(out.explore_backend, "fast-count", "{arch}");
+            assert!(out.result.best().score.is_finite(), "{arch}");
         }
     }
 }

@@ -99,7 +99,6 @@ fn uncertainty(kind: PredictorKind) -> EscalationOptions {
             predictor: kind,
             confidence: 1.0,
             min_train: 4,
-            refit_every: 4,
             budget: None,
         }),
         ..EscalationOptions::default()

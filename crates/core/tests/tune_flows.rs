@@ -69,7 +69,6 @@ fn uncertainty() -> EscalationOptions {
             predictor: PredictorKind::LinReg,
             confidence: 1.0,
             min_train: 4,
-            refit_every: 4,
             budget: None,
         }),
         ..EscalationOptions::default()

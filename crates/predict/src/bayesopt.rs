@@ -1,5 +1,5 @@
 use crate::model::check_fit_input;
-use crate::{GpKernel, GpRegressor, Loss, PredictError, Regressor, UncertainRegressor};
+use crate::{GpKernel, GpRegressor, Loss, PredictError, Regressor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simtune_linalg::Matrix;
@@ -261,18 +261,16 @@ impl Regressor for BayesGpRegressor {
             .predict(x)
     }
 
-    fn name(&self) -> &'static str {
-        "bayes"
-    }
-}
-
-impl UncertainRegressor for BayesGpRegressor {
     /// Posterior mean and standard deviation of the tuned inner GP.
     fn predict_with_uncertainty(&self, x: &Matrix) -> Result<(Vec<f64>, Vec<f64>), PredictError> {
         self.inner
             .as_ref()
             .ok_or(PredictError::NotFitted)?
             .predict_with_uncertainty(x)
+    }
+
+    fn name(&self) -> &'static str {
+        "bayes"
     }
 }
 

@@ -1,5 +1,5 @@
 use crate::model::{check_features, check_fit_input};
-use crate::{Loss, PredictError, Regressor, Standardizer, UncertainRegressor};
+use crate::{Loss, PredictError, Regressor, Standardizer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simtune_linalg::Matrix;
@@ -257,16 +257,14 @@ impl Regressor for DnnRegressor {
             .collect())
     }
 
-    fn name(&self) -> &'static str {
-        "dnn"
-    }
-}
-
-impl UncertainRegressor for DnnRegressor {
     fn predict_with_uncertainty(&self, x: &Matrix) -> Result<(Vec<f64>, Vec<f64>), PredictError> {
         let means = self.predict(x)?;
         let stds = vec![self.residual_std; means.len()];
         Ok((means, stds))
+    }
+
+    fn name(&self) -> &'static str {
+        "dnn"
     }
 }
 

@@ -1,5 +1,5 @@
 use crate::model::{check_features, check_fit_input};
-use crate::{PredictError, Regressor, UncertainRegressor};
+use crate::{PredictError, Regressor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simtune_linalg::Matrix;
@@ -312,12 +312,6 @@ impl Regressor for GbtRegressor {
             .collect())
     }
 
-    fn name(&self) -> &'static str {
-        "xgboost"
-    }
-}
-
-impl UncertainRegressor for GbtRegressor {
     /// Sub-ensemble spread: the trees are split round-robin into up to
     /// four folds, each fold's rescaled prediction is an independent
     /// estimate, and the reported uncertainty is the standard deviation
@@ -358,6 +352,10 @@ impl UncertainRegressor for GbtRegressor {
             })
             .collect();
         Ok((means, stds))
+    }
+
+    fn name(&self) -> &'static str {
+        "xgboost"
     }
 }
 

@@ -1,5 +1,5 @@
 use crate::model::{check_features, check_fit_input};
-use crate::{PredictError, Regressor, Standardizer, UncertainRegressor};
+use crate::{PredictError, Regressor, Standardizer};
 use simtune_linalg::{Cholesky, Matrix};
 
 /// The paper's Gaussian-process kernel (its Listing 6):
@@ -175,12 +175,6 @@ impl Regressor for GpRegressor {
             .collect())
     }
 
-    fn name(&self) -> &'static str {
-        "gp"
-    }
-}
-
-impl UncertainRegressor for GpRegressor {
     /// Posterior mean and standard deviation (square root of
     /// [`GpRegressor::predict_variance`]).
     fn predict_with_uncertainty(&self, x: &Matrix) -> Result<(Vec<f64>, Vec<f64>), PredictError> {
@@ -191,6 +185,10 @@ impl UncertainRegressor for GpRegressor {
             .map(f64::sqrt)
             .collect();
         Ok((means, stds))
+    }
+
+    fn name(&self) -> &'static str {
+        "gp"
     }
 }
 

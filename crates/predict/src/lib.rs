@@ -54,5 +54,5 @@ pub use gp::{GpKernel, GpRegressor};
 pub use gridsearch::{grid_search_gbt, GbtGrid};
 pub use linreg::LinearRegression;
 pub use loss::Loss;
-pub use model::{PredictorKind, Regressor, UncertainRegressor};
+pub use model::{PredictorKind, Regressor};
 pub use standardize::Standardizer;

@@ -1,5 +1,5 @@
 use crate::model::{check_features, check_fit_input};
-use crate::{PredictError, Regressor, UncertainRegressor};
+use crate::{PredictError, Regressor};
 use simtune_linalg::Matrix;
 
 /// Multiple linear regression fitted by minimizing the residual sum of
@@ -109,16 +109,14 @@ impl Regressor for LinearRegression {
             .collect())
     }
 
-    fn name(&self) -> &'static str {
-        "linreg"
-    }
-}
-
-impl UncertainRegressor for LinearRegression {
     fn predict_with_uncertainty(&self, x: &Matrix) -> Result<(Vec<f64>, Vec<f64>), PredictError> {
         let means = self.predict(x)?;
         let stds = vec![self.residual_std; means.len()];
         Ok((means, stds))
+    }
+
+    fn name(&self) -> &'static str {
+        "linreg"
     }
 }
 

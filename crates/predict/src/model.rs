@@ -5,7 +5,7 @@ use simtune_linalg::Matrix;
 ///
 /// Implementations are deterministic given their construction seed, so
 /// experiment runs are reproducible.
-pub trait Regressor {
+pub trait Regressor: Send {
     /// Fits the model to `x` (one row per sample) and targets `y`.
     ///
     /// # Errors
@@ -22,28 +22,26 @@ pub trait Regressor {
     /// [`PredictError::DimensionMismatch`] on feature-count mismatch.
     fn predict(&self, x: &Matrix) -> Result<Vec<f64>, PredictError>;
 
-    /// Short predictor label ("linreg", "dnn", "bayes", "xgboost").
-    fn name(&self) -> &'static str;
-}
-
-/// A [`Regressor`] that also quantifies how sure it is.
-///
-/// The uncertainty estimate is the model family's natural one: posterior
-/// standard deviation for the Gaussian-process models, sub-ensemble
-/// spread for the boosted trees, and training-residual spread for the
-/// parametric models (linear regression and the DNN). The magnitudes are
-/// not calibrated across families — they are meant for *ranking* queries
-/// by confidence within one model, which is all the active-learning
-/// escalation policy needs.
-pub trait UncertainRegressor: Regressor + Send {
     /// Predicts targets for `x` together with a per-row standard
-    /// deviation (`(means, stds)`, both `x.rows()` long).
+    /// deviation (`(means, stds)`, both `x.rows()` long); the means are
+    /// [`Regressor::predict`]'s.
+    ///
+    /// The uncertainty estimate is the model family's natural one:
+    /// posterior standard deviation for the Gaussian-process models,
+    /// sub-ensemble spread for the boosted trees, and training-residual
+    /// spread for the parametric models (linear regression and the DNN).
+    /// The magnitudes are not calibrated across families — they are meant
+    /// for *ranking* queries by confidence within one model, which is all
+    /// the active-learning escalation policy needs.
     ///
     /// # Errors
     ///
     /// Returns [`PredictError::NotFitted`] before `fit`, and
     /// [`PredictError::DimensionMismatch`] on feature-count mismatch.
     fn predict_with_uncertainty(&self, x: &Matrix) -> Result<(Vec<f64>, Vec<f64>), PredictError>;
+
+    /// Short predictor label ("linreg", "dnn", "bayes", "xgboost").
+    fn name(&self) -> &'static str;
 }
 
 /// The paper's four predictor families with their tuned configurations
@@ -84,17 +82,6 @@ impl PredictorKind {
     /// Builds a fresh predictor with the paper's tuned configuration and
     /// the given seed for its stochastic parts.
     pub fn build(self, seed: u64) -> Box<dyn Regressor> {
-        match self {
-            PredictorKind::LinReg => Box::new(LinearRegression::new()),
-            PredictorKind::Dnn => Box::new(DnnRegressor::paper_config(seed)),
-            PredictorKind::Bayes => Box::new(BayesGpRegressor::paper_config(seed)),
-            PredictorKind::Xgboost => Box::new(GbtRegressor::paper_config(seed)),
-        }
-    }
-
-    /// Builds a fresh predictor that also reports per-query uncertainty
-    /// (the same tuned configuration as [`PredictorKind::build`]).
-    pub fn build_uncertain(self, seed: u64) -> Box<dyn UncertainRegressor> {
         match self {
             PredictorKind::LinReg => Box::new(LinearRegression::new()),
             PredictorKind::Dnn => Box::new(DnnRegressor::paper_config(seed)),
@@ -165,14 +152,6 @@ mod tests {
     fn factory_builds_every_kind() {
         for k in PredictorKind::all() {
             let m = k.build(1);
-            assert!(!m.name().is_empty());
-        }
-    }
-
-    #[test]
-    fn uncertain_factory_builds_every_kind() {
-        for k in PredictorKind::all() {
-            let m = k.build_uncertain(1);
             assert!(!m.name().is_empty());
             assert!(matches!(
                 m.predict_with_uncertainty(&Matrix::zeros(1, 2)),

@@ -1,8 +1,8 @@
 //! Shared conformance suite for every predictor family.
 //!
-//! The online `Predictor` layer in `simtune-core` treats all four model
-//! families interchangeably through [`PredictorKind::build_uncertain`],
-//! so this suite pins the behaviour that layer relies on: every model
+//! The uncertainty escalation policy in `simtune-core` treats all four
+//! model families interchangeably through [`PredictorKind::build`], so
+//! this suite pins the behaviour that policy relies on: every model
 //! (a) learns a known linear set well enough to rank it, (b) copes with
 //! a quadratic set at least as well as predicting the mean, (c) is
 //! bit-identical under a fixed seed, and (d) reports finite,
@@ -89,7 +89,7 @@ fn every_model_is_deterministic_under_a_fixed_seed() {
 fn every_model_reports_aligned_finite_uncertainty() {
     let (x, y) = linear_set();
     for kind in PredictorKind::all() {
-        let mut model = kind.build_uncertain(11);
+        let mut model = kind.build(11);
         model.fit(&x, &y).unwrap();
         let (means, stds) = model.predict_with_uncertainty(&x).unwrap();
         assert_eq!(means.len(), x.rows(), "{}", kind.label());
@@ -100,9 +100,7 @@ fn every_model_reports_aligned_finite_uncertainty() {
             kind.label()
         );
         // The uncertain path must agree with the plain one on the mean.
-        let mut plain = kind.build(11);
-        plain.fit(&x, &y).unwrap();
-        assert_eq!(means, plain.predict(&x).unwrap(), "{}", kind.label());
+        assert_eq!(means, model.predict(&x).unwrap(), "{}", kind.label());
     }
 }
 
@@ -110,7 +108,7 @@ fn every_model_reports_aligned_finite_uncertainty() {
 fn every_model_rejects_queries_before_fit_and_after_mismatch() {
     let (x, y) = linear_set();
     for kind in PredictorKind::all() {
-        let model = kind.build_uncertain(0);
+        let model = kind.build(0);
         assert!(
             matches!(model.predict(&x), Err(PredictError::NotFitted)),
             "{}",
@@ -124,7 +122,7 @@ fn every_model_rejects_queries_before_fit_and_after_mismatch() {
             "{}",
             kind.label()
         );
-        let mut fitted = kind.build_uncertain(0);
+        let mut fitted = kind.build(0);
         fitted.fit(&x, &y).unwrap();
         assert!(
             matches!(
@@ -143,7 +141,7 @@ fn gp_uncertainty_grows_away_from_training_data() {
     // far from everything observed must look *less* certain.
     let x = Matrix::from_fn(20, 1, |i, _| i as f64 / 4.0);
     let y: Vec<f64> = (0..20).map(|i| (i as f64 / 4.0).sin()).collect();
-    let mut gp = PredictorKind::Bayes.build_uncertain(5);
+    let mut gp = PredictorKind::Bayes.build(5);
     gp.fit(&x, &y).unwrap();
     let near = Matrix::from_vec(1, 1, vec![2.0]).unwrap();
     let far = Matrix::from_vec(1, 1, vec![500.0]).unwrap();

@@ -94,10 +94,9 @@
 pub use simtune_core::{
     tune_with_fidelity_escalation, AccurateBackend, BackendError, BatchTicket, ConvergenceStats,
     EscalatedTuneResult, EscalationOptions, EscalationPolicy, Evaluation, FastCountBackend,
-    MemoCacheStats, OnlinePredictor, PredictedBackend, Prediction, Predictor, PredictorStats,
-    SampledBackend, SearchSpace, SearchStrategy, SimBackend, SimCache, SimReport, SimSession,
-    SimSessionBuilder, SketchSpace, StageTimings, StrategySpec, TemplateSpace, UncertaintyPolicy,
-    WorkerPoolStats,
+    MemoCacheStats, PredictorStats, SampledBackend, SearchSpace, SearchStrategy, SimBackend,
+    SimCache, SimReport, SimSession, SimSessionBuilder, SketchSpace, StageTimings, StrategySpec,
+    TemplateSpace, UncertaintyPolicy, WorkerPoolStats,
 };
 
 pub use simtune_cache as cache;
