@@ -153,6 +153,14 @@ mod tests {
         for k in PredictorKind::all() {
             let m = k.build(1);
             assert!(!m.name().is_empty());
+        }
+    }
+
+    #[test]
+    fn uncertain_factory_builds_every_kind() {
+        for k in PredictorKind::all() {
+            let m = k.build(1);
+            assert!(!m.name().is_empty());
             assert!(matches!(
                 m.predict_with_uncertainty(&Matrix::zeros(1, 2)),
                 Err(PredictError::NotFitted)
