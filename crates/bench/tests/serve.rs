@@ -2,7 +2,8 @@
 //! field: opening tenants at a named tier, escalated tunes with a
 //! spec-named exploration tier, the escalation knobs with and without
 //! a spec, and grammar errors — hostile predictor sizes included — as
-//! handler failures. Hostile frames (deep nesting, many keys) are
+//! handler failures. A server booted from a snapshot opens a tenant
+//! from memory: board runs and training samples are cache entries. Hostile frames (deep nesting, many keys) are
 //! refused with `ok: false` and the loop keeps serving.
 
 use simtune_bench::serve::{
@@ -116,6 +117,61 @@ fn open_collects_its_training_set_on_the_tenants_lane_at_the_accurate_tier() {
     let (trials, hits, misses) = stats(&mut server, "acc");
     assert_eq!((trials, misses), (0, 0));
     assert!(hits > 0);
+}
+
+#[test]
+fn a_server_booted_from_a_snapshot_opens_without_simulating_the_board_or_the_samples() {
+    let path = std::env::temp_dir().join(format!(
+        "simtune_serve_board_snapshot_{}.json",
+        std::process::id()
+    ));
+    let path_req = |op: &str| Request {
+        path: Some(path.to_string_lossy().into_owned()),
+        ..req(op)
+    };
+    let tune = Request {
+        tenant: Some("t".into()),
+        n_trials: Some(8),
+        batch_size: Some(4),
+        seed: Some(3),
+        strategy: Some("random".into()),
+        ..req("tune")
+    };
+    let mut first = server();
+    assert!(roundtrip(&mut first, &open_req("t", None)).unwrap().ok);
+    let tuned = roundtrip(&mut first, &tune).unwrap();
+    assert!(tuned.ok, "tune failed: {:?}", tuned.error);
+    let saved = roundtrip(&mut first, &path_req("save_cache")).unwrap();
+    assert!(saved.ok, "save failed: {:?}", saved.error);
+    // The board's timing runs are ordinary cache entries.
+    let snapshot = std::fs::read_to_string(&path).expect("snapshot written");
+    assert!(snapshot.contains(r#""backend":"board""#));
+
+    let mut second = server();
+    let loaded = roundtrip(&mut second, &path_req("load_cache")).unwrap();
+    assert_eq!(loaded.entries, saved.entries);
+    assert!(roundtrip(&mut second, &open_req("t", None)).unwrap().ok);
+    let stats = roundtrip(
+        &mut second,
+        &Request {
+            tenant: Some("t".into()),
+            ..req("stats")
+        },
+    )
+    .unwrap();
+    assert_eq!(
+        (stats.trials, stats.memo_misses),
+        (Some(0), Some(0)),
+        "board runs and accurate samples all come from the snapshot"
+    );
+    assert!(stats.memo_hits.unwrap() > 0);
+    let again = roundtrip(&mut second, &tune).unwrap();
+    assert!(again.ok, "tune failed: {:?}", again.error);
+    assert_eq!(
+        again.best_score.map(f64::to_bits),
+        tuned.best_score.map(f64::to_bits)
+    );
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]

@@ -235,10 +235,12 @@ pub fn tune_on_hardware(
     spec: &TargetSpec,
     opts: &TuneOptions,
 ) -> Result<TuneResult, CoreError> {
-    let mut eval = HardwareMeasure(HardwareRunner {
+    let runner = HardwareRunner {
         noise_seed: opts.seed ^ 0x7A11,
         ..HardwareRunner::new(spec.clone())
-    });
+    };
+    let session = session(runner.board(), opts)?;
+    let mut eval = HardwareMeasure { runner, session };
     drive_sketch(def, spec, opts, 'h', &mut eval)
 }
 
@@ -603,33 +605,36 @@ impl Evaluate for SessionScore<'_> {
     }
 }
 
-/// *Hardware-measure*: the board benchmarks one binary at a time
-/// (Section IV), so nothing overlaps; the candidate that becomes history
-/// record *i* is measured under noise index *i*.
-struct HardwareMeasure(HardwareRunner);
+/// *Hardware-measure*: the batch's board runs are submitted to the
+/// session's pool like simulations, and the noise protocol is applied
+/// when they come back; the candidate that becomes history record *i*
+/// is measured under noise index *i*, whichever worker ran its board.
+struct HardwareMeasure {
+    runner: HardwareRunner,
+    session: SimSession,
+}
 
 impl Evaluate for HardwareMeasure {
-    type Pending = (Vec<Executable>, usize);
-    const OVERLAPS: bool = false;
+    type Pending = (BatchTicket, usize);
+    const OVERLAPS: bool = true;
 
     fn start(&mut self, trials: Vec<Trial>, first_index: usize) -> Self::Pending {
-        (
-            trials.into_iter().map(Trial::into_built).collect(),
-            first_index,
-        )
+        let exes = trials.into_iter().map(Trial::into_built).collect();
+        (self.session.submit(exes), first_index)
     }
 
     fn finish(
         &mut self,
-        (exes, first_index): Self::Pending,
+        (ticket, first_index): Self::Pending,
         timings: &mut StageTimings,
     ) -> Result<Vec<f64>, CoreError> {
         let t0 = Instant::now();
-        let measure = |(i, exe)| match self.0.run_one(exe, first_index + i) {
+        let reports = ticket.wait().into_iter().enumerate();
+        let measure = |(i, report)| match self.runner.measurement(report, first_index + i) {
             Ok(m) => m.t_ref,
             Err(_) => f64::INFINITY,
         };
-        let scores = exes.iter().enumerate().map(measure).collect();
+        let scores = reports.map(measure).collect();
         timings.sim_nanos += since(t0);
         Ok(scores)
     }

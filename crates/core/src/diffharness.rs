@@ -398,13 +398,25 @@ impl DiffHarness {
         if self.diff_executable(&exe).2.is_empty() {
             return None;
         }
-        Some(simtune_isa::shrink_program(&exe.program, |candidate| {
-            let cand = Executable {
+        Some(Self::shrink_executable(&exe, |cand| {
+            !self.diff_executable(cand).2.is_empty()
+        }))
+    }
+
+    /// Shrinks `exe`'s program to a locally minimal one for which
+    /// `diverges` still holds, keeping its data image and target — the
+    /// repro step of [`DiffHarness::shrink_case`], for comparisons that
+    /// live outside the per-case matrix.
+    pub(crate) fn shrink_executable(
+        exe: &Executable,
+        diverges: impl Fn(&Executable) -> bool,
+    ) -> Program {
+        simtune_isa::shrink_program(&exe.program, |candidate| {
+            diverges(&Executable {
                 program: candidate.clone(),
                 ..exe.clone()
-            };
-            !self.diff_executable(&cand).2.is_empty()
-        }))
+            })
+        })
     }
 
     /// FastCount contract: retired-instruction mix and line-granular

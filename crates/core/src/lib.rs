@@ -42,6 +42,7 @@
 
 mod autotune;
 mod backend;
+mod board;
 pub mod diffharness;
 mod error;
 mod features;

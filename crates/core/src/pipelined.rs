@@ -117,7 +117,9 @@ impl SimBackend for PipelinedBackend {
 mod tests {
     use super::*;
     use crate::backend::AccurateBackend;
-    use simtune_isa::{Fpr, Gpr, Inst, ProgramBuilder, TargetIsa};
+    use crate::{CoreError, SimSession};
+    use simtune_isa::{Fpr, Gpr, Inst, ProgramBuilder, SimError, TargetIsa};
+    use std::sync::Arc;
 
     fn hier() -> HierarchyConfig {
         HierarchyConfig::tiny_for_tests()
@@ -231,5 +233,34 @@ mod tests {
             .fidelity_digest()
             .unwrap()
             .starts_with("pipelined:btb=512,ras=8 @ "));
+    }
+
+    #[test]
+    fn hostile_stride_on_the_pipelined_tier_is_the_accurate_tiers_memory_fault() {
+        let spec = TargetSpec::x86_ryzen_5800x();
+        let exe = crate::board::tests::hostile_stride_exe(&spec);
+        let run = |backend: Arc<dyn SimBackend>| {
+            let session = SimSession::builder()
+                .backend(backend)
+                .n_parallel(1)
+                .build()
+                .unwrap();
+            session.run(std::slice::from_ref(&exe)).remove(0)
+        };
+        let accurate = run(Arc::new(AccurateBackend::new(spec.hierarchy.clone())));
+        let pipelined = run(Arc::new(PipelinedBackend::new(
+            spec.hierarchy.clone(),
+            512,
+            8,
+        )));
+        let fault = SimError::MemoryFault {
+            addr: (i64::MIN + 64) as u64,
+        };
+        for outcome in [accurate, pipelined] {
+            match outcome {
+                Err(CoreError::Sim(e)) => assert_eq!(e, fault),
+                other => panic!("expected the memory fault, got {other:?}"),
+            }
+        }
     }
 }

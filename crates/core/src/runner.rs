@@ -9,13 +9,16 @@
 //! module holds the two pieces around it:
 //!
 //! * [`KernelBuilder`] — schedule → standalone [`Executable`];
-//! * [`HardwareRunner`] — sequential noisy measurements on the emulated
-//!   target board (native execution is never parallel, Section IV).
+//! * [`HardwareRunner`] — the benchmarking protocol of the emulated
+//!   target board (Section IV): `N_exe` noisy repetitions around the
+//!   board's deterministic model time.
 
-use crate::CoreError;
+use crate::board::BoardBackend;
+use crate::{CoreError, SimBackend, SimReport};
 use simtune_hw::{measure, MeasureConfig, Measurement, TargetSpec};
 use simtune_isa::Executable;
 use simtune_tensor::{build_executable, ComputeDef, Schedule, TargetIsa};
+use std::sync::Arc;
 
 /// Compiles kernel schedules into standalone executables (the "builder"
 /// box of the paper's Fig. 2).
@@ -74,9 +77,23 @@ impl KernelBuilder {
     }
 }
 
-/// Benchmarks candidates sequentially on the emulated target hardware —
-/// the flow the simulator interface replaces, and the source of training
-/// labels (`t_ref`).
+/// The benchmarking protocol of the emulated target hardware — the flow
+/// the simulator interface replaces, and the source of training labels
+/// (`t_ref`).
+///
+/// A measurement has two parts. The board's timing run is deterministic,
+/// so the workflows ([`crate::collect_group_data`],
+/// [`crate::tune_on_hardware`]) submit it to the session's worker pool
+/// as an internal backend, where it runs in parallel with the other
+/// trials and is memoized like them. What stays here is the noise
+/// protocol: candidate *i*'s repetitions are drawn under noise seed
+/// `noise_seed + i·0x9E37`, whichever thread ran its board and whenever.
+///
+/// Host parallelism changes no number. On real hardware native runs
+/// cannot overlap (Section IV), and that sequential device time is what
+/// the paper charges: [`Measurement::native_benchmark_seconds`] (the
+/// denominator of Equation 4) is computed from the model time, not
+/// from the host clock.
 #[derive(Debug, Clone)]
 pub struct HardwareRunner {
     /// The emulated board.
@@ -97,7 +114,7 @@ impl HardwareRunner {
         }
     }
 
-    /// Measures one executable.
+    /// Measures one executable, its board run on the calling thread.
     ///
     /// # Errors
     ///
@@ -107,17 +124,50 @@ impl HardwareRunner {
             exe,
             &self.spec,
             &self.config,
-            self.noise_seed.wrapping_add(index as u64 * 0x9E37),
+            self.noise_seed(index),
         )?)
     }
 
-    /// Measures every executable in order (never in parallel: parallel
-    /// native execution would disturb the measurements, Section IV).
+    /// Measures every executable, one after another on the calling
+    /// thread, candidate *i* under noise index *i*.
     pub fn run(&self, exes: &[Executable]) -> Vec<Result<Measurement, CoreError>> {
         exes.iter()
             .enumerate()
             .map(|(i, e)| self.run_one(e, i))
             .collect()
+    }
+
+    /// Noise seed of candidate `index`.
+    pub(crate) fn noise_seed(&self, index: usize) -> u64 {
+        self.noise_seed.wrapping_add(index as u64 * 0x9E37)
+    }
+
+    /// The board's timing run as a backend, for a session to submit to.
+    pub(crate) fn board(&self) -> Arc<dyn SimBackend> {
+        Arc::new(BoardBackend::new(&self.spec))
+    }
+
+    /// The noise protocol over a [`HardwareRunner::board`] report:
+    /// candidate `index`'s measurement, or the report's error.
+    pub(crate) fn measurement(
+        &self,
+        report: Result<SimReport, CoreError>,
+        index: usize,
+    ) -> Result<Measurement, CoreError> {
+        let report = report?;
+        let cycles = report.cycles.ok_or_else(|| {
+            CoreError::Pipeline(format!(
+                "a {:?} report has no cycle breakdown",
+                report.backend
+            ))
+        })?;
+        let base_seconds = cycles.total() / self.spec.freq_hz;
+        Ok(Measurement::from_base(
+            base_seconds,
+            &self.spec,
+            &self.config,
+            self.noise_seed(index),
+        ))
     }
 }
 

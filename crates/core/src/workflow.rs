@@ -7,7 +7,7 @@ use crate::metrics::{prediction_metrics, PredictionMetrics};
 use crate::runner::{HardwareRunner, KernelBuilder};
 use crate::score::{GroupData, ScorePredictor};
 use crate::search::{RandomSearch, SearchStrategy, SketchSpace};
-use crate::{CoreError, FidelitySpec};
+use crate::{CoreError, FidelitySpec, SimReport};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simtune_hw::TargetSpec;
@@ -73,7 +73,10 @@ pub fn collect_group_data(
 /// ignored in favor of the session's pool and cache. The samples are
 /// simulated on the accurate tier, with the session's limits and engine,
 /// whatever backend the session itself drives: predictors are fit
-/// against accurate cache statistics.
+/// against accurate cache statistics. Their labels come from the
+/// emulated board, whose timing runs are trials on the same pool and
+/// memo: the tenant's memo counters and the pool's trial count include
+/// them.
 ///
 /// # Errors
 ///
@@ -124,56 +127,58 @@ pub fn collect_group_data_on(
         )));
     }
 
-    // Build and simulate, pipelined: executables are submitted to the
-    // session's persistent pool chunk-wise, so chunk k simulates in
-    // parallel (Contribution I) while chunk k+1 is still being built on
-    // this thread.
+    // Build, simulate and measure, pipelined: each chunk of executables
+    // is submitted to the session's persistent pool twice — once to the
+    // accurate tier, once to the emulated board — so chunk k simulates
+    // and measures in parallel (Contribution I) while chunk k+1 is still
+    // being built on this thread. Both go through the session's memo,
+    // lane and counters; the board's noise protocol is a post-pass, and
+    // candidate i is measured under noise index i, so running the board
+    // on the pool changes no number.
     let accurate = FidelitySpec::Accurate.build(&spec.hierarchy)?;
     let sim = session.on_backend(accurate, session.engine());
+    let hw = HardwareRunner {
+        noise_seed: opts.seed ^ 0xAB5E,
+        ..HardwareRunner::new(spec.clone())
+    };
+    let board = session.on_backend(hw.board(), session.engine());
     let builder = KernelBuilder::new(def.clone(), spec.isa.clone());
     let chunk_len = (sim.n_parallel() * 4).max(8);
-    let mut exes = Vec::new();
     let mut descriptions = Vec::new();
     let mut tickets = Vec::new();
     let mut chunk = Vec::new();
+    let mut submit = |chunk: Vec<_>| tickets.push((sim.submit(chunk.clone()), board.submit(chunk)));
     for (i, (desc, schedule)) in schedules.iter().enumerate() {
         match builder.build(schedule, &format!("{}g{group_id}i{i}", def.name)) {
             Ok(e) => {
-                // The hardware runner below needs every executable too,
-                // so the simulator chunks are clones (cheap next to the
-                // build, and next to the simulation they overlap).
-                chunk.push(e.clone());
-                exes.push(e);
+                chunk.push(e);
                 descriptions.push(desc.clone());
             }
             Err(_) => continue, // failed builds are dropped, like in TVM
         }
         if chunk.len() >= chunk_len {
-            tickets.push(sim.submit(std::mem::take(&mut chunk)));
+            submit(std::mem::take(&mut chunk));
         }
     }
     if !chunk.is_empty() {
-        tickets.push(sim.submit(chunk));
+        submit(chunk);
     }
-    let sim_results: Vec<Result<simtune_isa::SimStats, CoreError>> = tickets
+    let (mut sim_results, mut board_reports) = (Vec::new(), Vec::new());
+    for (sim_ticket, board_ticket) in tickets {
+        sim_results.extend(sim_ticket.wait());
+        board_reports.extend(board_ticket.wait());
+    }
+    let measurements = board_reports
         .into_iter()
-        .flat_map(|t| t.wait())
-        .map(|r| r.map(|report| report.stats))
-        .collect();
-
-    // Measure sequentially on the emulated board.
-    let hw = HardwareRunner {
-        noise_seed: opts.seed ^ 0xAB5E,
-        ..HardwareRunner::new(spec.clone())
-    };
-    let measurements = hw.run(&exes);
+        .enumerate()
+        .map(|(i, report)| hw.measurement(report, i));
 
     let mut data = GroupData {
         group_id,
         ..GroupData::default()
     };
     for ((sim_r, hw_r), desc) in sim_results.into_iter().zip(measurements).zip(descriptions) {
-        let (Ok(stats), Ok(m)) = (sim_r, hw_r) else {
+        let (Ok(SimReport { stats, .. }), Ok(m)) = (sim_r, hw_r) else {
             continue;
         };
         data.sim_seconds.push(stats.host_seconds());

@@ -6,18 +6,18 @@
 //! repetitions, 1 s cooldowns, cache flushes and median extraction
 //! (Section IV). This crate replaces those machines:
 //!
-//! * [`TimingModel`] re-executes a program on its own cache hierarchy
-//!   while accumulating cycles from an issue-width pipeline model,
-//!   partially-overlapped miss latencies, a PC-indexed stride prefetcher
-//!   and a 2-bit branch predictor — mechanisms deliberately *invisible*
-//!   to the instruction-accurate statistics the predictor sees, so that
-//!   the prediction problem keeps its structure (scores correlate with,
-//!   but do not equal, runtime).
+//! * [`TimingModel`] is the hook of a replay on the production engine
+//!   over its own cache hierarchy, accumulating cycles from an
+//!   issue-width pipeline model, partially-overlapped miss latencies, a
+//!   PC-indexed stride prefetcher and a 2-bit branch predictor —
+//!   mechanisms deliberately *invisible* to the instruction-accurate
+//!   statistics the predictor sees, so that the prediction problem keeps
+//!   its structure (scores correlate with, but do not equal, runtime).
 //! * [`measure`] wraps the deterministic base time with a measurement
-//!   noise model (load jitter, absolute timer floor, outlier spikes,
-//!   thermal throttling with cooldown recovery) and reports the median of
-//!   `N_exe` noisy repetitions, exactly like the paper's benchmarking
-//!   protocol.
+//!   noise model — load jitter, absolute timer floor, outlier spikes,
+//!   thermal throttling with cooldown recovery; a pure post-pass,
+//!   [`Measurement::from_base`] — and reports the median of `N_exe`
+//!   noisy repetitions, exactly like the paper's benchmarking protocol.
 //!
 //! # Example
 //!

@@ -1,7 +1,8 @@
 use crate::{NoiseModel, TargetSpec, TimingModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use simtune_isa::{AtomicCpu, Executable, Memory, RunLimits, SimError};
+use simtune_cache::CacheHierarchy;
+use simtune_isa::{replay, EngineKind, Executable, RunLimits, SimError};
 use simtune_linalg::stats::median;
 
 /// Benchmarking protocol parameters (paper Section IV: `N_exe = 15`,
@@ -38,6 +39,34 @@ pub struct Measurement {
 }
 
 impl Measurement {
+    /// Applies the benchmarking protocol to a deterministic model time:
+    /// `cfg.n_exe` noisy repetitions of `base_seconds` under `spec`'s
+    /// noise model, cooldowns in between, median as `t_ref`. A pure
+    /// post-pass — the board run that produced `base_seconds` may have
+    /// happened anywhere, any time before, or come from a memo.
+    pub fn from_base(
+        base_seconds: f64,
+        spec: &TargetSpec,
+        cfg: &MeasureConfig,
+        seed: u64,
+    ) -> Measurement {
+        let mut noise = NoiseModel::new(spec.noise.clone());
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_CAFE);
+        let mut samples = Vec::with_capacity(cfg.n_exe);
+        for rep in 0..cfg.n_exe {
+            if rep > 0 {
+                noise.cooldown(cfg.cooldown_s);
+            }
+            samples.push(noise.sample(base_seconds, &mut rng));
+        }
+        let t_ref = median(&samples);
+        Measurement {
+            samples,
+            t_ref,
+            base_seconds,
+        }
+    }
+
     /// Total wall-clock the benchmarking protocol occupies the device:
     /// `(t_cooldown + t_ref) · N_exe` — the denominator of the paper's
     /// Equation 4.
@@ -61,19 +90,26 @@ pub fn measure_base_seconds(exe: &Executable, spec: &TargetSpec) -> Result<f64, 
     measure_base(exe, spec, RunLimits::default()).map(|m| m.seconds())
 }
 
+/// One board run: the program replays on the production engine with
+/// [`TimingModel`] as the hook, on a fresh hierarchy of `spec`'s
+/// geometry.
 fn measure_base(
     exe: &Executable,
     spec: &TargetSpec,
     limits: RunLimits,
 ) -> Result<TimingModel, SimError> {
-    let mut mem = Memory::new();
-    for (base, values) in &exe.data_segments {
-        mem.write_f32_slice(*base, values)?;
-    }
-    let mut hier = simtune_cache::CacheHierarchy::new(spec.hierarchy.clone());
-    let mut cpu = AtomicCpu::new(&spec.isa);
+    let decoded = exe.decode()?;
+    let hier = || CacheHierarchy::new(spec.hierarchy.clone());
     let mut model = TimingModel::new(spec);
-    cpu.run_with_hook(&exe.program, &mut mem, &mut hier, limits, &mut model)?;
+    replay(
+        exe,
+        &decoded,
+        hier,
+        EngineKind::Decoded,
+        limits,
+        None,
+        &mut model,
+    )?;
     Ok(model)
 }
 
@@ -83,12 +119,14 @@ fn measure_base(
 /// state), median as `t_ref`.
 ///
 /// The timing model itself is deterministic, so the expensive part runs
-/// once; the repetitions sample the measurement-noise model around it —
-/// which is exactly what distinguishes repetitions on real hardware.
+/// once; the repetitions sample the measurement-noise model around it
+/// ([`Measurement::from_base`]) — which is exactly what distinguishes
+/// repetitions on real hardware.
 ///
 /// # Errors
 ///
-/// Propagates simulator faults ([`SimError`]).
+/// Propagates simulator faults ([`SimError`]); a program the decoder
+/// rejects is [`SimError::InvalidPc`].
 ///
 /// # Example
 ///
@@ -100,21 +138,7 @@ pub fn measure(
     seed: u64,
 ) -> Result<Measurement, SimError> {
     let base = measure_base(exe, spec, cfg.limits)?.seconds();
-    let mut noise = NoiseModel::new(spec.noise.clone());
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_CAFE);
-    let mut samples = Vec::with_capacity(cfg.n_exe);
-    for rep in 0..cfg.n_exe {
-        if rep > 0 {
-            noise.cooldown(cfg.cooldown_s);
-        }
-        samples.push(noise.sample(base, &mut rng));
-    }
-    let t_ref = median(&samples);
-    Ok(Measurement {
-        samples,
-        t_ref,
-        base_seconds: base,
-    })
+    Ok(Measurement::from_base(base, spec, cfg, seed))
 }
 
 #[cfg(test)]

@@ -219,7 +219,8 @@ mod tests {
     use super::*;
     use simtune_cache::HierarchyConfig;
     use simtune_isa::{
-        AtomicCpu, Fpr, Gpr, Inst, Memory, Program, ProgramBuilder, RunLimits, TimingBridge,
+        AtomicCpu, ExecEngine, Fpr, Gpr, Inst, InterpEngine, Memory, Program, ProgramBuilder,
+        RunLimits, TimingBridge,
     };
 
     fn run(spec: &TargetSpec, prog: &Program) -> PipelineModel {
@@ -228,7 +229,14 @@ mod tests {
         let mut hier = simtune_cache::CacheHierarchy::new(spec.hierarchy.clone());
         let mut model = PipelineModel::new(spec, 512, 8);
         let mut bridge = TimingBridge::new(&mut model);
-        cpu.run_with_hook(prog, &mut mem, &mut hier, RunLimits::default(), &mut bridge)
+        InterpEngine::new(prog)
+            .run_with_hook(
+                &mut cpu,
+                &mut mem,
+                &mut hier,
+                RunLimits::default(),
+                &mut bridge,
+            )
             .unwrap();
         model
     }

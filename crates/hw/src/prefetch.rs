@@ -63,7 +63,9 @@ impl StridePrefetcher {
             };
             return;
         }
-        let stride = line_addr as i64 - e.last_line as i64;
+        // Wrapping: the hook fires before memory range-checks the
+        // address, so a hostile program can hand in any two lines.
+        let stride = (line_addr as i64).wrapping_sub(e.last_line as i64);
         if stride == 0 {
             // Same line again: nothing to learn.
             return;
@@ -78,7 +80,7 @@ impl StridePrefetcher {
         if e.confidence >= 2 {
             let (stride, degree, line) = (e.stride, self.degree, self.line_bytes);
             for k in 1..=degree {
-                let next = line_addr as i64 + stride * k as i64;
+                let next = (line_addr as i64).wrapping_add(stride.wrapping_mul(k as i64));
                 if next >= 0 {
                     // Prefetches are reads: they fill but do not dirty.
                     let _ = hier.data_read(next as u64 & !(line - 1));
@@ -130,6 +132,17 @@ mod tests {
             p.observe(10, addr, &mut h);
         }
         assert_eq!(p.issued(), 0);
+    }
+
+    #[test]
+    fn strides_across_the_sign_boundary_wrap_instead_of_panicking() {
+        let mut p = StridePrefetcher::new(4, 2, 64);
+        let mut h = hier();
+        let far = (i64::MIN + 64) as u64;
+        for addr in [0x1000, far, 0x1000, far, 0x1000] {
+            p.observe(10, addr, &mut h);
+        }
+        assert_eq!(p.issued(), 0, "alternating strides never confirm");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 use crate::{BranchPredictor, StridePrefetcher, TargetSpec};
 use simtune_cache::{CacheHierarchy, ServicedBy};
-use simtune_isa::{ExecHook, Inst, InstMix};
+use simtune_isa::{ExecHook, Inst, MixClass, UopEvent};
 
 /// Cycle accounting of one timing run, split by source.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -20,8 +20,10 @@ impl CycleBreakdown {
     }
 }
 
-/// The timing-accurate execution observer: re-runs a program through
-/// [`simtune_isa::AtomicCpu::run_with_hook`] and prices every event.
+/// The timing-accurate execution observer: the [`ExecHook`] a board run
+/// hands to [`simtune_isa::replay`], pricing every event it reports —
+/// each retirement by its µop class, each fetch and data access by the
+/// level that serviced it, each branch by the direction predictor.
 ///
 /// Unlike the instruction-accurate path, the timing model owns a stride
 /// prefetcher (which mutates its private cache hierarchy) and a branch
@@ -37,7 +39,6 @@ pub struct TimingModel {
     prefetcher: StridePrefetcher,
     predictor: BranchPredictor,
     cur_pc: usize,
-    retired: InstMix,
 }
 
 impl TimingModel {
@@ -56,7 +57,6 @@ impl TimingModel {
             ),
             predictor: BranchPredictor::new(1024),
             cur_pc: 0,
-            retired: InstMix::default(),
         }
     }
 
@@ -88,6 +88,19 @@ impl TimingModel {
     pub fn mispredicts(&self) -> u64 {
         self.predictor.mispredicts()
     }
+
+    /// Charges the issue slots of one retired µop of `class`.
+    fn charge(&mut self, class: MixClass) {
+        let t = &self.spec.timing;
+        self.slots += match class {
+            MixClass::Load => t.load_cost,
+            MixClass::Store => t.store_cost,
+            MixClass::Branch => t.branch_cost,
+            MixClass::FpAlu => t.fp_cost,
+            MixClass::VecAlu => t.vec_cost,
+            MixClass::IntAlu | MixClass::Other => t.int_cost,
+        };
+    }
 }
 
 impl ExecHook for TimingModel {
@@ -105,48 +118,11 @@ impl ExecHook for TimingModel {
     }
 
     fn on_retire(&mut self, inst: &Inst) {
-        let t = &self.spec.timing;
-        let m = &mut self.retired;
-        self.slots += if inst.is_load() {
-            m.loads += 1;
-            t.load_cost
-        } else if inst.is_store() {
-            m.stores += 1;
-            t.store_cost
-        } else if inst.is_branch() {
-            m.branches += 1;
-            t.branch_cost
-        } else {
-            match inst {
-                Inst::Fadd { .. }
-                | Inst::Fsub { .. }
-                | Inst::Fmul { .. }
-                | Inst::Fdiv { .. }
-                | Inst::Fmadd { .. }
-                | Inst::Fmax { .. }
-                | Inst::Fli { .. } => {
-                    m.fp_alu += 1;
-                    t.fp_cost
-                }
-                Inst::Vload { .. } | Inst::Vstore { .. } => unreachable!("handled as load/store"),
-                Inst::Vbcast { .. }
-                | Inst::Vsplat { .. }
-                | Inst::Vfadd { .. }
-                | Inst::Vfmul { .. }
-                | Inst::Vfma { .. }
-                | Inst::Vfmax { .. }
-                | Inst::Vredsum { .. }
-                | Inst::Vinsert { .. }
-                | Inst::Vextract { .. } => {
-                    m.vec_alu += 1;
-                    t.vec_cost
-                }
-                _ => {
-                    m.int_alu += 1;
-                    t.int_cost
-                }
-            }
-        };
+        self.charge(MixClass::of(inst));
+    }
+
+    fn on_retire_uop(&mut self, _inst: &Inst, uop: &UopEvent) {
+        self.charge(uop.class);
     }
 
     fn on_data_access(
@@ -183,7 +159,9 @@ impl ExecHook for TimingModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simtune_isa::{AtomicCpu, Gpr, Inst, Memory, ProgramBuilder, RunLimits};
+    use simtune_isa::{
+        AtomicCpu, ExecEngine, Gpr, Inst, InterpEngine, Memory, ProgramBuilder, RunLimits,
+    };
 
     /// Streaming-sum program over `n` f32 elements starting at `base`.
     fn streaming_program(n: i64, stride: i64) -> simtune_isa::Program {
@@ -220,7 +198,14 @@ mod tests {
         let mut mem = Memory::new();
         let mut hier = simtune_cache::CacheHierarchy::new(spec.hierarchy.clone());
         let mut model = TimingModel::new(spec);
-        cpu.run_with_hook(prog, &mut mem, &mut hier, RunLimits::default(), &mut model)
+        InterpEngine::new(prog)
+            .run_with_hook(
+                &mut cpu,
+                &mut mem,
+                &mut hier,
+                RunLimits::default(),
+                &mut model,
+            )
             .unwrap();
         model
     }

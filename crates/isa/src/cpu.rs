@@ -23,8 +23,8 @@ impl Default for RunLimits {
     }
 }
 
-/// Observer invoked by [`AtomicCpu::run_with_hook`] on every architectural
-/// event.
+/// Observer a replay engine ([`crate::ExecEngine`]) invokes on every
+/// architectural event.
 ///
 /// The instruction-accurate path uses the no-op default implementation;
 /// the timing models in `simtune-hw` implement this trait to accumulate
@@ -133,73 +133,8 @@ impl AtomicCpu {
         &self.vr[r.0 as usize][..self.lanes]
     }
 
-    /// Runs `prog` to completion in plain instruction-accurate mode.
-    ///
-    /// # Errors
-    ///
-    /// See [`AtomicCpu::run_with_hook`].
-    pub fn run(
-        &mut self,
-        prog: &Program,
-        mem: &mut Memory,
-        hier: &mut CacheHierarchy,
-        limits: RunLimits,
-    ) -> Result<SimStats, SimError> {
-        self.run_with_hook(prog, mem, hier, limits, &mut NoopHook)
-    }
-
-    /// Runs `prog` to completion, reporting every event to `hook`.
-    ///
-    /// Thin wrapper over [`crate::InterpEngine`], the re-decoding
-    /// execution engine; pre-lower the program with
-    /// [`crate::DecodedProgram::decode`] and drive a
-    /// [`crate::DecodedEngine`] to amortize per-instruction dispatch work
-    /// across repeated simulations.
-    ///
-    /// # Errors
-    ///
-    /// * [`SimError::PcOutOfRange`] — fell off the end of the program.
-    /// * [`SimError::InstLimitExceeded`] — `limits.max_insts` exhausted.
-    /// * [`SimError::MemoryFault`] — access outside the address space.
-    /// * [`SimError::UnknownSyscall`] — unimplemented `Ecall` code.
-    pub fn run_with_hook<H: ExecHook>(
-        &mut self,
-        prog: &Program,
-        mem: &mut Memory,
-        hier: &mut CacheHierarchy,
-        limits: RunLimits,
-        hook: &mut H,
-    ) -> Result<SimStats, SimError> {
-        use crate::decode::{ExecEngine, InterpEngine};
-        InterpEngine::new(prog).run_with_hook(self, mem, hier, limits, hook)
-    }
-
-    /// Runs at most `budget` instructions of `prog`, stopping *cleanly*
-    /// (not with an error) when the budget is reached before the program
-    /// terminates. Returns the statistics of the executed prefix and
-    /// whether the program ran to completion.
-    ///
-    /// This is the primitive behind sampled simulation (Pac-Sim-style):
-    /// a fidelity-reduced backend simulates only a prefix of the work and
-    /// extrapolates the rest. [`RunLimits::max_insts`] still aborts the
-    /// run with an error when it is lower than `budget`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`AtomicCpu::run_with_hook`].
-    pub fn run_prefix_with_hook<H: ExecHook>(
-        &mut self,
-        prog: &Program,
-        mem: &mut Memory,
-        hier: &mut CacheHierarchy,
-        limits: RunLimits,
-        budget: u64,
-        hook: &mut H,
-    ) -> Result<(SimStats, bool), SimError> {
-        use crate::decode::{ExecEngine, InterpEngine};
-        InterpEngine::new(prog).run_prefix_with_hook(self, mem, hier, limits, budget, hook)
-    }
-
+    /// The interpreter's loop: [`crate::InterpEngine`] is this method
+    /// over a raw program.
     pub(crate) fn run_inner<H: ExecHook>(
         &mut self,
         prog: &Program,
@@ -513,7 +448,7 @@ impl AtomicCpu {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ProgramBuilder;
+    use crate::{ExecEngine, InterpEngine, ProgramBuilder};
     use simtune_cache::HierarchyConfig;
 
     fn setup() -> (Memory, CacheHierarchy) {
@@ -528,8 +463,14 @@ mod tests {
         let target = TargetIsa::arm_cortex_a72();
         let mut cpu = AtomicCpu::new(&target);
         let (mut mem, mut hier) = setup();
-        let stats = cpu
-            .run(&prog, &mut mem, &mut hier, RunLimits::default())
+        let stats = InterpEngine::new(&prog)
+            .run_with_hook(
+                &mut cpu,
+                &mut mem,
+                &mut hier,
+                RunLimits::default(),
+                &mut NoopHook,
+            )
             .expect("run succeeds");
         (cpu, stats)
     }
@@ -698,7 +639,14 @@ mod tests {
         let target = TargetIsa::arm_cortex_a72();
         let mut cpu = AtomicCpu::new(&target);
         let (mut mem, mut hier) = setup();
-        cpu.run(&prog, &mut mem, &mut hier, RunLimits::default())
+        InterpEngine::new(&prog)
+            .run_with_hook(
+                &mut cpu,
+                &mut mem,
+                &mut hier,
+                RunLimits::default(),
+                &mut NoopHook,
+            )
             .unwrap();
         assert_eq!(cpu.vr(Vr(3)), &[7.0, 7.0, 7.0, 7.0]);
         assert_eq!(cpu.fpr(Fpr(1)), 28.0);
@@ -725,8 +673,14 @@ mod tests {
         let target = TargetIsa::x86_ryzen_5800x(); // 8 lanes
         let mut cpu = AtomicCpu::new(&target);
         let (mut mem, mut hier) = setup();
-        let stats = cpu
-            .run(&prog, &mut mem, &mut hier, RunLimits::default())
+        let stats = InterpEngine::new(&prog)
+            .run_with_hook(
+                &mut cpu,
+                &mut mem,
+                &mut hier,
+                RunLimits::default(),
+                &mut NoopHook,
+            )
             .unwrap();
         assert_eq!(stats.inst_mix.loads, 1, "one instruction");
         assert_eq!(stats.cache.l1d.read_misses, 2, "two lines touched");
@@ -742,7 +696,13 @@ mod tests {
         let target = TargetIsa::riscv_u74();
         let mut cpu = AtomicCpu::new(&target);
         let (mut mem, mut hier) = setup();
-        let err = cpu.run(&prog, &mut mem, &mut hier, RunLimits { max_insts: 100 });
+        let err = InterpEngine::new(&prog).run_with_hook(
+            &mut cpu,
+            &mut mem,
+            &mut hier,
+            RunLimits { max_insts: 100 },
+            &mut NoopHook,
+        );
         assert!(matches!(err, Err(SimError::InstLimitExceeded { .. })));
     }
 
@@ -775,9 +735,9 @@ mod tests {
         // Budget below the full run: clean stop, exact prefix length.
         let mut cpu = AtomicCpu::new(&target);
         let (mut mem, mut hier) = setup();
-        let (stats, completed) = cpu
+        let (stats, completed) = InterpEngine::new(&prog)
             .run_prefix_with_hook(
-                &prog,
+                &mut cpu,
                 &mut mem,
                 &mut hier,
                 RunLimits::default(),
@@ -791,9 +751,9 @@ mod tests {
         // Budget beyond the full run: identical to a plain run.
         let mut cpu = AtomicCpu::new(&target);
         let (mut mem, mut hier) = setup();
-        let (stats, completed) = cpu
+        let (stats, completed) = InterpEngine::new(&prog)
             .run_prefix_with_hook(
-                &prog,
+                &mut cpu,
                 &mut mem,
                 &mut hier,
                 RunLimits::default(),
@@ -804,16 +764,22 @@ mod tests {
         assert!(completed);
         let mut cpu = AtomicCpu::new(&target);
         let (mut mem, mut hier) = setup();
-        let full = cpu
-            .run(&prog, &mut mem, &mut hier, RunLimits::default())
+        let full = InterpEngine::new(&prog)
+            .run_with_hook(
+                &mut cpu,
+                &mut mem,
+                &mut hier,
+                RunLimits::default(),
+                &mut NoopHook,
+            )
             .unwrap();
         assert_eq!(stats, full);
 
         // max_insts still wins over the prefix budget.
         let mut cpu = AtomicCpu::new(&target);
         let (mut mem, mut hier) = setup();
-        let err = cpu.run_prefix_with_hook(
-            &prog,
+        let err = InterpEngine::new(&prog).run_prefix_with_hook(
+            &mut cpu,
             &mut mem,
             &mut hier,
             RunLimits { max_insts: 5 },
@@ -832,7 +798,13 @@ mod tests {
         let target = TargetIsa::riscv_u74();
         let mut cpu = AtomicCpu::new(&target);
         let (mut mem, mut hier) = setup();
-        let err = cpu.run(&prog, &mut mem, &mut hier, RunLimits::default());
+        let err = InterpEngine::new(&prog).run_with_hook(
+            &mut cpu,
+            &mut mem,
+            &mut hier,
+            RunLimits::default(),
+            &mut NoopHook,
+        );
         assert_eq!(err, Err(SimError::UnknownSyscall { code: 42 }));
     }
 
@@ -891,7 +863,14 @@ mod tests {
         let mut cpu = AtomicCpu::new(&target);
         let (mut mem, mut hier) = setup();
         let mut hook = Counter::default();
-        cpu.run_with_hook(&prog, &mut mem, &mut hier, RunLimits::default(), &mut hook)
+        InterpEngine::new(&prog)
+            .run_with_hook(
+                &mut cpu,
+                &mut mem,
+                &mut hier,
+                RunLimits::default(),
+                &mut hook,
+            )
             .unwrap();
         assert_eq!(hook.retired, 4);
         assert_eq!(hook.fetches, 4);

@@ -366,9 +366,12 @@ pub trait ExecEngine {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`AtomicCpu::run_with_hook`] (the
-    /// [`DecodedEngine`] can additionally never raise
-    /// [`SimError::PcOutOfRange`]).
+    /// * [`SimError::PcOutOfRange`] — fell off the end of the program
+    ///   (never from the [`DecodedEngine`]: decoding rejects such a
+    ///   program up front with [`SimError::InvalidPc`]).
+    /// * [`SimError::InstLimitExceeded`] — `limits.max_insts` exhausted.
+    /// * [`SimError::MemoryFault`] — access outside the address space.
+    /// * [`SimError::UnknownSyscall`] — unimplemented `Ecall` code.
     fn run_until<H: ExecHook>(
         &self,
         cpu: &mut AtomicCpu,

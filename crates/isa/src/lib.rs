@@ -39,7 +39,10 @@
 //!
 //! ```
 //! use simtune_cache::HierarchyConfig;
-//! use simtune_isa::{AtomicCpu, Gpr, Inst, Memory, ProgramBuilder, RunLimits, TargetIsa};
+//! use simtune_isa::{
+//!     AtomicCpu, ExecEngine, Gpr, Inst, InterpEngine, Memory, NoopHook, ProgramBuilder, RunLimits,
+//!     TargetIsa,
+//! };
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // r1 = 5; r2 = 37; r3 = r1 + r2; halt.
@@ -55,7 +58,8 @@
 //! let mut mem = Memory::new();
 //! let mut hier = simtune_cache::CacheHierarchy::new(
 //!     simtune_cache::HierarchyConfig::tiny_for_tests());
-//! let stats = cpu.run(&prog, &mut mem, &mut hier, RunLimits::default())?;
+//! let limits = RunLimits::default();
+//! let stats = InterpEngine::new(&prog).run_with_hook(&mut cpu, &mut mem, &mut hier, limits, &mut NoopHook)?;
 //! assert_eq!(cpu.gpr(Gpr(3)), 42);
 //! assert_eq!(stats.inst_mix.total(), 4);
 //! # let _ = HierarchyConfig::tiny_for_tests();

@@ -583,7 +583,9 @@ pub fn torture_program(seed: u64) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AtomicCpu, Memory, RunLimits, SimError, TargetIsa};
+    use crate::{
+        AtomicCpu, ExecEngine, InterpEngine, Memory, NoopHook, RunLimits, SimError, TargetIsa,
+    };
     use simtune_cache::{CacheHierarchy, HierarchyConfig};
 
     #[test]
@@ -626,7 +628,13 @@ mod tests {
         let mut cpu = AtomicCpu::new(&target);
         let mut mem = Memory::new();
         let mut hier = CacheHierarchy::new(HierarchyConfig::tiny_for_tests());
-        let run = cpu.run(&prog, &mut mem, &mut hier, RunLimits { max_insts: 100_000 });
+        let run = InterpEngine::new(&prog).run_with_hook(
+            &mut cpu,
+            &mut mem,
+            &mut hier,
+            RunLimits { max_insts: 100_000 },
+            &mut NoopHook,
+        );
         match run {
             Ok(stats) => assert!(stats.inst_mix.total() > 0),
             // fault_rate 255 clamps to 100: a guarded fault may fire.
@@ -658,7 +666,13 @@ mod tests {
             let mut cpu = AtomicCpu::new(&target);
             let mut mem = Memory::new();
             let mut hier = CacheHierarchy::new(HierarchyConfig::tiny_for_tests());
-            match cpu.run(&prog, &mut mem, &mut hier, RunLimits { max_insts: 100_000 }) {
+            match InterpEngine::new(&prog).run_with_hook(
+                &mut cpu,
+                &mut mem,
+                &mut hier,
+                RunLimits { max_insts: 100_000 },
+                &mut NoopHook,
+            ) {
                 Ok(_) => completed += 1,
                 Err(SimError::UnknownSyscall { code }) => {
                     assert_eq!(code, TORTURE_FAULT_CODE);

@@ -19,8 +19,9 @@
 use proptest::prelude::*;
 use simtune_cache::{CacheHierarchy, HierarchyConfig};
 use simtune_isa::{
-    torture_program, torture_program_with, AtomicCpu, Gpr, Inst, Memory, MemoryPattern, Program,
-    RunLimits, SimError, TargetIsa, TortureConfig, TORTURE_FAULT_CODE, TORTURE_WINDOW,
+    torture_program, torture_program_with, AtomicCpu, ExecEngine, Gpr, Inst, InterpEngine, Memory,
+    MemoryPattern, NoopHook, Program, RunLimits, SimError, TargetIsa, TortureConfig,
+    TORTURE_FAULT_CODE, TORTURE_WINDOW,
 };
 
 /// Generous budget: the generator's documented worst case is far below.
@@ -41,7 +42,13 @@ fn assert_terminates(ctx: &str, prog: &Program) {
     let mut cpu = AtomicCpu::new(&target);
     let mut mem = Memory::new();
     let mut hier = CacheHierarchy::new(HierarchyConfig::tiny_for_tests());
-    match cpu.run(prog, &mut mem, &mut hier, RunLimits { max_insts: BUDGET }) {
+    match InterpEngine::new(prog).run_with_hook(
+        &mut cpu,
+        &mut mem,
+        &mut hier,
+        RunLimits { max_insts: BUDGET },
+        &mut NoopHook,
+    ) {
         Ok(stats) => assert!(stats.inst_mix.total() > 0, "{ctx}: empty run"),
         Err(SimError::UnknownSyscall { code }) => {
             assert_eq!(code, TORTURE_FAULT_CODE, "{ctx}: unexpected syscall");

@@ -63,8 +63,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..TuneOptions::default()
     };
 
-    // Flow A: classic hardware-in-the-loop tuning.
-    println!("flow A: tuning on the emulated board (sequential, noisy)...");
+    // Flow A: classic hardware-in-the-loop tuning. On a real board the
+    // measurements run one after another; the emulated board's timing
+    // runs share the worker pool, which changes no measured number.
+    println!("flow A: tuning on the emulated board (noisy measurements)...");
     let hw_result = tune_on_hardware(&def, &spec, &opts)?;
 
     // Flow B: simulator + predictor; re-measure the predicted top 3.
