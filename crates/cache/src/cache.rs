@@ -25,6 +25,20 @@ pub struct CacheOutcome {
     pub writeback: Option<u64>,
 }
 
+/// Where a line a read left resident sits in one cache: its line
+/// address, set and way, and the cache's residency epoch when the read
+/// returned. Only a fill that evicts a valid line and a flush can take
+/// a line out of a cache, and both move the epoch, so while the epoch
+/// stands the line is still in that way. Returned and taken back by
+/// [`crate::CacheHierarchy::fetch_run`]; opaque outside this crate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ResidentLine {
+    line: u64,
+    set: usize,
+    way: usize,
+    epoch: u64,
+}
+
 /// A way's word holds a line.
 const VALID: u64 = 1;
 /// The line was written since its fill.
@@ -161,6 +175,12 @@ pub struct Cache {
     policy: ReplacementPolicy,
     /// Words of `store.repl` per set.
     state_words: usize,
+    /// Residency epoch: moved by every fill that evicts a valid line and
+    /// by every flush (see [`ResidentLine`]).
+    epoch: u64,
+    /// Calls to [`Cache::read_run`], for tests of the handle.
+    #[cfg(test)]
+    run_lookups: u64,
 }
 
 impl Cache {
@@ -202,6 +222,9 @@ impl Cache {
             ways,
             policy,
             state_words,
+            epoch: 0,
+            #[cfg(test)]
+            run_lookups: 0,
         }
     }
 
@@ -217,6 +240,12 @@ impl Cache {
         }
         cache.store.generation = generation;
         cache
+    }
+
+    /// Runs [`Cache::read_run`] looked up.
+    #[cfg(test)]
+    pub(crate) fn run_lookups(&self) -> u64 {
+        self.run_lookups
     }
 
     /// Accesses made so far: the logical clock LRU and FIFO stamp ways
@@ -247,6 +276,7 @@ impl Cache {
     /// carries no payload bytes.
     pub fn flush(&mut self) {
         self.store.invalidate_all();
+        self.epoch += 1;
     }
 
     /// True if the line containing `addr` is currently resident (test and
@@ -270,24 +300,61 @@ impl Cache {
     /// `n` back-to-back reads of the line holding `addr`, in one call:
     /// the first is a real [`Cache::access`] and its outcome is the
     /// run's; the other `n - 1` can only hit the way the first one
-    /// touched or filled, so they are credited to it — the tick advances
-    /// by `n - 1`, the way's replacement state is touched once at the
-    /// final tick (LRU keeps the last stamp, a second tree-PLRU touch
-    /// changes no bit, FIFO and `Random` ignore hits) and `read_hits`
-    /// grows by `n - 1`. Indistinguishable afterwards from `n` single
-    /// reads; `reference.rs` holds it to that.
-    #[inline]
-    pub(crate) fn read_run(&mut self, addr: u64, n: u64) -> CacheOutcome {
+    /// touched or filled, so they are credited to it (see
+    /// [`Cache::credit_hits`]). Also says where the line is now.
+    /// Indistinguishable afterwards from `n` single reads;
+    /// `reference.rs` holds it to that.
+    pub(crate) fn read_run(&mut self, addr: u64, n: u64) -> (CacheOutcome, ResidentLine) {
         assert!(n > 0, "a run has a first access");
-        let (outcome, set, way) = self.access_way(addr, AccessKind::Read);
-        let rest = n - 1;
-        if rest > 0 {
-            self.tick += rest;
-            self.stats.read_hits += rest;
-            let state = &mut self.store.repl[set * self.state_words..][..self.state_words];
-            replacement::on_access(self.policy, state, self.ways, way, self.tick, false);
+        #[cfg(test)]
+        {
+            self.run_lookups += 1;
         }
-        outcome
+        let (outcome, set, way) = self.access_way(addr, AccessKind::Read);
+        if n > 1 {
+            self.credit_hits(set, way, n - 1);
+        }
+        let resident = ResidentLine {
+            line: addr >> self.line_shift,
+            set,
+            way,
+            epoch: self.epoch,
+        };
+        (outcome, resident)
+    }
+
+    /// `n` back-to-back reads of the line holding `addr`, credited as
+    /// hits without a lookup, if `resident` names that line and the
+    /// epoch has not moved since it was returned: the line is then still
+    /// in its way, and `n` reads would hit it. False, and nothing done,
+    /// otherwise.
+    #[inline]
+    pub(crate) fn credit_resident(&mut self, addr: u64, n: u64, resident: ResidentLine) -> bool {
+        let ResidentLine {
+            line,
+            set,
+            way,
+            epoch,
+        } = resident;
+        let stands = line == addr >> self.line_shift && epoch == self.epoch;
+        if stands {
+            self.credit_hits(set, way, n);
+        }
+        stands
+    }
+
+    /// Credits `n` read hits to the line in `way` of `set`, as `n`
+    /// reads of it would leave the cache: the tick advances by `n`,
+    /// `read_hits` grows by `n` and the way's replacement state is
+    /// touched once, at the final tick — LRU keeps the last stamp, a
+    /// repeated tree-PLRU touch changes no bit, FIFO and `Random`
+    /// ignore hits.
+    #[inline]
+    fn credit_hits(&mut self, set: usize, way: usize, n: u64) {
+        self.tick += n;
+        self.stats.read_hits += n;
+        let state = &mut self.store.repl[set * self.state_words..][..self.state_words];
+        replacement::on_access(self.policy, state, self.ways, way, self.tick, false);
     }
 
     /// [`Cache::access`], also naming the set and the way the line is in
@@ -336,6 +403,7 @@ impl Cache {
         };
         let victim = words[way];
         let replaced = victim & VALID != 0;
+        self.epoch += u64::from(replaced);
         // Only a valid way is ever marked dirty.
         let writeback = (victim & DIRTY != 0)
             .then(|| (((victim >> TAG_SHIFT) << self.set_bits) | set as u64) << self.line_shift);
@@ -568,7 +636,7 @@ mod tests {
                         let outcomes: Vec<_> = (0..n)
                             .map(|_| single.access(addr, AccessKind::Read))
                             .collect();
-                        assert_eq!(run.read_run(addr, n), outcomes[0]);
+                        assert_eq!(run.read_run(addr, n).0, outcomes[0]);
                     }
                     assert_eq!((run.tick, run.stats), (single.tick, single.stats));
                     let (set, _) = run.locate(addr);

@@ -196,6 +196,7 @@ impl HierarchyConfig {
     }
 
     /// Shared line size of the hierarchy in bytes.
+    #[inline]
     pub fn line_bytes(&self) -> u64 {
         self.l1d.line_bytes
     }

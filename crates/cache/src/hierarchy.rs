@@ -1,4 +1,4 @@
-use crate::{AccessKind, Cache, CacheOutcome, HierarchyConfig, HierarchyStats};
+use crate::{AccessKind, Cache, CacheOutcome, HierarchyConfig, HierarchyStats, ResidentLine};
 
 /// The hierarchy level that ultimately serviced an access.
 ///
@@ -119,11 +119,13 @@ impl CacheHierarchy {
     }
 
     /// Shared line size in bytes.
+    #[inline]
     pub fn line_bytes(&self) -> u64 {
         self.config.line_bytes()
     }
 
     /// Data-side read (scalar or one line of a vector access).
+    #[inline]
     pub fn data_read(&mut self, addr: u64) -> ServicedBy {
         if let Some(c) = &mut self.counting {
             c.data_reads += 1;
@@ -143,6 +145,7 @@ impl CacheHierarchy {
 
     /// Data-side write. Write-allocate: a store miss fills the line (the
     /// fill is a read against the levels below), then dirties it in L1D.
+    #[inline]
     pub fn data_write(&mut self, addr: u64) -> ServicedBy {
         if let Some(c) = &mut self.counting {
             c.data_writes += 1;
@@ -162,7 +165,7 @@ impl CacheHierarchy {
 
     /// Instruction fetch: read against L1I, then the unified levels.
     pub fn fetch(&mut self, addr: u64) -> ServicedBy {
-        // Not `fetch_run(addr, 1).0`: the interpreter — the one
+        // Not `fetch_run(addr, 1, None).0`: the interpreter — the one
         // per-instruction engine, the oracle the block loop is diffed
         // against — makes this call at every retirement, and a run's
         // bookkeeping measured ~3 ns on each.
@@ -177,31 +180,75 @@ impl CacheHierarchy {
 
     /// `n` consecutive instruction fetches from the line holding `addr`
     /// — a fetch run, what a straight-line stretch of code is to the
-    /// L1I — in one call. Returns what serviced the first fetch and what
-    /// serviced each of the other `n - 1`.
+    /// L1I — in one call. Returns what serviced the first fetch, what
+    /// serviced each of the other `n - 1`, and a handle on where the
+    /// line now sits in the L1I, for the caller to pass back with the
+    /// next run of that line (`None` from a counting-only hierarchy).
     ///
-    /// The first fetch is performed for real (miss walk, write-back,
-    /// L2/L3 in [`CacheHierarchy::fetch`]'s order). The rest are hits of
-    /// the L1I way it left the line in and are credited to it without
-    /// another lookup (tick, replacement state and `read_hits` as `n - 1`
-    /// accesses would leave them). That is exact, not an approximation:
-    /// each level keeps its own tick, and nothing but a fetch touches
-    /// the L1I, so no data access made between the fetches of a run can
-    /// tell whether they were performed one by one or all up front. A
-    /// counting-only hierarchy tallies `n` fetches, all from memory.
+    /// * **A resident re-fetch.** When `resident` — the handle the last
+    ///   run of this line returned — names `addr`'s line and the L1I's
+    ///   residency epoch has not moved since, all `n` fetches are
+    ///   credited as hits of the line's way and the answer is
+    ///   `(L1i, L1i)`, without a lookup. The epoch moves on every L1I
+    ///   fill that evicts a valid line and on every flush, the only two
+    ///   things that take a line out of a cache; so an unchanged epoch
+    ///   means `n` real fetches would hit that way. They would leave the
+    ///   L1I's tick, `read_hits` and replacement state exactly as the
+    ///   credit does (LRU keeps the last stamp, a repeated tree-PLRU
+    ///   touch changes nothing, FIFO and `Random` ignore hits) and send
+    ///   nothing below the L1I.
+    /// * **Otherwise** (no handle, a stale one, or one naming another
+    ///   line) the first fetch is performed for real (miss walk,
+    ///   write-back, L2/L3 in [`CacheHierarchy::fetch`]'s order) and the
+    ///   rest are credited as hits of the way it left the line in.
+    ///
+    /// Both are exact, not approximations: each level keeps its own
+    /// tick, and nothing but a fetch touches the L1I, so no data access
+    /// made between the fetches of a run can tell whether they were
+    /// performed one by one or all up front. A counting-only hierarchy
+    /// tallies `n` fetches, all from memory.
+    ///
+    /// A handle means something only to the hierarchy that returned it
+    /// (and to its clones): one from another hierarchy gets wrong
+    /// counters, or a panic, not undefined behaviour.
     ///
     /// # Panics
     ///
     /// Panics if `n` is zero.
-    pub fn fetch_run(&mut self, addr: u64, n: u64) -> (ServicedBy, ServicedBy) {
+    #[inline]
+    pub fn fetch_run(
+        &mut self,
+        addr: u64,
+        n: u64,
+        resident: Option<ResidentLine>,
+    ) -> (ServicedBy, ServicedBy, Option<ResidentLine>) {
         assert!(n > 0, "a run has a first fetch");
+        let modelled = self.counting.is_none();
+        if modelled && resident.is_some_and(|r| self.l1i.credit_resident(addr, n, r)) {
+            return (ServicedBy::L1i, ServicedBy::L1i, resident);
+        }
+        self.fetch_run_lookup(addr, n)
+    }
+
+    /// [`CacheHierarchy::fetch_run`] without a handle that stands.
+    fn fetch_run_lookup(
+        &mut self,
+        addr: u64,
+        n: u64,
+    ) -> (ServicedBy, ServicedBy, Option<ResidentLine>) {
         if let Some(c) = &mut self.counting {
             c.fetches += n;
             self.dram_reads += n;
-            return (ServicedBy::Memory, ServicedBy::Memory);
+            return (ServicedBy::Memory, ServicedBy::Memory, None);
         }
-        let out = self.l1i.read_run(addr, n);
-        (self.fetch_below(addr, out), ServicedBy::L1i)
+        let (out, resident) = self.l1i.read_run(addr, n);
+        (self.fetch_below(addr, out), ServicedBy::L1i, Some(resident))
+    }
+
+    /// The L1I, for tests that look inside it.
+    #[cfg(test)]
+    pub(crate) fn l1i(&self) -> &Cache {
+        &self.l1i
     }
 
     /// What services a fetch of `addr` that the L1I answered with `out`.

@@ -58,7 +58,7 @@ mod reference;
 mod replacement;
 mod stats;
 
-pub use cache::{AccessKind, Cache, CacheOutcome};
+pub use cache::{AccessKind, Cache, CacheOutcome, ResidentLine};
 pub use config::{CacheConfig, ConfigError, HierarchyConfig};
 pub use hierarchy::{CacheHierarchy, ServicedBy};
 pub use replacement::ReplacementPolicy;
@@ -79,6 +79,7 @@ pub use stats::{CacheStats, HierarchyStats};
 /// let lines: Vec<u64> = simtune_cache::lines_touched(60, 8, 64).collect();
 /// assert_eq!(lines, vec![0, 64]);
 /// ```
+#[inline]
 pub fn lines_touched(addr: u64, size: u64, line_bytes: u64) -> impl Iterator<Item = u64> {
     debug_assert!(line_bytes.is_power_of_two());
     let first = addr & !(line_bytes - 1);

@@ -5,11 +5,13 @@
 //! access. It knows nothing of runs, so it is also what pins the
 //! one-call forms: a read run on a [`Cache`] against that many single
 //! accesses of the nested model, and [`CacheHierarchy::fetch_run`]
-//! against that many [`CacheHierarchy::fetch`] calls.
+//! against that many [`CacheHierarchy::fetch`] calls — and, with the
+//! [`ResidentLine`] handles a caller keeps, fresh and stale, against
+//! that many fetches on a hierarchy of nested caches.
 
 use crate::{
     AccessKind, Cache, CacheConfig, CacheHierarchy, CacheOutcome, CacheStats, HierarchyConfig,
-    ReplacementPolicy,
+    HierarchyStats, ReplacementPolicy, ResidentLine, ServicedBy,
 };
 use proptest::prelude::*;
 
@@ -211,6 +213,76 @@ impl RefCache {
     }
 }
 
+/// [`CacheHierarchy`]'s walk over nested caches, for hierarchies
+/// without an L3.
+struct RefHierarchy {
+    l1d: RefCache,
+    l1i: RefCache,
+    l2: RefCache,
+    dram_reads: u64,
+    dram_writes: u64,
+}
+
+impl RefHierarchy {
+    fn new(config: &HierarchyConfig) -> Self {
+        assert!(config.l3.is_none(), "the nested walk stops at L2");
+        RefHierarchy {
+            l1d: RefCache::new(&config.l1d),
+            l1i: RefCache::new(&config.l1i),
+            l2: RefCache::new(&config.l2),
+            dram_reads: 0,
+            dram_writes: 0,
+        }
+    }
+
+    fn fetch(&mut self, addr: u64) -> ServicedBy {
+        let out = self.l1i.access(addr, AccessKind::Read);
+        self.below(addr, out, ServicedBy::L1i)
+    }
+
+    fn data(&mut self, addr: u64, kind: AccessKind) -> ServicedBy {
+        let out = self.l1d.access(addr, kind);
+        self.below(addr, out, ServicedBy::L1d)
+    }
+
+    /// An L1 answered `out`: write its victim back to L2, then fill
+    /// from L2 or memory on a miss.
+    fn below(&mut self, addr: u64, out: CacheOutcome, l1: ServicedBy) -> ServicedBy {
+        if let Some(wb) = out.writeback {
+            let out2 = self.l2.access(wb, AccessKind::Write);
+            self.dram_writes += u64::from(out2.writeback.is_some());
+        }
+        if out.hit {
+            return l1;
+        }
+        let out2 = self.l2.access(addr, AccessKind::Read);
+        self.dram_writes += u64::from(out2.writeback.is_some());
+        if out2.hit {
+            ServicedBy::L2
+        } else {
+            self.dram_reads += 1;
+            ServicedBy::Memory
+        }
+    }
+
+    fn flush(&mut self) {
+        self.l1d.flush();
+        self.l1i.flush();
+        self.l2.flush();
+    }
+
+    fn stats(&self) -> HierarchyStats {
+        HierarchyStats {
+            l1d: self.l1d.stats,
+            l1i: self.l1i.stats,
+            l2: self.l2.stats,
+            l3: None,
+            dram_reads: self.dram_reads,
+            dram_writes: self.dram_writes,
+        }
+    }
+}
+
 /// Associativities worth drawing: every small one, the PLRU tree's
 /// widest, and both sides of where it gives way to LRU.
 const WAYS: [u64; 12] = [1, 2, 3, 4, 5, 6, 7, 8, 16, 63, 64, 128];
@@ -378,7 +450,7 @@ proptest! {
             if draw & 3 == 0 {
                 let n = 2 + (draw >> 3) % 40;
                 let line = addr & !(config.line_bytes - 1);
-                let got = flat.read_run(addr, n);
+                let got = flat.read_run(addr, n).0;
                 let want = nested.access(addr, AccessKind::Read);
                 prop_assert!(
                     got == want,
@@ -411,7 +483,8 @@ proptest! {
     /// on its twin, with data reads and writes (which share L2 and L3
     /// with the fetches) between the runs: the same answer to every
     /// call and the same counters throughout — with and without an L3,
-    /// under every policy, and counting only.
+    /// under every policy, and counting only (which hands out no
+    /// handle).
     #[test]
     fn a_fetch_run_is_that_many_fetches(
         l1_ways in 1u64..5,
@@ -444,7 +517,8 @@ proptest! {
             match draw % 8 {
                 0..=2 => {
                     let n = 1 + (draw >> 40) % 24;
-                    let (first, rest) = runs.fetch_run(addr, n);
+                    let (first, rest, handle) = runs.fetch_run(addr, n, None);
+                    prop_assert_eq!(handle.is_none(), runs.is_counting_only());
                     let line = addr & !(LINE - 1);
                     prop_assert!(single.fetch(addr) == first, "op {i}: head of a run of {n}");
                     for k in 1..n {
@@ -463,6 +537,98 @@ proptest! {
                 single.stats() == runs.stats(),
                 "op {i}: {:?}, with runs {:?} ({config:?})",
                 single.stats(), runs.stats()
+            );
+        }
+    }
+
+    /// `fetch_run` with the handles a caller keeps — the last one for
+    /// the line, none, or any kept earlier: stale across a flush or an
+    /// eviction from its set, or naming another line — on an L1I of any
+    /// geometry under all four policies, against that many single
+    /// fetches on the nested hierarchy, with data reads, writes, single
+    /// fetches and flushes between the runs. Every outcome, `contains`
+    /// answer and counter is equal throughout, and a handle is honoured
+    /// (no lookup, the handle handed back as it came) exactly when it
+    /// names the run's line and the L1I neither evicted nor flushed
+    /// since it was issued.
+    #[test]
+    fn a_fetch_run_honours_a_handle_only_while_its_line_cannot_have_moved(
+        set_bits in 0u32..5,
+        line_bits in 0u32..8,
+        ways in 0usize..WAYS.len(),
+        policy in 0usize..4,
+        draws in prop::collection::vec(any::<u64>(), 1..1000),
+    ) {
+        let l1i = geometry(set_bits, line_bits, ways, policy);
+        let (line, policy) = (l1i.line_bytes, l1i.policy);
+        let level = |name: &str, sets: u64, ways: u64| {
+            CacheConfig::new(name, sets * ways * line, sets, ways, line, policy)
+                .expect("valid geometry")
+        };
+        let config = HierarchyConfig {
+            name: "prop".into(),
+            // Four sets and up: a one-byte line still leaves the tag its
+            // two address bits.
+            l1d: level("L1D", 4, 2),
+            l1i: l1i.clone(),
+            l2: level("L2", 8, 4),
+            l3: None,
+        };
+        let mut flat = CacheHierarchy::new(config.clone());
+        let mut nested = RefHierarchy::new(&config);
+        // Every handle issued: the line it was issued for, and the L1I
+        // evictions plus flushes the nested model had made by then.
+        let mut issued: Vec<(u64, ResidentLine, u64)> = Vec::new();
+        let mut flushes = 0u64;
+        for (i, &draw) in draws.iter().enumerate() {
+            let addr = address(&l1i, draw);
+            let line_addr = addr & !(line - 1);
+            match draw % 16 {
+                0 => {
+                    flat.flush();
+                    nested.flush();
+                    flushes += 1;
+                }
+                1..=8 => {
+                    let n = 1 + (draw >> 40) % 24;
+                    let kept = match (draw >> 4) % 4 {
+                        0 => None,
+                        3 => issued.get((draw >> 48) as usize % issued.len().max(1)),
+                        _ => issued.iter().rev().find(|&&(l, ..)| l == line_addr),
+                    };
+                    let moves = nested.l1i.stats.read_replacements + flushes;
+                    let honour = kept.is_some_and(|&(l, _, at)| l == line_addr && at == moves);
+                    let handle = kept.map(|&(_, h, _)| h);
+                    let lookups = flat.l1i().run_lookups();
+                    let (first, rest, got) = flat.fetch_run(addr, n, handle);
+                    let got = got.expect("a modelled hierarchy hands out handles");
+                    let honoured = flat.l1i().run_lookups() == lookups;
+                    prop_assert!(
+                        honoured == honour && (!honoured || Some(got) == handle),
+                        "op {i}: {handle:?} -> {got:?}, honoured {honoured}, due {honour}"
+                    );
+                    let want = nested.fetch(addr);
+                    prop_assert!(first == want, "op {i}: run of {n}: {first:?} vs {want:?}");
+                    for k in 1..n {
+                        let want = nested.fetch(line_addr + (draw >> k) % line);
+                        prop_assert!(rest == want, "op {i}: {k} of {n}: {rest:?} vs {want:?}");
+                    }
+                    issued.push((line_addr, got, nested.l1i.stats.read_replacements + flushes));
+                }
+                9..=11 => {
+                    prop_assert_eq!(flat.data_read(addr), nested.data(addr, AccessKind::Read));
+                }
+                12..=14 => {
+                    prop_assert_eq!(flat.data_write(addr), nested.data(addr, AccessKind::Write));
+                }
+                _ => prop_assert_eq!(flat.fetch(addr), nested.fetch(addr)),
+            }
+            let probe = address(&l1i, draw.rotate_right(29));
+            prop_assert_eq!(flat.l1i().contains(probe), nested.l1i.contains(probe));
+            prop_assert!(
+                flat.stats() == nested.stats(),
+                "op {i}: {:?}, nested {:?} ({config:?})",
+                flat.stats(), nested.stats()
             );
         }
     }

@@ -51,7 +51,13 @@ impl StridePrefetcher {
         if self.entries.is_empty() {
             return;
         }
-        let idx = pc % self.entries.len();
+        // Every preset's table is a power of two: mask, not divide.
+        let len = self.entries.len();
+        let idx = if len.is_power_of_two() {
+            pc & (len - 1)
+        } else {
+            pc % len
+        };
         let e = &mut self.entries[idx];
         if !e.valid || e.pc != pc {
             *e = Entry {
@@ -155,5 +161,18 @@ mod tests {
             p.observe(5, 4096 + i * 64, &mut h);
         }
         assert_eq!(p.issued(), 0, "thrashing table cannot confirm streams");
+        // A table that is not a power of two indexes by remainder: pcs 2
+        // and 5 collide in three entries (a mask would keep them apart).
+        let mut p = StridePrefetcher::new(3, 1, 64);
+        for i in 0..10u64 {
+            p.observe(2, i * 64, &mut h);
+            p.observe(5, 4096 + i * 64, &mut h);
+        }
+        assert_eq!(p.issued(), 0, "pcs 2 and 5 share an entry");
+        for i in 0..10u64 {
+            p.observe(3, i * 64, &mut h);
+            p.observe(4, 4096 + i * 64, &mut h);
+        }
+        assert!(p.issued() > 0, "pcs 3 and 4 do not");
     }
 }

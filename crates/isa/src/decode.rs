@@ -49,6 +49,15 @@
 //!   below — and every cache level keeps its own tick. (A hook that
 //!   fetched through the hierarchy it is handed in
 //!   [`ExecHook::on_data_access`] would break this; none does.)
+//! * **Repeat runs.** For one call to `run_until`, each instruction that
+//!   starts a fetch run keeps a slot: the run's length to the end of its
+//!   I-line, worked out on the first visit, and the [`ResidentLine`]
+//!   handle its last `fetch_run` returned. A repeat visit passes the
+//!   handle back; while the L1I has neither evicted a line nor been
+//!   flushed since, the line is still where the handle says and all the
+//!   run's fetches are credited as hits without a lookup (see
+//!   [`CacheHierarchy::fetch_run`] for why that is exact). A loop
+//!   body's runs cost a compare and a few adds each.
 //! * **Timing events.** [`ExecHook::on_retire_uop`] hands the timing
 //!   tier the µop's precomputed [`UopEvent`] instead of having it
 //!   re-derived from the [`Inst`] at every retirement.
@@ -120,7 +129,7 @@ use crate::{
     uop_event, AtomicCpu, ExecHook, Inst, InstMix, Memory, Program, RunLimits, SimError, SimStats,
     TargetIsa, UopEvent, CODE_BASE,
 };
-use simtune_cache::CacheHierarchy;
+use simtune_cache::{CacheHierarchy, ResidentLine};
 
 /// Statistics class of an instruction — the precomputed form of the
 /// per-arm `mix.* += 1` accounting in the interpreter.
@@ -448,6 +457,17 @@ impl ExecEngine for InterpEngine<'_> {
     }
 }
 
+/// What [`DecodedEngine::run_until`] keeps, for one trial, about the
+/// fetch run starting at one instruction.
+#[derive(Debug, Clone, Copy, Default)]
+struct FetchRun {
+    /// Instructions from this one to the end of its I-line (zero until
+    /// the first visit works it out).
+    in_line: u64,
+    /// What the run's last [`CacheHierarchy::fetch_run`] returned.
+    resident: Option<ResidentLine>,
+}
+
 /// The fast path: replays a [`DecodedProgram`] one basic block at a
 /// time — see the module documentation for what that saves and why it
 /// is exact.
@@ -480,6 +500,7 @@ impl ExecEngine for DecodedEngine<'_> {
             inst_bytes,
         } = self.prog;
         let line_bytes = hier.line_bytes();
+        let mut runs = vec![FetchRun::default(); ops.len()];
         // Instructions the run may retire before one of the two limits
         // applies.
         let budget = limits.max_insts.min(stop_at.unwrap_or(u64::MAX));
@@ -504,18 +525,23 @@ impl ExecEngine for DecodedEngine<'_> {
             let mut step = Step::Next;
             while pc < end {
                 // A fetch run: the instructions from `pc` on that lie in
-                // its I-line, one L1I access for all of them. Fetches
+                // its I-line, one L1I access for all of them — none at
+                // all while the handle its last visit left stands. Fetches
                 // later instructions of the run never make (a fault in
                 // between) are credited all the same: an `Err` carries
                 // no statistics out and the hierarchy is the trial's.
                 let addr = ops[pc].fetch_addr;
-                let room = line_bytes - 1 - (addr & (line_bytes - 1));
-                // Zero-width encodings: every fetch is one address.
-                let in_line = room
-                    .checked_div(*inst_bytes)
-                    .map_or(u64::MAX, |more| more + 1);
-                let n = in_line.min((end - pc) as u64);
-                let (first, rest) = hier.fetch_run(addr, n);
+                let run = &mut runs[pc];
+                if run.in_line == 0 {
+                    let room = line_bytes - 1 - (addr & (line_bytes - 1));
+                    // Zero-width encodings: every fetch is one address.
+                    run.in_line = room
+                        .checked_div(*inst_bytes)
+                        .map_or(u64::MAX, |more| more + 1);
+                }
+                let n = run.in_line.min((end - pc) as u64);
+                let (first, rest, resident) = hier.fetch_run(addr, n, run.resident);
+                run.resident = resident;
                 let run_end = pc + n as usize;
                 let mut serviced = first;
                 for (op, uop) in ops[pc..run_end].iter().zip(&uops[pc..run_end]) {

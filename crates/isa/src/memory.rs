@@ -53,6 +53,7 @@ impl Memory {
         self.pages.iter().filter(|p| p.is_some()).count()
     }
 
+    #[inline]
     fn page_index(addr: u64) -> Result<usize, SimError> {
         let idx = (addr >> PAGE_BITS) as usize;
         if idx >= MAX_PAGES {
@@ -64,14 +65,25 @@ impl Memory {
 
     /// The materialized 4 KiB sub-block containing `addr`, if any.
     /// `addr` must already be range-checked via [`Memory::page_index`].
+    #[inline]
     fn sub(&self, addr: u64) -> Option<&[u8]> {
         let idx = (addr >> PAGE_BITS) as usize;
         let sub = ((addr as usize) >> SUB_BITS) & (SUBS_PER_PAGE - 1);
         self.pages.get(idx)?.as_ref()?[sub].as_deref()
     }
 
+    /// The materialized 4 KiB sub-block containing `addr`, if any, for
+    /// writing. `addr` must already be range-checked.
+    #[inline]
+    fn sub_if_present_mut(&mut self, addr: u64) -> Option<&mut [u8]> {
+        let idx = (addr >> PAGE_BITS) as usize;
+        let sub = ((addr as usize) >> SUB_BITS) & (SUBS_PER_PAGE - 1);
+        self.pages.get_mut(idx)?.as_mut()?[sub].as_deref_mut()
+    }
+
     /// The (zero-materialized-on-first-touch) 4 KiB sub-block containing
     /// `addr`. `addr` must already be range-checked.
+    #[cold]
     fn sub_mut(&mut self, addr: u64) -> &mut [u8] {
         let idx = (addr >> PAGE_BITS) as usize;
         if idx >= self.pages.len() {
@@ -111,6 +123,7 @@ impl Memory {
     /// # Errors
     ///
     /// Returns [`SimError::MemoryFault`] beyond the address space.
+    #[inline]
     pub fn read_f32(&self, addr: u64) -> Result<f32, SimError> {
         let mut b = [0u8; 4];
         self.read_bytes(addr, &mut b)?;
@@ -122,6 +135,7 @@ impl Memory {
     /// # Errors
     ///
     /// Returns [`SimError::MemoryFault`] beyond the address space.
+    #[inline]
     pub fn write_f32(&mut self, addr: u64, value: f32) -> Result<(), SimError> {
         self.write_bytes(addr, &value.to_le_bytes())
     }
@@ -131,6 +145,7 @@ impl Memory {
     /// # Errors
     ///
     /// Returns [`SimError::MemoryFault`] beyond the address space.
+    #[inline]
     pub fn read_i64(&self, addr: u64) -> Result<i64, SimError> {
         let mut b = [0u8; 8];
         self.read_bytes(addr, &mut b)?;
@@ -142,6 +157,7 @@ impl Memory {
     /// # Errors
     ///
     /// Returns [`SimError::MemoryFault`] beyond the address space.
+    #[inline]
     pub fn write_i64(&mut self, addr: u64, value: i64) -> Result<(), SimError> {
         self.write_bytes(addr, &value.to_le_bytes())
     }
@@ -151,6 +167,7 @@ impl Memory {
     /// # Errors
     ///
     /// Returns [`SimError::MemoryFault`] beyond the address space.
+    #[inline]
     pub fn read_bytes(&self, addr: u64, buf: &mut [u8]) -> Result<(), SimError> {
         // Fast path: within one sub-block.
         let off = (addr as usize) & (SUB_BYTES - 1);
@@ -163,7 +180,13 @@ impl Memory {
             }
             return Ok(());
         }
-        // Boundary-crossing: copy one sub-block's worth at a time.
+        self.read_across(addr, buf)
+    }
+
+    /// [`Memory::read_bytes`] across sub-blocks: one sub-block's worth
+    /// at a time.
+    #[cold]
+    fn read_across(&self, addr: u64, buf: &mut [u8]) -> Result<(), SimError> {
         Self::page_index(addr)?;
         Self::page_index(addr + buf.len() as u64 - 1)?;
         let mut addr = addr;
@@ -187,16 +210,27 @@ impl Memory {
     /// # Errors
     ///
     /// Returns [`SimError::MemoryFault`] beyond the address space.
+    #[inline]
     pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) -> Result<(), SimError> {
-        // Fast path: within one sub-block.
+        // Fast path: within one materialized sub-block.
         let off = (addr as usize) & (SUB_BYTES - 1);
         if off + bytes.len() <= SUB_BYTES {
             Self::page_index(addr)?;
             Self::page_index(addr + bytes.len().max(1) as u64 - 1)?;
-            self.sub_mut(addr)[off..off + bytes.len()].copy_from_slice(bytes);
+            let range = off..off + bytes.len();
+            match self.sub_if_present_mut(addr) {
+                Some(p) => p[range].copy_from_slice(bytes),
+                None => self.sub_mut(addr)[range].copy_from_slice(bytes),
+            }
             return Ok(());
         }
-        // Boundary-crossing: copy one sub-block's worth at a time.
+        self.write_across(addr, bytes)
+    }
+
+    /// [`Memory::write_bytes`] across sub-blocks: one sub-block's worth
+    /// at a time.
+    #[cold]
+    fn write_across(&mut self, addr: u64, bytes: &[u8]) -> Result<(), SimError> {
         Self::page_index(addr)?;
         Self::page_index(addr + bytes.len() as u64 - 1)?;
         let mut addr = addr;

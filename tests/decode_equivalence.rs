@@ -475,6 +475,85 @@ fn fetch_runs_agree_with_the_interpreter_at_any_encoding_width_and_line_size() {
     }
 }
 
+/// A loop whose six pieces sit in six I-lines of one L1I set of the
+/// tiny hierarchy (four ways), joined by jumps: under LRU every fetch
+/// run misses, so the handle each run left on its last visit has gone
+/// stale by the next — the decoded loop's lookup path on every
+/// iteration. Every counter, with and without the pipeline model, and
+/// the full differential matrix equal the interpreter's.
+#[test]
+fn a_loop_thrashing_one_l1i_set_agrees_with_the_interpreter() {
+    const PIECES: usize = 6;
+    // Instructions between two I-lines of one set: four sets of
+    // 64-byte lines, four-byte instructions.
+    const SET_STRIDE: usize = 4 * 64 / 4;
+    let target = TargetIsa::riscv_u74();
+    assert_eq!(target.inst_bytes, 4);
+    let mut b = ProgramBuilder::new();
+    let pieces: Vec<_> = (0..PIECES).map(|_| b.new_label()).collect();
+    b.push(Inst::Li {
+        rd: Gpr(1),
+        imm: DATA_BASE as i64,
+    });
+    b.push(Inst::Li {
+        rd: Gpr(30),
+        imm: 0,
+    });
+    b.push(Inst::Li {
+        rd: Gpr(31),
+        imm: 40,
+    });
+    b.jump(pieces[0]);
+    for (k, &piece) in pieces.iter().enumerate() {
+        while b.here() < k * SET_STRIDE + 8 {
+            b.push(Inst::Halt);
+        }
+        b.bind(piece);
+        b.push(Inst::Flw {
+            fd: Fpr(1),
+            rs: Gpr(1),
+            imm: 4 * k as i64,
+        });
+        b.push(Inst::Fadd {
+            fd: Fpr(2),
+            fs1: Fpr(2),
+            fs2: Fpr(1),
+        });
+        b.push(Inst::Fsw {
+            fval: Fpr(2),
+            rs: Gpr(1),
+            imm: 64 + 4 * k as i64,
+        });
+        match pieces.get(k + 1) {
+            Some(&next) => b.jump(next),
+            None => {
+                b.push(Inst::Addi {
+                    rd: Gpr(30),
+                    rs: Gpr(30),
+                    imm: 1,
+                });
+                b.branch_lt(Gpr(30), Gpr(31), pieces[0]);
+                b.push(Inst::Halt);
+            }
+        }
+    }
+    let prog = b.build().expect("valid program");
+    let exe = Executable::new("thrash-one-l1i-set", prog, target)
+        .with_segment(DATA_BASE, window_words(7));
+    let decoded = exe.decode().expect("decodes");
+    let hierarchy = HierarchyConfig::tiny_for_tests();
+    for timed in [false, true] {
+        let interp = run_on(EngineKind::Interp, &exe, &decoded, &hierarchy, timed);
+        let block = run_on(EngineKind::Decoded, &exe, &decoded, &hierarchy, timed);
+        assert_eq!(block, interp, "timed {timed}");
+        let (stats, _) = block.expect("the loop runs to its halt");
+        let l1i = stats.cache.l1i;
+        assert_eq!(l1i.read_misses, 40 * PIECES as u64, "every visit misses");
+        assert!(l1i.read_replacements > 0, "{l1i:?}");
+    }
+    assert_matrix_agrees(&exe);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(48)))]
 
