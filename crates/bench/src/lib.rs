@@ -1,21 +1,18 @@
-//! Shared experiment engine for the `simtune-bench` binaries.
+//! The paper's experiments, the tuning service and the differential
+//! fuzzer of simtune.
 //!
-//! Every table and figure of the paper is regenerated by a binary in
-//! `src/bin/`; this library provides the pieces they share: workload
-//! scaling (DESIGN.md §7), dataset collection with on-disk caching,
-//! simple CLI parsing, and table/CSV formatting.
+//! * [`repro`] regenerates every table and figure of the paper from one
+//!   collection per target (the `repro` binary);
+//! * [`serve`] frames a [`simtune_core::SimService`] over a byte stream
+//!   (the `simtune_serve` binary);
+//! * [`fuzz`] diffs torture programs across engines and tiers (the
+//!   `torture_fuzz` binary);
+//! * [`Scale`] selects the conv group shapes (DESIGN.md §7).
 
-pub mod cache_io;
-pub mod cli;
-pub mod engine;
-pub mod format;
 pub mod fuzz;
+pub mod repro;
 pub mod scale;
 pub mod serve;
 
-pub use cache_io::{load_groups, store_groups};
-pub use cli::{Args, FidelityMode};
-pub use engine::{collect_arch_datasets, dataset_cache_path, ExperimentConfig};
-pub use format::{ascii_plot, format_metric_table, write_csv};
 pub use fuzz::{replay_case, run_fuzz, FuzzOptions, FuzzSummary, FUZZ_SCHEMA};
 pub use scale::Scale;

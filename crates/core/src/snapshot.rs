@@ -16,8 +16,9 @@
 //! "entries": [...]}`). Each entry stores its fingerprint — the 16-byte
 //! digest of [`crate::memo`], as 32 lowercase hex characters; the
 //! reader accepts any even-length hex string, keys being opaque bytes
-//! to the cache — plus the memoized [`SimReport`] flattened into the
-//! same counter-array shape `simtune-bench` uses for persisted datasets.
+//! to the cache — plus the memoized [`SimReport`] flattened into
+//! counter arrays (instruction mix, six counters per cache level, DRAM
+//! traffic) and the run's host nanoseconds.
 //! Entries are sorted by fingerprint, so equal caches serialize to
 //! byte-identical files.
 //!
