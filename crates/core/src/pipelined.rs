@@ -15,11 +15,16 @@
 //!
 //! A fresh [`PipelineModel`] is created per trial and all of its
 //! accounting is integral, so cycle counts are byte-identical at every
-//! `n_parallel` and on every replay [`EngineKind`] — the property the
-//! differential harness ([`crate::diffharness`]) locks in. Because the
-//! prefetcher mutates the trial's cache hierarchy, *cache* statistics
-//! legitimately differ from the accurate tier's; instruction mix and
-//! architectural state do not.
+//! `n_parallel` and on every replay [`EngineKind`]. The engines deliver
+//! the model's events in two ways: the interpreter per µop, the decoded
+//! engine per basic block (the model times a hot block that stalled
+//! on nothing by its cached issue schedule).
+//! Both reach the same cycle breakdown, mispredict and prefetch counts
+//! and cache counters — the property the differential harness
+//! ([`crate::diffharness`]) locks in, with the interpreter as the
+//! oracle. Because the prefetcher mutates the trial's cache hierarchy,
+//! *cache* statistics legitimately differ from the accurate tier's;
+//! instruction mix and architectural state do not.
 
 use crate::backend::{decode_and_run, hierarchy_digest, BackendError, SimBackend, SimReport};
 use simtune_cache::{CacheHierarchy, HierarchyConfig};
@@ -220,6 +225,103 @@ mod tests {
             .unwrap();
         assert!(hostile.cycles.unwrap().control > 0.0);
         assert_eq!(straight.cycles.unwrap().control, 0.0);
+    }
+
+    /// The pipelined report of `exe` on `engine` with wall time zeroed
+    /// and the cycle breakdown as bit patterns, or the error's text.
+    fn timed_report(
+        backend: &PipelinedBackend,
+        exe: &Executable,
+        engine: EngineKind,
+    ) -> Result<(simtune_isa::SimStats, Option<[u64; 3]>), String> {
+        let decoded = exe.decode().map_err(|e| e.to_string())?;
+        let limits = RunLimits {
+            max_insts: 2_000_000,
+        };
+        let r = backend
+            .run_one_decoded_on(exe, &decoded, &limits, engine)
+            .map_err(|e| e.to_string())?;
+        let cycles = r.cycles.map(|c| {
+            [
+                c.pipeline.to_bits(),
+                c.memory.to_bits(),
+                c.control.to_bits(),
+            ]
+        });
+        let stats = simtune_isa::SimStats {
+            host_nanos: 0,
+            ..r.stats
+        };
+        Ok((stats, cycles))
+    }
+
+    /// The block schedule where it runs: on each paper target's own
+    /// hierarchy (penalties, `miss_overlap` and prefetch degree differ,
+    /// only x86 has an L3) loops hit in the caches, so hot blocks take
+    /// their schedules instead of the per-µop step. The decoded
+    /// engine's report — cycle bits, cache counters, instruction mix —
+    /// must be the interpreter's, over the torture corpus and a handful
+    /// of conv candidates per target.
+    #[test]
+    fn pipelined_reports_are_bit_identical_on_interp_and_decoded_on_paper_targets() {
+        use crate::search::{RandomSearch, SearchStrategy, SketchSpace};
+        use crate::KernelBuilder;
+        use simtune_isa::TortureConfig;
+        use simtune_tensor::{conv2d_bias_relu, Conv2dShape, SketchGenerator};
+
+        let def = conv2d_bias_relu(&Conv2dShape {
+            n: 1,
+            h: 6,
+            w: 6,
+            co: 4,
+            ci: 3,
+            kh: 3,
+            kw: 3,
+            stride: (1, 1),
+            pad: (1, 1),
+        });
+        let mut checked = 0;
+        for target in ["x86", "arm", "riscv"] {
+            let spec = TargetSpec::by_name(target).expect("paper target");
+            let backend = PipelinedBackend::new(
+                spec.hierarchy.clone(),
+                crate::DEFAULT_BTB_ENTRIES,
+                crate::DEFAULT_RAS_DEPTH,
+            );
+            let mut exes: Vec<Executable> = TortureConfig::corpus()
+                .iter()
+                .enumerate()
+                .map(|(i, (scenario, config))| {
+                    let seed = i as u64 * 17 + 3;
+                    let mut exe = crate::diffharness::DiffHarness::make_executable(
+                        scenario,
+                        config,
+                        seed,
+                        seed ^ 0xDA7A,
+                    );
+                    exe.target = spec.isa.clone();
+                    exe
+                })
+                .collect();
+            let generator = SketchGenerator::new(&def, spec.isa.clone());
+            let mut sampler = RandomSearch::new(SketchSpace::new(generator.clone()), 5);
+            let builder = KernelBuilder::new(def.clone(), spec.isa.clone());
+            let conv: Vec<Executable> = sampler
+                .propose(&[], 12)
+                .iter()
+                .filter_map(|p| builder.build(&generator.schedule(p), "conv").ok())
+                .take(4)
+                .collect();
+            assert_eq!(conv.len(), 4, "{target}: conv candidates build");
+            exes.extend(conv);
+            for exe in &exes {
+                let want = timed_report(&backend, exe, EngineKind::Interp);
+                let got = timed_report(&backend, exe, EngineKind::Decoded);
+                assert_eq!(got, want, "{target}: {}", exe.name);
+                checked += usize::from(want.is_ok());
+            }
+        }
+        assert!(checked >= 3 * 12, "only {checked} programs completed");
     }
 
     #[test]

@@ -7,8 +7,8 @@
 use simtune_cache::{CacheHierarchy, HierarchyConfig};
 use simtune_core::{FidelitySpec, SimReport, SimSession, DEFAULT_BTB_ENTRIES, DEFAULT_RAS_DEPTH};
 use simtune_isa::{
-    replay, torture_program_with, EngineKind, ExecHook, Executable, Inst, RunLimits, TargetIsa,
-    TortureConfig,
+    replay, torture_program_with, EngineKind, ExecHook, Executable, RunLimits, TargetIsa,
+    TortureConfig, UopEvent,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -21,15 +21,16 @@ fn torture_exe(scenario: &str, seed: u64) -> Executable {
     )
 }
 
-/// Panics once `left` instructions retired.
+/// Panics once more than `left` instructions retired (the decoded
+/// engine reports them a block at a time).
 struct PanicAfter {
-    left: u32,
+    left: usize,
 }
 
 impl ExecHook for PanicAfter {
-    fn on_retire(&mut self, _: &Inst) {
-        assert!(self.left > 0, "hook gives up mid-run");
-        self.left -= 1;
+    fn on_block(&mut self, _: usize, uops: &[UopEvent]) {
+        assert!(self.left >= uops.len(), "hook gives up mid-run");
+        self.left -= uops.len();
     }
 }
 

@@ -14,6 +14,9 @@ use simtune_cache::CacheHierarchy;
 #[derive(Debug, Clone)]
 pub struct StridePrefetcher {
     entries: Vec<Entry>,
+    /// `len - 1` for a table of a power-of-two length `len` (every
+    /// preset's), which indexes by mask; `None` indexes by remainder.
+    mask: Option<usize>,
     degree: usize,
     line_bytes: u64,
     issued: u64,
@@ -34,6 +37,7 @@ impl StridePrefetcher {
     pub fn new(streams: usize, degree: usize, line_bytes: u64) -> Self {
         StridePrefetcher {
             entries: vec![Entry::default(); streams],
+            mask: streams.is_power_of_two().then(|| streams - 1),
             degree,
             line_bytes,
             issued: 0,
@@ -51,12 +55,9 @@ impl StridePrefetcher {
         if self.entries.is_empty() {
             return;
         }
-        // Every preset's table is a power of two: mask, not divide.
-        let len = self.entries.len();
-        let idx = if len.is_power_of_two() {
-            pc & (len - 1)
-        } else {
-            pc % len
+        let idx = match self.mask {
+            Some(mask) => pc & mask,
+            None => pc % self.entries.len(),
         };
         let e = &mut self.entries[idx];
         if !e.valid || e.pc != pc {

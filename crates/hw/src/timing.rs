@@ -38,7 +38,6 @@ pub struct TimingModel {
     control_cycles: f64,
     prefetcher: StridePrefetcher,
     predictor: BranchPredictor,
-    cur_pc: usize,
 }
 
 impl TimingModel {
@@ -56,7 +55,6 @@ impl TimingModel {
                 line,
             ),
             predictor: BranchPredictor::new(1024),
-            cur_pc: 0,
         }
     }
 
@@ -104,8 +102,7 @@ impl TimingModel {
 }
 
 impl ExecHook for TimingModel {
-    fn on_fetch(&mut self, pc: usize, serviced: ServicedBy) {
-        self.cur_pc = pc;
+    fn on_fetch(&mut self, _pc: usize, serviced: ServicedBy) {
         // I-cache misses stall the front end; overlap does not apply
         // (in-order fetch).
         let t = &self.spec.timing;
@@ -121,12 +118,19 @@ impl ExecHook for TimingModel {
         self.charge(MixClass::of(inst));
     }
 
-    fn on_retire_uop(&mut self, _inst: &Inst, uop: &UopEvent) {
-        self.charge(uop.class);
+    fn on_block(&mut self, _start: usize, uops: &[UopEvent]) {
+        // Issue slots add up in their own accumulator, so charging a
+        // block's µops after its fetch and data events gives the
+        // per-instruction order's bits; so does hearing only a fetch
+        // run's first fetch, as an L1I hit adds nothing.
+        for uop in uops {
+            self.charge(uop.class);
+        }
     }
 
     fn on_data_access(
         &mut self,
+        pc: usize,
         line_addr: u64,
         is_store: bool,
         serviced: ServicedBy,
@@ -146,7 +150,7 @@ impl ExecHook for TimingModel {
             t.miss_overlap
         };
         self.memory_cycles += raw * (1.0 - overlap);
-        self.prefetcher.observe(self.cur_pc, line_addr, hier);
+        self.prefetcher.observe(pc, line_addr, hier);
     }
 
     fn on_branch(&mut self, pc: usize, _target: usize, taken: bool) {

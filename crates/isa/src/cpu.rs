@@ -30,45 +30,61 @@ impl Default for RunLimits {
 /// the timing models in `simtune-hw` implement this trait to accumulate
 /// cycles and drive prefetchers (which is why [`ExecHook::on_data_access`]
 /// receives the hierarchy mutably).
+///
+/// # Two ways events arrive
+///
+/// * **Per instruction**, on [`crate::InterpEngine`]: for each
+///   instruction `on_fetch`, then any `on_data_access`/`on_branch`
+///   raised while it executes, then its `on_retire`.
+/// * **Per block**, on [`crate::DecodedEngine`]: the first fetch of each
+///   fetch run (the others are credited L1I hits; every fetch is
+///   reported when they are not, as from a counting-only hierarchy),
+///   every data access and branch where it happens, and no `on_retire`.
+///   Instead, after the last instruction of each executed block — or of
+///   a block the budget cut — one [`ExecHook::on_block`] with that
+///   stretch's µops. Events carry their `pc`, so the hook can place
+///   them in the block. A block that faults reports no `on_block`.
+///
+/// A hook that prices retirements must take both: the interpreter is
+/// the oracle the block stream is checked against.
 pub trait ExecHook {
-    /// Called after the fetch of each instruction.
+    /// Called after the fetch of an instruction (per block: of each
+    /// fetch run's first instruction).
     fn on_fetch(&mut self, pc: usize, serviced: ServicedBy) {
         let _ = (pc, serviced);
     }
 
-    /// Called after an instruction retires.
+    /// Called after an instruction retires (per instruction only).
     fn on_retire(&mut self, inst: &Inst) {
         let _ = inst;
     }
 
-    /// What [`crate::DecodedEngine`] calls in place of
-    /// [`ExecHook::on_retire`]: the same retirement, with the
-    /// [`UopEvent`] the decode pass already derived from `inst`
-    /// (`uop == &uop_event(inst)`). Forwards to `on_retire` unless a
-    /// hook that wants µops overrides it to skip re-deriving them.
-    fn on_retire_uop(&mut self, inst: &Inst, uop: &UopEvent) {
-        let _ = uop;
-        self.on_retire(inst);
-    }
-
-    /// Called once per cache line touched by a data access. `hier` is
-    /// there for data-side traffic (prefetch fills):
-    /// [`crate::DecodedEngine`] fetches a run of instructions at a time,
-    /// so an instruction fetch issued from here would reach the L1I
-    /// after fetches the interpreter has yet to make.
+    /// Called once per cache line touched by a data access of the
+    /// instruction at `pc`. `hier` is there for data-side traffic
+    /// (prefetch fills): [`crate::DecodedEngine`] fetches a run of
+    /// instructions at a time, so an instruction fetch issued from here
+    /// would reach the L1I after fetches the interpreter has yet to make.
     fn on_data_access(
         &mut self,
+        pc: usize,
         line_addr: u64,
         is_store: bool,
         serviced: ServicedBy,
         hier: &mut CacheHierarchy,
     ) {
-        let _ = (line_addr, is_store, serviced, hier);
+        let _ = (pc, line_addr, is_store, serviced, hier);
     }
 
     /// Called when a control-flow instruction resolves.
     fn on_branch(&mut self, pc: usize, target: usize, taken: bool) {
         let _ = (pc, target, taken);
+    }
+
+    /// Per block only: the instructions `start..start + uops.len()` —
+    /// one basic block, or the part of it a run's budget left — have
+    /// retired; `uops` are their [`UopEvent`]s, in order.
+    fn on_block(&mut self, start: usize, uops: &[UopEvent]) {
+        let _ = (start, uops);
     }
 }
 
@@ -241,13 +257,13 @@ impl AtomicCpu {
             }
             Inst::Ld { rd, rs, imm } => {
                 let addr = self.ea(rs, imm);
-                self.data_access(addr, 8, false, hier, hook, line_bytes);
+                self.data_access(pc, addr, 8, false, hier, hook, line_bytes);
                 self.gpr[rd.0 as usize] = mem.read_i64(addr)?;
                 mix.loads += 1;
             }
             Inst::Sd { rval, rs, imm } => {
                 let addr = self.ea(rs, imm);
-                self.data_access(addr, 8, true, hier, hook, line_bytes);
+                self.data_access(pc, addr, 8, true, hier, hook, line_bytes);
                 mem.write_i64(addr, self.gpr[rval.0 as usize])?;
                 mix.stores += 1;
             }
@@ -259,13 +275,13 @@ impl AtomicCpu {
             }
             Inst::Flw { fd, rs, imm } => {
                 let addr = self.ea(rs, imm);
-                self.data_access(addr, 4, false, hier, hook, line_bytes);
+                self.data_access(pc, addr, 4, false, hier, hook, line_bytes);
                 self.fpr[fd.0 as usize] = mem.read_f32(addr)?;
                 mix.loads += 1;
             }
             Inst::Fsw { fval, rs, imm } => {
                 let addr = self.ea(rs, imm);
-                self.data_access(addr, 4, true, hier, hook, line_bytes);
+                self.data_access(pc, addr, 4, true, hier, hook, line_bytes);
                 mem.write_f32(addr, self.fpr[fval.0 as usize])?;
                 mix.stores += 1;
             }
@@ -303,7 +319,7 @@ impl AtomicCpu {
             Inst::Vload { vd, rs, imm } => {
                 let addr = self.ea(rs, imm);
                 let bytes = 4 * self.lanes as u64;
-                self.data_access(addr, bytes, false, hier, hook, line_bytes);
+                self.data_access(pc, addr, bytes, false, hier, hook, line_bytes);
                 for l in 0..self.lanes {
                     self.vr[vd.0 as usize][l] = mem.read_f32(addr + 4 * l as u64)?;
                 }
@@ -312,7 +328,7 @@ impl AtomicCpu {
             Inst::Vstore { vval, rs, imm } => {
                 let addr = self.ea(rs, imm);
                 let bytes = 4 * self.lanes as u64;
-                self.data_access(addr, bytes, true, hier, hook, line_bytes);
+                self.data_access(pc, addr, bytes, true, hier, hook, line_bytes);
                 for l in 0..self.lanes {
                     mem.write_f32(addr + 4 * l as u64, self.vr[vval.0 as usize][l])?;
                 }
@@ -425,8 +441,10 @@ impl AtomicCpu {
     }
 
     #[inline]
+    #[allow(clippy::too_many_arguments)] // hot path: every operand is load-bearing
     fn data_access<H: ExecHook>(
         &self,
+        pc: usize,
         addr: u64,
         bytes: u64,
         is_store: bool,
@@ -440,7 +458,7 @@ impl AtomicCpu {
             } else {
                 hier.data_read(line)
             };
-            hook.on_data_access(line, is_store, serviced, hier);
+            hook.on_data_access(pc, line, is_store, serviced, hier);
         }
     }
 }
@@ -837,7 +855,14 @@ mod tests {
             fn on_retire(&mut self, _: &Inst) {
                 self.retired += 1;
             }
-            fn on_data_access(&mut self, _: u64, _: bool, _: ServicedBy, _: &mut CacheHierarchy) {
+            fn on_data_access(
+                &mut self,
+                _: usize,
+                _: u64,
+                _: bool,
+                _: ServicedBy,
+                _: &mut CacheHierarchy,
+            ) {
                 self.data += 1;
             }
             fn on_branch(&mut self, _: usize, _: usize, _: bool) {

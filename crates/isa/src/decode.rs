@@ -58,17 +58,21 @@
 //!   run's fetches are credited as hits without a lookup (see
 //!   [`CacheHierarchy::fetch_run`] for why that is exact). A loop
 //!   body's runs cost a compare and a few adds each.
-//! * **Timing events.** [`ExecHook::on_retire_uop`] hands the timing
-//!   tier the µop's precomputed [`UopEvent`] instead of having it
-//!   re-derived from the [`Inst`] at every retirement.
+//! * **Timing events.** Hooks hear this engine a block at a time (see
+//!   [`ExecHook`]): one `on_fetch` per fetch run (every fetch only when
+//!   the run's later ones are not L1I hits), the
+//!   `on_data_access`/`on_branch` events where they happen, no
+//!   per-instruction retirements, and one [`ExecHook::on_block`] with
+//!   the block's precomputed [`UopEvent`]s after it retires — after the
+//!   cut, for a block the budget ends inside. A timing hook's cost is
+//!   then per block, not per µop. [`InterpEngine`] keeps the
+//!   per-instruction order and is the oracle for the block stream.
 //!
-//! Hooks still see every event in the interpreter's order — `on_fetch`
-//! (the later instructions of a run report what `fetch_run` says
-//! serviced them), any `on_data_access`/`on_branch`, the retirement —
-//! and a run that faults has told its hook of nothing past the faulting
-//! instruction. Fetches are credited per run, so the hierarchy of a
-//! faulted run has counted the rest of the faulting run's; a fault
-//! returns `Err`, which carries no statistics.
+//! A run that faults has told its hook of nothing of the faulting block
+//! past the faulting instruction, and gives it no `on_block` for that
+//! block. Fetches are credited per run, so the hierarchy of a faulted
+//! run has counted the rest of the faulting run's; a fault returns
+//! `Err`, which carries no statistics.
 //!
 //! # Engines
 //!
@@ -129,7 +133,7 @@ use crate::{
     uop_event, AtomicCpu, ExecHook, Inst, InstMix, Memory, Program, RunLimits, SimError, SimStats,
     TargetIsa, UopEvent, CODE_BASE,
 };
-use simtune_cache::{CacheHierarchy, ResidentLine};
+use simtune_cache::{CacheHierarchy, ResidentLine, ServicedBy};
 
 /// Statistics class of an instruction — the precomputed form of the
 /// per-arm `mix.* += 1` accounting in the interpreter.
@@ -514,6 +518,7 @@ impl ExecEngine for DecodedEngine<'_> {
             // instruction falls through, so the limits are checked once:
             // a block the budget ends inside is cut to what is left of
             // the budget (less than the block, so it fits a `usize`).
+            let start = pc;
             let block = ops[pc].block as usize;
             let block_end = block_starts.get(block + 1).copied().unwrap_or(ops.len());
             let left = budget - retired;
@@ -543,18 +548,29 @@ impl ExecEngine for DecodedEngine<'_> {
                 let (first, rest, resident) = hier.fetch_run(addr, n, run.resident);
                 run.resident = resident;
                 let run_end = pc + n as usize;
+                // The hook hears of the run's later fetches only when
+                // they are not the L1I hits that stall nothing (a
+                // counting-only hierarchy).
+                let every_fetch = rest != ServicedBy::L1i;
+                if !every_fetch {
+                    hook.on_fetch(pc, first);
+                }
                 let mut serviced = first;
-                for (op, uop) in ops[pc..run_end].iter().zip(&uops[pc..run_end]) {
-                    hook.on_fetch(pc, serviced);
+                for op in &ops[pc..run_end] {
+                    if every_fetch {
+                        hook.on_fetch(pc, serviced);
+                    }
                     serviced = rest;
                     // Copy the architectural fields to locals so they
                     // live in registers across the step.
                     let inst = op.inst;
                     step = cpu.exec_inst(&inst, pc, mem, hier, hook, line_bytes, &mut mix)?;
-                    hook.on_retire_uop(&inst, uop);
                     pc += 1;
                     retired += 1;
                 }
+            }
+            if end > start {
+                hook.on_block(start, &uops[start..end]);
             }
             if end < block_end {
                 if retired >= limits.max_insts {

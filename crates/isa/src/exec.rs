@@ -65,10 +65,11 @@ pub struct SimOutcome {
 /// * pipelined — [`crate::TimingBridge`] as the hook.
 ///
 /// The two engines are observationally identical (see the differential
-/// suite) and raise the same per-retirement event sequence — `on_fetch`,
-/// then any `on_data_access`/`on_branch`, then the retirement
-/// (`on_retire`, or from the decoded loop `on_retire_uop`, which
-/// forwards to it) — so the choice only moves host time.
+/// suite), so the choice only moves host time. The interpreter raises
+/// events per retirement — `on_fetch`, then any
+/// `on_data_access`/`on_branch`, then `on_retire` — and the decoded
+/// loop per block, ending each with one `on_block` ([`ExecHook`] gives
+/// both orders); a hook must reach the same state from either.
 /// [`EngineKind::Decoded`], the default and the engine every bundled
 /// workload runs, replays a basic block at a time — one limit check per
 /// block, one L1I access per run of instructions in one I-line

@@ -12,11 +12,17 @@
 //! and [`NoopHook`](crate::NoopHook) stays the default everywhere —
 //! non-timing tiers pay nothing for the extra layer.
 //!
-//! The bridge delivers events in the engines' fixed order, identical
-//! across every [`EngineKind`](crate::EngineKind): `on_fetch`, then any
-//! `on_mem`/`on_branch` raised while the instruction executes, then the
-//! instruction's single `on_uop`. Timing models therefore buffer fetch
-//! and memory latencies and settle them when the owning µop arrives.
+//! The bridge delivers events in the engines' two fixed orders (see
+//! [`ExecHook`]). On [`InterpEngine`](crate::InterpEngine), per µop:
+//! `on_fetch`, then any `on_mem`/`on_branch` raised while the
+//! instruction executes, then the instruction's single `on_uop`. Timing
+//! models therefore buffer fetch and memory latencies and settle them
+//! when the owning µop arrives. On [`DecodedEngine`](crate::DecodedEngine),
+//! per block: the first fetch of each fetch run, every `on_mem` and
+//! `on_branch` in place, and one `on_block` after the block's last µop
+//! instead of its `on_uop`s; the events carry their `pc`, so the model
+//! settles each latency at its own µop. The two orders describe the same
+//! run: a model must reach the same state from either.
 
 use crate::{ExecHook, Fpr, Gpr, Inst, MixClass, Vr};
 use simtune_cache::{CacheHierarchy, ServicedBy};
@@ -135,43 +141,56 @@ pub fn uop_event(inst: &Inst) -> UopEvent {
 }
 
 /// A µop-level execution observer: what a cycle-accurate timing tier
-/// implements. Event order per retirement is fixed (and identical
-/// across replay engines): `on_fetch`, then zero or more `on_mem` and
-/// at most one `on_branch` while the instruction executes, then the
-/// instruction's `on_uop`.
+/// implements. Events arrive per µop from
+/// [`InterpEngine`](crate::InterpEngine) and per block from
+/// [`DecodedEngine`](crate::DecodedEngine) — the module documentation
+/// gives both orders.
 pub trait TimingHook {
     /// An instruction was fetched at `pc`, serviced by `serviced`.
     fn on_fetch(&mut self, pc: usize, serviced: ServicedBy) {
         let _ = (pc, serviced);
     }
 
-    /// An instruction retired as `uop`.
+    /// An instruction retired as `uop` (per µop only).
     fn on_uop(&mut self, uop: &UopEvent) {
         let _ = uop;
     }
 
-    /// A data access touched the cache line at `line_addr`. The
-    /// hierarchy is mutable so prefetchers can issue fills.
+    /// A data access of the instruction at `pc` touched the cache line
+    /// at `line_addr`. The hierarchy is mutable so prefetchers can
+    /// issue fills.
     fn on_mem(
         &mut self,
+        pc: usize,
         line_addr: u64,
         is_store: bool,
         serviced: ServicedBy,
         hier: &mut CacheHierarchy,
     ) {
-        let _ = (line_addr, is_store, serviced, hier);
+        let _ = (pc, line_addr, is_store, serviced, hier);
     }
 
     /// A control-flow instruction at `pc` resolved.
     fn on_branch(&mut self, pc: usize, target: usize, taken: bool) {
         let _ = (pc, target, taken);
     }
+
+    /// Per block only: the µops of instructions `start..start +
+    /// uops.len()` retired, in order. By default each goes to
+    /// [`TimingHook::on_uop`], after the block's other events; a model
+    /// that places those events at their µops overrides this.
+    fn on_block(&mut self, start: usize, uops: &[UopEvent]) {
+        let _ = start;
+        for uop in uops {
+            self.on_uop(uop);
+        }
+    }
 }
 
-/// Adapts a [`TimingHook`] into an [`ExecHook`], translating each
-/// retirement into its [`UopEvent`] — derived from the instruction, or
-/// taken as is from an engine that hands over the one its decode pass
-/// made — so timing tiers plug into the unmodified replay engines.
+/// Adapts a [`TimingHook`] into an [`ExecHook`], translating each of the
+/// interpreter's retirements into its [`UopEvent`] (the decoded engine
+/// hands over the ones its decode pass made), so timing tiers plug into
+/// the unmodified replay engines.
 #[derive(Debug)]
 pub struct TimingBridge<'h, H: TimingHook> {
     hook: &'h mut H,
@@ -193,22 +212,23 @@ impl<H: TimingHook> ExecHook for TimingBridge<'_, H> {
         self.hook.on_uop(&uop_event(inst));
     }
 
-    fn on_retire_uop(&mut self, _: &Inst, uop: &UopEvent) {
-        self.hook.on_uop(uop);
-    }
-
     fn on_data_access(
         &mut self,
+        pc: usize,
         line_addr: u64,
         is_store: bool,
         serviced: ServicedBy,
         hier: &mut CacheHierarchy,
     ) {
-        self.hook.on_mem(line_addr, is_store, serviced, hier);
+        self.hook.on_mem(pc, line_addr, is_store, serviced, hier);
     }
 
     fn on_branch(&mut self, pc: usize, target: usize, taken: bool) {
         self.hook.on_branch(pc, target, taken);
+    }
+
+    fn on_block(&mut self, start: usize, uops: &[UopEvent]) {
+        self.hook.on_block(start, uops);
     }
 }
 
@@ -302,5 +322,30 @@ mod tests {
         assert_eq!(hook.uops.len(), 2);
         assert_eq!(hook.uops[0].dst, Some(Reg::gpr(Gpr(1))));
         assert_eq!(hook.uops[1].class, MixClass::Branch);
+    }
+
+    #[test]
+    fn bridge_forwards_blocks_to_on_block_or_by_default_to_on_uop() {
+        #[derive(Default)]
+        struct Blocks(Vec<(usize, usize)>);
+        impl TimingHook for Blocks {
+            fn on_block(&mut self, start: usize, uops: &[UopEvent]) {
+                self.0.push((start, uops.len()));
+            }
+        }
+        #[derive(Default)]
+        struct PerUop(usize);
+        impl TimingHook for PerUop {
+            fn on_uop(&mut self, _: &UopEvent) {
+                self.0 += 1;
+            }
+        }
+        let uops = [uop_event(&Inst::Halt); 3];
+        let mut blocks = Blocks::default();
+        TimingBridge::new(&mut blocks).on_block(7, &uops);
+        assert_eq!(blocks.0, [(7, 3)]);
+        let mut per_uop = PerUop::default();
+        TimingBridge::new(&mut per_uop).on_block(7, &uops);
+        assert_eq!(per_uop.0, 3);
     }
 }

@@ -82,12 +82,13 @@ fn hot_block_program(mid: &[Inst]) -> Program {
 }
 
 /// Everything an [`ExecHook`] is told, in order.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 enum Event {
     Fetch(usize, ServicedBy),
-    Data(u64, bool, ServicedBy),
+    Data(usize, u64, bool, ServicedBy),
     Branch(usize, usize, bool),
     Retire(Inst, UopEvent),
+    Block(usize, Vec<UopEvent>),
 }
 
 #[derive(Default)]
@@ -98,22 +99,29 @@ impl ExecHook for Recorder {
         self.0.push(Event::Fetch(pc, serviced));
     }
 
-    // What the interpreter calls; the block loop hands over the µop its
-    // decode pass made, which must be this one.
+    // What the interpreter calls; the block loop hands over the µops its
+    // decode pass made, which must be these.
     fn on_retire(&mut self, inst: &Inst) {
         self.0.push(Event::Retire(*inst, uop_event(inst)));
     }
 
-    fn on_retire_uop(&mut self, inst: &Inst, uop: &UopEvent) {
-        self.0.push(Event::Retire(*inst, *uop));
-    }
-
-    fn on_data_access(&mut self, line: u64, store: bool, by: ServicedBy, _: &mut CacheHierarchy) {
-        self.0.push(Event::Data(line, store, by));
+    fn on_data_access(
+        &mut self,
+        pc: usize,
+        line: u64,
+        store: bool,
+        by: ServicedBy,
+        _: &mut CacheHierarchy,
+    ) {
+        self.0.push(Event::Data(pc, line, store, by));
     }
 
     fn on_branch(&mut self, pc: usize, target: usize, taken: bool) {
         self.0.push(Event::Branch(pc, target, taken));
+    }
+
+    fn on_block(&mut self, start: usize, uops: &[UopEvent]) {
+        self.0.push(Event::Block(start, uops.to_vec()));
     }
 }
 
@@ -136,6 +144,59 @@ fn observe<E: ExecEngine>(engine: &E, limits: RunLimits, stop_at: Option<u64>) -
     let gprs = (0..32).map(|r| cpu.gpr(Gpr(r))).collect();
     let fprs = (0..32).map(|r| cpu.fpr(Fpr(r)).to_bits()).collect();
     (result, gprs, fprs, hook.0)
+}
+
+/// The block events of the run the interpreter reported per instruction
+/// in `per_inst`: the fetch of each fetch run's first instruction (the
+/// rest of a run hit the L1I), data accesses and branches as they were,
+/// and the µops of each block — or of the part of one a limit left —
+/// once it is over. A block cut short by a fault has no block event.
+fn block_events(decoded: &DecodedProgram, per_inst: &Observed) -> Observed {
+    let ops = decoded.ops();
+    let run_starts = |pc: usize| {
+        pc == 0 || ops[pc].block != ops[pc - 1].block || {
+            ops[pc].fetch_addr / 64 != ops[pc - 1].fetch_addr / 64
+        }
+    };
+    let mut events = Vec::new();
+    let mut block: Option<(usize, Vec<UopEvent>)> = None;
+    let mut pc = 0;
+    for event in &per_inst.3 {
+        match event {
+            Event::Fetch(at, _) => {
+                pc = *at;
+                if run_starts(pc) {
+                    events.push(event.clone());
+                }
+            }
+            Event::Retire(_, uop) => {
+                block.get_or_insert_with(|| (pc, Vec::new())).1.push(*uop);
+                let last = decoded
+                    .block_starts()
+                    .get(ops[pc].block as usize + 1)
+                    .map_or(ops.len() - 1, |next| next - 1);
+                if pc == last {
+                    let (start, uops) = block.take().expect("just pushed");
+                    events.push(Event::Block(start, uops));
+                }
+            }
+            Event::Block(..) => panic!("the interpreter reports per instruction"),
+            _ => events.push(event.clone()),
+        }
+    }
+    let cut = !matches!(
+        per_inst.0,
+        Err(SimError::MemoryFault { .. } | SimError::UnknownSyscall { .. })
+    );
+    if let Some((start, uops)) = block.filter(|_| cut) {
+        events.push(Event::Block(start, uops));
+    }
+    (
+        per_inst.0.clone(),
+        per_inst.1.clone(),
+        per_inst.2.clone(),
+        events,
+    )
 }
 
 fn decode(prog: &Program) -> DecodedProgram {
@@ -175,7 +236,7 @@ fn a_limit_at_every_point_of_a_three_line_block_ends_the_run_as_the_interpreter_
             }
             assert_eq!(
                 observe(&block, limits, stop_at),
-                want,
+                block_events(&decoded, &want),
                 "max_insts {}, stop_at {stop_at:?}",
                 limits.max_insts
             );
@@ -184,7 +245,10 @@ fn a_limit_at_every_point_of_a_three_line_block_ends_the_run_as_the_interpreter_
     // Far enough out, both run to completion.
     let want = observe(&interp, unlimited, Some(10 * BLOCK));
     assert!(matches!(want.0, Ok((_, true))));
-    assert_eq!(observe(&block, unlimited, Some(10 * BLOCK)), want);
+    assert_eq!(
+        observe(&block, unlimited, Some(10 * BLOCK)),
+        block_events(&decoded, &want)
+    );
 }
 
 #[test]
@@ -225,6 +289,6 @@ fn a_fault_in_the_middle_of_a_block_is_the_interpreter_s_fault() {
             Some(Event::Fetch(..) | Event::Data(..))
         ));
         let got = observe(&DecodedEngine::new(&decoded), RunLimits::default(), None);
-        assert_eq!(got, want, "{error}");
+        assert_eq!(got, block_events(&decoded, &want), "{error}");
     }
 }
