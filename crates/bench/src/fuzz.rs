@@ -427,8 +427,8 @@ mod tests {
             summary.failures
         );
         assert!(summary.cases > 0);
-        // 1 engine diff + 5 tiers × 2 engines + 3 sessions × 3 trials.
-        assert_eq!(summary.combos, 20 * summary.cases);
+        // 1 engine diff + 3 tiers × 2 engines + 3 sessions × 3 trials.
+        assert_eq!(summary.combos, 16 * summary.cases);
         assert!(summary.programs_per_second > 0.0);
         // Round-robin coverage: the first scenarios of the corpus ran.
         assert!(summary.scenarios[0].cases > 0);
@@ -481,7 +481,7 @@ mod tests {
         assert_eq!(summary.fidelity.as_deref(), Some("pipelined:btb=64,ras=4"));
         // One extra engine comparison per case rode along.
         assert!(summary.cases > 0);
-        assert_eq!(summary.combos, 21 * summary.cases);
+        assert_eq!(summary.combos, 17 * summary.cases);
     }
 
     #[test]

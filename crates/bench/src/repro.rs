@@ -1023,13 +1023,16 @@ mod tests {
             FidelityMode::Tier(FidelitySpec::Pipelined { btb: 64, ras: 4 })
         );
         assert_eq!(a.fidelity.label(), "pipelined:btb=64,ras=4");
-        assert_eq!(
-            parse("--fidelity sampled:fraction=0.25")
-                .unwrap()
-                .fidelity
-                .label(),
-            "sampled:fraction=0.25"
-        );
+    }
+
+    #[test]
+    fn the_removed_sampled_tier_is_a_flag_error() {
+        let spec = "--fidelity sampled:fraction=0.25";
+        assert!(parse_err(spec).contains("unknown fidelity tier"));
+        let mut out = Vec::new();
+        let argv = spec.split_whitespace().map(str::to_string);
+        assert_eq!(run(argv, &mut out), 2);
+        assert!(out.is_empty());
     }
 
     #[test]

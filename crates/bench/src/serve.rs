@@ -22,7 +22,7 @@
 //!
 //! `open` and `tune` take one optional `fidelity` string in the
 //! [`FidelitySpec`] grammar (`accurate`, `fast-count`,
-//! `sampled:fraction=F`, `pipelined:btb=N,ras=N`). On `open` it names
+//! `pipelined:btb=N,ras=N`). On `open` it names
 //! the tier the tenant's session simulates at (default `accurate`); on
 //! `tune` it names the exploration tier of a fidelity-escalated run —
 //! cheap-tier exploration, top-k accurate finalists.

@@ -190,6 +190,22 @@ fn malformed_fidelity_is_a_handler_error_with_the_grammar() {
 }
 
 #[test]
+fn an_open_at_the_removed_sampled_tier_is_an_error_frame_and_opens_no_tenant() {
+    let mut server = server();
+    let resp = roundtrip(&mut server, &open_req("old", Some("sampled"))).unwrap();
+    assert!(!resp.ok);
+    let err = resp.error.unwrap();
+    assert!(err.contains("unknown fidelity tier"), "{err}");
+    let stats = Request {
+        tenant: Some("old".into()),
+        ..req("stats")
+    };
+    let resp = roundtrip(&mut server, &stats).unwrap();
+    assert!(!resp.ok);
+    assert!(resp.error.unwrap().contains("is not open"));
+}
+
+#[test]
 fn hostile_predictor_sizes_are_a_handler_error_and_the_server_lives() {
     // `pipelined:ras=N` sizes a per-trial allocation on a pool worker;
     // an unbounded N aborted the whole process (every tenant with it).
@@ -226,7 +242,7 @@ fn a_snapshot_with_a_non_ascii_key_is_a_cold_start_and_the_server_lives() {
         std::process::id()
     ));
     let snapshot = format!(
-        r#"{{"schema":"{SNAPSHOT_SCHEMA}","entries":[{{"key":"aé1","backend":"b","extrapolated":false,"stats":{{"mix":[0,0,0,0,0,0,0,0],"l1d":{{"counters":[0,0,0,0,0,0]}},"l1i":{{"counters":[0,0,0,0,0,0]}},"l2":{{"counters":[0,0,0,0,0,0]}},"l3":null,"dram":[0,0],"host_nanos":0}},"cycles":null}}]}}"#
+        r#"{{"schema":"{SNAPSHOT_SCHEMA}","entries":[{{"key":"aé1","backend":"b","stats":{{"mix":[0,0,0,0,0,0,0,0],"l1d":{{"counters":[0,0,0,0,0,0]}},"l1i":{{"counters":[0,0,0,0,0,0]}},"l2":{{"counters":[0,0,0,0,0,0]}},"l3":null,"dram":[0,0],"host_nanos":0}},"cycles":null}}]}}"#
     );
     std::fs::write(&path, snapshot).expect("writes");
     let mut server = server();

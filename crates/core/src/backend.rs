@@ -21,26 +21,22 @@
 //!
 //! # Fidelity tiers
 //!
-//! Four backends ship with the crate, each one composition of
+//! Three backends ship with the crate, each one composition of
 //! [`simtune_isa::replay`]'s arguments; pick by what a tuning round
-//! needs:
+//! needs. Host cost is relative to accurate, measured on the Table II
+//! groups with the decoded engine; functional execution outweighs the
+//! cache model, so dropping the model saves about a third:
 //!
 //! | backend | statistics | cost | use when |
 //! |---|---|---|---|
+//! | [`FastCountBackend`] | counts only | ≈ 0.65× | early exploration rounds where instruction/access totals are enough to discard bad candidates (QEMU-plugin instrumentation style) |
 //! | [`AccurateBackend`] | cache-accurate | 1× | final ranking, training-data collection — the gem5-style reference |
-//! | [`FastCountBackend`] | counts only | ≪1× | early exploration rounds where instruction/access totals are enough to discard bad candidates (QEMU-plugin instrumentation style) |
-//! | [`SampledBackend`] | extrapolated | count + fraction·accurate | middle ground: cache behavior matters but a prefix of the run is representative (Pac-Sim-style sampling) |
-//! | [`crate::PipelinedBackend`] | cycle-level timing | >1× | candidates whose ranking depends on hazards, branch behavior or prefetch, not just counts — reports a per-trial [`simtune_hw::CycleBreakdown`] |
+//! | [`crate::PipelinedBackend`] | cycle-level timing | ≈ 1.5× | candidates whose ranking depends on hazards, branch behavior or prefetch, not just counts — reports a per-trial [`simtune_hw::CycleBreakdown`] |
 //!
 //! Tiers are *named* uniformly by [`crate::FidelitySpec`]: parse a spec
 //! string (`"pipelined:btb=512,ras=8"`), hand it to
 //! [`SimSessionBuilder::fidelity`], and the same digest keys the memo
 //! cache and the service protocol.
-//!
-//! `SampledBackend` sizes each candidate with a counting pass before
-//! simulating the prefix, so its cost is the fast-count cost *plus* the
-//! chosen fraction of the accurate cost — cheaper than accurate only
-//! when the cache model (not raw interpretation) dominates.
 //!
 //! [`crate::tune_with_fidelity_escalation`] composes the tiers: a cheap
 //! backend explores the schedule space and [`AccurateBackend`] re-ranks
@@ -73,11 +69,10 @@ use crate::memo::{RequestKey, RequestKeys, SimCache};
 use crate::metrics::WorkerPoolStats;
 use crate::pool::{Batch, BatchCtx, BatchTicket, InflightMap, WorkerPool};
 use crate::{CoreError, KernelBuilder};
-use simtune_cache::{CacheConfig, CacheHierarchy, CacheStats, HierarchyConfig, HierarchyStats};
+use simtune_cache::{CacheConfig, CacheHierarchy, CacheStats, HierarchyConfig};
 use simtune_hw::CycleBreakdown;
 use simtune_isa::{
-    replay, DecodedProgram, EngineKind, Executable, InstMix, NoopHook, RunLimits, SimError,
-    SimStats,
+    replay, DecodedProgram, EngineKind, Executable, NoopHook, RunLimits, SimError, SimStats,
 };
 use std::error::Error;
 use std::fmt;
@@ -87,8 +82,6 @@ use std::sync::Arc;
 pub const ACCURATE: &str = "accurate";
 /// Canonical name of the counting-only flavor.
 pub const FAST_COUNT: &str = "fast-count";
-/// Canonical name of the sampled (prefix + extrapolation) flavor.
-pub const SAMPLED: &str = "sampled";
 
 /// Errors a backend can produce for one executable.
 #[derive(Debug, Clone, PartialEq)]
@@ -134,13 +127,10 @@ impl From<SimError> for BackendError {
 /// What one backend invocation reports for one executable.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
-    /// Simulator statistics (possibly extrapolated, see `extrapolated`).
+    /// Simulator statistics of the whole run.
     pub stats: SimStats,
     /// Name of the backend that produced the statistics.
     pub backend: String,
-    /// True when `stats` was scaled up from a partial run rather than
-    /// measured over the whole program.
-    pub extrapolated: bool,
     /// Cycle accounting of the timing layer, present only for tiers
     /// that model one ([`crate::PipelinedBackend`]). Deterministic: the
     /// same candidate yields byte-identical breakdowns at every
@@ -149,12 +139,11 @@ pub struct SimReport {
 }
 
 impl SimReport {
-    /// A report measured over the whole program, without a timing layer.
+    /// A report without a timing layer.
     pub(crate) fn full(stats: SimStats, backend: &str) -> Self {
         SimReport {
             stats,
             backend: backend.to_string(),
-            extrapolated: false,
             cycles: None,
         }
     }
@@ -197,10 +186,7 @@ pub trait SimBackend: Send + Sync {
     /// [`Executable::decode`], on an explicit replay [`EngineKind`].
     /// [`SimSession`] decodes each candidate exactly once and routes
     /// every trial through this, so the configured engine
-    /// (`SimSessionBuilder::engine`) reaches the simulator and tiers
-    /// that execute the program more than once per report (the sampling
-    /// tier's sizing pass plus prefix pass) replay the same µop array.
-    /// The default ignores both and delegates to
+    /// (`SimSessionBuilder::engine`) reaches the simulator. The default ignores both and delegates to
     /// [`SimBackend::run_one`] — correct for external backends with no
     /// notion of the bundled replay engines. The two bundled engines are
     /// bit-identical, so honoring the engine changes host speed only,
@@ -300,7 +286,7 @@ impl SimBackend for AccurateBackend {
         engine: EngineKind,
     ) -> Result<SimReport, BackendError> {
         let hier = || CacheHierarchy::new(self.hierarchy.clone());
-        let (out, _) = replay(exe, decoded, hier, engine, *limits, None, &mut NoopHook)?;
+        let out = replay(exe, decoded, hier, engine, *limits, &mut NoopHook)?;
         Ok(SimReport::full(out.stats, ACCURATE))
     }
 
@@ -372,7 +358,7 @@ impl SimBackend for FastCountBackend {
         engine: EngineKind,
     ) -> Result<SimReport, BackendError> {
         let hier = || CacheHierarchy::counting_only(self.line_bytes);
-        let (mut out, _) = replay(exe, decoded, hier, engine, *limits, None, &mut NoopHook)?;
+        let mut out = replay(exe, decoded, hier, engine, *limits, &mut NoopHook)?;
         if self.has_l3 {
             out.stats.cache.l3 = Some(CacheStats::default());
         }
@@ -384,153 +370,6 @@ impl SimBackend for FastCountBackend {
     fn fidelity_digest(&self) -> Option<String> {
         let l3 = if self.has_l3 { " l3=zero" } else { "" };
         Some(format!("fast-count @ line_bytes={}{l3}", self.line_bytes))
-    }
-}
-
-/// Pac-Sim-inspired sampling backend: a cheap counting pass sizes the
-/// candidate, then only `fraction` of its retired instructions are
-/// simulated with the full cache model and the statistics are linearly
-/// extrapolated to the whole run. At `fraction == 1.0` the prefix covers
-/// the entire program and the result equals [`AccurateBackend`]'s
-/// exactly (modulo host wall-clock time).
-///
-/// Host cost is the counting pass plus `fraction` of the accurate cost
-/// (not `fraction` alone): the sizing pass interprets every instruction
-/// once, without the cache model. The tier pays off when cache modeling
-/// dominates the accurate backend's runtime.
-#[derive(Debug, Clone)]
-pub struct SampledBackend {
-    hierarchy: HierarchyConfig,
-    fraction: f64,
-    min_insts: u64,
-}
-
-impl SampledBackend {
-    /// Sampling backend simulating `fraction ∈ (0, 1]` of each candidate
-    /// accurately.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BackendError::Config`] for a non-finite or out-of-range
-    /// fraction.
-    pub fn new(hierarchy: HierarchyConfig, fraction: f64) -> Result<Self, BackendError> {
-        if !fraction.is_finite() || fraction <= 0.0 || fraction > 1.0 {
-            return Err(BackendError::Config {
-                backend: SAMPLED.into(),
-                message: format!("sample fraction must be in (0, 1], got {fraction}"),
-            });
-        }
-        Ok(SampledBackend {
-            hierarchy,
-            fraction,
-            min_insts: 1_000,
-        })
-    }
-
-    /// Floor on the accurately simulated prefix, so tiny fractions of
-    /// tiny kernels still see a meaningful window (default 1000).
-    pub fn with_min_insts(mut self, min_insts: u64) -> Self {
-        self.min_insts = min_insts;
-        self
-    }
-
-    /// The configured sample fraction.
-    pub fn fraction(&self) -> f64 {
-        self.fraction
-    }
-}
-
-impl SimBackend for SampledBackend {
-    fn name(&self) -> &str {
-        SAMPLED
-    }
-
-    fn run_one(&self, exe: &Executable, limits: &RunLimits) -> Result<SimReport, BackendError> {
-        decode_and_run(self, exe, limits)
-    }
-
-    // Two passes over the same pre-decoded program, both on the selected
-    // engine: the sizing count, then the accurately simulated prefix.
-    fn run_one_decoded_on(
-        &self,
-        exe: &Executable,
-        decoded: &DecodedProgram,
-        limits: &RunLimits,
-        engine: EngineKind,
-    ) -> Result<SimReport, BackendError> {
-        // Counting pass: total work, at a fraction of the accurate cost.
-        let counting = || CacheHierarchy::counting_only(self.hierarchy.line_bytes());
-        let (count, _) = replay(exe, decoded, counting, engine, *limits, None, &mut NoopHook)?;
-        let total = count.stats.inst_mix.total();
-        let budget = ((total as f64 * self.fraction).ceil() as u64)
-            .max(self.min_insts)
-            .max(1);
-        let hier = || CacheHierarchy::new(self.hierarchy.clone());
-        let (out, completed) = replay(
-            exe,
-            decoded,
-            hier,
-            engine,
-            *limits,
-            Some(budget),
-            &mut NoopHook,
-        )?;
-        if completed {
-            return Ok(SimReport::full(out.stats, SAMPLED));
-        }
-        let retired = out.stats.inst_mix.total().max(1);
-        Ok(SimReport {
-            extrapolated: true,
-            ..SimReport::full(extrapolate(&out.stats, total, retired), SAMPLED)
-        })
-    }
-
-    fn fidelity_digest(&self) -> Option<String> {
-        Some(format!(
-            "sampled:fraction={} @ {} min_insts={}",
-            self.fraction,
-            hierarchy_digest(&self.hierarchy),
-            self.min_insts
-        ))
-    }
-}
-
-/// Linearly scales every counter of a prefix run by `total / retired`.
-/// Host wall time is kept as measured: the whole point of sampling is
-/// that the *host* paid only for the prefix. `pub(crate)` so the
-/// differential harness can recompute the sampled tier's expected
-/// output from an accurate prefix and compare bit-exactly.
-pub(crate) fn extrapolate(prefix: &SimStats, total: u64, retired: u64) -> SimStats {
-    let scale = |v: u64| ((v as u128 * total as u128) / retired as u128) as u64;
-    let scale_cache = |c: &CacheStats| CacheStats {
-        read_hits: scale(c.read_hits),
-        read_misses: scale(c.read_misses),
-        read_replacements: scale(c.read_replacements),
-        write_hits: scale(c.write_hits),
-        write_misses: scale(c.write_misses),
-        write_replacements: scale(c.write_replacements),
-    };
-    let m = &prefix.inst_mix;
-    SimStats {
-        inst_mix: InstMix {
-            int_alu: scale(m.int_alu),
-            fp_alu: scale(m.fp_alu),
-            vec_alu: scale(m.vec_alu),
-            loads: scale(m.loads),
-            stores: scale(m.stores),
-            branches: scale(m.branches),
-            branches_taken: scale(m.branches_taken),
-            other: scale(m.other),
-        },
-        cache: HierarchyStats {
-            l1d: scale_cache(&prefix.cache.l1d),
-            l1i: scale_cache(&prefix.cache.l1i),
-            l2: scale_cache(&prefix.cache.l2),
-            l3: prefix.cache.l3.as_ref().map(scale_cache),
-            dram_reads: scale(prefix.cache.dram_reads),
-            dram_writes: scale(prefix.cache.dram_writes),
-        },
-        host_nanos: prefix.host_nanos,
     }
 }
 
@@ -791,9 +630,8 @@ impl SimSessionBuilder {
 
     /// Uses the backend named by a [`crate::FidelitySpec`] — the
     /// canonical way to pick a tier. Every bundled tier is reachable:
-    /// `"accurate"`, `"fast-count"`, `"sampled:fraction=0.5"`,
-    /// `"pipelined:btb=512,ras=8"`. A spec the tier rejects (e.g. an
-    /// out-of-range fraction) surfaces from
+    /// `"accurate"`, `"fast-count"`, `"pipelined:btb=512,ras=8"`. An
+    /// error from [`crate::FidelitySpec::build`] surfaces from
     /// [`SimSessionBuilder::build`].
     pub fn fidelity(mut self, spec: &crate::FidelitySpec, hierarchy: &HierarchyConfig) -> Self {
         match spec.build(hierarchy) {
@@ -954,48 +792,9 @@ mod tests {
         assert_eq!(a.stats.inst_mix, f.stats.inst_mix);
         assert_eq!(a.backend, "accurate");
         assert_eq!(f.backend, "fast-count");
-        assert!(!a.extrapolated && !f.extrapolated);
         // The fast path reports no cache-model activity.
         assert_eq!(f.stats.cache.l1d.read_hits, 0);
         assert_eq!(f.stats.cache.l2, CacheStats::default());
-    }
-
-    #[test]
-    fn sampled_at_full_fraction_equals_accurate() {
-        let exes = exes(1);
-        let acc = AccurateBackend::new(hier());
-        let samp = SampledBackend::new(hier(), 1.0).unwrap();
-        let a = acc.run_one(&exes[0], &RunLimits::default()).unwrap();
-        let s = samp.run_one(&exes[0], &RunLimits::default()).unwrap();
-        assert!(!s.extrapolated);
-        assert_eq!(a.stats.inst_mix, s.stats.inst_mix);
-        assert_eq!(a.stats.cache, s.stats.cache);
-    }
-
-    #[test]
-    fn sampled_extrapolates_partial_runs() {
-        let exes = exes(1);
-        let acc = AccurateBackend::new(hier());
-        let full = acc.run_one(&exes[0], &RunLimits::default()).unwrap();
-        let total = full.stats.inst_mix.total();
-        let samp = SampledBackend::new(hier(), 0.25).unwrap().with_min_insts(1);
-        let s = samp.run_one(&exes[0], &RunLimits::default()).unwrap();
-        assert!(s.extrapolated);
-        assert_eq!(s.backend, "sampled");
-        // Extrapolated totals land close to the true total (linear
-        // scaling of an exact quarter prefix: within rounding of the
-        // component-wise division).
-        let est = s.stats.inst_mix.total();
-        let err = est.abs_diff(total) as f64 / total as f64;
-        assert!(err < 0.05, "estimate {est} vs true {total}");
-    }
-
-    #[test]
-    fn sampled_rejects_bad_fractions() {
-        for bad in [0.0, -0.5, 1.5, f64::NAN] {
-            let err = SampledBackend::new(hier(), bad).unwrap_err();
-            assert!(matches!(err, BackendError::Config { .. }), "{bad}");
-        }
     }
 
     #[test]
@@ -1025,18 +824,6 @@ mod tests {
     fn session_builder_surfaces_deferred_errors() {
         let err = SimSession::builder().build().unwrap_err();
         assert!(matches!(err, CoreError::Pipeline(_)));
-        let err = SimSession::builder()
-            .fidelity(&crate::FidelitySpec::Sampled { fraction: 2.0 }, &hier())
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, CoreError::Backend { .. }));
-        // A later explicit selection recovers from the failed one.
-        let session = SimSession::builder()
-            .fidelity(&crate::FidelitySpec::Sampled { fraction: 2.0 }, &hier())
-            .accurate(&hier())
-            .build()
-            .unwrap();
-        assert_eq!(session.backend_name(), "accurate");
     }
 
     /// Wraps a backend and counts actual executions — the probe for
@@ -1261,7 +1048,7 @@ mod tests {
             let r = session.run(&exes).pop().unwrap().unwrap();
             assert_eq!(r.stats.host_nanos, 99);
             assert_eq!(r.backend, "stub");
-            assert!(!r.extrapolated && r.cycles.is_none());
+            assert!(r.cycles.is_none());
         }
     }
 }

@@ -58,7 +58,7 @@ impl SimBackend for BoardBackend {
     ) -> Result<SimReport, BackendError> {
         let mut model = TimingModel::new(&self.spec);
         let hier = || CacheHierarchy::new(self.spec.hierarchy.clone());
-        let (out, _) = replay(exe, decoded, hier, engine, *limits, None, &mut model)?;
+        let out = replay(exe, decoded, hier, engine, *limits, &mut model)?;
         Ok(SimReport {
             cycles: Some(model.breakdown()),
             ..SimReport::full(out.stats, BOARD)

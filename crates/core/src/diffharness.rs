@@ -6,9 +6,9 @@
 //! interpreter, and every simulating backend tier relates to
 //! [`AccurateBackend`] by a *stated contract* — [`FastCountBackend`]
 //! reproduces instruction and fetch/access totals exactly,
-//! [`crate::SampledBackend`] equals an accurate run over the simulated
-//! prefix and linearly extrapolates the rest (flagging
-//! [`SimReport::extrapolated`]). This module checks all of it against a
+//! [`crate::PipelinedBackend`] the instruction mix and, on every engine,
+//! the interpreter's own pipelined report. This module checks all of it
+//! against a
 //! single generated program in one call, producing structured
 //! [`Divergence`] records instead of panics, so the fuzzer can journal,
 //! shrink and replay failures.
@@ -25,12 +25,9 @@
 //!    architectural state is deliberately *not* compared (it is
 //!    unspecified).
 //! 2. **Backend ladder × engine** — [`AccurateBackend`],
-//!    [`FastCountBackend`], [`crate::SampledBackend`] (full and
-//!    partial fraction) and [`crate::PipelinedBackend`] run on every
+//!    [`FastCountBackend`] and [`crate::PipelinedBackend`] run on every
 //!    engine; each report is checked against the accurate reference
-//!    under its tier's contract, with the sampled tier's expectation
-//!    *recomputed* from an accurate prefix plus the same linear
-//!    extrapolation rather than trusted. The pipelined tier must
+//!    under its tier's contract. The pipelined tier must
 //!    reproduce the accurate instruction mix exactly (its prefetcher
 //!    legitimately changes cache statistics), report a cycle breakdown
 //!    of at least one cycle per retired instruction, and reproduce the
@@ -48,7 +45,7 @@
 //! scenario corpus under a time budget; `crates/core/tests/` pins it in
 //! the ordinary test suite.
 
-use crate::backend::{extrapolate, AccurateBackend, FastCountBackend, SampledBackend};
+use crate::backend::{AccurateBackend, FastCountBackend};
 use crate::pipelined::PipelinedBackend;
 use crate::{
     BackendError, CoreError, SimBackend, SimReport, SimSession, DEFAULT_BTB_ENTRIES,
@@ -56,7 +53,7 @@ use crate::{
 };
 use simtune_cache::{CacheHierarchy, HierarchyConfig};
 use simtune_isa::{
-    replay, torture_program_with, AtomicCpu, DecodedEngine, DecodedProgram, EngineKind, ExecEngine,
+    torture_program_with, AtomicCpu, DecodedEngine, DecodedProgram, EngineKind, ExecEngine,
     Executable, Fpr, Gpr, InterpEngine, Memory, NoopHook, Program, RunLimits, SimError, SimStats,
     TargetIsa, TortureConfig, Vr, DATA_BASE, TORTURE_WINDOW,
 };
@@ -76,7 +73,7 @@ pub struct Divergence {
     /// `"session:accurate×decoded×np4[trial 2]"`.
     pub combo: String,
     /// Which observable field, e.g. `"stats.inst_mix"`, `"gpr"`,
-    /// `"memory"`, `"error"`, `"extrapolated"`.
+    /// `"memory"`, `"error"`, `"cycles.interp"`.
     pub field: String,
     /// Reference value (Debug-formatted, truncated for registers/memory
     /// to the first differing element).
@@ -148,10 +145,6 @@ pub struct DiffHarness {
     sessions: Vec<(usize, SimSession)>,
 }
 
-/// Fraction of the partial sampled tier under test; `min_insts` is
-/// forced to 1 so small torture programs genuinely extrapolate.
-const PARTIAL_FRACTION: f64 = 0.5;
-
 impl DiffHarness {
     /// Parallelism degrees every pooled path is exercised at.
     pub const N_PARALLEL: [usize; 3] = [1, 2, 4];
@@ -187,7 +180,7 @@ impl DiffHarness {
         DiffHarness::new(HierarchyConfig::tiny_for_tests())
     }
 
-    /// The cache geometry every accurate/sampled instance models.
+    /// The cache geometry every backend instance models.
     pub fn hierarchy(&self) -> &HierarchyConfig {
         &self.hierarchy
     }
@@ -256,11 +249,6 @@ impl DiffHarness {
         // report (reference engine: the interpreter again).
         let accurate = AccurateBackend::new(self.hierarchy.clone());
         let fast = FastCountBackend::matching(&self.hierarchy);
-        let sampled_full =
-            SampledBackend::new(self.hierarchy.clone(), 1.0).expect("1.0 is a valid fraction");
-        let sampled_part = SampledBackend::new(self.hierarchy.clone(), PARTIAL_FRACTION)
-            .expect("valid fraction")
-            .with_min_insts(1);
         let pipelined = PipelinedBackend::new(
             self.hierarchy.clone(),
             DEFAULT_BTB_ENTRIES,
@@ -274,8 +262,6 @@ impl DiffHarness {
             for (tier, backend) in [
                 ("accurate", &accurate as &dyn SimBackend),
                 ("fast-count", &fast),
-                ("sampled-full", &sampled_full),
-                ("sampled-partial", &sampled_part),
                 ("pipelined", &pipelined),
             ] {
                 combos += 1;
@@ -286,17 +272,9 @@ impl DiffHarness {
                     (Err(e), Ok(_)) => push(&mut divs, &combo, "error", e, &"completed"),
                     (Ok(_), Err(o)) => push(&mut divs, &combo, "error", &"completed", o),
                     (Ok(r), Ok(o)) => match tier {
-                        "accurate" | "sampled-full" => {
-                            diff_stats(&combo, &r.stats, &o.stats, &mut divs);
-                            diff_eq(&combo, "extrapolated", &false, &o.extrapolated, &mut divs);
-                        }
+                        "accurate" => diff_stats(&combo, &r.stats, &o.stats, &mut divs),
                         "fast-count" => self.check_fast_count(&combo, r, o, &mut divs),
-                        "pipelined" => {
-                            self.check_pipelined(&combo, r, &pipelined_ref, o, &mut divs)
-                        }
-                        _ => {
-                            self.check_sampled_partial(&combo, engine, exe, &decoded, o, &mut divs)
-                        }
+                        _ => self.check_pipelined(&combo, r, &pipelined_ref, o, &mut divs),
                     },
                 }
             }
@@ -329,13 +307,6 @@ impl DiffHarness {
                     (Ok(w), Ok(g)) => {
                         diff_stats(&combo, &w.stats, &g.stats, &mut divs);
                         diff_eq(&combo, "backend", &w.backend, &g.backend, &mut divs);
-                        diff_eq(
-                            &combo,
-                            "extrapolated",
-                            &w.extrapolated,
-                            &g.extrapolated,
-                            &mut divs,
-                        );
                     }
                     (Err(BackendError::Sim(w)), Err(CoreError::Sim(g))) => {
                         diff_eq(&combo, "error", w, g, &mut divs)
@@ -370,16 +341,7 @@ impl DiffHarness {
         let want = reference.run_one_decoded_on(exe, &decoded, &self.limits, engine);
         let got = candidate.run_one_decoded_on(exe, &decoded, &self.limits, engine);
         match (&want, &got) {
-            (Ok(w), Ok(g)) => {
-                diff_stats(&combo, &w.stats, &g.stats, &mut divs);
-                diff_eq(
-                    &combo,
-                    "extrapolated",
-                    &w.extrapolated,
-                    &g.extrapolated,
-                    &mut divs,
-                );
-            }
+            (Ok(w), Ok(g)) => diff_stats(&combo, &w.stats, &g.stats, &mut divs),
             (Err(w), Err(g)) => diff_eq(&combo, "error", w, g, &mut divs),
             (Err(w), Ok(_)) => push(&mut divs, &combo, "error", w, &"completed"),
             (Ok(_), Err(g)) => push(&mut divs, &combo, "error", &"completed", g),
@@ -446,7 +408,6 @@ impl DiffHarness {
         diff_eq(combo, "l1i.fetches", &reads(&a.l1i), &reads(&f.l1i), divs);
         diff_eq(combo, "l1d.reads", &reads(&a.l1d), &reads(&f.l1d), divs);
         diff_eq(combo, "l1d.writes", &writes(&a.l1d), &writes(&f.l1d), divs);
-        diff_eq(combo, "extrapolated", &false, &fast.extrapolated, divs);
     }
 
     /// Pipelined contract: architectural results are the accurate tier's
@@ -473,7 +434,6 @@ impl DiffHarness {
             &got.stats.inst_mix,
             divs,
         );
-        diff_eq(combo, "extrapolated", &false, &got.extrapolated, divs);
         let Some(c) = &got.cycles else {
             return push(divs, combo, "cycles", &"present", &"absent");
         };
@@ -504,56 +464,6 @@ impl DiffHarness {
             }
             Err(e) => push(divs, combo, "cycles.interp", e, &"completed"),
         }
-    }
-
-    /// Sampled contract, recomputed rather than trusted: rebuild the
-    /// tier's budget from a counting pass, run an accurate prefix, apply
-    /// the same linear extrapolation, and require bit-equality.
-    fn check_sampled_partial(
-        &self,
-        combo: &str,
-        engine: EngineKind,
-        exe: &Executable,
-        decoded: &DecodedProgram,
-        got: &SimReport,
-        divs: &mut Vec<Divergence>,
-    ) {
-        let pass = |hier: CacheHierarchy, stop_at| {
-            replay(
-                exe,
-                decoded,
-                || hier,
-                engine,
-                self.limits,
-                stop_at,
-                &mut NoopHook,
-            )
-        };
-        let counting = CacheHierarchy::counting_only(self.hierarchy.line_bytes());
-        let total = match pass(counting, None) {
-            Ok((count, _)) => count.stats.inst_mix.total(),
-            Err(e) => {
-                push(divs, combo, "sizing-pass", &"completes", &e);
-                return;
-            }
-        };
-        let budget = ((total as f64 * PARTIAL_FRACTION).ceil() as u64).max(1);
-        let full = CacheHierarchy::new(self.hierarchy.clone());
-        let (prefix, completed) = match pass(full, Some(budget)) {
-            Ok(p) => p,
-            Err(e) => {
-                push(divs, combo, "prefix-pass", &"completes", &e);
-                return;
-            }
-        };
-        diff_eq(combo, "extrapolated", &!completed, &got.extrapolated, divs);
-        let want = if completed {
-            prefix.stats
-        } else {
-            let retired = prefix.stats.inst_mix.total().max(1);
-            extrapolate(&prefix.stats, total, retired)
-        };
-        diff_stats(combo, &want, &got.stats, divs);
     }
 
     /// Runs `exe` on one engine from cold state and captures everything
@@ -746,8 +656,8 @@ mod tests {
         for seed in 0..4 {
             let out = harness.run_case("baseline", &TortureConfig::baseline(), seed);
             assert!(out.passed(), "seed {seed}: {:#?}", out.divergences);
-            // 1 engine diff + 5 tiers × 2 engines + 3 sessions × 3 trials.
-            assert_eq!(out.combos, 20, "the matrix is pinned exactly");
+            // 1 engine diff + 3 tiers × 2 engines + 3 sessions × 3 trials.
+            assert_eq!(out.combos, 16, "the matrix is pinned exactly");
             assert!(!out.faulted);
         }
     }

@@ -108,9 +108,9 @@ mod tests {
         let e: CoreError = SimError::PcOutOfRange { pc: 3 }.into();
         assert!(e.to_string().contains("simulation"));
         let e = CoreError::Backend {
-            backend: "sampled".into(),
-            message: "fraction 2".into(),
+            backend: "gem5".into(),
+            message: "no such cpu".into(),
         };
-        assert!(e.to_string().contains("sampled") && e.to_string().contains("fraction 2"));
+        assert!(e.to_string().contains("gem5") && e.to_string().contains("no such cpu"));
     }
 }

@@ -5,7 +5,7 @@
 //! spelling:
 //!
 //! * **grammar** — `tier[:key=value,...]`, e.g. `accurate`,
-//!   `fast-count`, `sampled:fraction=0.25`, `pipelined:btb=512,ras=8`;
+//!   `fast-count`, `pipelined:btb=512,ras=8`;
 //!   parsed by [`FromStr`](std::str::FromStr), printed by
 //!   [`Display`](std::fmt::Display) in the same canonical form;
 //! * **digest** — [`FidelitySpec::digest`] is the canonical string,
@@ -18,9 +18,7 @@
 //! The shape mirrors [`crate::StrategySpec`], which plays the same role
 //! for search strategies.
 
-use crate::backend::{
-    AccurateBackend, FastCountBackend, SampledBackend, SimBackend, ACCURATE, FAST_COUNT, SAMPLED,
-};
+use crate::backend::{AccurateBackend, FastCountBackend, SimBackend, ACCURATE, FAST_COUNT};
 use crate::pipelined::{PipelinedBackend, PIPELINED};
 use crate::CoreError;
 use simtune_cache::HierarchyConfig;
@@ -31,8 +29,6 @@ use std::sync::Arc;
 pub const DEFAULT_BTB_ENTRIES: usize = 512;
 /// Default return-address-stack depth of the pipelined tier.
 pub const DEFAULT_RAS_DEPTH: usize = 8;
-/// Default sample fraction when `sampled` is named without one.
-pub const DEFAULT_SAMPLE_FRACTION: f64 = 0.5;
 /// Largest BTB the `pipelined` grammar accepts: the predictor table is
 /// allocated per trial, so the parser (which sees CLI flags and serve
 /// frames) bounds it instead of letting a worker attempt the allocation.
@@ -58,11 +54,6 @@ pub enum FidelitySpec {
     Accurate,
     /// Counting-only tier, no cache model ([`FastCountBackend`]).
     FastCount,
-    /// Prefix sampling with linear extrapolation ([`SampledBackend`]).
-    Sampled {
-        /// Fraction of retired instructions simulated accurately.
-        fraction: f64,
-    },
     /// 5-stage in-order pipeline timing tier
     /// ([`crate::PipelinedBackend`]).
     Pipelined {
@@ -74,19 +65,18 @@ pub enum FidelitySpec {
 }
 
 impl FidelitySpec {
-    /// Every bundled tier at its default parameters, cheapest-first
-    /// below the reference — the fidelity ladder in sweep order.
-    pub fn all() -> [FidelitySpec; 4] {
+    /// Every bundled tier at its default parameters, cheapest host
+    /// cost first: fast-count (≈ 0.65× accurate on the Table II groups),
+    /// accurate, then pipelined (≈ 1.5× accurate, the benchmark's
+    /// `hw.pipelined_over_accurate`).
+    pub fn all() -> [FidelitySpec; 3] {
         [
             FidelitySpec::FastCount,
-            FidelitySpec::Sampled {
-                fraction: DEFAULT_SAMPLE_FRACTION,
-            },
+            FidelitySpec::Accurate,
             FidelitySpec::Pipelined {
                 btb: DEFAULT_BTB_ENTRIES,
                 ras: DEFAULT_RAS_DEPTH,
             },
-            FidelitySpec::Accurate,
         ]
     }
 
@@ -95,7 +85,6 @@ impl FidelitySpec {
         match self {
             FidelitySpec::Accurate => ACCURATE,
             FidelitySpec::FastCount => FAST_COUNT,
-            FidelitySpec::Sampled { .. } => SAMPLED,
             FidelitySpec::Pipelined { .. } => PIPELINED,
         }
     }
@@ -107,7 +96,6 @@ impl FidelitySpec {
         match self {
             FidelitySpec::Accurate => "accurate".into(),
             FidelitySpec::FastCount => "fast-count".into(),
-            FidelitySpec::Sampled { fraction } => format!("sampled:fraction={fraction}"),
             FidelitySpec::Pipelined { btb, ras } => format!("pipelined:btb={btb},ras={ras}"),
         }
     }
@@ -116,15 +104,12 @@ impl FidelitySpec {
     ///
     /// # Errors
     ///
-    /// Returns the tier's own configuration error (e.g. an out-of-range
-    /// sample fraction) as [`CoreError`].
+    /// Returns a tier's configuration error as [`CoreError`]; every
+    /// bundled tier builds from any spec that parsed.
     pub fn build(&self, hierarchy: &HierarchyConfig) -> Result<Arc<dyn SimBackend>, CoreError> {
         Ok(match self {
             FidelitySpec::Accurate => Arc::new(AccurateBackend::new(hierarchy.clone())),
             FidelitySpec::FastCount => Arc::new(FastCountBackend::matching(hierarchy)),
-            FidelitySpec::Sampled { fraction } => {
-                Arc::new(SampledBackend::new(hierarchy.clone(), *fraction)?)
-            }
             FidelitySpec::Pipelined { btb, ras } => {
                 Arc::new(PipelinedBackend::new(hierarchy.clone(), *btb, *ras))
             }
@@ -139,7 +124,7 @@ impl fmt::Display for FidelitySpec {
 }
 
 /// Grammar summary appended to every parse error.
-const GRAMMAR: &str = "accurate | fast-count | sampled[:fraction=F] | pipelined[:btb=N,ras=N]";
+const GRAMMAR: &str = "accurate | fast-count | pipelined[:btb=N,ras=N]";
 
 fn bad_spec(msg: String) -> CoreError {
     CoreError::Pipeline(format!("{msg} (expected {GRAMMAR})"))
@@ -183,28 +168,6 @@ impl std::str::FromStr for FidelitySpec {
                 }
                 Ok(FidelitySpec::FastCount)
             }
-            "sampled" | "sample" => {
-                let mut fraction = DEFAULT_SAMPLE_FRACTION;
-                for (k, v) in key_values(args)? {
-                    match k {
-                        // The range `SampledBackend::new` accepts, checked
-                        // here so a spec that parses also builds.
-                        "fraction" => {
-                            fraction = v
-                                .parse()
-                                .ok()
-                                .filter(|f: &f64| f.is_finite() && *f > 0.0 && *f <= 1.0)
-                                .ok_or_else(|| {
-                                    bad_spec(format!("fraction must be in (0, 1], got {v:?}"))
-                                })?;
-                        }
-                        other => {
-                            return Err(bad_spec(format!("unknown sampled parameter {other:?}")))
-                        }
-                    }
-                }
-                Ok(FidelitySpec::Sampled { fraction })
-            }
             "pipelined" | "pipeline" => {
                 let mut btb = DEFAULT_BTB_ENTRIES;
                 let mut ras = DEFAULT_RAS_DEPTH;
@@ -236,7 +199,6 @@ mod tests {
         let specs = [
             FidelitySpec::Accurate,
             FidelitySpec::FastCount,
-            FidelitySpec::Sampled { fraction: 0.25 },
             FidelitySpec::Pipelined { btb: 64, ras: 2 },
         ];
         for spec in specs {
@@ -255,12 +217,6 @@ mod tests {
         assert_eq!(
             "fastcount".parse::<FidelitySpec>().unwrap(),
             FidelitySpec::FastCount
-        );
-        assert_eq!(
-            "sampled".parse::<FidelitySpec>().unwrap(),
-            FidelitySpec::Sampled {
-                fraction: DEFAULT_SAMPLE_FRACTION
-            }
         );
         assert_eq!(
             "pipelined".parse::<FidelitySpec>().unwrap(),
@@ -292,19 +248,12 @@ mod tests {
     fn parse_rejects_malformed_specs() {
         for bad in [
             "warp-speed",
-            "sampled:fraction=lots",
-            "sampled:frac=0.5",
             "pipelined:btb",
             "pipelined:lanes=2",
             "pipelined:btb=1048577",
             "pipelined:ras=1025",
             "pipelined:ras=1000000000000000",
             "pipelined:btb=99999999999999999999999999",
-            "sampled:fraction=2",
-            "sampled:fraction=0",
-            "sampled:fraction=-0.5",
-            "sampled:fraction=nan",
-            "sampled:fraction=inf",
             "accurate:x=1",
             "fast-count:y=2",
         ] {
@@ -317,15 +266,24 @@ mod tests {
     }
 
     #[test]
+    fn the_removed_sampled_tier_is_an_unknown_tier() {
+        for gone in ["sampled", "sample:fraction=0.5"] {
+            let err = gone.parse::<FidelitySpec>().unwrap_err();
+            assert!(
+                matches!(err, CoreError::Pipeline(ref m)
+                    if m.contains("unknown fidelity tier") && m.contains("expected")),
+                "{gone}: {err}"
+            );
+        }
+    }
+
+    #[test]
     fn build_instantiates_the_named_backend() {
         let hier = HierarchyConfig::tiny_for_tests();
         for spec in FidelitySpec::all() {
             let backend = spec.build(&hier).unwrap();
             assert_eq!(backend.name(), spec.label());
         }
-        assert!(FidelitySpec::Sampled { fraction: 2.0 }
-            .build(&hier)
-            .is_err());
     }
 
     #[test]

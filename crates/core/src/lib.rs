@@ -10,7 +10,7 @@
 //! | "any simulator can be plugged in" (Section II-C) | `impl` [`SimBackend`] + [`SimSessionBuilder::backend`], [`SimSession`] |
 //! | repeated performance queries made cheap (the paper's throughput argument) | [`SimCache`] memoization + pre-decoded execution ([`simtune_isa::DecodedProgram`]) |
 //! | runner on `n_parallel` simulators / `local_run` override (Listings 3–4, Fig. 1-I) | [`SimSession`], `impl` [`SimBackend`] + [`SimSessionBuilder::backend`] |
-//! | fidelity/speed trade-off across simulators (Fig. 1) | [`FidelitySpec`], [`AccurateBackend`], [`PipelinedBackend`], [`FastCountBackend`], [`SampledBackend`], [`tune_with_fidelity_escalation`] |
+//! | fidelity/speed trade-off across simulators (Fig. 1) | [`FidelitySpec`], [`AccurateBackend`], [`PipelinedBackend`], [`FastCountBackend`], [`tune_with_fidelity_escalation`] |
 //! | simulator statistics → predictor inputs (Eqs. 1–2) | [`raw_sample`], [`GroupMeans`] |
 //! | static/dynamic window mean approximation (Section III-E) | [`WindowNormalizer`] |
 //! | predictor training / execution workflow (Fig. 4) | [`ScorePredictor`], [`collect_group_data`] |
@@ -66,15 +66,15 @@ pub use autotune::{
     TuneRecord, TuneResult, UncertaintyPolicy,
 };
 pub use backend::{
-    AccurateBackend, BackendError, FastCountBackend, SampledBackend, SimBackend, SimReport,
-    SimSession, SimSessionBuilder, ACCURATE, FAST_COUNT, SAMPLED,
+    AccurateBackend, BackendError, FastCountBackend, SimBackend, SimReport, SimSession,
+    SimSessionBuilder, ACCURATE, FAST_COUNT,
 };
 pub use error::CoreError;
 pub use features::{
     feature_names, group_training_data, raw_sample, FeatureConfig, GroupMeans, RawSample,
     WindowKind, WindowNormalizer,
 };
-pub use fidelity::{FidelitySpec, DEFAULT_BTB_ENTRIES, DEFAULT_RAS_DEPTH, DEFAULT_SAMPLE_FRACTION};
+pub use fidelity::{FidelitySpec, DEFAULT_BTB_ENTRIES, DEFAULT_RAS_DEPTH};
 pub use memo::{fingerprint as memo_fingerprint, SimCache};
 pub use metrics::{
     e_top1, parallel_speedup_k, prediction_metrics, quality_score, r_top1, ConvergenceStats,

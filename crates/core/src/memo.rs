@@ -824,7 +824,6 @@ mod tests {
         let report = SimReport {
             stats: SimStats::default(),
             backend: "accurate".into(),
-            extrapolated: false,
             cycles: None,
         };
         cache.insert(key.clone(), report.clone());
@@ -844,7 +843,6 @@ mod tests {
         let report = SimReport {
             stats: SimStats::default(),
             backend: "accurate".into(),
-            extrapolated: false,
             cycles: None,
         };
         let keys: Vec<Vec<u8>> = (0..3u8)
@@ -883,7 +881,6 @@ mod tests {
                 ..SimStats::default()
             },
             backend: "accurate".into(),
-            extrapolated: false,
             cycles: None,
         };
         for i in 0..64u64 {

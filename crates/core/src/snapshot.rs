@@ -12,7 +12,7 @@
 //!
 //! # Format and versioning
 //!
-//! A snapshot is one JSON object (`{"schema": "simtune-simcache-v5",
+//! A snapshot is one JSON object (`{"schema": "simtune-simcache-v6",
 //! "entries": [...]}`). Each entry stores its fingerprint — the 16-byte
 //! digest of [`crate::memo`], as 32 lowercase hex characters; the
 //! reader accepts any even-length hex string, keys being opaque bytes
@@ -71,8 +71,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// digest) — v3 snapshots are refused the same way. v5: keys are
 /// 128-bit digests of the canonical request instead of its full text, so
 /// a v4 entry could never be looked up again — v4 snapshots are refused
-/// too.
-pub const SNAPSHOT_SCHEMA: &str = "simtune-simcache-v5";
+/// too. v6: entries lost the flag that marked a report scaled up from a
+/// prefix run (the sampled tier, the only one that did, is gone) — v5
+/// snapshots are refused the same way.
+pub const SNAPSHOT_SCHEMA: &str = "simtune-simcache-v6";
 
 /// Outcome of [`SimCache::load_from`]. Every variant leaves the cache
 /// usable; only I/O errors surface as `Err`.
@@ -224,7 +226,6 @@ struct PersistedEntry {
     /// Hex-encoded canonical fingerprint (raw bytes, not UTF-8).
     key: String,
     backend: String,
-    extrapolated: bool,
     stats: PersistedStats,
     /// Bit patterns (`f64::to_bits`) of the cycle breakdown's
     /// `[pipeline, memory, control]` components, so the replay is
@@ -237,7 +238,6 @@ impl PersistedEntry {
         PersistedEntry {
             key: encode_hex(key),
             backend: report.backend,
-            extrapolated: report.extrapolated,
             stats: (&report.stats).into(),
             cycles: report.cycles.map(|c| {
                 [
@@ -308,7 +308,6 @@ fn decode_snapshot(json: &str) -> Result<Vec<(Vec<u8>, SimReport)>, String> {
             let report = SimReport {
                 stats: e.stats.into(),
                 backend: e.backend,
-                extrapolated: e.extrapolated,
                 cycles: e.cycles.map(|[p, m, c]| CycleBreakdown {
                     pipeline: f64::from_bits(p),
                     memory: f64::from_bits(m),
@@ -374,12 +373,17 @@ impl SimCache {
     /// [`std::io::ErrorKind::NotFound`] is matched on the read itself
     /// (no TOCTOU `exists()` probe) and mapped to `Missing`.
     pub fn load_from(&self, path: &Path) -> io::Result<SnapshotLoad> {
-        let json = match fs::read_to_string(path) {
-            Ok(json) => json,
+        // Read as bytes: a file that is not UTF-8 is a corrupt snapshot,
+        // not an I/O error.
+        let bytes = match fs::read(path) {
+            Ok(bytes) => bytes,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(SnapshotLoad::Missing),
             Err(e) => return Err(e),
         };
-        match decode_snapshot(&json) {
+        let decoded = std::str::from_utf8(&bytes)
+            .map_err(|e| format!("snapshot is not UTF-8: {e}"))
+            .and_then(decode_snapshot);
+        match decoded {
             Ok(entries) => {
                 let n = entries.len();
                 for (key, report) in entries {
@@ -404,8 +408,8 @@ impl SimCache {
 mod tests {
     use super::*;
 
-    /// A report shaped like `tier`'s: sampled ones are extrapolated,
-    /// pipelined ones carry a cycle breakdown.
+    /// A report shaped like `tier`'s: pipelined ones carry a cycle
+    /// breakdown.
     fn report(n: u64, tier: &str) -> SimReport {
         SimReport {
             stats: SimStats {
@@ -426,7 +430,6 @@ mod tests {
                 host_nanos: n * 7,
             },
             backend: tier.into(),
-            extrapolated: tier == "sampled",
             // Pipelined entries carry a breakdown with a fractional
             // component, so the round-trip exercises the bit-exact
             // f64 encoding.
@@ -442,7 +445,7 @@ mod tests {
     /// `extra_members` spliced into the entry.
     fn one_entry_snapshot(key: &str, extra_members: &str) -> String {
         format!(
-            r#"{{"schema":"{SNAPSHOT_SCHEMA}","entries":[{{"key":"{key}","backend":"b",{extra_members}"extrapolated":false,"stats":{{"mix":[0,0,0,0,0,0,0,0],"l1d":{{"counters":[0,0,0,0,0,0]}},"l1i":{{"counters":[0,0,0,0,0,0]}},"l2":{{"counters":[0,0,0,0,0,0]}},"l3":null,"dram":[0,0],"host_nanos":0}},"cycles":null}}]}}"#
+            r#"{{"schema":"{SNAPSHOT_SCHEMA}","entries":[{{"key":"{key}","backend":"b",{extra_members}"stats":{{"mix":[0,0,0,0,0,0,0,0],"l1d":{{"counters":[0,0,0,0,0,0]}},"l1i":{{"counters":[0,0,0,0,0,0]}},"l2":{{"counters":[0,0,0,0,0,0]}},"l3":null,"dram":[0,0],"host_nanos":0}},"cycles":null}}]}}"#
         )
     }
 
@@ -456,7 +459,7 @@ mod tests {
     #[test]
     fn save_load_roundtrips_every_fidelity() {
         let cache = SimCache::new();
-        let fids = ["accurate", "fast-count", "sampled", "pipelined", "custom"];
+        let fids = ["accurate", "fast-count", "pipelined", "board", "custom"];
         for (i, f) in fids.iter().enumerate() {
             // Non-UTF-8 keys: raw bytes including 0xFF.
             cache.insert(vec![0xFF, i as u8, 0x00, 0x80], report(i as u64, f));
@@ -594,6 +597,22 @@ mod tests {
     }
 
     #[test]
+    fn a_snapshot_byte_that_is_not_utf8_is_a_rejection_not_an_error() {
+        let cache = SimCache::new();
+        cache.insert(vec![1, 2, 3], report(1, "accurate"));
+        let path = tmp("not_utf8.json");
+        cache.save_to(&path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[3] |= 0x80;
+        std::fs::write(&path, &bytes).unwrap();
+        let fresh = SimCache::new();
+        let outcome = fresh.load_from(&path).unwrap();
+        assert!(matches!(outcome, SnapshotLoad::Rejected(_)), "{outcome:?}");
+        assert_eq!(fresh.snapshot_stats().rejected_snapshots, 1);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn unknown_fidelity_rejects_the_snapshot() {
         // The v3-era `fidelity`/`fraction` members are unknown to this
         // reader: an entry that still carries them rejects the file even
@@ -629,7 +648,7 @@ mod tests {
     #[test]
     fn a_streamed_save_is_the_serialized_document() {
         let cache = SimCache::with_shards(4);
-        let tiers = ["accurate", "sampled", "pipelined", "fast-count"];
+        let tiers = ["accurate", "board", "pipelined", "fast-count"];
         for i in 0..12u8 {
             cache.insert(
                 vec![i.wrapping_mul(37), i],
@@ -688,5 +707,59 @@ mod tests {
         assert!(cache.is_empty());
         assert_eq!(cache.snapshot_stats().rejected_snapshots, 1);
         std::fs::remove_file(&path).ok();
+    }
+
+    fn cases(default: u32) -> u32 {
+        std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(default)
+    }
+
+    /// A saved snapshot of every tier's report shape, as bytes.
+    fn saved_snapshot() -> Vec<u8> {
+        let cache = SimCache::new();
+        let tiers = ["accurate", "fast-count", "pipelined", "board"];
+        for i in 0..4u8 {
+            cache.insert(vec![i, 0xFF, i ^ 0x5A], report(i.into(), tiers[i as usize]));
+        }
+        let path = tmp("hostile_source.json");
+        cache.save_to(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        bytes
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(cases(64)))]
+
+        /// A snapshot cut off at any byte, or with any one bit flipped,
+        /// loads or is rejected as a cold start: never a panic, never an
+        /// `Err`.
+        #[test]
+        fn a_truncated_or_bit_flipped_snapshot_loads_or_is_rejected(
+            at in proptest::prelude::any::<usize>(),
+            bit in 0u8..8,
+            flip in proptest::prelude::any::<bool>(),
+        ) {
+            let mut bytes = saved_snapshot();
+            let at = at % bytes.len();
+            if flip {
+                bytes[at] ^= 1 << bit;
+            } else {
+                bytes.truncate(at);
+            }
+            let path = tmp(&format!("hostile_{:?}.json", std::thread::current().id()));
+            std::fs::write(&path, &bytes).unwrap();
+            let cache = SimCache::new();
+            let outcome = cache.load_from(&path);
+            std::fs::remove_file(&path).ok();
+            let rejected = cache.snapshot_stats().rejected_snapshots;
+            match outcome {
+                Ok(SnapshotLoad::Loaded(n)) => proptest::prop_assert!(n <= 4 && rejected == 0),
+                Ok(SnapshotLoad::Rejected(_)) => proptest::prop_assert_eq!(rejected, 1),
+                other => proptest::prop_assert!(false, "{other:?}"),
+            }
+        }
     }
 }

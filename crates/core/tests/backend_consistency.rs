@@ -4,9 +4,6 @@
 //! * `FastCountBackend` executes the same functional CPU as
 //!   `AccurateBackend`, so retired-instruction mixes must agree
 //!   *exactly* on every kernel of the paper's workload set;
-//! * `SampledBackend` at sample fraction 1.0 covers the whole program,
-//!   so its statistics (instruction mix *and* cache counters) must equal
-//!   the accurate backend's;
 //! * a predictor trained on accurate data must be able to score the
 //!   counting tier on every paper target, so `FastCountBackend` reports
 //!   keep the accurate feature width — on x86, the one target with an
@@ -17,8 +14,7 @@ use rand::SeedableRng;
 use simtune_core::{
     collect_group_data, raw_sample, tune_with_fidelity_escalation, AccurateBackend, CollectOptions,
     EscalationOptions, EscalationPolicy, FastCountBackend, FeatureConfig, KernelBuilder,
-    SampledBackend, ScorePredictor, SimBackend, TuneOptions, UncertaintyPolicy, WindowKind,
-    WindowNormalizer,
+    ScorePredictor, SimBackend, TuneOptions, UncertaintyPolicy, WindowKind, WindowNormalizer,
 };
 use simtune_hw::TargetSpec;
 use simtune_isa::{Executable, RunLimits};
@@ -89,27 +85,6 @@ fn fast_count_matches_accurate_on_paper_workloads() {
                 "data-write volume diverged on {}",
                 exe.name
             );
-        }
-    }
-}
-
-#[test]
-fn sampled_at_fraction_one_equals_accurate_on_paper_workloads() {
-    let spec = TargetSpec::riscv_u74();
-    let accurate = AccurateBackend::new(spec.hierarchy.clone());
-    let sampled = SampledBackend::new(spec.hierarchy.clone(), 1.0).expect("valid fraction");
-    let limits = RunLimits::default();
-    for def in workload_set() {
-        for exe in candidates(&def, &spec, 0x5EED) {
-            let a = accurate.run_one(&exe, &limits).expect("accurate runs");
-            let s = sampled.run_one(&exe, &limits).expect("sampled runs");
-            assert!(
-                !s.extrapolated,
-                "fraction 1.0 must cover the whole run on {}",
-                exe.name
-            );
-            assert_eq!(a.stats.inst_mix, s.stats.inst_mix, "mix on {}", exe.name);
-            assert_eq!(a.stats.cache, s.stats.cache, "cache on {}", exe.name);
         }
     }
 }

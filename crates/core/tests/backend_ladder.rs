@@ -7,25 +7,18 @@
 //! * [`FastCountBackend`]: the retired-instruction mix and the
 //!   line-granular fetch/access *totals* are bit-identical to accurate;
 //!   only the hit/miss split is absent.
-//! * [`SampledBackend`] at fraction 1.0: statistics equal accurate's
-//!   exactly (wall time aside) and nothing is flagged extrapolated.
-//! * [`SampledBackend`] at a partial fraction: the prefix is simulated
-//!   exactly like an accurate prefix run of the same budget, the
-//!   linear extrapolation is reproducible bit-for-bit from that
-//!   prefix, and `extrapolated` is flagged precisely when the prefix
-//!   did not cover the run.
 //! * [`PipelinedBackend`]: architectural statistics identical to the
 //!   interp reference on every corpus scenario, and the extra
 //!   [`simtune_core::CycleBreakdown`] byte-identical across replay
 //!   engines and `n_parallel` 1/2/4.
 
-use simtune_cache::{CacheHierarchy, HierarchyConfig};
+use simtune_cache::HierarchyConfig;
 use simtune_core::diffharness::DiffHarness;
 use simtune_core::{
-    AccurateBackend, FastCountBackend, FidelitySpec, PipelinedBackend, SampledBackend, SimBackend,
-    SimSession, DEFAULT_BTB_ENTRIES, DEFAULT_RAS_DEPTH,
+    AccurateBackend, FastCountBackend, FidelitySpec, PipelinedBackend, SimBackend, SimSession,
+    DEFAULT_BTB_ENTRIES, DEFAULT_RAS_DEPTH,
 };
-use simtune_isa::{replay, EngineKind, NoopHook, RunLimits, TortureConfig};
+use simtune_isa::{EngineKind, RunLimits, TortureConfig};
 
 fn hier() -> HierarchyConfig {
     HierarchyConfig::tiny_for_tests()
@@ -83,105 +76,7 @@ fn fast_count_matches_accurate_instruction_and_access_totals() {
         // The counting tier models no cache: every access is a miss.
         assert_eq!(fc.l1i.read_hits, 0, "{ctx}");
         assert_eq!(fc.l1d.read_hits + fc.l1d.write_hits, 0, "{ctx}");
-        assert!(!f.extrapolated, "{ctx}");
     }
-}
-
-#[test]
-fn sampled_full_fraction_equals_accurate_on_torture_programs() {
-    let accurate = AccurateBackend::new(hier());
-    let sampled = SampledBackend::new(hier(), 1.0).unwrap();
-    let limits = RunLimits::default();
-    for (ctx, exe, decoded) in corpus_cases() {
-        let a = accurate
-            .run_one_decoded_on(&exe, &decoded, &limits, EngineKind::Decoded)
-            .unwrap();
-        let s = sampled
-            .run_one_decoded_on(&exe, &decoded, &limits, EngineKind::Decoded)
-            .unwrap();
-        assert!(!s.extrapolated, "{ctx}: full fraction never extrapolates");
-        assert_eq!(a.stats.inst_mix, s.stats.inst_mix, "{ctx}");
-        assert_eq!(a.stats.cache, s.stats.cache, "{ctx}");
-    }
-}
-
-#[test]
-fn sampled_partial_prefix_matches_accurate_prefix_and_flags_extrapolation() {
-    let fraction = 0.5;
-    let sampled = SampledBackend::new(hier(), fraction)
-        .unwrap()
-        .with_min_insts(1);
-    let limits = RunLimits::default();
-    let mut extrapolated_cases = 0;
-    for (ctx, exe, decoded) in corpus_cases() {
-        let s = sampled
-            .run_one_decoded_on(&exe, &decoded, &limits, EngineKind::Decoded)
-            .unwrap();
-
-        // Recompute the tier's own recipe from primitives: a counting
-        // pass sizes the run, an accurate prefix of the same budget is
-        // simulated, and (when the prefix is partial) every counter is
-        // scaled by total/retired. The backend must match bit-for-bit.
-        let pass = |hierarchy: CacheHierarchy, stop_at| {
-            let engine = EngineKind::Decoded;
-            replay(
-                &exe,
-                &decoded,
-                || hierarchy,
-                engine,
-                limits,
-                stop_at,
-                &mut NoopHook,
-            )
-            .unwrap()
-        };
-        let (count, _) = pass(CacheHierarchy::counting_only(hier().line_bytes()), None);
-        let total = count.stats.inst_mix.total();
-        let budget = ((total as f64 * fraction).ceil() as u64).max(1);
-        let (prefix, completed) = pass(CacheHierarchy::new(hier()), Some(budget));
-
-        assert_eq!(s.extrapolated, !completed, "{ctx}: extrapolation flag");
-        if completed {
-            assert_eq!(s.stats.inst_mix, prefix.stats.inst_mix, "{ctx}");
-            assert_eq!(s.stats.cache, prefix.stats.cache, "{ctx}");
-        } else {
-            extrapolated_cases += 1;
-            let retired = prefix.stats.inst_mix.total();
-            assert!(retired >= budget, "{ctx}: prefix stopped early");
-            // Scaled counters are exactly reproducible: floor division
-            // component-wise, same as the backend's extrapolation.
-            let scale = |v: u64| ((v as u128 * total as u128) / retired.max(1) as u128) as u64;
-            assert_eq!(
-                s.stats.inst_mix.total(),
-                {
-                    let m = &prefix.stats.inst_mix;
-                    scale(m.int_alu)
-                        + scale(m.fp_alu)
-                        + scale(m.vec_alu)
-                        + scale(m.loads)
-                        + scale(m.stores)
-                        + scale(m.branches)
-                        + scale(m.other)
-                },
-                "{ctx}: extrapolated mix total"
-            );
-            assert_eq!(
-                s.stats.cache.l1d.read_misses,
-                scale(prefix.stats.cache.l1d.read_misses),
-                "{ctx}: extrapolated l1d read misses"
-            );
-            assert_eq!(
-                s.stats.cache.dram_reads,
-                scale(prefix.stats.cache.dram_reads),
-                "{ctx}: extrapolated dram reads"
-            );
-        }
-    }
-    assert!(
-        extrapolated_cases > 10,
-        "partial sampling must actually extrapolate on torture programs \
-         (got {extrapolated_cases})"
-    );
 }
 
 #[test]
@@ -200,7 +95,6 @@ fn pipelined_matches_interp_architectural_statistics_on_the_corpus() {
             .run_one_decoded_on(&exe, &decoded, &limits, EngineKind::Decoded)
             .unwrap();
         assert_eq!(a.stats.inst_mix, p.stats.inst_mix, "{ctx}: inst mix");
-        assert!(!p.extrapolated, "{ctx}");
         let cycles = p.cycles.expect("pipelined tier reports a breakdown");
         assert!(
             cycles.total() >= p.stats.inst_mix.total() as f64,
@@ -264,7 +158,6 @@ fn every_tier_honors_engine_selection_identically() {
     let tiers: Vec<Box<dyn SimBackend>> = vec![
         Box::new(AccurateBackend::new(hier())),
         Box::new(FastCountBackend::matching(&hier())),
-        Box::new(SampledBackend::new(hier(), 0.5).unwrap().with_min_insts(1)),
         Box::new(PipelinedBackend::new(
             hier(),
             DEFAULT_BTB_ENTRIES,
@@ -306,7 +199,6 @@ fn raw_entry_equals_the_decoded_entry_for_every_tier_and_engine() {
                 let ctx = format!("{ctx}: {spec} on {engine}");
                 assert_eq!(raw.stats.inst_mix, got.stats.inst_mix, "{ctx}");
                 assert_eq!(raw.stats.cache, got.stats.cache, "{ctx}");
-                assert_eq!(raw.extrapolated, got.extrapolated, "{ctx}");
                 assert_eq!(raw.cycles, got.cycles, "{ctx}");
             }
         }

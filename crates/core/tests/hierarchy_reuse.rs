@@ -74,16 +74,7 @@ fn a_hierarchy_dropped_mid_run_or_while_unwinding_comes_back_clean() {
         let hier = || CacheHierarchy::new(hierarchy.clone());
         let mut hook = PanicAfter { left: 40 };
         let limits = RunLimits::default();
-        replay(
-            &a,
-            &decoded,
-            hier,
-            EngineKind::Decoded,
-            limits,
-            None,
-            &mut hook,
-        )
-        .map(|_| ())
+        replay(&a, &decoded, hier, EngineKind::Decoded, limits, &mut hook).map(|_| ())
     }));
     assert!(unwound.is_err(), "the hook panics before A finishes");
 

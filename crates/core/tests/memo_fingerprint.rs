@@ -84,10 +84,6 @@ proptest! {
         );
         prop_assert_ne!(
             &k0,
-            &key(&base, "sampled:fraction=0.5 @ cfg", 1_000, EngineKind::Decoded)
-        );
-        prop_assert_ne!(
-            &k0,
             &key(&base, "pipelined:btb=512,ras=8 @ cfg", 1_000, EngineKind::Decoded)
         );
         prop_assert_ne!(
@@ -126,7 +122,6 @@ proptest! {
         let planted = SimReport {
             stats: SimStats::default(),
             backend: "accurate".into(),
-            extrapolated: false,
             cycles: None,
         };
         cache.insert(k.clone(), planted.clone());

@@ -23,7 +23,6 @@ fn report(marker: u64) -> SimReport {
             ..SimStats::default()
         },
         backend: "accurate".into(),
-        extrapolated: false,
         cycles: None,
     }
 }

@@ -21,9 +21,8 @@ fn key(idx: u8) -> Vec<u8> {
     k
 }
 
-/// A report shaped by `selector`: one in five is extrapolated (the
-/// sampled tier's shape), one in five carries a cycle breakdown (the
-/// pipelined tier's), the rest are plain.
+/// A report shaped by `selector`: one in five carries a cycle breakdown
+/// (the pipelined tier's), the rest are plain.
 fn report(marker: u64, selector: u8) -> SimReport {
     SimReport {
         stats: SimStats {
@@ -31,7 +30,6 @@ fn report(marker: u64, selector: u8) -> SimReport {
             ..SimStats::default()
         },
         backend: format!("backend-{}", selector % 3),
-        extrapolated: selector % 5 == 2,
         // Fractional components so the round trip covers the bit-exact
         // f64 encoding, not just integral values.
         cycles: (selector % 5 == 3).then_some(CycleBreakdown {
@@ -62,46 +60,60 @@ fn fill(cache: &SimCache, idxs: &[u8], markers: &[u64], selectors: &[u8]) {
     }
 }
 
-/// One entry in the shape both v4 and v5 write; what changed between
-/// them is what a key is.
-fn one_entry_snapshot(schema: &str, key_hex: &str) -> String {
+/// One entry under `schema`, with `old_members` spliced in after its
+/// backend: v4 and v5 wrote a member there that v6 dropped, so passing
+/// it gives the shape the previous writers produced.
+fn one_entry_snapshot(schema: &str, key_hex: &str, old_members: &str) -> String {
     let level = r#"{"counters":[1,2,3,4,5,6]}"#;
     format!(
-        r#"{{"schema":"{schema}","entries":[{{"key":"{key_hex}","backend":"accurate","extrapolated":false,"stats":{{"mix":[1,2,3,4,5,6,7,8],"l1d":{level},"l1i":{level},"l2":{level},"l3":null,"dram":[9,10],"host_nanos":11}},"cycles":null}}]}}"#
+        r#"{{"schema":"{schema}","entries":[{{"key":"{key_hex}","backend":"accurate",{old_members}"stats":{{"mix":[1,2,3,4,5,6,7,8],"l1d":{level},"l1i":{level},"l2":{level},"l3":null,"dram":[9,10],"host_nanos":11}},"cycles":null}}]}}"#
     )
 }
 
-/// The schema bump: a well-formed v4 snapshot (the parent's writer's
-/// exact shape, keyed on the hex of the request's full text) is refused
-/// to a logged cold start, and a v5 entry under a 32-hex-character
-/// digest key loads and re-saves byte-identically.
+/// The schema bumps: a well-formed v4 snapshot (keyed on the hex of the
+/// request's full text) and a well-formed v5 one (keyed on a digest),
+/// each exactly as its writer shaped it, are refused to a logged cold
+/// start; a v6 entry under a 32-hex-character digest key loads and
+/// re-saves byte-identically.
 #[test]
-fn v4_is_refused_and_v5_roundtrips_byte_identically() {
-    assert_eq!(SNAPSHOT_SCHEMA, "simtune-simcache-v5");
+fn v4_and_v5_are_refused_and_v6_roundtrips_byte_identically() {
+    assert_eq!(SNAPSHOT_SCHEMA, "simtune-simcache-v6");
     let path = temp_snapshot();
     let text_key: String = b"target=riscv-u74 lanes=1 inst_bytes=4\nfidelity=[accurate @ cfg]\n"
         .iter()
         .map(|b| format!("{b:02x}"))
         .collect();
-    let v4 = one_entry_snapshot("simtune-simcache-v4", &text_key);
-    std::fs::write(&path, &v4).expect("writes");
+    let digest_key = "00ff7f80a5c3e1d2b4968778695a4b3c";
+    let old = r#""extrapolated":false,"#;
     let cache = SimCache::new();
-    let (outcome, logs) = simtune_core::log::capture(|| cache.load_from(&path).expect("reads"));
-    assert!(matches!(outcome, SnapshotLoad::Rejected(_)), "{outcome:?}");
-    assert!(cache.is_empty());
-    assert_eq!(cache.snapshot_stats().rejected_snapshots, 1);
-    assert_eq!(logs.len(), 1, "{logs:?}");
-    assert!(logs[0].contains("cold start"), "{logs:?}");
+    for (rejected, old_snapshot) in [
+        one_entry_snapshot("simtune-simcache-v4", &text_key, old),
+        one_entry_snapshot("simtune-simcache-v5", digest_key, old),
+    ]
+    .iter()
+    .enumerate()
+    {
+        std::fs::write(&path, old_snapshot).expect("writes");
+        let (outcome, logs) = simtune_core::log::capture(|| cache.load_from(&path).expect("reads"));
+        assert!(matches!(outcome, SnapshotLoad::Rejected(_)), "{outcome:?}");
+        assert!(cache.is_empty());
+        assert_eq!(
+            cache.snapshot_stats().rejected_snapshots,
+            rejected as u64 + 1
+        );
+        assert_eq!(logs.len(), 1, "{logs:?}");
+        assert!(logs[0].contains("cold start"), "{logs:?}");
+    }
 
-    let v5 = one_entry_snapshot(SNAPSHOT_SCHEMA, "00ff7f80a5c3e1d2b4968778695a4b3c");
-    std::fs::write(&path, &v5).expect("writes");
+    let v6 = one_entry_snapshot(SNAPSHOT_SCHEMA, digest_key, "");
+    std::fs::write(&path, &v6).expect("writes");
     assert_eq!(
         cache.load_from(&path).expect("reads"),
         SnapshotLoad::Loaded(1)
     );
     let again = temp_snapshot();
     cache.save_to(&again).expect("re-saves");
-    assert_eq!(std::fs::read_to_string(&again).expect("re-saved bytes"), v5);
+    assert_eq!(std::fs::read_to_string(&again).expect("re-saved bytes"), v6);
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(&again).ok();
 }

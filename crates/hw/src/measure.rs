@@ -101,15 +101,7 @@ fn measure_base(
     let decoded = exe.decode()?;
     let hier = || CacheHierarchy::new(spec.hierarchy.clone());
     let mut model = TimingModel::new(spec);
-    replay(
-        exe,
-        &decoded,
-        hier,
-        EngineKind::Decoded,
-        limits,
-        None,
-        &mut model,
-    )?;
+    replay(exe, &decoded, hier, EngineKind::Decoded, limits, &mut model)?;
     Ok(model)
 }
 

@@ -157,24 +157,17 @@ impl AtomicCpu {
         mem: &mut Memory,
         hier: &mut CacheHierarchy,
         limits: RunLimits,
-        stop_at: Option<u64>,
         hook: &mut H,
-    ) -> Result<(SimStats, bool), SimError> {
+    ) -> Result<SimStats, SimError> {
         let insts = prog.insts();
         let mut mix = InstMix::default();
         let mut pc = 0usize;
         let line_bytes = hier.line_bytes();
-        let mut completed = true;
         loop {
-            let retired = mix.total();
-            if retired >= limits.max_insts {
+            if mix.total() >= limits.max_insts {
                 return Err(SimError::InstLimitExceeded {
                     limit: limits.max_insts,
                 });
-            }
-            if stop_at.is_some_and(|budget| retired >= budget) {
-                completed = false;
-                break;
             }
             let inst = *insts.get(pc).ok_or(SimError::PcOutOfRange { pc })?;
 
@@ -191,14 +184,11 @@ impl AtomicCpu {
                 Step::Stop => break,
             }
         }
-        Ok((
-            SimStats {
-                inst_mix: mix,
-                cache: hier.stats(),
-                host_nanos: 0,
-            },
-            completed,
-        ))
+        Ok(SimStats {
+            inst_mix: mix,
+            cache: hier.stats(),
+            host_nanos: 0,
+        })
     }
 
     /// Executes exactly one instruction: the semantic core shared by the
@@ -719,89 +709,6 @@ mod tests {
             &mut mem,
             &mut hier,
             RunLimits { max_insts: 100 },
-            &mut NoopHook,
-        );
-        assert!(matches!(err, Err(SimError::InstLimitExceeded { .. })));
-    }
-
-    #[test]
-    fn prefix_run_stops_cleanly_at_budget() {
-        // sum = 0; for i in 0..10 { sum += i } — 33 retired instructions.
-        let mut b = ProgramBuilder::new();
-        b.push(Inst::Li { rd: Gpr(1), imm: 0 });
-        b.push(Inst::Li { rd: Gpr(2), imm: 0 });
-        b.push(Inst::Li {
-            rd: Gpr(3),
-            imm: 10,
-        });
-        let top = b.bind_new_label();
-        b.push(Inst::Add {
-            rd: Gpr(2),
-            rs1: Gpr(2),
-            rs2: Gpr(1),
-        });
-        b.push(Inst::Addi {
-            rd: Gpr(1),
-            rs: Gpr(1),
-            imm: 1,
-        });
-        b.branch_lt(Gpr(1), Gpr(3), top);
-        b.push(Inst::Halt);
-        let prog = b.build().unwrap();
-        let target = TargetIsa::riscv_u74();
-
-        // Budget below the full run: clean stop, exact prefix length.
-        let mut cpu = AtomicCpu::new(&target);
-        let (mut mem, mut hier) = setup();
-        let (stats, completed) = InterpEngine::new(&prog)
-            .run_prefix_with_hook(
-                &mut cpu,
-                &mut mem,
-                &mut hier,
-                RunLimits::default(),
-                10,
-                &mut NoopHook,
-            )
-            .unwrap();
-        assert!(!completed);
-        assert_eq!(stats.inst_mix.total(), 10);
-
-        // Budget beyond the full run: identical to a plain run.
-        let mut cpu = AtomicCpu::new(&target);
-        let (mut mem, mut hier) = setup();
-        let (stats, completed) = InterpEngine::new(&prog)
-            .run_prefix_with_hook(
-                &mut cpu,
-                &mut mem,
-                &mut hier,
-                RunLimits::default(),
-                u64::MAX,
-                &mut NoopHook,
-            )
-            .unwrap();
-        assert!(completed);
-        let mut cpu = AtomicCpu::new(&target);
-        let (mut mem, mut hier) = setup();
-        let full = InterpEngine::new(&prog)
-            .run_with_hook(
-                &mut cpu,
-                &mut mem,
-                &mut hier,
-                RunLimits::default(),
-                &mut NoopHook,
-            )
-            .unwrap();
-        assert_eq!(stats, full);
-
-        // max_insts still wins over the prefix budget.
-        let mut cpu = AtomicCpu::new(&target);
-        let (mut mem, mut hier) = setup();
-        let err = InterpEngine::new(&prog).run_prefix_with_hook(
-            &mut cpu,
-            &mut mem,
-            &mut hier,
-            RunLimits { max_insts: 5 },
-            10,
             &mut NoopHook,
         );
         assert!(matches!(err, Err(SimError::InstLimitExceeded { .. })));

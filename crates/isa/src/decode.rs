@@ -31,11 +31,10 @@
 //! or once per stretch of a block, what the interpreter does per
 //! retirement:
 //!
-//! * **Limits.** `max_insts` and the prefix stop are compared with the
-//!   block's length on entry. A block the budget ends inside is cut to
-//!   what is left of the budget and the run ends after the cut, at the
-//!   retirement the interpreter ends at — with its error or its clean
-//!   stop.
+//! * **Limits.** `max_insts` is compared with the block's length on
+//!   entry. A block the budget ends inside is cut to what is left of the
+//!   budget and the run ends after the cut, at the retirement the
+//!   interpreter ends at, with its [`SimError::InstLimitExceeded`].
 //! * **Instruction fetch.** A *fetch run* is a maximal stretch of a
 //!   block whose fetch addresses lie in one I-line. Its length follows
 //!   from the first fetch address, the hierarchy's line size and the
@@ -49,7 +48,7 @@
 //!   below — and every cache level keeps its own tick. (A hook that
 //!   fetched through the hierarchy it is handed in
 //!   [`ExecHook::on_data_access`] would break this; none does.)
-//! * **Repeat runs.** For one call to `run_until`, each instruction that
+//! * **Repeat runs.** For one call to `run_with_hook`, each instruction that
 //!   starts a fetch run keeps a slot: the run's length to the end of its
 //!   I-line, worked out on the first visit, and the [`ResidentLine`]
 //!   handle its last `fetch_run` returned. A repeat visit passes the
@@ -371,11 +370,8 @@ fn branch_target(inst: &Inst) -> Option<usize> {
 /// between "what to execute" (raw or pre-decoded) and "how to execute
 /// it" (the CPU's single-instruction semantics).
 pub trait ExecEngine {
-    /// Runs until the program terminates or — with `stop_at` set — until
-    /// that many instructions retired, stopping cleanly there. Returns
-    /// the statistics of what ran and whether the program ran to
-    /// completion. The one method an engine implements; every other run
-    /// form (and [`crate::replay`]) is this with `stop_at` fixed.
+    /// Runs until the program terminates, reporting every event to
+    /// `hook`, and returns the statistics of what ran.
     ///
     /// # Errors
     ///
@@ -385,21 +381,6 @@ pub trait ExecEngine {
     /// * [`SimError::InstLimitExceeded`] — `limits.max_insts` exhausted.
     /// * [`SimError::MemoryFault`] — access outside the address space.
     /// * [`SimError::UnknownSyscall`] — unimplemented `Ecall` code.
-    fn run_until<H: ExecHook>(
-        &self,
-        cpu: &mut AtomicCpu,
-        mem: &mut Memory,
-        hier: &mut CacheHierarchy,
-        limits: RunLimits,
-        stop_at: Option<u64>,
-        hook: &mut H,
-    ) -> Result<(SimStats, bool), SimError>;
-
-    /// Runs to completion, reporting every event to `hook`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ExecEngine::run_until`].
     fn run_with_hook<H: ExecHook>(
         &self,
         cpu: &mut AtomicCpu,
@@ -407,29 +388,7 @@ pub trait ExecEngine {
         hier: &mut CacheHierarchy,
         limits: RunLimits,
         hook: &mut H,
-    ) -> Result<SimStats, SimError> {
-        self.run_until(cpu, mem, hier, limits, None, hook)
-            .map(|(stats, _)| stats)
-    }
-
-    /// Runs at most `budget` instructions, stopping cleanly when the
-    /// budget is reached; returns the prefix statistics and whether the
-    /// program ran to completion.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ExecEngine::run_until`].
-    fn run_prefix_with_hook<H: ExecHook>(
-        &self,
-        cpu: &mut AtomicCpu,
-        mem: &mut Memory,
-        hier: &mut CacheHierarchy,
-        limits: RunLimits,
-        budget: u64,
-        hook: &mut H,
-    ) -> Result<(SimStats, bool), SimError> {
-        self.run_until(cpu, mem, hier, limits, Some(budget), hook)
-    }
+    ) -> Result<SimStats, SimError>;
 }
 
 /// The original re-decoding execution loop: inspects the raw [`Program`]
@@ -448,20 +407,19 @@ impl<'p> InterpEngine<'p> {
 }
 
 impl ExecEngine for InterpEngine<'_> {
-    fn run_until<H: ExecHook>(
+    fn run_with_hook<H: ExecHook>(
         &self,
         cpu: &mut AtomicCpu,
         mem: &mut Memory,
         hier: &mut CacheHierarchy,
         limits: RunLimits,
-        stop_at: Option<u64>,
         hook: &mut H,
-    ) -> Result<(SimStats, bool), SimError> {
-        cpu.run_inner(self.prog, mem, hier, limits, stop_at, hook)
+    ) -> Result<SimStats, SimError> {
+        cpu.run_inner(self.prog, mem, hier, limits, hook)
     }
 }
 
-/// What [`DecodedEngine::run_until`] keeps, for one trial, about the
+/// What [`DecodedEngine::run_with_hook`] keeps, for one trial, about the
 /// fetch run starting at one instruction.
 #[derive(Debug, Clone, Copy, Default)]
 struct FetchRun {
@@ -488,15 +446,14 @@ impl<'p> DecodedEngine<'p> {
 }
 
 impl ExecEngine for DecodedEngine<'_> {
-    fn run_until<H: ExecHook>(
+    fn run_with_hook<H: ExecHook>(
         &self,
         cpu: &mut AtomicCpu,
         mem: &mut Memory,
         hier: &mut CacheHierarchy,
         limits: RunLimits,
-        stop_at: Option<u64>,
         hook: &mut H,
-    ) -> Result<(SimStats, bool), SimError> {
+    ) -> Result<SimStats, SimError> {
         let DecodedProgram {
             ops,
             uops,
@@ -505,17 +462,15 @@ impl ExecEngine for DecodedEngine<'_> {
         } = self.prog;
         let line_bytes = hier.line_bytes();
         let mut runs = vec![FetchRun::default(); ops.len()];
-        // Instructions the run may retire before one of the two limits
-        // applies.
-        let budget = limits.max_insts.min(stop_at.unwrap_or(u64::MAX));
+        let budget = limits.max_insts;
         let mut mix = InstMix::default();
         let mut retired = 0u64;
         let mut pc = 0usize;
-        let completed = loop {
+        loop {
             // `pc` is a block's first instruction — the entry, a branch
             // target or the fall-through of a branch — and in range by
             // decode-time validation. Everything up to the block's last
-            // instruction falls through, so the limits are checked once:
+            // instruction falls through, so the limit is checked once:
             // a block the budget ends inside is cut to what is left of
             // the budget (less than the block, so it fits a `usize`).
             let start = pc;
@@ -573,27 +528,19 @@ impl ExecEngine for DecodedEngine<'_> {
                 hook.on_block(start, &uops[start..end]);
             }
             if end < block_end {
-                if retired >= limits.max_insts {
-                    return Err(SimError::InstLimitExceeded {
-                        limit: limits.max_insts,
-                    });
-                }
-                break false;
+                return Err(SimError::InstLimitExceeded { limit: budget });
             }
             match step {
                 Step::Next => {}
                 Step::Jump(target) => pc = target,
-                Step::Stop => break true,
+                Step::Stop => break,
             }
-        };
-        Ok((
-            SimStats {
-                inst_mix: mix,
-                cache: hier.stats(),
-                host_nanos: 0,
-            },
-            completed,
-        ))
+        }
+        Ok(SimStats {
+            inst_mix: mix,
+            cache: hier.stats(),
+            host_nanos: 0,
+        })
     }
 }
 
@@ -668,43 +615,6 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(cpu_a.gpr(Gpr(2)), 45);
         assert_eq!(cpu_b.gpr(Gpr(2)), 45);
-    }
-
-    #[test]
-    fn decoded_prefix_stops_cleanly_and_matches() {
-        let prog = loop_program();
-        let target = TargetIsa::riscv_u74();
-        let decoded = DecodedProgram::decode(&prog, &target).unwrap();
-
-        let mut cpu = AtomicCpu::new(&target);
-        let (mut mem, mut hier) = setup();
-        let (stats, completed) = DecodedEngine::new(&decoded)
-            .run_prefix_with_hook(
-                &mut cpu,
-                &mut mem,
-                &mut hier,
-                RunLimits::default(),
-                10,
-                &mut NoopHook,
-            )
-            .unwrap();
-        assert!(!completed);
-        assert_eq!(stats.inst_mix.total(), 10);
-
-        let mut cpu = AtomicCpu::new(&target);
-        let (mut mem, mut hier) = setup();
-        let (interp, completed_i) = InterpEngine::new(&prog)
-            .run_prefix_with_hook(
-                &mut cpu,
-                &mut mem,
-                &mut hier,
-                RunLimits::default(),
-                10,
-                &mut NoopHook,
-            )
-            .unwrap();
-        assert!(!completed_i);
-        assert_eq!(stats, interp);
     }
 
     #[test]

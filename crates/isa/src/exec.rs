@@ -39,10 +39,8 @@ pub struct SimOutcome {
 /// builds the trial's hierarchy with `mk_hier` and a fresh CPU — one
 /// "simulator instance" of the paper's `n_parallel` pool — and replays
 /// `decoded` (the lowering of `exe.program` for `exe.target`, from
-/// [`Executable::decode`]) on `engine`, reporting every event to `hook`.
-/// With `stop_at` set the run stops cleanly once that many instructions
-/// retired. Returns the outcome and whether the program ran to
-/// completion.
+/// [`Executable::decode`]) on `engine` to completion, reporting every
+/// event to `hook`.
 ///
 /// The hierarchy arrives as a constructor because which hierarchy a
 /// trial runs on — full model or counting-only — is the tier's choice,
@@ -60,8 +58,6 @@ pub struct SimOutcome {
 /// * fast-count — [`CacheHierarchy::counting_only`] + [`NoopHook`]
 ///   (the QEMU-plugin instrumentation style: accesses are tallied at
 ///   line granularity, no cache is modeled);
-/// * sampled — a counting pass for the total, then
-///   `stop_at = Some(budget)` and linear extrapolation of the prefix;
 /// * pipelined — [`crate::TimingBridge`] as the hook.
 ///
 /// The two engines are observationally identical (see the differential
@@ -90,9 +86,8 @@ pub fn replay<H: ExecHook>(
     mk_hier: impl FnOnce() -> CacheHierarchy,
     engine: EngineKind,
     limits: RunLimits,
-    stop_at: Option<u64>,
     hook: &mut H,
-) -> Result<(SimOutcome, bool), SimError> {
+) -> Result<SimOutcome, SimError> {
     let mut mem = Memory::new();
     for (base, values) in &exe.data_segments {
         mem.write_f32_slice(*base, values)?;
@@ -101,16 +96,14 @@ pub fn replay<H: ExecHook>(
     let mut cpu = AtomicCpu::new(&exe.target);
     let (c, m, h) = (&mut cpu, &mut mem, &mut hier);
     let start = Instant::now();
-    let (mut stats, completed) = match engine {
-        EngineKind::Interp => {
-            InterpEngine::new(&exe.program).run_until(c, m, h, limits, stop_at, hook)
-        }
+    let mut stats = match engine {
+        EngineKind::Interp => InterpEngine::new(&exe.program).run_with_hook(c, m, h, limits, hook),
         EngineKind::Decoded | EngineKind::Threaded | EngineKind::Batch => {
-            DecodedEngine::new(decoded).run_until(c, m, h, limits, stop_at, hook)
+            DecodedEngine::new(decoded).run_with_hook(c, m, h, limits, hook)
         }
     }?;
     stats.host_nanos = start.elapsed().as_nanos().max(1) as u64;
-    Ok((SimOutcome { stats, memory: mem }, completed))
+    Ok(SimOutcome { stats, memory: mem })
 }
 
 /// Decode-inside convenience over [`replay`]: runs `exe` to completion on
@@ -159,8 +152,7 @@ pub fn simulate(
     let decoded = exe.decode()?;
     let hier = || CacheHierarchy::new(hierarchy.clone());
     let engine = EngineKind::default();
-    let (out, _) = replay(exe, &decoded, hier, engine, limits, None, &mut NoopHook)?;
-    Ok(out)
+    replay(exe, &decoded, hier, engine, limits, &mut NoopHook)
 }
 
 impl Executable {
@@ -276,7 +268,7 @@ mod tests {
         for engine in [EngineKind::Interp, EngineKind::Decoded] {
             let hier = || CacheHierarchy::new(HierarchyConfig::tiny_for_tests());
             let limits = RunLimits::default();
-            let err = replay(&exe, &decoded, hier, engine, limits, None, &mut NoopHook)
+            let err = replay(&exe, &decoded, hier, engine, limits, &mut NoopHook)
                 .expect_err("the load is out of range");
             assert_eq!(
                 err,

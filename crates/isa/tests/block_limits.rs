@@ -1,8 +1,8 @@
 //! Where a run ends inside a basic block: [`DecodedEngine`] checks the
-//! instruction limits once per block and makes one L1I access per
-//! fetch run, [`InterpEngine`] does both per instruction — and a run
-//! that stops, is cut off or faults between two block boundaries must
-//! not be able to tell them apart.
+//! instruction limit once per block and makes one L1I access per fetch
+//! run, [`InterpEngine`] does both per instruction — and a run that is
+//! cut off or faults between two block boundaries must not be able to
+//! tell them apart.
 
 use simtune_cache::{CacheHierarchy, HierarchyConfig, ServicedBy};
 use simtune_isa::{
@@ -127,20 +127,15 @@ impl ExecHook for Recorder {
 
 /// What one run leaves behind: its result, the integer and float
 /// registers the program uses, and the hook's event stream.
-type Observed = (
-    Result<(SimStats, bool), SimError>,
-    Vec<i64>,
-    Vec<u32>,
-    Vec<Event>,
-);
+type Observed = (Result<SimStats, SimError>, Vec<i64>, Vec<u32>, Vec<Event>);
 
-fn observe<E: ExecEngine>(engine: &E, limits: RunLimits, stop_at: Option<u64>) -> Observed {
+fn observe<E: ExecEngine>(engine: &E, limits: RunLimits) -> Observed {
     let target = TargetIsa::riscv_u74();
     let mut cpu = AtomicCpu::new(&target);
     let mut mem = Memory::new();
     let mut hier = CacheHierarchy::new(HierarchyConfig::tiny_for_tests());
     let mut hook = Recorder::default();
-    let result = engine.run_until(&mut cpu, &mut mem, &mut hier, limits, stop_at, &mut hook);
+    let result = engine.run_with_hook(&mut cpu, &mut mem, &mut hier, limits, &mut hook);
     let gprs = (0..32).map(|r| cpu.gpr(Gpr(r))).collect();
     let fprs = (0..32).map(|r| cpu.fpr(Fpr(r)).to_bits()).collect();
     (result, gprs, fprs, hook.0)
@@ -216,37 +211,25 @@ fn a_limit_at_every_point_of_a_three_line_block_ends_the_run_as_the_interpreter_
     let prog = hot_block_program(&[]);
     let decoded = decode(&prog);
     let (interp, block) = (InterpEngine::new(&prog), DecodedEngine::new(&decoded));
-    let unlimited = RunLimits::default();
     for v in 0..=PREAMBLE + 2 * BLOCK {
-        let capped = RunLimits { max_insts: v };
-        // The budget alone, the prefix stop alone, and the two on one
-        // instruction (where the error wins).
-        for (limits, stop_at) in [(capped, None), (unlimited, Some(v)), (capped, Some(v))] {
-            let want = observe(&interp, limits, stop_at);
-            match (&want.0, stop_at) {
-                (Ok((stats, completed)), Some(_)) => {
-                    assert!(!completed);
-                    assert_eq!(stats.inst_mix.total(), v);
-                }
-                (result, _) => assert_eq!(
-                    *result,
-                    Err(SimError::InstLimitExceeded { limit: v }),
-                    "max_insts {v}, stop_at {stop_at:?}"
-                ),
-            }
-            assert_eq!(
-                observe(&block, limits, stop_at),
-                block_events(&decoded, &want),
-                "max_insts {}, stop_at {stop_at:?}",
-                limits.max_insts
-            );
-        }
+        let limits = RunLimits { max_insts: v };
+        let want = observe(&interp, limits);
+        assert_eq!(
+            want.0,
+            Err(SimError::InstLimitExceeded { limit: v }),
+            "max_insts {v}"
+        );
+        assert_eq!(
+            observe(&block, limits),
+            block_events(&decoded, &want),
+            "max_insts {v}"
+        );
     }
     // Far enough out, both run to completion.
-    let want = observe(&interp, unlimited, Some(10 * BLOCK));
-    assert!(matches!(want.0, Ok((_, true))));
+    let want = observe(&interp, RunLimits::default());
+    assert!(want.0.is_ok());
     assert_eq!(
-        observe(&block, unlimited, Some(10 * BLOCK)),
+        observe(&block, RunLimits::default()),
         block_events(&decoded, &want)
     );
 }
@@ -279,7 +262,7 @@ fn a_fault_in_the_middle_of_a_block_is_the_interpreter_s_fault() {
     for (mid, error) in faults {
         let prog = hot_block_program(mid);
         let decoded = decode(&prog);
-        let want = observe(&InterpEngine::new(&prog), RunLimits::default(), None);
+        let want = observe(&InterpEngine::new(&prog), RunLimits::default());
         assert_eq!(want.0, Err(error.clone()));
         // The same error after the same events: the hook saw the fetch
         // of the faulting instruction and nothing of the rest of its
@@ -288,7 +271,7 @@ fn a_fault_in_the_middle_of_a_block_is_the_interpreter_s_fault() {
             want.3.last(),
             Some(Event::Fetch(..) | Event::Data(..))
         ));
-        let got = observe(&DecodedEngine::new(&decoded), RunLimits::default(), None);
+        let got = observe(&DecodedEngine::new(&decoded), RunLimits::default());
         assert_eq!(got, block_events(&decoded, &want), "{error}");
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! * `n_parallel` simulator instances process a candidate batch
 //!   concurrently (paper Fig. 1-I / Listing 3);
-//! * every bundled fidelity tier (fast-count, sampled, pipelined,
-//!   accurate) is one `FidelitySpec` away, and any other simulator plugs
+//! * every bundled fidelity tier (fast-count, accurate, pipelined) is
+//!   one `FidelitySpec` away, and any other simulator plugs
 //!   in behind the runner as an `impl SimBackend` handed to
 //!   `SimSessionBuilder::backend`, mirroring the paper's TVM registry
 //!   override (Listing 4).
@@ -39,7 +39,6 @@ impl SimBackend for Gem5Wrapper {
         Ok(SimReport {
             stats,
             backend,
-            extrapolated: false,
             cycles: None,
         })
     }
@@ -100,13 +99,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("{n:>10} | {:>8.2}s | {:>7.2}x", dt, base / dt);
     }
 
-    // Fidelity tiers: the same batch on every bundled backend.
+    // Fidelity tiers: the same batch on every bundled backend, cheapest
+    // first.
     println!("\nsame batch across the bundled fidelity tiers...");
     for tier in FidelitySpec::all() {
-        let tier = match tier {
-            FidelitySpec::Sampled { .. } => FidelitySpec::Sampled { fraction: 0.25 },
-            other => other,
-        };
         let name = tier.label();
         let session = SimSession::builder()
             .fidelity(&tier, &spec.hierarchy)

@@ -26,8 +26,8 @@
 //! instruction-accurate simulator can be plugged in behind the
 //! autotuning runner. Three fidelity tiers ship in-tree —
 //! [`AccurateBackend`] (full cache model), [`FastCountBackend`]
-//! (instruction/access counting only) and [`SampledBackend`] (prefix
-//! simulation + extrapolation) — and [`SimSession`] is the builder-style
+//! (instruction/access counting only) and [`core::PipelinedBackend`]
+//! (in-order pipeline timing) — and [`SimSession`] is the builder-style
 //! entry point that runs candidate batches on whichever tier a tuning
 //! round needs. Every session pre-decodes candidates once
 //! ([`isa::DecodedProgram`]) and can attach a shared [`SimCache`] so
@@ -94,9 +94,9 @@
 pub use simtune_core::{
     tune_with_fidelity_escalation, AccurateBackend, BackendError, BatchTicket, ConvergenceStats,
     EscalatedTuneResult, EscalationOptions, EscalationPolicy, Evaluation, FastCountBackend,
-    MemoCacheStats, PredictorStats, SampledBackend, SearchSpace, SearchStrategy, SimBackend,
-    SimCache, SimReport, SimSession, SimSessionBuilder, SketchSpace, StageTimings, StrategySpec,
-    TemplateSpace, UncertaintyPolicy, WorkerPoolStats,
+    MemoCacheStats, PredictorStats, SearchSpace, SearchStrategy, SimBackend, SimCache, SimReport,
+    SimSession, SimSessionBuilder, SketchSpace, StageTimings, StrategySpec, TemplateSpace,
+    UncertaintyPolicy, WorkerPoolStats,
 };
 
 pub use simtune_cache as cache;

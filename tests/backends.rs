@@ -29,7 +29,7 @@ fn sim_session_runs_one_batch_on_all_three_backends() {
     let sessions = [
         SimSession::builder().accurate(&spec.hierarchy),
         SimSession::builder().fidelity(&FidelitySpec::FastCount, &spec.hierarchy),
-        SimSession::builder().fidelity(&FidelitySpec::Sampled { fraction: 0.5 }, &spec.hierarchy),
+        SimSession::builder().fidelity(&"pipelined".parse().unwrap(), &spec.hierarchy),
     ];
     let mut seen_backends = Vec::new();
     let mut totals = Vec::new();
@@ -45,12 +45,11 @@ fn sim_session_runs_one_batch_on_all_three_backends() {
         seen_backends.push(session.backend_name().to_string());
         totals.push(reports[0].as_ref().unwrap().stats.inst_mix.total());
     }
-    assert_eq!(seen_backends, ["accurate", "fast-count", "sampled"]);
+    assert_eq!(seen_backends, ["accurate", "fast-count", "pipelined"]);
     // All tiers execute the same functional program: identical candidate,
-    // near-identical work estimate (exact for accurate/fast-count).
+    // identical retired-instruction count.
     assert_eq!(totals[0], totals[1]);
-    let err = totals[2].abs_diff(totals[0]) as f64 / totals[0] as f64;
-    assert!(err < 0.05, "sampled estimate off by {err}");
+    assert_eq!(totals[0], totals[2]);
 }
 
 #[test]
