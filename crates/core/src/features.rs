@@ -151,21 +151,37 @@ impl GroupMeans {
 
     /// Final feature vector for one sample under these means.
     pub fn features(&self, sample: &RawSample, config: &FeatureConfig) -> Vec<f64> {
-        let mut out = sample.ratios.clone();
-        if config.normalized {
-            out.extend(
-                sample
-                    .ratios
-                    .iter()
-                    .zip(&self.ratio_means)
-                    .map(|(&v, &m)| normalize(v, m)),
-            );
-        }
-        if config.total_insts {
-            out.push(normalize(sample.total_insts, self.insts_mean));
-        }
-        out
+        features_under(
+            sample,
+            self.ratio_means.iter().copied(),
+            self.insts_mean,
+            config,
+        )
     }
+}
+
+/// The feature vector of `sample` under the given ratio means and mean
+/// instruction count.
+fn features_under(
+    sample: &RawSample,
+    ratio_means: impl Iterator<Item = f64>,
+    insts_mean: f64,
+    config: &FeatureConfig,
+) -> Vec<f64> {
+    let mut out = sample.ratios.clone();
+    if config.normalized {
+        out.extend(
+            sample
+                .ratios
+                .iter()
+                .zip(ratio_means)
+                .map(|(&v, m)| normalize(v, m)),
+        );
+    }
+    if config.total_insts {
+        out.push(normalize(sample.total_insts, insts_mean));
+    }
+    out
 }
 
 /// Mean-approximation strategy at inference time (Section III-E).
@@ -268,15 +284,24 @@ impl WindowNormalizer {
         }
     }
 
-    /// Feature vector for `sample` under the current means.
+    /// Feature vector for `sample` under the current means, read from the
+    /// frozen means or the running sums without building a
+    /// [`GroupMeans`].
     ///
     /// # Panics
     ///
     /// Panics if no sample has been fed yet.
     pub fn features(&self, sample: &RawSample, config: &FeatureConfig) -> Vec<f64> {
-        self.means()
-            .expect("feed at least one sample before extracting features")
-            .features(sample, config)
+        if let (WindowKind::Static(_), Some(frozen)) = (&self.kind, &self.frozen) {
+            return frozen.features(sample, config);
+        }
+        assert!(
+            self.count > 0,
+            "feed at least one sample before extracting features"
+        );
+        let n = self.count as f64;
+        let ratio_means = self.ratio_sums.iter().map(|s| s / n);
+        features_under(sample, ratio_means, self.insts_sum / n, config)
     }
 }
 

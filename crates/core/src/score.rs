@@ -262,11 +262,10 @@ impl ScorePredictor {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Predict`] when the row's width does not
-    /// match the trained model, [`CoreError::Pipeline`] when the row is
-    /// malformed.
+    /// Returns [`CoreError::Predict`] when the row's width (an empty row
+    /// included) does not match the trained model.
     pub fn score_features(&self, features: &[f64]) -> Result<f64, CoreError> {
-        let x = Matrix::from_rows(&[features.to_vec()])
+        let x = Matrix::from_vec(1, features.len(), features.to_vec())
             .map_err(|e| CoreError::Pipeline(format!("feature row: {e}")))?;
         Ok(self.model.predict(&x)?[0])
     }

@@ -75,6 +75,7 @@ use rand::{Rng, SeedableRng};
 use simtune_tensor::{ConfigSpace, SketchGenerator, SketchParams, SketchPattern};
 use std::collections::HashSet;
 use std::fmt;
+use std::hash::Hash;
 use std::sync::Arc;
 
 /// One scored candidate of a search history: the point the strategy
@@ -95,9 +96,12 @@ pub struct Evaluation<P> {
 /// points, and — when the space is finite — how to enumerate it.
 /// Randomness always flows through the caller-provided [`StdRng`], so a
 /// strategy seeded identically replays the identical walk.
+///
+/// A point's identity is its value: strategies deduplicate proposals by
+/// `Point: Hash + Eq`, so two equal points are one candidate.
 pub trait SearchSpace {
     /// The candidate representation.
-    type Point: Clone + Send;
+    type Point: Clone + Send + Hash + Eq;
 
     /// Draws a uniformly random candidate.
     fn sample(&self, rng: &mut StdRng) -> Self::Point;
@@ -108,16 +112,13 @@ pub trait SearchSpace {
     /// Recombines two candidates gene-wise.
     fn crossover(&self, a: &Self::Point, b: &Self::Point, rng: &mut StdRng) -> Self::Point;
 
-    /// A canonical deduplication key (two equal points share a key).
-    fn key(&self, p: &Self::Point) -> String;
-
     /// Number of distinct candidates, when enumerable.
     fn size(&self) -> Option<usize>;
 
     /// The `index`-th candidate of an enumerable space, `None` past the
     /// end. Enumeration may visit equivalent points more than once
     /// (canonicalization can fold lattice corners together); strategies
-    /// deduplicate via [`SearchSpace::key`].
+    /// propose each point once.
     fn nth(&self, index: usize) -> Option<Self::Point>;
 
     /// True when `p` is a member of this space.
@@ -183,10 +184,6 @@ impl SearchSpace for SketchSpace {
 
     fn crossover(&self, a: &SketchParams, b: &SketchParams, rng: &mut StdRng) -> SketchParams {
         self.generator.crossover(a, b, rng)
-    }
-
-    fn key(&self, p: &SketchParams) -> String {
-        format!("{p:?}")
     }
 
     fn size(&self) -> Option<usize> {
@@ -278,10 +275,6 @@ impl SearchSpace for TemplateSpace {
             .collect()
     }
 
-    fn key(&self, p: &Vec<usize>) -> String {
-        format!("{p:?}")
-    }
-
     fn size(&self) -> Option<usize> {
         Some(self.space.len())
     }
@@ -366,6 +359,15 @@ impl Tracker {
     }
 }
 
+/// Moves `p` onto `out` unless `seen` holds it: a repeat costs a hash
+/// and a compare, and only a new point is cloned (into `seen`).
+fn admit<P: Clone + Hash + Eq>(seen: &mut HashSet<P>, p: P, out: &mut Vec<P>) {
+    if !seen.contains(&p) {
+        seen.insert(p.clone());
+        out.push(p);
+    }
+}
+
 /// Uniform random search without replacement — the strategy every tuning
 /// loop used before this subsystem existed, extracted verbatim so the
 /// default behavior is bit-identical under the old defaults.
@@ -373,7 +375,7 @@ impl Tracker {
 pub struct RandomSearch<S: SearchSpace> {
     space: S,
     rng: StdRng,
-    seen: HashSet<String>,
+    seen: HashSet<S::Point>,
     attempts_factor: usize,
     total_attempts: usize,
     tracker: Tracker,
@@ -424,9 +426,7 @@ where
         {
             attempts += 1;
             let p = self.space.sample(&mut self.rng);
-            if self.seen.insert(self.space.key(&p)) {
-                out.push(p);
-            }
+            admit(&mut self.seen, p, &mut out);
         }
         self.total_attempts += attempts;
         self.tracker.proposed(out.len());
@@ -460,7 +460,7 @@ where
 pub struct GridSearch<S: SearchSpace> {
     space: S,
     cursor: usize,
-    seen: HashSet<String>,
+    seen: HashSet<S::Point>,
     tracker: Tracker,
 }
 
@@ -496,9 +496,7 @@ where
                 break; // space exhausted
             };
             self.cursor += 1;
-            if self.seen.insert(self.space.key(&p)) {
-                out.push(p);
-            }
+            admit(&mut self.seen, p, &mut out);
         }
         self.tracker.proposed(out.len());
         out
@@ -531,7 +529,7 @@ where
 pub struct HillClimb<S: SearchSpace> {
     space: S,
     rng: StdRng,
-    seen: HashSet<String>,
+    seen: HashSet<S::Point>,
     incumbent: Option<(S::Point, f64)>,
     stalled_batches: usize,
     /// Batches without improvement before a random restart (default 3).
@@ -572,18 +570,14 @@ where
                 Some((best, _)) => self.space.mutate(best, &mut self.rng),
                 None => self.space.sample(&mut self.rng),
             };
-            if self.seen.insert(self.space.key(&candidate)) {
-                out.push(candidate);
-            }
+            admit(&mut self.seen, candidate, &mut out);
         }
         // Neighborhood exhausted: top up with fresh uniform samples so a
         // depleted local region cannot stall the whole session.
         while out.len() < n && attempts < 2 * cap {
             attempts += 1;
             let candidate = self.space.sample(&mut self.rng);
-            if self.seen.insert(self.space.key(&candidate)) {
-                out.push(candidate);
-            }
+            admit(&mut self.seen, candidate, &mut out);
         }
         self.tracker.proposed(out.len());
         out
@@ -638,7 +632,7 @@ pub struct Evolutionary<S: SearchSpace> {
     pub population_size: usize,
     /// Fraction of each batch drawn uniformly at random (default 0.25).
     pub immigrant_fraction: f64,
-    seen: HashSet<String>,
+    seen: HashSet<S::Point>,
     attempts_factor: usize,
     tracker: Tracker,
 }
@@ -691,9 +685,7 @@ where
                     let child = self.space.crossover(&a, &b, &mut self.rng);
                     self.space.mutate(&child, &mut self.rng)
                 };
-            if self.seen.insert(self.space.key(&candidate)) {
-                out.push(candidate);
-            }
+            admit(&mut self.seen, candidate, &mut out);
         }
         self.tracker.proposed(out.len());
         out
@@ -733,7 +725,7 @@ pub struct Annealing<S: SearchSpace> {
     /// Multiplied into the temperature after every observed batch
     /// (default 0.9).
     pub cooling: f64,
-    seen: HashSet<String>,
+    seen: HashSet<S::Point>,
     attempts_factor: usize,
     tracker: Tracker,
 }
@@ -778,9 +770,7 @@ where
                 None => self.space.sample(&mut self.rng),
                 Some((cfg, _)) => self.space.mutate(cfg, &mut self.rng),
             };
-            if self.seen.insert(self.space.key(&candidate)) {
-                out.push(candidate);
-            }
+            admit(&mut self.seen, candidate, &mut out);
         }
         self.tracker.proposed(out.len());
         out
@@ -865,6 +855,8 @@ impl fmt::Debug for StrategySpec {
 impl std::str::FromStr for StrategySpec {
     type Err = CoreError;
 
+    /// Parses a strategy name, in any ASCII case. An unknown name's error
+    /// quotes at most its first 64 characters.
     fn from_str(s: &str) -> Result<Self, CoreError> {
         match s.to_ascii_lowercase().as_str() {
             "random" => Ok(StrategySpec::Random),
@@ -872,9 +864,12 @@ impl std::str::FromStr for StrategySpec {
             "hill" | "hill-climb" | "hill_climb" => Ok(StrategySpec::HillClimb),
             "evo" | "evolutionary" => Ok(StrategySpec::Evolutionary),
             "sa" | "annealing" => Ok(StrategySpec::Annealing),
-            other => Err(CoreError::Pipeline(format!(
-                "unknown strategy {other:?} (random|grid|hill|evolutionary|annealing)"
-            ))),
+            _ => {
+                let quoted = s.char_indices().nth(64).map_or(s, |(cut, _)| &s[..cut]);
+                Err(CoreError::Pipeline(format!(
+                    "unknown strategy {quoted:?} (random|grid|hill|evolutionary|annealing)"
+                )))
+            }
         }
     }
 }
@@ -991,7 +986,7 @@ mod tests {
         while legacy.len() < 2 * n && attempts < 2 * n * 50 {
             attempts += 1;
             let p = space.generator().random(&mut rng);
-            if seen.insert(format!("{p:?}")) {
+            if seen.insert(p.clone()) {
                 legacy.push(p);
             }
         }
@@ -1009,7 +1004,7 @@ mod tests {
         let mut seen = HashSet::new();
         for _ in 0..5 {
             for cfg in strategy.propose(&[], 10) {
-                assert!(seen.insert(format!("{cfg:?}")), "duplicate candidate");
+                assert!(seen.insert(cfg), "duplicate candidate");
             }
         }
     }
@@ -1065,7 +1060,7 @@ mod tests {
                 break;
             }
             for p in batch {
-                assert!(seen.insert(format!("{p:?}")), "duplicate genotype");
+                assert!(seen.insert(p), "duplicate genotype");
                 count += 1;
             }
         }
@@ -1269,6 +1264,139 @@ mod tests {
                 let ra = eval(ba, |cfg| cfg.iter().sum::<usize>() as f64);
                 a.observe(&ra);
                 b.observe(&ra);
+            }
+        }
+    }
+
+    /// Proposes `batches` batches of 16, scoring each; asserts no point
+    /// repeats and returns how many distinct points were proposed.
+    fn distinct_proposals<P: Clone + Hash + Eq + fmt::Debug>(
+        strategy: &mut dyn SearchStrategy<P>,
+        batches: usize,
+        score: impl Fn(&P) -> f64,
+    ) -> usize {
+        let mut seen = HashSet::new();
+        for _ in 0..batches {
+            let batch = strategy.propose(&[], 16);
+            for p in &batch {
+                assert!(
+                    seen.insert(p.clone()),
+                    "{} re-proposed {p:?}",
+                    strategy.name()
+                );
+            }
+            strategy.observe(&eval(batch, &score));
+        }
+        seen.len()
+    }
+
+    #[test]
+    fn no_strategy_proposes_a_point_twice_and_random_and_grid_exhaust_the_space() {
+        let def = matmul(8, 8, 8);
+        let config_space = ConfigSpace::matmul(&def, &TargetIsa::riscv_u74());
+        let total = config_space.len();
+        let sketch_score = |p: &SketchParams| p.spatial_tiles.iter().sum::<usize>() as f64;
+        for seed in 0..4 {
+            for spec in StrategySpec::all() {
+                let mut strategy = spec.build_template(config_space.clone(), seed).unwrap();
+                let distinct =
+                    distinct_proposals(&mut *strategy, 60, |cfg| config_space.index_of(cfg) as f64);
+                assert!(distinct <= total);
+                if matches!(spec, StrategySpec::Random | StrategySpec::Grid) {
+                    assert_eq!(distinct, total, "{} stopped short", spec.label());
+                    assert!(strategy.propose(&[], 16).is_empty());
+                }
+                let generator = SketchGenerator::new(&def, TargetIsa::riscv_u74());
+                let mut strategy = spec.build_sketch(generator, seed);
+                distinct_proposals(&mut *strategy, 12, sketch_score);
+            }
+        }
+    }
+
+    /// Name fragments for the parser property: every documented name,
+    /// separators, and characters whose case or width trips up parsers.
+    const PIECES: [&str; 24] = [
+        "random",
+        "grid",
+        "hill",
+        "hill-climb",
+        "hill_climb",
+        "evo",
+        "evolutionary",
+        "sa",
+        "annealing",
+        "a",
+        "-",
+        "_",
+        " ",
+        "\0",
+        "é",
+        "日本",
+        "🦀",
+        "\u{212A}",
+        "ſ",
+        "\u{301}",
+        "ß",
+        "İ",
+        "RaNdOm",
+        "\u{FFFD}",
+    ];
+
+    fn cases(default: u32) -> u32 {
+        std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(default)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(cases(64)))]
+
+        /// Any string, up to 1 MiB: `Ok` exactly for a documented name in
+        /// any ASCII case, otherwise an error quoting at most 64 chars.
+        #[test]
+        fn a_strategy_name_parses_only_when_documented_and_errors_stay_bounded(
+            pieces in proptest::collection::vec(0usize..PIECES.len(), 0..4),
+            flips in proptest::prelude::any::<u64>(),
+            huge in 0u32..16,
+        ) {
+            use std::str::FromStr;
+            let mut text: String = pieces
+                .iter()
+                .map(|&i| PIECES[i])
+                .collect::<String>()
+                .chars()
+                .enumerate()
+                .map(|(i, c)| if flips >> (i % 64) & 1 == 1 { c.to_ascii_uppercase() } else { c })
+                .collect();
+            if huge == 0 {
+                while text.len() < 1 << 20 {
+                    text.push_str(PIECES[flips as usize % PIECES.len()]);
+                    text.push('x');
+                }
+            }
+            let documented = [
+                ("random", "random"),
+                ("grid", "grid"),
+                ("hill", "hill_climb"),
+                ("hill-climb", "hill_climb"),
+                ("hill_climb", "hill_climb"),
+                ("evo", "evolutionary"),
+                ("evolutionary", "evolutionary"),
+                ("sa", "annealing"),
+                ("annealing", "annealing"),
+            ];
+            let lower = text.to_ascii_lowercase();
+            let label = documented.iter().find(|(name, _)| *name == lower).map(|(_, l)| *l);
+            match StrategySpec::from_str(&text) {
+                Ok(spec) => proptest::prop_assert_eq!(Some(spec.label()), label),
+                Err(e) => {
+                    proptest::prop_assert_eq!(label, None);
+                    let msg = e.to_string();
+                    proptest::prop_assert!(msg.len() <= 1024, "{} bytes", msg.len());
+                    let head: String = text.chars().take(64).collect();
+                    proptest::prop_assert!(msg.contains(&format!("{head:?}")), "{msg}");
+                }
             }
         }
     }

@@ -23,6 +23,14 @@ pub enum PredictError {
     Linalg(LinalgError),
     /// Training diverged (NaN in weights or loss).
     Diverged,
+    /// A tree deeper than the ensemble layout holds: a fitted tree's
+    /// leaves are the bits of one `u64`, so depth is at most `limit`.
+    DepthLimit {
+        /// The configured maximum depth.
+        max_depth: usize,
+        /// The deepest supported tree.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for PredictError {
@@ -40,6 +48,9 @@ impl fmt::Display for PredictError {
             PredictError::NotFitted => write!(f, "model has not been fitted"),
             PredictError::Linalg(e) => write!(f, "linear algebra failed: {e}"),
             PredictError::Diverged => write!(f, "training diverged (NaN encountered)"),
+            PredictError::DepthLimit { max_depth, limit } => {
+                write!(f, "max_depth {max_depth} exceeds the supported {limit}")
+            }
         }
     }
 }
@@ -72,5 +83,10 @@ mod tests {
         };
         assert!(e.to_string().contains("feature count"));
         assert!(PredictError::NotFitted.to_string().contains("fitted"));
+        let deep = PredictError::DepthLimit {
+            max_depth: 7,
+            limit: 6,
+        };
+        assert!(deep.to_string().contains("max_depth 7"));
     }
 }

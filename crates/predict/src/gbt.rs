@@ -15,7 +15,8 @@ pub struct GbtConfig {
     pub n_trees: usize,
     /// Shrinkage applied to each tree's contribution.
     pub learning_rate: f64,
-    /// Maximum tree depth.
+    /// Maximum tree depth, at most 6 (a fitted tree's leaves are the
+    /// bits of one `u64`).
     pub max_depth: usize,
     /// L1 regularization on leaf weights (XGBoost `alpha`).
     pub alpha: f64,
@@ -47,9 +48,14 @@ impl Default for GbtConfig {
     }
 }
 
-/// A node of a regression tree, stored in a flat arena. Indices are
-/// `u32` so a node takes 24 bytes, not 40: a fitted 300-tree model is
-/// resident for as long as it scores, and a tree never nears 2³² nodes.
+/// The deepest tree a fitted ensemble holds: its leaves are the bits
+/// of one `u64` (2⁶ = 64). The paper's configuration is depth 3 and
+/// [`crate::GbtGrid`] tries 2–4.
+const MAX_DEPTH: usize = 6;
+
+/// A node of a regression tree under construction, in a flat arena.
+/// Trees take this form only inside [`GbtRegressor::fit`]; the fitted
+/// model keeps the [`Ensemble`] tables instead.
 #[derive(Debug, Clone)]
 enum Node {
     Split {
@@ -65,10 +71,12 @@ enum Node {
 
 #[derive(Debug, Clone)]
 struct Tree {
-    nodes: Box<[Node]>,
+    nodes: Vec<Node>,
 }
 
 impl Tree {
+    /// The node walk: the leaf a row reaches, going left on
+    /// `row[feature] < threshold` and right otherwise (NaN goes right).
     fn predict(&self, row: &[f64]) -> f64 {
         let mut at = 0usize;
         loop {
@@ -89,6 +97,125 @@ impl Tree {
             }
         }
     }
+
+    /// Appends the leaves under `at` to `leaves` left to right and one
+    /// `(feature, threshold, tree, mask)` split per internal node; the
+    /// mask clears the bits of the node's left subtree, numbered from
+    /// the tree's first leaf at `leaves[first]`.
+    fn flatten(
+        &self,
+        at: usize,
+        tree: u32,
+        first: usize,
+        leaves: &mut Vec<f64>,
+        splits: &mut Vec<(u32, f64, u32, u64)>,
+    ) {
+        match self.nodes[at] {
+            Node::Leaf { weight } => leaves.push(weight),
+            Node::Split {
+                feature,
+                threshold,
+                left,
+                right,
+            } => {
+                let lo = leaves.len() - first;
+                self.flatten(left as usize, tree, first, leaves, splits);
+                let hi = leaves.len() - first;
+                // A left subtree holds at most 32 of a tree's 64 leaves.
+                let mask = !(((1u64 << (hi - lo)) - 1) << lo);
+                splits.push((feature, threshold, tree, mask));
+                self.flatten(right as usize, tree, first, leaves, splits);
+            }
+        }
+    }
+}
+
+/// A fitted ensemble in QuickScorer layout (Lucchese et al., SIGIR
+/// 2015): the splits of all trees grouped by feature, each group sorted
+/// ascending by threshold.
+///
+/// A row starts every tree at all-ones and, feature by feature, ANDs in
+/// the mask of each split whose test `x < threshold` fails, stopping at
+/// the first that holds — every later split of that feature holds too.
+/// A tree's exit leaf is then its lowest set bit: the leftmost leaf no
+/// failed test ruled out, the leaf the node walk reaches. NaN, ±∞ and a
+/// value equal to a threshold take the walk's branch, because the same
+/// `<` decides both. Splits with a NaN threshold (from ±∞ training
+/// values) sort first: their test never holds.
+#[derive(Debug, Clone, Default)]
+struct Ensemble {
+    /// Feature `f`'s splits are `feature_start[f]..feature_start[f + 1]`.
+    feature_start: Box<[u32]>,
+    thresholds: Box<[f64]>,
+    /// The tree each split belongs to.
+    trees: Box<[u32]>,
+    /// ANDed into the tree's bits when the split's test fails.
+    masks: Box<[u64]>,
+    /// Index in `leaves` of each tree's leftmost leaf.
+    first_leaf: Box<[u32]>,
+    /// Every tree's leaf values, left to right, tree after tree.
+    leaves: Box<[f64]>,
+}
+
+impl Ensemble {
+    fn new(trees: &[Tree], n_features: usize) -> Self {
+        let mut leaves = Vec::new();
+        let mut splits = Vec::new();
+        let mut first_leaf = Vec::with_capacity(trees.len());
+        for (t, tree) in trees.iter().enumerate() {
+            let first = leaves.len();
+            first_leaf.push(first as u32);
+            tree.flatten(0, t as u32, first, &mut leaves, &mut splits);
+            debug_assert!(leaves.len() - first <= 64, "tree deeper than MAX_DEPTH");
+        }
+        splits.sort_by(|a, b| {
+            a.0.cmp(&b.0)
+                .then(b.1.is_nan().cmp(&a.1.is_nan()))
+                .then(a.1.total_cmp(&b.1))
+        });
+        let mut feature_start = vec![0u32; n_features + 1];
+        for &(f, ..) in &splits {
+            feature_start[f as usize + 1] += 1;
+        }
+        for f in 0..n_features {
+            feature_start[f + 1] += feature_start[f];
+        }
+        Ensemble {
+            feature_start: feature_start.into(),
+            thresholds: splits.iter().map(|s| s.1).collect(),
+            trees: splits.iter().map(|s| s.2).collect(),
+            masks: splits.iter().map(|s| s.3).collect(),
+            first_leaf: first_leaf.into(),
+            leaves: leaves.into(),
+        }
+    }
+
+    fn tree_count(&self) -> usize {
+        self.first_leaf.len()
+    }
+
+    /// Sets `bits[t]` to tree `t`'s leaf bits for `row`.
+    fn exits(&self, row: &[f64], bits: &mut [u64]) {
+        bits.fill(u64::MAX);
+        for (f, &x) in row.iter().enumerate() {
+            let span = self.feature_start[f] as usize..self.feature_start[f + 1] as usize;
+            let splits = self.thresholds[span.clone()]
+                .iter()
+                .zip(&self.trees[span.clone()])
+                .zip(&self.masks[span]);
+            for ((&threshold, &tree), &mask) in splits {
+                if x < threshold {
+                    break;
+                }
+                bits[tree as usize] &= mask;
+            }
+        }
+    }
+
+    /// Tree `t`'s exit leaf value under its `bits`.
+    fn leaf(&self, t: usize, bits: u64) -> f64 {
+        self.leaves[self.first_leaf[t] as usize + bits.trailing_zeros() as usize]
+    }
 }
 
 /// Gradient-boosted regression trees with XGBoost's second-order
@@ -98,6 +225,15 @@ impl Tree {
 /// split's gain is
 /// `½ [G_L²/(H_L+λ) + G_R²/(H_R+λ) − G²/(H+λ)]` with L1 soft-thresholding
 /// of the gradient sums by `α`, and leaves weigh `−G/(H+λ)`.
+///
+/// `fit` grows each tree as a node arena and walks it for the residual
+/// update; the fitted model keeps only QuickScorer tables (one threshold,
+/// tree index and `u64` leaf mask per split, grouped by feature, plus the
+/// leaf values), and scores a row with a forward scan per feature and a
+/// lowest-set-bit per tree. The leaf values are summed in tree order, so
+/// a score is bit-identical to the node walk's. Trees are at most 6
+/// deep; `fit` refuses a deeper `max_depth` with
+/// [`PredictError::DepthLimit`].
 ///
 /// # Example
 ///
@@ -119,7 +255,7 @@ impl Tree {
 #[derive(Debug, Clone)]
 pub struct GbtRegressor {
     config: GbtConfig,
-    trees: Vec<Tree>,
+    ensemble: Ensemble,
     base_score: f64,
     n_features: usize,
 }
@@ -137,7 +273,7 @@ impl GbtRegressor {
     pub fn new(config: GbtConfig) -> Self {
         GbtRegressor {
             config,
-            trees: Vec::new(),
+            ensemble: Ensemble::default(),
             base_score: 0.0,
             n_features: 0,
         }
@@ -150,7 +286,7 @@ impl GbtRegressor {
 
     /// Number of fitted trees.
     pub fn tree_count(&self) -> usize {
-        self.trees.len()
+        self.ensemble.tree_count()
     }
 
     fn leaf_weight(&self, g: f64, h: f64) -> f64 {
@@ -234,28 +370,15 @@ impl GbtRegressor {
         };
         slot
     }
-}
 
-fn soft_threshold(g: f64, alpha: f64) -> f64 {
-    if g > alpha {
-        g - alpha
-    } else if g < -alpha {
-        g + alpha
-    } else {
-        0.0
-    }
-}
-
-impl Regressor for GbtRegressor {
-    fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), PredictError> {
-        check_fit_input(x, y)?;
+    /// The boosting rounds: the base score, the trees as node arenas and
+    /// the training rows' final predictions.
+    fn boost(&self, x: &Matrix, y: &[f64]) -> (f64, Vec<Tree>, Vec<f64>) {
         let (n, d) = x.shape();
-        self.n_features = d;
-        self.base_score = y.iter().sum::<f64>() / n as f64;
-        self.trees.clear();
-
+        let base_score = y.iter().sum::<f64>() / n as f64;
         let mut rng = StdRng::seed_from_u64(self.config.seed.wrapping_add(0x9B7));
-        let mut pred = vec![self.base_score; n];
+        let mut pred = vec![base_score; n];
+        let mut trees = Vec::with_capacity(self.config.n_trees);
 
         for _ in 0..self.config.n_trees {
             // Squared-loss gradients/hessians.
@@ -282,15 +405,58 @@ impl Regressor for GbtRegressor {
             let mut nodes = Vec::new();
             let root = self.grow(x, &grad, &hess, &rows, &feats, 0, &mut nodes);
             debug_assert_eq!(root, 0);
-            // Exactly sized: the growth slack of 300 trees adds up.
-            let tree = Tree {
-                nodes: nodes.into_boxed_slice(),
-            };
+            let tree = Tree { nodes };
             for (i, p) in pred.iter_mut().enumerate() {
                 *p += self.config.learning_rate * tree.predict(x.row(i));
             }
-            self.trees.push(tree);
+            trees.push(tree);
         }
+        (base_score, trees, pred)
+    }
+
+    fn check_input(&self, x: &Matrix) -> Result<(), PredictError> {
+        if self.ensemble.tree_count() == 0 {
+            return Err(PredictError::NotFitted);
+        }
+        check_features(self.n_features, x)
+    }
+
+    /// The score of a row whose exit bits are `bits`: its leaf values
+    /// summed in tree order.
+    fn score(&self, bits: &[u64]) -> f64 {
+        self.base_score
+            + self.config.learning_rate
+                * bits
+                    .iter()
+                    .enumerate()
+                    .map(|(t, &b)| self.ensemble.leaf(t, b))
+                    .sum::<f64>()
+    }
+}
+
+fn soft_threshold(g: f64, alpha: f64) -> f64 {
+    if g > alpha {
+        g - alpha
+    } else if g < -alpha {
+        g + alpha
+    } else {
+        0.0
+    }
+}
+
+impl Regressor for GbtRegressor {
+    fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), PredictError> {
+        check_fit_input(x, y)?;
+        if self.config.max_depth > MAX_DEPTH {
+            return Err(PredictError::DepthLimit {
+                max_depth: self.config.max_depth,
+                limit: MAX_DEPTH,
+            });
+        }
+        let (base_score, trees, pred) = self.boost(x, y);
+        self.n_features = x.cols();
+        self.base_score = base_score;
+        self.ensemble = Ensemble::new(&trees, self.n_features);
         if pred.iter().any(|p| !p.is_finite()) {
             return Err(PredictError::Diverged);
         }
@@ -298,16 +464,12 @@ impl Regressor for GbtRegressor {
     }
 
     fn predict(&self, x: &Matrix) -> Result<Vec<f64>, PredictError> {
-        if self.trees.is_empty() {
-            return Err(PredictError::NotFitted);
-        }
-        check_features(self.n_features, x)?;
+        self.check_input(x)?;
+        let mut bits = vec![0u64; self.ensemble.tree_count()];
         Ok((0..x.rows())
             .map(|i| {
-                let row = x.row(i);
-                self.base_score
-                    + self.config.learning_rate
-                        * self.trees.iter().map(|t| t.predict(row)).sum::<f64>()
+                self.ensemble.exits(x.row(i), &mut bits);
+                self.score(&bits)
             })
             .collect())
     }
@@ -317,20 +479,19 @@ impl Regressor for GbtRegressor {
     /// estimate, and the reported uncertainty is the standard deviation
     /// across folds. The mean stays the full ensemble's prediction.
     fn predict_with_uncertainty(&self, x: &Matrix) -> Result<(Vec<f64>, Vec<f64>), PredictError> {
-        if self.trees.is_empty() {
-            return Err(PredictError::NotFitted);
-        }
-        check_features(self.n_features, x)?;
-        let n_trees = self.trees.len();
+        self.check_input(x)?;
+        let n_trees = self.ensemble.tree_count();
         let folds = 4.min(n_trees);
-        let means = self.predict(x)?;
+        let mut bits = vec![0u64; n_trees];
+        let mut means = Vec::with_capacity(x.rows());
         let stds = (0..x.rows())
             .map(|i| {
-                let row = x.row(i);
+                self.ensemble.exits(x.row(i), &mut bits);
+                means.push(self.score(&bits));
                 let mut fold_sums = vec![0.0f64; folds];
                 let mut fold_counts = vec![0usize; folds];
-                for (t, tree) in self.trees.iter().enumerate() {
-                    fold_sums[t % folds] += tree.predict(row);
+                for (t, &b) in bits.iter().enumerate() {
+                    fold_sums[t % folds] += self.ensemble.leaf(t, b);
                     fold_counts[t % folds] += 1;
                 }
                 // Each fold rescaled as if it were the full ensemble.
@@ -363,6 +524,16 @@ impl Regressor for GbtRegressor {
 mod tests {
     use super::*;
     use crate::Loss;
+
+    /// Tree `t`'s leaf values, left to right.
+    fn leaves(m: &GbtRegressor, t: usize) -> &[f64] {
+        let e = &m.ensemble;
+        let end = e
+            .first_leaf
+            .get(t + 1)
+            .map_or(e.leaves.len(), |&i| i as usize);
+        &e.leaves[e.first_leaf[t] as usize..end]
+    }
 
     fn quick(seed: u64) -> GbtConfig {
         GbtConfig {
@@ -416,10 +587,29 @@ mod tests {
         let y: Vec<f64> = (0..50).map(|i| i as f64).collect();
         let mut m = GbtRegressor::new(cfg);
         m.fit(&x, &y).unwrap();
-        for t in &m.trees {
-            // A stump has at most 3 nodes.
-            assert!(t.nodes.len() <= 3, "stump with {} nodes", t.nodes.len());
+        // A stump has one split and two leaves at most.
+        assert!(m.ensemble.thresholds.len() <= m.tree_count());
+        for t in 0..m.tree_count() {
+            let n = leaves(&m, t).len();
+            assert!(n <= 2, "stump with {n} leaves");
         }
+    }
+
+    #[test]
+    fn a_tree_deeper_than_a_u64_of_leaves_is_refused() {
+        let mut cfg = quick(3);
+        cfg.max_depth = 7;
+        let x = Matrix::from_fn(50, 1, |i, _| i as f64);
+        let y: Vec<f64> = (0..50).map(|i| i as f64).collect();
+        let mut m = GbtRegressor::new(cfg);
+        assert_eq!(
+            m.fit(&x, &y),
+            Err(PredictError::DepthLimit {
+                max_depth: 7,
+                limit: 6
+            })
+        );
+        assert_eq!(m.predict(&x), Err(PredictError::NotFitted));
     }
 
     #[test]
@@ -434,14 +624,7 @@ mod tests {
             cfg.n_trees = 1;
             let mut m = GbtRegressor::new(cfg);
             m.fit(&x, &y).unwrap();
-            m.trees[0]
-                .nodes
-                .iter()
-                .filter_map(|n| match n {
-                    Node::Leaf { weight } => Some(weight.abs()),
-                    _ => None,
-                })
-                .fold(0.0, f64::max)
+            leaves(&m, 0).iter().map(|w| w.abs()).fold(0.0, f64::max)
         };
         assert!(fit_first_leaf_mag(10.0) < fit_first_leaf_mag(0.0));
     }
@@ -455,8 +638,9 @@ mod tests {
         let y: Vec<f64> = (0..30).map(|i| i as f64).collect();
         let mut m = GbtRegressor::new(cfg);
         m.fit(&x, &y).unwrap();
-        for t in &m.trees {
-            assert_eq!(t.nodes.len(), 1, "root must stay a leaf");
+        assert!(m.ensemble.thresholds.is_empty(), "no split may form");
+        for t in 0..m.tree_count() {
+            assert_eq!(leaves(&m, t).len(), 1, "root must stay a leaf");
         }
     }
 
@@ -505,5 +689,104 @@ mod tests {
             m.predict(&Matrix::zeros(1, 1)),
             Err(PredictError::NotFitted)
         ));
+    }
+
+    fn cases(default: u32) -> u32 {
+        std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(default)
+    }
+
+    /// The node walk over the same boosting rounds — the oracle for the
+    /// tables: `(predict, stds)` as the per-tree arenas computed them.
+    fn walk(m: &GbtRegressor, x: &Matrix, y: &[f64], q: &Matrix) -> (Vec<f64>, Vec<f64>) {
+        let (base, trees, _) = m.boost(x, y);
+        let lr = m.config.learning_rate;
+        let folds = 4.min(trees.len());
+        (0..q.rows())
+            .map(|i| {
+                let row = q.row(i);
+                let mean = base + lr * trees.iter().map(|t| t.predict(row)).sum::<f64>();
+                let mut sums = vec![0.0f64; folds];
+                let mut counts = vec![0usize; folds];
+                for (t, tree) in trees.iter().enumerate() {
+                    sums[t % folds] += tree.predict(row);
+                    counts[t % folds] += 1;
+                }
+                let est: Vec<f64> = sums
+                    .iter()
+                    .zip(&counts)
+                    .map(|(s, &c)| base + lr * s * trees.len() as f64 / c.max(1) as f64)
+                    .collect();
+                let mu = est.iter().sum::<f64>() / folds as f64;
+                let var = est.iter().map(|e| (e - mu) * (e - mu)).sum::<f64>() / folds as f64;
+                (mean, var.sqrt())
+            })
+            .unzip()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(cases(64)))]
+
+        /// Any fit of depth 1–6, 1–40 trees and 1–8 features (constant
+        /// and duplicated columns among them) scores every row — NaN,
+        /// ±∞, ±0.0, values on a threshold and one ulp either side —
+        /// bit for bit as the per-tree node walk does.
+        #[test]
+        fn the_ensemble_tables_score_bit_for_bit_as_the_node_walk(
+            seed in proptest::prelude::any::<u64>(),
+            depth in 1usize..=6,
+            n_trees in 1usize..=40,
+            d in 1usize..=8,
+            n in 2usize..=40,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Column kinds: coarse values (ties), constant, a copy of
+            // column 0, wide values.
+            let kinds: Vec<u32> = (0..d).map(|_| rng.gen_range(0..4u32)).collect();
+            let mut x = Matrix::zeros(n, d);
+            for i in 0..n {
+                for (j, &kind) in kinds.iter().enumerate() {
+                    x[(i, j)] = match kind {
+                        0 => rng.gen_range(-2i32..=2) as f64 * 0.5,
+                        1 => 3.0,
+                        2 => x[(i, 0)],
+                        _ => rng.gen_range(-1e3..1e3),
+                    };
+                }
+            }
+            let y: Vec<f64> = (0..n).map(|_| rng.gen_range(-5.0..5.0)).collect();
+            let mut m = GbtRegressor::new(GbtConfig {
+                n_trees,
+                learning_rate: rng.gen_range(0.05..0.5),
+                max_depth: depth,
+                alpha: rng.gen_range(0.0..0.2),
+                lambda: rng.gen_range(0.0..1.0),
+                min_child_weight: rng.gen_range(0.0..2.0),
+                subsample: rng.gen_range(0.5..1.0),
+                colsample: rng.gen_range(0.3..1.0),
+                seed: rng.gen_range(0..1000u64),
+            });
+            m.fit(&x, &y).unwrap();
+
+            let mut pool = vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0];
+            for &t in m.ensemble.thresholds.iter() {
+                pool.extend([t, t.next_up(), t.next_down()]);
+            }
+            pool.extend(x.row(0));
+            let q = Matrix::from_fn(16, d, |_, _| pool[rng.gen_range(0..pool.len())]);
+
+            let (want_mean, want_std) = walk(&m, &x, &y, &q);
+            let got = m.predict(&q).unwrap();
+            proptest::prop_assert_eq!(bits(&got), bits(&want_mean));
+            let (means, stds) = m.predict_with_uncertainty(&q).unwrap();
+            proptest::prop_assert_eq!(bits(&means), bits(&want_mean));
+            proptest::prop_assert_eq!(bits(&stds), bits(&want_std));
+        }
     }
 }

@@ -534,7 +534,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let mut distinct = std::collections::HashSet::new();
         for _ in 0..100 {
-            distinct.insert(format!("{:?}", gen.random(&mut rng)));
+            distinct.insert(gen.random(&mut rng));
         }
         assert!(
             distinct.len() > 50,

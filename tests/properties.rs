@@ -240,7 +240,7 @@ proptest! {
                     "{} proposed {:?} outside the space", strategy.name(), cfg
                 );
                 prop_assert!(
-                    seen.insert(format!("{cfg:?}")),
+                    seen.insert(cfg.clone()),
                     "{} proposed {:?} twice", strategy.name(), cfg
                 );
             }
