@@ -26,7 +26,7 @@
 //! ```text
 //! repro [--arch x86,arm,riscv|all] [--scale paper|half|quarter|smoke]
 //!       [--impls N] [--test N] [--rounds N] [--parallel N] [--seed N]
-//!       [--strategy NAME|all] [--fidelity SPEC|predicted] [--cache PATH]
+//!       [--strategy NAME|all] [--fidelity SPEC] [--cache PATH]
 //! ```
 
 use crate::Scale;
@@ -34,10 +34,10 @@ use simtune_cache::{CacheConfig, HierarchyConfig, ReplacementPolicy};
 use simtune_core::{
     collect_group_data, evaluate_predictor, holdout_group_curves, parallel_speedup_k,
     prediction_metrics, split_train_test, tune_with_fidelity_escalation, tune_with_predictor,
-    CollectOptions, CoreError, EscalationOptions, EscalationPolicy, FeatureConfig, FidelitySpec,
-    GroupData, HardwareRunner, KernelBuilder, MemoCacheStats, RandomSearch, ScorePredictor,
-    SearchStrategy, SimCache, SimSession, SketchSpace, SnapshotLoad, StrategySpec, TuneOptions,
-    TuneResult, UncertaintyPolicy, WindowKind,
+    CollectOptions, CoreError, EscalationOptions, FeatureConfig, FidelitySpec, GroupData,
+    HardwareRunner, KernelBuilder, MemoCacheStats, RandomSearch, ScorePredictor, SearchStrategy,
+    SimCache, SimSession, SketchSpace, SnapshotLoad, StrategySpec, TuneOptions, TuneResult,
+    WindowKind,
 };
 use simtune_hw::TargetSpec;
 use simtune_linalg::stats::spearman;
@@ -52,7 +52,7 @@ use std::time::Instant;
 
 const USAGE: &str = "usage: repro [--arch x86,arm,riscv|all] [--scale paper|half|quarter|smoke] \
                      [--impls N] [--test N] [--rounds N] [--parallel N] [--seed N] \
-                     [--strategy NAME|all] [--fidelity SPEC|predicted] [--cache PATH]";
+                     [--strategy NAME|all] [--fidelity SPEC] [--cache PATH]";
 /// Column headers of the sections' tables.
 const FEATURES: &str = "        features |  mean Etop1 |  max Rtop1 |  mean Qlow";
 const WINDOWS: &str = "        window | rho(exact) | mean Rtop1 | mean Etop1";
@@ -68,26 +68,6 @@ const EVAL_GROUP: usize = 3;
 const SWEEP_GROUP: usize = 1;
 const POLICY_GROUPS: [usize; 2] = [1, 3];
 
-/// How the sweep simulates candidates: on one [`FidelitySpec`] tier
-/// (any tier but `accurate` re-simulates the static top-k finalists
-/// accurately), or under the learned escalation policy, which explores
-/// on the default tier and lets an online model pick what escalates.
-#[derive(Debug, PartialEq)]
-enum FidelityMode {
-    Tier(FidelitySpec),
-    Predicted,
-}
-
-impl FidelityMode {
-    /// Stable label for the sweep's summary line.
-    fn label(&self) -> String {
-        match self {
-            FidelityMode::Tier(spec) => spec.digest(),
-            FidelityMode::Predicted => "predicted".into(),
-        }
-    }
-}
-
 #[derive(Debug)]
 struct Args {
     targets: Vec<TargetSpec>,
@@ -99,7 +79,9 @@ struct Args {
     seed: u64,
     /// `None` sweeps every built-in strategy.
     strategy: Option<StrategySpec>,
-    fidelity: FidelityMode,
+    /// The sweep's tier; any tier but `accurate` explores there and
+    /// re-simulates the top-k finalists accurately.
+    fidelity: FidelitySpec,
     cache: Option<PathBuf>,
 }
 
@@ -129,7 +111,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
         n_parallel: std::thread::available_parallelism().map_or(8, |n| n.get()),
         seed: 42,
         strategy: None,
-        fidelity: FidelityMode::Tier(FidelitySpec::Accurate),
+        fidelity: FidelitySpec::Accurate,
         cache: None,
     };
     let mut argv = argv.into_iter();
@@ -156,13 +138,9 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             }
             "--fidelity" => {
                 let v = value()?;
-                a.fidelity = match v.as_str() {
-                    "predicted" => FidelityMode::Predicted,
-                    spec => FidelityMode::Tier(
-                        spec.parse()
-                            .map_err(|e| format!("unknown fidelity {v}: {e}, or predicted"))?,
-                    ),
-                };
+                a.fidelity = v
+                    .parse()
+                    .map_err(|e| format!("unknown fidelity {v}: {e}"))?;
             }
             "--cache" => a.cache = Some(PathBuf::from(value()?)),
             other => return Err(format!("unknown flag {other}")),
@@ -749,15 +727,9 @@ impl Report<'_> {
                     c.restarts
                 )?;
                 if let Some(acc) = accurate_runs {
-                    let learned = result.predictor.as_ref().map_or(String::new(), |p| {
-                        format!(
-                            ", avoided {} sims, rank err {:.3}",
-                            p.avoided_simulations, p.mean_abs_rank_error
-                        )
-                    });
                     writeln!(
                         self.out,
-                        "{:>13} | escalated {acc}/{n} ({:.0} %){learned}",
+                        "{:>13} | escalated {acc}/{n} ({:.0} %)",
                         "",
                         acc as f64 / n.max(1) as f64 * 100.0
                     )?;
@@ -776,14 +748,14 @@ impl Report<'_> {
             writeln!(
                 self.out,
                 "sweep[{}]: {trials} trials, memo hit rate {:.1} % ({} hits / {} lookups)",
-                args.fidelity.label(),
+                args.fidelity.digest(),
                 m.hit_ratio() * 100.0,
                 m.hits,
                 m.lookups()
             )?;
             self.timing.push(format!(
                 "sweep[{}] [{}]: {:.1} trials/sec ({:.1} replay/sec) over {trials} trials",
-                args.fidelity.label(),
+                args.fidelity.digest(),
                 t.arch(),
                 trials as f64 / started.elapsed().as_secs_f64().max(1e-9),
                 per_second(trials, replay_nanos)
@@ -880,31 +852,22 @@ fn sample_schedules(def: &ComputeDef, spec: &TargetSpec, gid: usize, args: &Args
     schedules
 }
 
-/// Runs one strategy's tune in the sweep's fidelity mode. Returns the
-/// result and, for the escalated modes, how many simulations ran on the
-/// accurate tier.
+/// Runs one strategy's tune on the sweep's tier. Returns the result
+/// and, when it escalated, how many simulations ran on the accurate
+/// tier.
 fn tune(
-    mode: &FidelityMode,
+    tier: &FidelitySpec,
     def: &ComputeDef,
     spec: &TargetSpec,
     predictor: &ScorePredictor,
     opts: &TuneOptions,
 ) -> Result<(TuneResult, Option<usize>), CoreError> {
-    let esc = match mode {
-        FidelityMode::Tier(FidelitySpec::Accurate) => {
-            return Ok((tune_with_predictor(def, spec, predictor, opts)?, None));
-        }
-        FidelityMode::Tier(explore) => EscalationOptions {
-            explore: Some(explore.clone()),
-            ..EscalationOptions::default()
-        },
-        FidelityMode::Predicted => EscalationOptions {
-            policy: EscalationPolicy::Uncertainty(UncertaintyPolicy {
-                min_train: 4,
-                ..UncertaintyPolicy::default()
-            }),
-            ..EscalationOptions::default()
-        },
+    if *tier == FidelitySpec::Accurate {
+        return Ok((tune_with_predictor(def, spec, predictor, opts)?, None));
+    }
+    let esc = EscalationOptions {
+        explore: Some(tier.clone()),
+        ..EscalationOptions::default()
     };
     let out = tune_with_fidelity_escalation(def, spec, predictor, opts, &esc)?;
     Ok((out.result, Some(out.accurate_runs)))
@@ -996,39 +959,42 @@ mod tests {
 
     #[test]
     fn fidelity_flag_parses_all_modes() {
-        assert_eq!(
-            parse("--seed 1").unwrap().fidelity,
-            FidelityMode::Tier(FidelitySpec::Accurate)
-        );
-        assert_eq!(
-            parse("--fidelity predicted").unwrap().fidelity,
-            FidelityMode::Predicted
-        );
-        assert_eq!(FidelityMode::Predicted.label(), "predicted");
+        assert_eq!(parse("--seed 1").unwrap().fidelity, FidelitySpec::Accurate);
+        for tier in FidelitySpec::all() {
+            let flag = format!("--fidelity {}", tier.digest());
+            assert_eq!(parse(&flag).unwrap().fidelity, tier);
+        }
     }
 
     #[test]
     fn fidelity_flag_accepts_the_full_spec_grammar() {
         assert_eq!(
             parse("--fidelity accurate").unwrap().fidelity,
-            FidelityMode::Tier(FidelitySpec::Accurate)
+            FidelitySpec::Accurate
         );
         assert_eq!(
             parse("--fidelity fast-count").unwrap().fidelity,
-            FidelityMode::Tier(FidelitySpec::FastCount)
+            FidelitySpec::FastCount
         );
         let a = parse("--fidelity pipelined:btb=64,ras=4").unwrap();
-        assert_eq!(
-            a.fidelity,
-            FidelityMode::Tier(FidelitySpec::Pipelined { btb: 64, ras: 4 })
-        );
-        assert_eq!(a.fidelity.label(), "pipelined:btb=64,ras=4");
+        assert_eq!(a.fidelity, FidelitySpec::Pipelined { btb: 64, ras: 4 });
+        assert_eq!(a.fidelity.digest(), "pipelined:btb=64,ras=4");
     }
 
     #[test]
     fn the_removed_sampled_tier_is_a_flag_error() {
         let spec = "--fidelity sampled:fraction=0.25";
         assert!(parse_err(spec).contains("unknown fidelity tier"));
+        let mut out = Vec::new();
+        let argv = spec.split_whitespace().map(str::to_string);
+        assert_eq!(run(argv, &mut out), 2);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn the_removed_predicted_mode_is_a_flag_error() {
+        let spec = "--fidelity predicted";
+        assert!(parse_err(spec).contains("unknown fidelity predicted"));
         let mut out = Vec::new();
         let argv = spec.split_whitespace().map(str::to_string);
         assert_eq!(run(argv, &mut out), 2);

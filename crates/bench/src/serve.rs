@@ -16,7 +16,15 @@
 //! |---|---|---|
 //! | `ping` | — | liveness check |
 //! | `open` | `tenant`, `arch`, `workload`, `dim`, `impls`, `seed`, `fidelity` | open a named tenant, collect a training set on its lane of the shared pool and fit its score predictor |
-//! | `tune` | `tenant`, `n_trials`, `batch_size`, `seed`, `strategy`, `fidelity`, `escalation_budget`, `escalation_confidence` | run one predictor-guided tuning loop on the tenant's session |
+//! | `tune` | `tenant`, `n_trials`, `batch_size`, `seed`, `strategy`, `fidelity` | run one predictor-guided tuning loop on the tenant's session |
+//! | `stats` | `tenant` (optional) | per-tenant counters, or service-wide cache totals |
+//! | `save_cache` | `path` | persist the shared cache snapshot (atomic) |
+//! | `load_cache` | `path` | warm the shared cache (degrades to cold on corrupt files) |
+//! | `close` | `tenant` | release a tenant name |
+//! | `shutdown` | — | acknowledge, then end the serve loop |
+//!
+//! A frame with a member outside this table — a field of an older
+//! protocol among them — is refused as a bad request.
 //!
 //! # Fidelity selection
 //!
@@ -25,26 +33,8 @@
 //! `pipelined:btb=N,ras=N`). On `open` it names
 //! the tier the tenant's session simulates at (default `accurate`); on
 //! `tune` it names the exploration tier of a fidelity-escalated run —
-//! cheap-tier exploration, top-k accurate finalists.
-//!
-//! # Escalation-policy block
-//!
-//! A `tune` request that sets `escalation_budget` and/or
-//! `escalation_confidence` runs under the uncertainty escalation policy
-//! instead of all-accurate simulation: candidates are explored on the
-//! cheap tier and only those an online model cannot rule out escalate
-//! to the accurate simulator (`EscalationPolicy::Uncertainty`; the
-//! winner is always re-verified accurately). The response then echoes
-//! the run's `PredictorStats` through `escalations`,
-//! `avoided_simulations` and `mean_abs_rank_error`; all three are
-//! `null` for plain tunes.
-//! Without a `fidelity` spec the escalated tune explores on the default
-//! exploration tier.
-//! | `stats` | `tenant` (optional) | per-tenant counters, or service-wide cache totals |
-//! | `save_cache` | `path` | persist the shared cache snapshot (atomic) |
-//! | `load_cache` | `path` | warm the shared cache (degrades to cold on corrupt files) |
-//! | `close` | `tenant` | release a tenant name |
-//! | `shutdown` | — | acknowledge, then end the serve loop |
+//! cheap-tier exploration, top-k accurate finalists. A `tune` without
+//! `fidelity` runs every trial on the tenant's own tier.
 //!
 //! Handler errors (unknown tenant, bad strategy, …) come back as
 //! `ok: false` with `error` set; the loop keeps serving. Only transport
@@ -52,8 +42,8 @@
 
 use serde::{Deserialize, Serialize};
 use simtune_core::{
-    collect_group_data_on, CollectOptions, EscalationOptions, EscalationPolicy, FidelitySpec,
-    ScorePredictor, SimService, TenantSession, TuneOptions, UncertaintyPolicy,
+    collect_group_data_on, CollectOptions, EscalationOptions, FidelitySpec, ScorePredictor,
+    SimService, TenantSession, TuneOptions,
 };
 use simtune_hw::TargetSpec;
 use simtune_predict::PredictorKind;
@@ -102,16 +92,6 @@ pub struct Request {
     /// backend (default `accurate`); on `tune`, the exploration tier of
     /// a fidelity-escalated run.
     pub fidelity: Option<String>,
-    /// Escalation-policy block, part 1: cap on accurate simulations the
-    /// uncertainty sweep may spend (`tune`; winner verification is
-    /// exempt). Setting this (or `escalation_confidence`) switches the
-    /// tune to the learned fidelity tier.
-    pub escalation_budget: Option<u64>,
-    /// Escalation-policy block, part 2: confidence-band width in
-    /// posterior standard deviations — a candidate escalates when
-    /// `mean - confidence * std` beats the incumbent best (`tune`;
-    /// default 1.0, must be finite and non-negative).
-    pub escalation_confidence: Option<f64>,
 }
 
 impl serde::Deserialize for Request {
@@ -131,8 +111,6 @@ impl serde::Deserialize for Request {
             strategy: obj.field("strategy")?,
             path: obj.field("path")?,
             fidelity: obj.field_or_default("fidelity")?,
-            escalation_budget: obj.field("escalation_budget")?,
-            escalation_confidence: obj.field("escalation_confidence")?,
         };
         obj.end()?;
         Ok(value)
@@ -168,16 +146,6 @@ pub struct Response {
     pub entries: Option<u64>,
     /// Open tenants (`stats` without a tenant).
     pub tenants: Option<u64>,
-    /// Accurate simulations the escalated tune spent (escalated `tune`,
-    /// and tenant `stats` after one; `null` otherwise).
-    pub escalations: Option<u64>,
-    /// Candidates settled from the learned tier without an accurate
-    /// simulation (escalated `tune` / tenant `stats`).
-    pub avoided_simulations: Option<u64>,
-    /// Normalized mean |predicted rank − accurate rank| over the
-    /// escalated pairs, 0 = perfect ordering (escalated `tune` /
-    /// tenant `stats`).
-    pub mean_abs_rank_error: Option<f64>,
 }
 
 impl Response {
@@ -397,47 +365,29 @@ impl Server {
             ..TuneOptions::default()
         };
         // The `fidelity` spec names the exploration tier of an escalated
-        // tune (absent: the default exploration tier); the escalation
-        // knobs switch on the learned (uncertainty) policy. A request
-        // with neither keeps the all-accurate loop.
-        let explore = match parse_fidelity(req) {
-            Ok(f) => f,
+        // tune; a request without one keeps the all-accurate loop.
+        let result = match parse_fidelity(req) {
+            Ok(Some(explore)) => {
+                let esc = EscalationOptions {
+                    explore: Some(explore),
+                    ..EscalationOptions::default()
+                };
+                t.session
+                    .tune_escalated(&t.def, &t.spec, &t.predictor, &opts, &esc)
+                    .map(|out| out.result)
+            }
+            Ok(None) => t.session.tune(&t.def, &t.spec, &t.predictor, &opts),
             Err(resp) => return *resp,
-        };
-        let uncertainty = req.escalation_budget.is_some() || req.escalation_confidence.is_some();
-        let result = if uncertainty || explore.is_some() {
-            let esc = EscalationOptions {
-                explore,
-                policy: if uncertainty {
-                    EscalationPolicy::Uncertainty(UncertaintyPolicy {
-                        confidence: req.escalation_confidence.unwrap_or(1.0),
-                        budget: req.escalation_budget.map(|b| b as usize),
-                        ..UncertaintyPolicy::default()
-                    })
-                } else {
-                    EscalationPolicy::TopK
-                },
-                ..EscalationOptions::default()
-            };
-            t.session
-                .tune_escalated(&t.def, &t.spec, &t.predictor, &opts, &esc)
-                .map(|out| out.result)
-        } else {
-            t.session.tune(&t.def, &t.spec, &t.predictor, &opts)
         };
         match result {
             Ok(result) => {
                 let stats = t.session.stats();
-                let ps = result.predictor;
                 Response {
                     best_score: Some(result.best().score),
                     trials: Some(result.history.len() as u64),
                     simulations: Some(result.simulations as u64),
                     memo_hits: Some(stats.memo.hits),
                     memo_misses: Some(stats.memo.misses),
-                    escalations: ps.map(|p| p.escalations),
-                    avoided_simulations: ps.map(|p| p.avoided_simulations),
-                    mean_abs_rank_error: ps.map(|p| p.mean_abs_rank_error),
                     ..Response::to_req(req)
                 }
             }
@@ -454,9 +404,6 @@ impl Server {
                         memo_hits: Some(s.memo.hits),
                         memo_misses: Some(s.memo.misses),
                         trials: Some(s.pool.trials),
-                        escalations: Some(s.predictor.escalations),
-                        avoided_simulations: Some(s.predictor.avoided_simulations),
-                        mean_abs_rank_error: Some(s.predictor.mean_abs_rank_error),
                         ..Response::to_req(req)
                     }
                 }
@@ -657,62 +604,35 @@ mod tests {
     }
 
     #[test]
-    fn escalated_tune_echoes_predictor_stats() {
-        let mut server = Server::new(simtune_core::SimService::builder().n_parallel(2).build());
-        let open = Request {
-            tenant: Some("esc".into()),
-            workload: Some("matmul".into()),
-            dim: Some(6),
-            impls: Some(10),
-            seed: Some(42),
-            ..req("open")
-        };
-        assert!(roundtrip(&mut server, &open).unwrap().ok);
-        let tune = Request {
-            tenant: Some("esc".into()),
-            n_trials: Some(12),
-            batch_size: Some(4),
-            seed: Some(1),
-            strategy: Some("random".into()),
-            escalation_budget: Some(8),
-            escalation_confidence: Some(1.0),
-            ..req("tune")
-        };
-        let resp = roundtrip(&mut server, &tune).unwrap();
-        assert!(resp.ok, "escalated tune failed: {:?}", resp.error);
-        assert!(resp.best_score.unwrap().is_finite());
-        assert_eq!(resp.trials, Some(12));
-        let escalations = resp.escalations.expect("escalated tune echoes stats");
-        assert!(escalations > 0, "some candidates must escalate");
-        assert!(resp.avoided_simulations.is_some());
-        let rank_err = resp.mean_abs_rank_error.unwrap();
-        assert!((0.0..=1.0).contains(&rank_err), "rank error {rank_err}");
-        // Plain tunes keep the predictor fields null...
-        let plain = Request {
-            escalation_budget: None,
-            escalation_confidence: None,
-            ..tune.clone()
-        };
-        let resp2 = roundtrip(&mut server, &plain).unwrap();
-        assert!(resp2.ok);
-        assert!(resp2.escalations.is_none());
-        // ...while tenant stats keep the accumulated counters.
-        let stats = Request {
-            tenant: Some("esc".into()),
-            ..req("stats")
-        };
-        let s = roundtrip(&mut server, &stats).unwrap();
-        assert_eq!(s.escalations, Some(escalations));
-        // A NaN confidence is a handler error, not a crash. (Handled
-        // directly: JSON has no NaN literal, so a framed roundtrip
-        // would turn it into null.)
-        let bad = Request {
-            escalation_confidence: Some(f64::NAN),
-            ..tune
-        };
-        let (resp3, _) = server.handle(&bad);
-        assert!(!resp3.ok);
-        assert!(resp3.error.unwrap().contains("confidence"));
+    fn an_old_escalation_knob_is_a_bad_request_and_the_loop_lives() {
+        let mut server = Server::new(simtune_core::SimService::builder().n_parallel(1).build());
+        // A complete `tune` frame of the older protocol: every current
+        // member, plus its escalation-budget knob.
+        let knob = concat!("escalation", "_budget");
+        let old = format!(
+            r#"{{"id":5,"op":"tune","tenant":"t","arch":null,"workload":null,"dim":null,
+            "impls":null,"n_trials":12,"batch_size":4,"seed":1,"strategy":"random","path":null,
+            "fidelity":null,"{knob}":8}}"#
+        );
+        let mut input = Vec::new();
+        write_frame(&mut input, &old).unwrap();
+        write_frame(&mut input, &serde_json::to_string(&req("ping")).unwrap()).unwrap();
+        let mut output = Vec::new();
+        serve_loop(&mut io::Cursor::new(input), &mut output, &mut server).unwrap();
+        let mut out = io::Cursor::new(output);
+        let refused: Response =
+            serde_json::from_str(&read_frame(&mut out).unwrap().unwrap()).unwrap();
+        assert!(!refused.ok);
+        let error = refused.error.unwrap();
+        assert!(error.starts_with("bad request:"), "{error}");
+        assert!(
+            error.contains(&format!("unknown field {knob:?}")),
+            "{error}"
+        );
+        let pong: Response = serde_json::from_str(&read_frame(&mut out).unwrap().unwrap()).unwrap();
+        assert!(pong.ok);
+        assert_eq!((pong.id, pong.op.as_str()), (7, "ping"));
+        assert!(read_frame(&mut out).unwrap().is_none());
     }
 
     #[test]

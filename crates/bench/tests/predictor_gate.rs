@@ -1,20 +1,16 @@
-//! The learned fidelity tier — the `EscalationPolicy::Uncertainty`
-//! policy over the default exploration tier — against its two
-//! baselines, on one fixed-seed experiment over the paper's smoke-scale
-//! Conv2D group.
-//! Three tuning modes share the strategy, seed and trial budget:
+//! Fidelity escalation against the accurate-only baseline, on one
+//! fixed-seed experiment over the paper's smoke-scale Conv2D group.
+//! Two tuning modes share the strategy, seed and trial budget:
 //!
 //! 1. **accurate-only** — every trial simulates accurately (the
 //!    paper's baseline; `n_trials` accurate simulations);
-//! 2. **static top-k** — cheap exploration, the fixed top-k finalists
-//!    re-simulate accurately (`EscalationPolicy::TopK`);
-//! 3. **uncertainty** — the learned tier with a tight escalation
-//!    budget (`EscalationPolicy::Uncertainty`).
+//! 2. **top-k** — exploration on the default fast-count tier, the
+//!    top-k finalists re-simulate accurately.
 //!
 //! The offline score predictor must rank a held-out slice of its
-//! training group with Spearman ≥ 0.8; the three modes must spend
-//! exactly 48 / 8 / 6 accurate simulations (the whole experiment is
-//! seed-deterministic); and the uncertainty winner's noise-free target
+//! training group with Spearman ≥ 0.8; the two modes must spend
+//! exactly 48 / 8 accurate simulations (the whole experiment is
+//! seed-deterministic); and the top-k winner's noise-free target
 //! runtime (`simtune_hw::measure_base_seconds`, independent of any
 //! score-normalization stream) must be within 5 % of the accurate-only
 //! winner's.
@@ -22,8 +18,8 @@
 use simtune_bench::Scale;
 use simtune_core::{
     collect_group_data, tune_with_fidelity_escalation, tune_with_predictor, CollectOptions,
-    EscalationOptions, EscalationPolicy, GroupData, KernelBuilder, ScorePredictor, StrategySpec,
-    TuneOptions, TuneRecord, UncertaintyPolicy,
+    EscalationOptions, GroupData, KernelBuilder, ScorePredictor, StrategySpec, TuneOptions,
+    TuneRecord,
 };
 use simtune_hw::{measure_base_seconds, TargetSpec};
 use simtune_linalg::stats::spearman;
@@ -55,7 +51,7 @@ fn winner_seconds(def: &ComputeDef, spec: &TargetSpec, winner: &TuneRecord) -> f
 }
 
 #[test]
-fn uncertainty_escalation_matches_the_accurate_winner_on_six_accurate_simulations() {
+fn top_k_escalation_matches_the_accurate_winner_on_eight_accurate_simulations() {
     let arch = "riscv";
     let seed = 42u64;
     let spec = TargetSpec::by_name(arch).expect("known arch");
@@ -104,32 +100,16 @@ fn uncertainty_escalation_matches_the_accurate_winner_on_six_accurate_simulation
         &EscalationOptions::default(),
     )
     .expect("top-k tune");
-    let unc = tune_with_fidelity_escalation(
-        &def,
-        &spec,
-        &predictor,
-        &opts,
-        &EscalationOptions {
-            policy: EscalationPolicy::Uncertainty(UncertaintyPolicy {
-                min_train: 4,
-                budget: Some(6),
-                ..UncertaintyPolicy::default()
-            }),
-            ..EscalationOptions::default()
-        },
-    )
-    .expect("uncertainty tune");
-
     assert_eq!(
-        (accurate.simulations, topk.accurate_runs, unc.accurate_runs),
-        (48, 8, 6),
-        "accurate simulations: accurate-only / top-k / uncertainty"
+        (accurate.simulations, topk.accurate_runs),
+        (48, 8),
+        "accurate simulations: accurate-only / top-k"
     );
 
     let acc_best = winner_seconds(&def, &spec, accurate.best());
-    let unc_best = winner_seconds(&def, &spec, unc.result.best());
+    let topk_best = winner_seconds(&def, &spec, topk.result.best());
     assert!(
-        unc_best <= acc_best * 1.05,
-        "uncertainty winner {unc_best:.3e} s is outside the 5 % band of the accurate-only {acc_best:.3e} s"
+        topk_best <= acc_best * 1.05,
+        "top-k winner {topk_best:.3e} s is outside the 5 % band of the accurate-only {acc_best:.3e} s"
     );
 }

@@ -1,8 +1,8 @@
 //! End-to-end coverage of the serve protocol's unified `fidelity`
 //! field: opening tenants at a named tier, escalated tunes with a
-//! spec-named exploration tier, the escalation knobs with and without
-//! a spec, and grammar errors — hostile predictor sizes included — as
-//! handler failures. A server booted from a snapshot opens a tenant
+//! spec-named exploration tier on every paper target's hierarchy shape,
+//! and grammar errors — hostile predictor sizes included — as handler
+//! failures. A server booted from a snapshot opens a tenant
 //! from memory: board runs and training samples are cache entries. Hostile frames (deep nesting, many keys) are
 //! refused with `ok: false` and the loop keeps serving.
 
@@ -261,37 +261,6 @@ fn a_snapshot_with_a_non_ascii_key_is_a_cold_start_and_the_server_lives() {
 #[test]
 fn tune_with_fidelity_runs_spec_tier_escalation_without_a_note() {
     let mut server = server();
-    assert!(roundtrip(&mut server, &open_req("t", None)).unwrap().ok);
-    let tune = Request {
-        tenant: Some("t".into()),
-        n_trials: Some(8),
-        batch_size: Some(4),
-        seed: Some(1),
-        strategy: Some("random".into()),
-        fidelity: Some("pipelined".into()),
-        ..req("tune")
-    };
-    let resp = roundtrip(&mut server, &tune).unwrap();
-    assert!(resp.ok, "tune failed: {:?}", resp.error);
-    assert!(resp.best_score.unwrap().is_finite());
-    assert_eq!(resp.trials, Some(8));
-    // Spec-named top-k escalation is not the learned tier: no predictor
-    // counters, and nothing to say in `message`.
-    assert!(resp.escalations.is_none());
-    assert!(resp.message.is_none(), "{:?}", resp.message);
-
-    // Same seed on the fast-count tier also completes.
-    let fast = Request {
-        fidelity: Some("fast-count".into()),
-        ..tune
-    };
-    let resp = roundtrip(&mut server, &fast).unwrap();
-    assert!(resp.ok, "fast-count tune failed: {:?}", resp.error);
-}
-
-#[test]
-fn escalation_knobs_run_the_uncertainty_policy_with_or_without_a_spec() {
-    let mut server = server();
     // x86 is the target with an L3: its fast-count reports must still
     // be scorable by a predictor trained at the accurate tier.
     for arch in ["riscv", "x86"] {
@@ -306,28 +275,22 @@ fn escalation_knobs_run_the_uncertainty_policy_with_or_without_a_spec() {
             batch_size: Some(4),
             seed: Some(1),
             strategy: Some("random".into()),
-            escalation_budget: Some(6),
-            escalation_confidence: Some(1.0),
+            fidelity: Some("pipelined".into()),
             ..req("tune")
         };
         let resp = roundtrip(&mut server, &tune).unwrap();
-        // Knobs without a spec: the uncertainty policy on the default
-        // exploration tier.
-        assert!(resp.ok, "{arch}: escalated tune failed: {:?}", resp.error);
-        assert!(
-            resp.escalations.is_some(),
-            "{arch}: uncertainty policy runs"
-        );
+        assert!(resp.ok, "{arch}: tune failed: {:?}", resp.error);
+        assert!(resp.best_score.unwrap().is_finite());
+        assert_eq!(resp.trials, Some(8));
+        assert!(resp.message.is_none(), "{:?}", resp.message);
 
-        // A spec alongside the knobs names the exploration tier instead.
-        let both = Request {
+        // Same seed on the fast-count tier also completes.
+        let fast = Request {
             fidelity: Some("fast-count".into()),
             ..tune
         };
-        let resp = roundtrip(&mut server, &both).unwrap();
-        assert!(resp.ok, "{arch}: {:?}", resp.error);
-        assert!(resp.message.is_none());
-        assert!(resp.escalations.is_some());
+        let resp = roundtrip(&mut server, &fast).unwrap();
+        assert!(resp.ok, "{arch}: fast-count tune failed: {:?}", resp.error);
     }
 
     // A plain tune on an x86 tenant opened at the counting tier.
@@ -353,7 +316,7 @@ fn old_wire_frames_without_the_fidelity_member_still_parse() {
     let mut server = server();
     let json = r#"{"id":5,"op":"ping","tenant":null,"arch":null,"workload":null,
         "dim":null,"impls":null,"n_trials":null,"batch_size":null,"seed":null,
-        "strategy":null,"path":null,"escalation_budget":null,"escalation_confidence":null}"#;
+        "strategy":null,"path":null}"#;
     let req: Request = serde_json::from_str(json).expect("frame without the member parses");
     assert!(req.fidelity.is_none());
     let (resp, done) = server.handle(&req);

@@ -13,26 +13,24 @@
 //! search space plus an evaluator: the paper's Listing 3
 //! (Auto-Scheduler sketches) and Listing 4 (AutoTVM templates,
 //! [`tune_template_space`]) differ only in where candidates come from;
-//! simulator-plus-predictor, the board ([`tune_on_hardware`]) and the
-//! uncertainty escalation policy differ only in what measures a built
-//! batch. The learned tier is that policy, not a backend: it explores on
-//! the same [`FidelitySpec`] tier session as top-k and keeps its online
-//! model beside the simulator.
+//! simulator-plus-predictor and the board ([`tune_on_hardware`]) differ
+//! only in what measures a built batch. Fidelity escalation
+//! ([`tune_with_fidelity_escalation`]) is the simulator flow on a cheap
+//! [`FidelitySpec`] tier followed by an accurate re-simulation of the
+//! `top_k` finalists.
 
 use crate::backend::{SimBackend, SimReport, SimSession};
 use crate::features::{WindowKind, WindowNormalizer};
 use crate::fidelity::FidelitySpec;
 use crate::memo::{RequestKey, RequestKeys, SimCache};
-use crate::metrics::{ConvergenceStats, PredictorStats, StageTimings};
+use crate::metrics::{ConvergenceStats, StageTimings};
 use crate::pool::BatchTicket;
-use crate::predicted::{OnlinePredictor, Prediction};
 use crate::runner::{HardwareRunner, KernelBuilder};
 use crate::score::ScorePredictor;
 use crate::search::{Evaluation, SearchStrategy, StrategySpec};
 use crate::CoreError;
 use simtune_hw::TargetSpec;
 use simtune_isa::{EngineKind, Executable};
-use simtune_predict::PredictorKind;
 use simtune_tensor::{ComputeDef, ConfigSpace, Schedule, SketchGenerator, SketchParams};
 use std::sync::Arc;
 use std::time::Instant;
@@ -120,10 +118,6 @@ pub struct TuneResult {
     /// values: identical reruns produce identical history but different
     /// timings.
     pub timings: StageTimings,
-    /// Online-model counters when the run used the learned
-    /// [`EscalationPolicy::Uncertainty`] tier; `None` for every other
-    /// flow.
-    pub predictor: Option<PredictorStats>,
     /// Host nanoseconds the backends reported spending inside simulator
     /// replay for this run's scored candidates (Σ
     /// [`simtune_isa::SimStats::host_nanos`] over successful reports;
@@ -272,9 +266,6 @@ fn since(t0: Instant) -> u64 {
 trait Evaluate {
     /// A batch handed over by [`Evaluate::start`], not yet scored.
     type Pending;
-    /// True when `start` returns while the batch is still being
-    /// measured, so the driver may stage the next batch meanwhile.
-    const OVERLAPS: bool;
 
     /// Request keys for `builder`'s candidates when this evaluator can
     /// [recall](Evaluate::recall) them; `None` (the default) computes
@@ -290,7 +281,8 @@ trait Evaluate {
     }
 
     /// Takes a staged batch whose first trial will be history record
-    /// `first_index`.
+    /// `first_index`. It may return while the batch is still being
+    /// measured: the driver stages the next batch meanwhile.
     fn start(&mut self, trials: Vec<Trial>, first_index: usize) -> Self::Pending;
 
     /// Blocks until the batch is measured and scores it, charging the
@@ -350,8 +342,7 @@ fn build(builder: &KernelBuilder, schedule: &Schedule, name: &str) -> Option<Exe
 /// schedule) and an [`Evaluate`] impl.
 ///
 /// The loop is *pipelined*: when the strategy's proposals cannot depend
-/// on scores ([`SearchStrategy::pipeline_safe`]) and the evaluator
-/// measures asynchronously ([`Evaluate::OVERLAPS`]), the next batch is
+/// on scores ([`SearchStrategy::pipeline_safe`]), the next batch is
 /// proposed and built **while the previous one simulates** on the
 /// persistent pool — the Pac-Sim overlap trick, applied to lowering.
 /// Otherwise propose → measure → observe stay strictly sequenced, so
@@ -382,7 +373,7 @@ fn drive<P, E: Evaluate>(
     let mut evaluations: Vec<Evaluation<P>> = Vec::new();
     let mut simulations = 0usize;
     let mut timings = StageTimings::default();
-    let overlap = E::OVERLAPS && strategy.pipeline_safe();
+    let overlap = strategy.pipeline_safe();
     let mut inflight: Option<Staged<P, E::Pending>> = None;
     let mut exhausted = false;
     loop {
@@ -484,7 +475,6 @@ fn drive<P, E: Evaluate>(
         convergence: strategy.convergence(),
         simulations,
         timings,
-        predictor: None,
         replay_nanos: eval.replay_nanos(),
     })
 }
@@ -546,7 +536,6 @@ impl Evaluate for SessionScore<'_> {
     /// The submitted builds, and per trial its recalled report (`None`
     /// for a built trial, answered by the ticket in order).
     type Pending = (BatchTicket, Vec<Option<SimReport>>);
-    const OVERLAPS: bool = true;
 
     fn request_keys(&self, builder: &KernelBuilder) -> Option<RequestKeys> {
         self.session.request_keys(builder)
@@ -616,7 +605,6 @@ struct HardwareMeasure {
 
 impl Evaluate for HardwareMeasure {
     type Pending = (BatchTicket, usize);
-    const OVERLAPS: bool = true;
 
     fn start(&mut self, trials: Vec<Trial>, first_index: usize) -> Self::Pending {
         let exes = trials.into_iter().map(Trial::into_built).collect();
@@ -652,12 +640,6 @@ pub struct EscalationOptions {
     /// `FidelitySpec::Pipelined { .. }` for cycle-aware exploration.
     /// When unset, the default [`FidelitySpec::FastCount`].
     pub explore: Option<FidelitySpec>,
-    /// How candidates graduate to the accurate tier. The default
-    /// [`EscalationPolicy::TopK`] keeps the original static-finalist
-    /// behavior (and is the only mode that reads `top_k`);
-    /// [`EscalationPolicy::Uncertainty`] lets an online model, trained
-    /// during the sweep, pick which `explore` candidates escalate.
-    pub policy: EscalationPolicy,
 }
 
 impl Default for EscalationOptions {
@@ -665,63 +647,6 @@ impl Default for EscalationOptions {
         EscalationOptions {
             top_k: 8,
             explore: None,
-            policy: EscalationPolicy::TopK,
-        }
-    }
-}
-
-/// Which candidates graduate from the cheap exploration tier to the
-/// accurate tier in [`tune_with_fidelity_escalation`].
-#[derive(Debug, Clone, Default)]
-pub enum EscalationPolicy {
-    /// Static finalists: after exploration, the `top_k` best cheap-tier
-    /// scores are re-simulated accurately — simple, but pays for
-    /// `top_k` accurate runs no matter how confident the ranking is.
-    #[default]
-    TopK,
-    /// Uncertainty-driven active learning: every candidate runs on the
-    /// exploration tier, an online model is trained on escalated
-    /// candidates *during* the sweep, and a candidate graduates only
-    /// while the model is cold or its lower confidence bound still
-    /// overlaps the incumbent best accurate score. The final winner is
-    /// always re-verified on the accurate tier.
-    Uncertainty(UncertaintyPolicy),
-}
-
-/// Tuning knobs of [`EscalationPolicy::Uncertainty`].
-#[derive(Debug, Clone)]
-pub struct UncertaintyPolicy {
-    /// Model family the online predictor trains. The default
-    /// [`PredictorKind::Bayes`] provides a true GP posterior variance;
-    /// the other families report ensemble or residual spreads.
-    pub predictor: PredictorKind,
-    /// Confidence multiplier `β`: a candidate escalates while
-    /// `mean − β·std ≤ incumbent`. Larger values escalate more
-    /// (cautious); `0.0` escalates only candidates predicted to beat
-    /// the incumbent outright.
-    pub confidence: f64,
-    /// Observations required before the first fit. Until the model has
-    /// seen this many accurate scores, candidates escalate outright
-    /// (the cold start that produces the first training set) — so keep
-    /// this comfortably below the sweep's trial count. After the first
-    /// fit the model refits, on the full history, every four new
-    /// observations.
-    pub min_train: usize,
-    /// Hard cap on in-sweep accurate simulations (cold start
-    /// included). `None` leaves escalation bounded only by the
-    /// confidence test. The final winner verification always runs and
-    /// is *not* counted against this budget; set the budget at least
-    /// `min_train` high or the model never trains.
-    pub budget: Option<usize>,
-}
-
-impl Default for UncertaintyPolicy {
-    fn default() -> Self {
-        UncertaintyPolicy {
-            predictor: PredictorKind::Bayes,
-            confidence: 1.0,
-            min_train: 6,
-            budget: None,
         }
     }
 }
@@ -809,54 +734,19 @@ pub(crate) fn escalate(
     session_on: &dyn Fn(Arc<dyn SimBackend>) -> Result<SimSession, CoreError>,
 ) -> Result<EscalatedTuneResult, CoreError> {
     require_trained(predictor)?;
-    match &esc.policy {
-        EscalationPolicy::Uncertainty(pol)
-            if !pol.confidence.is_finite() || pol.confidence < 0.0 =>
-        {
-            return Err(CoreError::Pipeline(
-                "uncertainty escalation needs a finite confidence >= 0".into(),
-            ));
-        }
-        EscalationPolicy::TopK if esc.top_k == 0 => {
-            return Err(CoreError::Pipeline(
-                "fidelity escalation needs top_k >= 1".into(),
-            ));
-        }
-        _ => {}
+    if esc.top_k == 0 {
+        return Err(CoreError::Pipeline(
+            "fidelity escalation needs top_k >= 1".into(),
+        ));
     }
     let explore = esc.explore.clone().unwrap_or(FidelitySpec::FastCount);
     let tier = explore.build(&spec.hierarchy)?;
     let accurate = session_on(FidelitySpec::Accurate.build(&spec.hierarchy)?)?;
     let cheap = session_on(tier)?;
     let builder = KernelBuilder::new(def.clone(), spec.isa.clone());
-    let (mut result, accurate_runs) = match &esc.policy {
-        EscalationPolicy::TopK => {
-            let mut eval = SessionScore::new(&cheap, predictor, opts);
-            let mut result = drive_sketch(def, spec, opts, 't', &mut eval)?;
-            let runs = rescore_finalists(&mut result, esc.top_k, &builder, &accurate, predictor)?;
-            (result, runs)
-        }
-        EscalationPolicy::Uncertainty(pol) => {
-            let mut eval = UncertaintyEscalate {
-                cheap: &cheap,
-                accurate: &accurate,
-                predictor,
-                pol,
-                online: OnlinePredictor::new(pol.predictor, opts.seed ^ 0x9E37, pol.min_train),
-                feat_norm: WindowNormalizer::new(opts.window),
-                acc_norm: WindowNormalizer::new(opts.window),
-                verified: Vec::new(),
-                pred_pairs: Vec::new(),
-                stats: PredictorStats::default(),
-                accurate_runs: 0,
-                replay_nanos: 0,
-                incumbent: f64::INFINITY,
-            };
-            let mut result = drive_sketch(def, spec, opts, 't', &mut eval)?;
-            eval.verify_winner(&mut result, &builder)?;
-            (result, eval.accurate_runs)
-        }
-    };
+    let mut eval = SessionScore::new(&cheap, predictor, opts);
+    let mut result = drive_sketch(def, spec, opts, 't', &mut eval)?;
+    let accurate_runs = rescore_finalists(&mut result, esc.top_k, &builder, &accurate, predictor)?;
     let explore_runs = result.simulations;
     result.simulations += accurate_runs;
     Ok(EscalatedTuneResult {
@@ -935,294 +825,6 @@ fn rescore_finalists(
     Ok(finalist_exes.len())
 }
 
-/// *Uncertainty-escalate*: active-learning escalation from the
-/// exploration tier ([`EscalationPolicy::Uncertainty`]). One batch at a
-/// time:
-///
-/// 1. run every built candidate on the cheap tier's session — the same
-///    one top-k explores on, memoized when a cache is attached;
-/// 2. in submission order, extract each candidate's feature vector,
-///    compute the [`ScorePredictor`]'s cheap-tier *provisional* score
-///    and query the online model, which learns the **residual** between
-///    provisional and accurate scores (multi-fidelity delta learning) —
-///    its corrected prediction is `provisional + residual mean`;
-/// 3. escalate the most promising candidates first (lowest provisional
-///    score during the cold start, lowest corrected mean once the model
-///    answers) whose lower confidence bound `mean − β·std` still
-///    overlaps the incumbent best accurate score, within the budget;
-/// 4. run the escalated candidates' *original* executables accurately
-///    (byte-for-byte what the cheap tier saw), feed the observed
-///    residuals back as training pairs, and refit on the batch boundary.
-///
-/// Non-escalated candidates keep the corrected mean (or, during the
-/// cold start, the provisional score) — so the history mixes accurate
-/// and predicted scores, and [`UncertaintyEscalate::verify_winner`]
-/// re-verifies the winner after the sweep.
-///
-/// All model training and querying happens here, on the producer
-/// thread, in submission order — `n_parallel` only changes how fast
-/// batches simulate, never what the model sees, which is what the
-/// escalation-determinism suite pins. Nothing overlaps: the next
-/// proposal may depend on this batch's accurate scores.
-struct UncertaintyEscalate<'a> {
-    cheap: &'a SimSession,
-    accurate: &'a SimSession,
-    predictor: &'a ScorePredictor,
-    pol: &'a UncertaintyPolicy,
-    online: OnlinePredictor,
-    /// Two normalizer streams: the feature stream sees every cheap-tier
-    /// sample (model inputs), the accurate stream only escalated
-    /// candidates (training labels / final scores). Both are fed in
-    /// submission order only.
-    feat_norm: WindowNormalizer,
-    acc_norm: WindowNormalizer,
-    /// Per history record: its score is final (accurate-tier, or the
-    /// failure penalty) rather than model-predicted.
-    verified: Vec<bool>,
-    pred_pairs: Vec<(f64, f64)>,
-    stats: PredictorStats,
-    accurate_runs: usize,
-    replay_nanos: u64,
-    incumbent: f64,
-}
-
-impl Evaluate for UncertaintyEscalate<'_> {
-    type Pending = (Vec<Executable>, usize);
-    const OVERLAPS: bool = false;
-
-    fn start(&mut self, trials: Vec<Trial>, first_index: usize) -> Self::Pending {
-        (
-            trials.into_iter().map(Trial::into_built).collect(),
-            first_index,
-        )
-    }
-
-    fn finish(
-        &mut self,
-        (kept_exes, first_index): Self::Pending,
-        timings: &mut StageTimings,
-    ) -> Result<Vec<f64>, CoreError> {
-        let (predictor, pol) = (self.predictor, self.pol);
-        let fc = predictor.feature_config();
-        let t0 = Instant::now();
-        let reports = self.cheap.run(&kept_exes);
-        timings.sim_nanos += since(t0);
-
-        // Decision pass, two phases. Phase 1 — strictly in submission
-        // order (the normalizer streams and the model must see
-        // candidates exactly as submitted): features, the cheap-tier
-        // provisional score, and the model query. The online model
-        // learns the *residual* between the provisional and the
-        // accurate score (multi-fidelity delta learning): with zero
-        // observations the tier already ranks like the offline
-        // predictor, and every escalation refines the correction.
-        let t0 = Instant::now();
-        let n_kept = kept_exes.len();
-        let mut features_of: Vec<Option<Vec<f64>>> = Vec::with_capacity(n_kept);
-        let mut provisional: Vec<f64> = vec![f64::INFINITY; n_kept];
-        let mut predictions: Vec<Option<Prediction>> = Vec::with_capacity(n_kept);
-        for (i, rep) in reports.iter().enumerate() {
-            let Ok(report) = rep else {
-                features_of.push(None);
-                predictions.push(None);
-                continue;
-            };
-            self.replay_nanos += report.stats.host_nanos;
-            let raw = crate::features::raw_sample(&report.stats, fc);
-            self.feat_norm.feed(&raw);
-            let feats = self.feat_norm.features(&raw, fc);
-            provisional[i] = predictor.score_features(&feats)?;
-            let q = self.online.predict(&feats).map(|p| Prediction {
-                mean: provisional[i] + p.mean,
-                std: p.std,
-            });
-            if q.is_some() {
-                self.stats.queries += 1;
-            }
-            features_of.push(Some(feats));
-            predictions.push(q);
-        }
-
-        // Phase 2: pick the escalation set most-promising-first — by
-        // provisional score during the cold start, by corrected mean
-        // once the model answers — so a tight budget is spent on the
-        // candidates most likely to beat the incumbent. The stable
-        // sort keeps ties in submission order, so the selection stays
-        // bit-deterministic at every `n_parallel`.
-        let mut escalate = vec![false; n_kept];
-        let mut eligible: Vec<usize> = (0..n_kept).filter(|&i| features_of[i].is_some()).collect();
-        let promise =
-            |i: usize| -> f64 { predictions[i].as_ref().map_or(provisional[i], |p| p.mean) };
-        eligible.sort_by(|&a, &b| promise(a).total_cmp(&promise(b)));
-        let mut planned = 0usize;
-        for &i in &eligible {
-            if pol
-                .budget
-                .is_some_and(|b| self.accurate_runs + planned >= b)
-            {
-                break;
-            }
-            let esc_now = match &predictions[i] {
-                // Cold start: simulate until the first training set
-                // exists. `planned` keeps one batch from overshooting
-                // `min_train` before the model ever fits.
-                None => self.online.observations() + planned < pol.min_train,
-                Some(p) => !self.incumbent.is_finite() || p.lower(pol.confidence) <= self.incumbent,
-            };
-            if esc_now {
-                escalate[i] = true;
-                planned += 1;
-            }
-        }
-        let mut scores: Vec<f64> = vec![f64::INFINITY; n_kept];
-        for i in 0..n_kept {
-            if features_of[i].is_some() && !escalate[i] {
-                scores[i] = promise(i);
-            }
-        }
-        timings.score_nanos += since(t0);
-
-        // Accurate pass over the escalated originals, still in order.
-        let esc_idx: Vec<usize> = (0..n_kept).filter(|&i| escalate[i]).collect();
-        let esc_exes: Vec<_> = esc_idx.iter().map(|&i| kept_exes[i].clone()).collect();
-        self.accurate_runs += esc_exes.len();
-        self.stats.escalations += esc_exes.len() as u64;
-        let t0 = Instant::now();
-        let acc_reports = self.accurate.run_stats(&esc_exes);
-        timings.sim_nanos += since(t0);
-        let t0 = Instant::now();
-        for (&i, r) in esc_idx.iter().zip(acc_reports) {
-            let Ok(s) = r else {
-                continue; // scores[i] stays the INFINITY penalty
-            };
-            self.replay_nanos += s.host_nanos;
-            let score = predictor.score_streaming(&s, &mut self.acc_norm)?;
-            if let Some(p) = &predictions[i] {
-                self.pred_pairs.push((p.mean, score));
-            }
-            if let Some(f) = &features_of[i] {
-                // Train on the residual; the decision pass adds the
-                // provisional back when querying.
-                self.online.observe(f, score - provisional[i]);
-            }
-            scores[i] = score;
-            self.incumbent = self.incumbent.min(score);
-        }
-        if self.online.refit() {
-            self.stats.train_events += 1;
-        }
-        // Records between the batches handed over here are failed
-        // builds: their penalty score is final.
-        self.verified.resize(first_index, true);
-        self.verified
-            .extend((0..n_kept).map(|i| escalate[i] || !scores[i].is_finite()));
-        timings.score_nanos += since(t0);
-        Ok(scores)
-    }
-
-    fn replay_nanos(&self) -> u64 {
-        self.replay_nanos
-    }
-}
-
-impl UncertaintyEscalate<'_> {
-    /// Winner verification: the returned best always carries an
-    /// accurate-tier score. While the best-scoring record holds a
-    /// predicted score it is re-simulated accurately and rescored; each
-    /// round either confirms the current arg-min or demotes it, so this
-    /// terminates within `history.len()` accurate runs (far fewer in
-    /// practice — the winner usually *was* escalated). Then the run's
-    /// predictor counters are closed into `result`.
-    fn verify_winner(
-        &mut self,
-        result: &mut TuneResult,
-        builder: &KernelBuilder,
-    ) -> Result<(), CoreError> {
-        let history = &mut result.history;
-        self.verified.resize(history.len(), true);
-        loop {
-            let best = argmin_score(history).expect("drive returns a non-empty history");
-            if history[best].score.is_infinite() {
-                return Err(CoreError::Pipeline(
-                    "no candidate survived accurate verification".into(),
-                ));
-            }
-            if self.verified[best] {
-                result.best_index = best;
-                break;
-            }
-            self.verified[best] = true;
-            let t0 = Instant::now();
-            let name = format!("{}v{best}", builder.def().name);
-            let built = builder.build(&history[best].schedule, &name);
-            result.timings.build_nanos += since(t0);
-            let Ok(exe) = built else {
-                history[best].score = f64::INFINITY;
-                continue;
-            };
-            self.accurate_runs += 1;
-            self.stats.escalations += 1;
-            let t0 = Instant::now();
-            let report = self
-                .accurate
-                .run_stats(std::slice::from_ref(&exe))
-                .pop()
-                .expect("one report per executable");
-            result.timings.sim_nanos += since(t0);
-            history[best].score = match report {
-                Ok(s) => {
-                    self.replay_nanos += s.host_nanos;
-                    self.predictor.score_streaming(&s, &mut self.acc_norm)?
-                }
-                Err(_) => f64::INFINITY,
-            };
-        }
-
-        self.stats.observations = self.online.observations() as u64;
-        self.stats.avoided_simulations = history
-            .iter()
-            .zip(&self.verified)
-            .filter(|(r, v)| r.score.is_finite() && !**v)
-            .count() as u64;
-        if !self.pred_pairs.is_empty() {
-            let abs_error: f64 = self.pred_pairs.iter().map(|(p, a)| (p - a).abs()).sum();
-            self.stats.mean_abs_error = abs_error / self.pred_pairs.len() as f64;
-            self.stats.mean_abs_rank_error = rank_displacement(&self.pred_pairs);
-        }
-        result.predictor = Some(self.stats);
-        result.replay_nanos = self.replay_nanos;
-        Ok(())
-    }
-}
-
-/// Mean |rank(predicted) − rank(accurate)| over `(predicted, accurate)`
-/// score pairs, normalized by the maximum displacement `n − 1`; `0`
-/// with fewer than two pairs.
-fn rank_displacement(pairs: &[(f64, f64)]) -> f64 {
-    let n = pairs.len();
-    if n < 2 {
-        return 0.0;
-    }
-    let rank = |xs: &[f64]| {
-        let order = simtune_linalg::stats::argsort(xs);
-        let mut r = vec![0usize; xs.len()];
-        for (pos, &i) in order.iter().enumerate() {
-            r[i] = pos;
-        }
-        r
-    };
-    let pred: Vec<f64> = pairs.iter().map(|p| p.0).collect();
-    let acc: Vec<f64> = pairs.iter().map(|p| p.1).collect();
-    let rp = rank(&pred);
-    let ra = rank(&acc);
-    let total: f64 = rp
-        .iter()
-        .zip(&ra)
-        .map(|(&a, &b)| (a as f64 - b as f64).abs())
-        .sum();
-    total / n as f64 / (n - 1) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1252,7 +854,6 @@ mod tests {
 
     impl Evaluate for SlowSubmit {
         type Pending = usize;
-        const OVERLAPS: bool = false;
 
         fn start(&mut self, trials: Vec<Trial>, _first_index: usize) -> usize {
             let t0 = Instant::now();
@@ -1484,130 +1085,6 @@ mod tests {
         .unwrap();
         assert_eq!(result.strategy, "hill_climb");
         assert_eq!(result.history.len(), 6);
-    }
-
-    fn uncertainty_esc(kind: PredictorKind, budget: Option<usize>) -> EscalationOptions {
-        EscalationOptions {
-            policy: EscalationPolicy::Uncertainty(UncertaintyPolicy {
-                predictor: kind,
-                min_train: 4,
-                confidence: 1.0,
-                budget,
-            }),
-            ..EscalationOptions::default()
-        }
-    }
-
-    #[test]
-    fn uncertainty_escalation_needs_fewer_accurate_sims() {
-        let (def, spec) = setup();
-        let predictor = trained_predictor(&def, &spec);
-        let cache = Arc::new(SimCache::new());
-        let opts = TuneOptions {
-            n_trials: 24,
-            batch_size: 8,
-            n_parallel: 4,
-            seed: 9,
-            memo_cache: Some(cache.clone()),
-            ..Default::default()
-        };
-        let esc = uncertainty_esc(PredictorKind::LinReg, None);
-        let out = tune_with_fidelity_escalation(&def, &spec, &predictor, &opts, &esc).unwrap();
-        // The policy explores on the plain tier session, so the cheap
-        // pass is memoized like the accurate one.
-        assert_eq!(out.explore_backend, "fast-count");
-        assert_eq!(
-            cache.stats().lookups(),
-            (out.explore_runs + out.accurate_runs) as u64
-        );
-        assert_eq!(out.final_backend, "accurate");
-        assert_eq!(out.result.history.len(), 24);
-        assert_eq!(
-            out.explore_runs, 24,
-            "every candidate ran on the cheap tier"
-        );
-        assert!(
-            out.accurate_runs < opts.n_trials,
-            "accurate runs {} must undercut accurate-only {}",
-            out.accurate_runs,
-            opts.n_trials
-        );
-        assert!(out.result.best().score.is_finite());
-        let ps = out
-            .result
-            .predictor
-            .expect("uncertainty flow records stats");
-        assert_eq!(ps.escalations as usize, out.accurate_runs);
-        assert!(ps.train_events >= 1, "the model must have fitted");
-        assert!(ps.observations >= 4);
-        assert!(ps.queries > 0, "the trained model must have been queried");
-        assert!(ps.mean_abs_rank_error >= 0.0 && ps.mean_abs_rank_error <= 1.0);
-    }
-
-    #[test]
-    fn uncertainty_budget_caps_in_sweep_escalations() {
-        let (def, spec) = setup();
-        let predictor = trained_predictor(&def, &spec);
-        let opts = TuneOptions {
-            n_trials: 16,
-            batch_size: 8,
-            n_parallel: 2,
-            seed: 4,
-            ..Default::default()
-        };
-        // An enormous confidence band would escalate everything; the
-        // budget has to hold the line (winner verification excepted).
-        let esc = EscalationOptions {
-            policy: EscalationPolicy::Uncertainty(UncertaintyPolicy {
-                predictor: PredictorKind::LinReg,
-                min_train: 4,
-                confidence: 1e6,
-                budget: Some(5),
-            }),
-            ..EscalationOptions::default()
-        };
-        let out = tune_with_fidelity_escalation(&def, &spec, &predictor, &opts, &esc).unwrap();
-        let ps = out.result.predictor.expect("stats recorded");
-        assert!(
-            ps.avoided_simulations > 0,
-            "the budget must have left candidates on the predicted tier"
-        );
-        // 5 budgeted runs plus the (bounded) winner-verification loop.
-        assert!(
-            out.accurate_runs < opts.n_trials,
-            "accurate runs {} out of {} trials",
-            out.accurate_runs,
-            opts.n_trials
-        );
-    }
-
-    #[test]
-    fn uncertainty_escalation_rejects_bad_confidence() {
-        let (def, spec) = setup();
-        let predictor = trained_predictor(&def, &spec);
-        let esc = EscalationOptions {
-            policy: EscalationPolicy::Uncertainty(UncertaintyPolicy {
-                confidence: f64::NAN,
-                ..UncertaintyPolicy::default()
-            }),
-            ..EscalationOptions::default()
-        };
-        let err =
-            tune_with_fidelity_escalation(&def, &spec, &predictor, &TuneOptions::default(), &esc);
-        assert!(matches!(err, Err(CoreError::Pipeline(_))));
-    }
-
-    #[test]
-    fn rank_displacement_is_normalized() {
-        assert_eq!(rank_displacement(&[]), 0.0);
-        assert_eq!(rank_displacement(&[(1.0, 5.0)]), 0.0);
-        // Perfect agreement.
-        assert_eq!(
-            rank_displacement(&[(1.0, 10.0), (2.0, 20.0), (3.0, 30.0)]),
-            0.0
-        );
-        // Full reversal of n=2 is the maximum displacement 1.
-        assert_eq!(rank_displacement(&[(1.0, 20.0), (2.0, 10.0)]), 1.0);
     }
 
     #[test]

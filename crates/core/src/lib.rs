@@ -52,7 +52,6 @@ mod memo;
 mod metrics;
 mod pipelined;
 mod pool;
-mod predicted;
 mod runner;
 mod score;
 pub mod search;
@@ -62,8 +61,8 @@ mod workflow;
 
 pub use autotune::{
     tune_on_hardware, tune_template_space, tune_with_fidelity_escalation, tune_with_predictor,
-    tune_with_predictor_on, EscalatedTuneResult, EscalationOptions, EscalationPolicy, TuneOptions,
-    TuneRecord, TuneResult, UncertaintyPolicy,
+    tune_with_predictor_on, EscalatedTuneResult, EscalationOptions, TuneOptions, TuneRecord,
+    TuneResult,
 };
 pub use backend::{
     AccurateBackend, BackendError, FastCountBackend, SimBackend, SimReport, SimSession,
@@ -78,8 +77,7 @@ pub use fidelity::{FidelitySpec, DEFAULT_BTB_ENTRIES, DEFAULT_RAS_DEPTH};
 pub use memo::{fingerprint as memo_fingerprint, SimCache};
 pub use metrics::{
     e_top1, parallel_speedup_k, prediction_metrics, quality_score, r_top1, ConvergenceStats,
-    MemoCacheStats, PredictionMetrics, PredictorStats, SnapshotStats, StageTimings, TenantStats,
-    WorkerPoolStats,
+    MemoCacheStats, PredictionMetrics, SnapshotStats, StageTimings, TenantStats, WorkerPoolStats,
 };
 pub use pipelined::{PipelinedBackend, PIPELINED};
 pub use pool::BatchTicket;

@@ -70,60 +70,6 @@ pub struct TenantStats {
     pub memo: MemoCacheStats,
     /// This tenant's share of the shared pool's execution counters.
     pub pool: WorkerPoolStats,
-    /// Accumulated online-predictor counters over all of this tenant's
-    /// escalated tunes (all-zero when the tenant never used the
-    /// uncertainty policy).
-    pub predictor: PredictorStats,
-}
-
-/// Counters of the uncertainty escalation policy's online model
-/// ([`crate::EscalationPolicy::Uncertainty`]), surfaced on [`crate::TuneResult::predictor`] and aggregated per
-/// tenant on [`TenantStats::predictor`].
-///
-/// `avoided_simulations` is the headline number: candidates whose score
-/// was answered by the model alone, i.e. accurate simulations the sweep
-/// never had to run. The error fields compare the model's prediction
-/// with the accurate score *on escalated candidates only* (those are the
-/// only ones where both numbers exist).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct PredictorStats {
-    /// Times the model was (re)fitted during the sweep.
-    pub train_events: u64,
-    /// (feature vector, accurate score) pairs fed to the model.
-    pub observations: u64,
-    /// Per-candidate uncertainty queries answered by the model.
-    pub queries: u64,
-    /// Candidates escalated to the accurate tier (including the final
-    /// winner's verification runs).
-    pub escalations: u64,
-    /// Candidates whose score stayed model-predicted — accurate
-    /// simulations the policy avoided.
-    pub avoided_simulations: u64,
-    /// Mean |predicted − accurate| over escalated candidates with a
-    /// model prediction (0 when none).
-    pub mean_abs_error: f64,
-    /// Mean absolute rank displacement between the predicted and the
-    /// accurate ordering of those candidates, normalized to `[0, 1]`
-    /// (0 when fewer than two pairs exist).
-    pub mean_abs_rank_error: f64,
-}
-
-impl PredictorStats {
-    /// Folds another run's counters into this accumulator; the error
-    /// means are weighted by each side's escalation count.
-    pub fn merge(&mut self, other: &PredictorStats) {
-        let (a, b) = (self.escalations as f64, other.escalations as f64);
-        if a + b > 0.0 {
-            self.mean_abs_error = (self.mean_abs_error * a + other.mean_abs_error * b) / (a + b);
-            self.mean_abs_rank_error =
-                (self.mean_abs_rank_error * a + other.mean_abs_rank_error * b) / (a + b);
-        }
-        self.train_events += other.train_events;
-        self.observations += other.observations;
-        self.queries += other.queries;
-        self.escalations += other.escalations;
-        self.avoided_simulations += other.avoided_simulations;
-    }
 }
 
 /// Lifetime execution counters of a [`crate::SimSession`]'s persistent
@@ -435,40 +381,6 @@ mod tests {
         };
         assert_eq!(t.total_nanos(), 10);
         assert_eq!(StageTimings::default().total_nanos(), 0);
-    }
-
-    #[test]
-    fn predictor_stats_merge_weights_errors_by_escalations() {
-        let mut a = PredictorStats {
-            train_events: 2,
-            observations: 10,
-            queries: 20,
-            escalations: 4,
-            avoided_simulations: 16,
-            mean_abs_error: 1.0,
-            mean_abs_rank_error: 0.2,
-        };
-        let b = PredictorStats {
-            train_events: 1,
-            observations: 6,
-            queries: 12,
-            escalations: 12,
-            avoided_simulations: 0,
-            mean_abs_error: 2.0,
-            mean_abs_rank_error: 0.6,
-        };
-        a.merge(&b);
-        assert_eq!(a.train_events, 3);
-        assert_eq!(a.observations, 16);
-        assert_eq!(a.queries, 32);
-        assert_eq!(a.escalations, 16);
-        assert_eq!(a.avoided_simulations, 16);
-        assert!((a.mean_abs_error - (1.0 * 4.0 + 2.0 * 12.0) / 16.0).abs() < 1e-12);
-        assert!((a.mean_abs_rank_error - (0.2 * 4.0 + 0.6 * 12.0) / 16.0).abs() < 1e-12);
-        // Merging into an empty accumulator copies the other side.
-        let mut empty = PredictorStats::default();
-        empty.merge(&a);
-        assert_eq!(empty, a);
     }
 
     #[test]

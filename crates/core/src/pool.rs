@@ -43,7 +43,7 @@
 
 use crate::backend::{SimBackend, SimReport};
 use crate::memo::{fingerprint, RequestKey, SimCache};
-use crate::metrics::{PredictorStats, WorkerPoolStats};
+use crate::metrics::WorkerPoolStats;
 use crate::CoreError;
 use simtune_isa::{EngineKind, Executable, RunLimits};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -71,10 +71,7 @@ fn relock<T>(result: LockResult<MutexGuard<'_, T>>) -> MutexGuard<'_, T> {
 /// Per-tenant execution counters, shared between a service tenant's
 /// session (which bumps memo hits/misses at plan time) and the pool's
 /// workers (which bump trials/busy as they execute that tenant's
-/// batches). The atomics are monotone and lock-free; the predictor
-/// accumulator is a mutex because escalated tuning runs merge whole
-/// [`PredictorStats`] records at once, always from the tenant's own
-/// producer thread.
+/// batches). The atomics are monotone and lock-free.
 #[derive(Default)]
 pub(crate) struct TenantCounters {
     pub(crate) memo_hits: AtomicU64,
@@ -82,7 +79,6 @@ pub(crate) struct TenantCounters {
     pub(crate) batches: AtomicU64,
     pub(crate) trials: AtomicU64,
     pub(crate) busy_nanos: AtomicU64,
-    pub(crate) predictor: Mutex<PredictorStats>,
 }
 
 /// A write-once result slot a duplicate trial (follower) waits on until

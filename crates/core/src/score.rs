@@ -250,22 +250,7 @@ impl ScorePredictor {
         let raw = raw_sample(stats, &self.feature_config);
         normalizer.feed(&raw);
         let features = normalizer.features(&raw, &self.feature_config);
-        self.score_features(&features)
-    }
-
-    /// Scores one already-normalized feature row — the low-level half
-    /// of [`ScorePredictor::score_streaming`], for callers that manage
-    /// their own [`WindowNormalizer`] stream and need the model's score
-    /// for a feature vector they extracted themselves (the
-    /// uncertainty-escalation loop shares one fed sample between its
-    /// online model and this provisional score).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Predict`] when the row's width (an empty row
-    /// included) does not match the trained model.
-    pub fn score_features(&self, features: &[f64]) -> Result<f64, CoreError> {
-        let x = Matrix::from_vec(1, features.len(), features.to_vec())
+        let x = Matrix::from_vec(1, features.len(), features)
             .map_err(|e| CoreError::Pipeline(format!("feature row: {e}")))?;
         Ok(self.model.predict(&x)?[0])
     }

@@ -340,7 +340,6 @@ fn tenant_stats(name: &str, c: &TenantCounters, workers: usize, wall_nanos: u64)
             busy_nanos: c.busy_nanos.load(Ordering::Relaxed),
             wall_nanos,
         },
-        predictor: *c.predictor.lock().unwrap_or_else(PoisonError::into_inner),
     }
 }
 
@@ -402,10 +401,7 @@ impl TenantSession {
     /// and counters and hit the shared memo cache, whatever backend the
     /// tenant itself was opened on. `opts.n_parallel` and
     /// `opts.memo_cache` are ignored in favor of the service's pool and
-    /// cache. When the uncertainty policy is active, the run's
-    /// [`PredictorStats`](crate::metrics::PredictorStats) are folded
-    /// into this tenant's counters and surface through
-    /// [`TenantSession::stats`] and [`SimService::tenant_stats`].
+    /// cache.
     ///
     /// # Errors
     ///
@@ -418,17 +414,9 @@ impl TenantSession {
         opts: &TuneOptions,
         esc: &EscalationOptions,
     ) -> Result<EscalatedTuneResult, CoreError> {
-        let out = escalate(def, spec, predictor, opts, esc, &|backend| {
+        escalate(def, spec, predictor, opts, esc, &|backend| {
             Ok(self.session.on_backend(backend, opts.engine))
-        })?;
-        if let Some(ps) = &out.result.predictor {
-            self.counters
-                .predictor
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .merge(ps);
-        }
-        Ok(out)
+        })
     }
 
     /// This tenant's counters: memo hits/misses and its share of the

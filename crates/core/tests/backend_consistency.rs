@@ -13,8 +13,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simtune_core::{
     collect_group_data, raw_sample, tune_with_fidelity_escalation, AccurateBackend, CollectOptions,
-    EscalationOptions, EscalationPolicy, FastCountBackend, FeatureConfig, KernelBuilder,
-    ScorePredictor, SimBackend, TuneOptions, UncertaintyPolicy, WindowKind, WindowNormalizer,
+    EscalationOptions, FastCountBackend, FeatureConfig, KernelBuilder, ScorePredictor, SimBackend,
+    TuneOptions, WindowKind, WindowNormalizer,
 };
 use simtune_hw::TargetSpec;
 use simtune_isa::{Executable, RunLimits};
@@ -133,25 +133,14 @@ fn fast_count_is_scorable_and_escalation_completes_on_every_paper_target() {
             seed: 3,
             ..TuneOptions::default()
         };
-        let uncertainty = UncertaintyPolicy {
-            predictor: PredictorKind::LinReg,
-            min_train: 4,
-            ..UncertaintyPolicy::default()
+        // The default exploration tier: fast-count.
+        let esc = EscalationOptions {
+            top_k: 4,
+            ..EscalationOptions::default()
         };
-        for policy in [
-            EscalationPolicy::TopK,
-            EscalationPolicy::Uncertainty(uncertainty),
-        ] {
-            // The default exploration tier: fast-count.
-            let esc = EscalationOptions {
-                top_k: 4,
-                policy,
-                ..EscalationOptions::default()
-            };
-            let out = tune_with_fidelity_escalation(&def, &spec, &predictor, &opts, &esc)
-                .unwrap_or_else(|e| panic!("{arch}: escalated tune failed: {e}"));
-            assert_eq!(out.explore_backend, "fast-count", "{arch}");
-            assert!(out.result.best().score.is_finite(), "{arch}");
-        }
+        let out = tune_with_fidelity_escalation(&def, &spec, &predictor, &opts, &esc)
+            .unwrap_or_else(|e| panic!("{arch}: escalated tune failed: {e}"));
+        assert_eq!(out.explore_backend, "fast-count", "{arch}");
+        assert!(out.result.best().score.is_finite(), "{arch}");
     }
 }

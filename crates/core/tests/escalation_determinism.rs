@@ -1,18 +1,10 @@
-//! The determinism contract of the fidelity-escalation flows: same
-//! seed + same policy ⇒ bit-identical [`TuneResult`] at every
-//! `n_parallel`, for the static top-k policy and the learned
-//! uncertainty policy alike.
-//!
-//! The uncertainty flow is the delicate one — its online model is
-//! trained *during* the sweep, so any parallelism-dependent reordering
-//! of observations would change what the model learns and thereby which
-//! candidates escalate. Everything model-facing runs on the producer
-//! thread in submission order, which is what these tests pin.
+//! The determinism contract of fidelity escalation: same seed + same
+//! options ⇒ bit-identical [`TuneResult`] at every `n_parallel`, the
+//! cheap-tier exploration and the top-k finalists alike.
 
 use simtune_core::{
     collect_group_data, tune_with_fidelity_escalation, CollectOptions, EscalatedTuneResult,
-    EscalationOptions, EscalationPolicy, ScorePredictor, StrategySpec, TuneOptions,
-    UncertaintyPolicy,
+    EscalationOptions, ScorePredictor, StrategySpec, TuneOptions,
 };
 use simtune_hw::TargetSpec;
 use simtune_predict::PredictorKind;
@@ -87,42 +79,6 @@ fn assert_identical(a: &EscalatedTuneResult, b: &EscalatedTuneResult, label: &st
     );
     assert_eq!(a.explore_runs, b.explore_runs, "{label}: explore runs");
     assert_eq!(a.accurate_runs, b.accurate_runs, "{label}: accurate runs");
-    assert_eq!(
-        a.result.predictor, b.result.predictor,
-        "{label}: predictor stats"
-    );
-}
-
-fn uncertainty(kind: PredictorKind) -> EscalationOptions {
-    EscalationOptions {
-        policy: EscalationPolicy::Uncertainty(UncertaintyPolicy {
-            predictor: kind,
-            confidence: 1.0,
-            min_train: 4,
-            budget: None,
-        }),
-        ..EscalationOptions::default()
-    }
-}
-
-#[test]
-fn uncertainty_escalation_is_identical_at_every_parallelism() {
-    let (def, spec) = workload();
-    let predictor = trained_predictor(&def, &spec);
-    for kind in [PredictorKind::LinReg, PredictorKind::Xgboost] {
-        let esc = uncertainty(kind);
-        let base = run(&def, &spec, &predictor, &esc, 1);
-        assert!(base.result.best().score.is_finite());
-        assert!(base.result.predictor.is_some());
-        for n_parallel in [2, 4] {
-            let other = run(&def, &spec, &predictor, &esc, n_parallel);
-            assert_identical(
-                &base,
-                &other,
-                &format!("{} n_parallel={n_parallel}", kind.label()),
-            );
-        }
-    }
 }
 
 #[test]
@@ -135,14 +91,4 @@ fn topk_escalation_is_identical_at_every_parallelism() {
         let other = run(&def, &spec, &predictor, &esc, n_parallel);
         assert_identical(&base, &other, &format!("top-k n_parallel={n_parallel}"));
     }
-}
-
-#[test]
-fn uncertainty_escalation_reruns_are_bit_identical() {
-    let (def, spec) = workload();
-    let predictor = trained_predictor(&def, &spec);
-    let esc = uncertainty(PredictorKind::LinReg);
-    let a = run(&def, &spec, &predictor, &esc, 4);
-    let b = run(&def, &spec, &predictor, &esc, 4);
-    assert_identical(&a, &b, "rerun at n_parallel=4");
 }

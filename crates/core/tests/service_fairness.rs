@@ -13,8 +13,8 @@
 
 use simtune_core::{
     collect_group_data, tune_with_fidelity_escalation, tune_with_predictor, CollectOptions,
-    EscalationOptions, EscalationPolicy, ScorePredictor, SimCache, SimService, SnapshotLoad,
-    StrategySpec, TenantSession, TuneOptions, TuneResult, UncertaintyPolicy,
+    EscalationOptions, ScorePredictor, SimCache, SimService, SnapshotLoad, StrategySpec,
+    TenantSession, TuneOptions, TuneResult,
 };
 use simtune_hw::TargetSpec;
 use simtune_predict::PredictorKind;
@@ -205,54 +205,41 @@ fn warm_loaded_snapshot_reproduces_the_cold_tune_with_zero_executions() {
 #[test]
 fn escalated_tunes_run_on_the_tenants_lane_of_the_shared_pool() {
     let w = workload(8, 17);
-    let policies = [
-        EscalationPolicy::TopK,
-        EscalationPolicy::Uncertainty(UncertaintyPolicy {
-            predictor: PredictorKind::LinReg,
-            min_train: 4,
-            ..UncertaintyPolicy::default()
-        }),
-    ];
-    for policy in policies {
-        let esc = EscalationOptions {
-            top_k: 3,
-            policy,
-            ..EscalationOptions::default()
-        };
-        let solo = tune_with_fidelity_escalation(&w.def, &w.spec, &w.predictor, &w.opts, &esc)
-            .expect("stand-alone escalation");
+    let esc = EscalationOptions {
+        top_k: 3,
+        ..EscalationOptions::default()
+    };
+    let solo = tune_with_fidelity_escalation(&w.def, &w.spec, &w.predictor, &w.opts, &esc)
+        .expect("stand-alone escalation");
 
-        let service = SimService::builder().n_parallel(2).build();
-        let tenant = service
-            .open_accurate("esc", &w.spec.hierarchy)
-            .expect("tenant");
-        let before = service.pool_stats().trials;
-        let out = tenant
-            .tune_escalated(&w.def, &w.spec, &w.predictor, &w.opts, &esc)
-            .expect("escalated tune");
+    let service = SimService::builder().n_parallel(2).build();
+    let tenant = service
+        .open_accurate("esc", &w.spec.hierarchy)
+        .expect("tenant");
+    let before = service.pool_stats().trials;
+    let out = tenant
+        .tune_escalated(&w.def, &w.spec, &w.predictor, &w.opts, &esc)
+        .expect("escalated tune");
 
-        assert_eq!(
-            digest(&out.result),
-            digest(&solo.result),
-            "{:?}: the served tune must match the stand-alone one",
-            esc.policy
-        );
-        assert_eq!(
-            (out.explore_runs, out.accurate_runs),
-            (solo.explore_runs, solo.accurate_runs)
-        );
+    assert_eq!(
+        digest(&out.result),
+        digest(&solo.result),
+        "the served tune must match the stand-alone one"
+    );
+    assert_eq!(
+        (out.explore_runs, out.accurate_runs),
+        (solo.explore_runs, solo.accurate_runs)
+    );
 
-        // Both tiers ran on the shared pool, under this tenant: every
-        // submission is either a memo hit or one pool trial.
-        let stats = tenant.stats();
-        let submitted = (out.explore_runs + out.accurate_runs) as u64;
-        assert!(submitted > 0 && stats.memo.misses > 0);
-        assert_eq!(stats.pool.trials, submitted - stats.memo.hits);
-        assert_eq!(
-            service.pool_stats().trials - before,
-            submitted - stats.memo.hits,
-            "{:?}: the shared pool executed the escalated tune",
-            esc.policy
-        );
-    }
+    // Both tiers ran on the shared pool, under this tenant: every
+    // submission is either a memo hit or one pool trial.
+    let stats = tenant.stats();
+    let submitted = (out.explore_runs + out.accurate_runs) as u64;
+    assert!(submitted > 0 && stats.memo.misses > 0);
+    assert_eq!(stats.pool.trials, submitted - stats.memo.hits);
+    assert_eq!(
+        service.pool_stats().trials - before,
+        submitted - stats.memo.hits,
+        "the shared pool executed the escalated tune"
+    );
 }

@@ -1,10 +1,10 @@
-//! Pins the five tuning fronts across refactors of the loop they share.
+//! Pins the four tuning fronts across refactors of the loop they share.
 //!
 //! The determinism suites compare a run with itself at another
 //! `n_parallel`, so a change that moves every flow the same way passes
 //! them. This file compares against *committed* values instead:
 //!
-//! * [`flows_match_their_pinned_outcomes`] — five strategies × five
+//! * [`flows_match_their_pinned_outcomes`] — five strategies × four
 //!   fronts on one fixed workload; the discrete outcome of every cell
 //!   (visit order, winner, run counts, convergence counters) is checked
 //!   against [`PINNED`]. Each cell also prints one
@@ -20,16 +20,16 @@
 
 use simtune_core::{
     collect_group_data, tune_on_hardware, tune_template_space, tune_with_fidelity_escalation,
-    tune_with_predictor, CollectOptions, ConvergenceStats, EscalationOptions, EscalationPolicy,
-    Evaluation, HardwareRunner, KernelBuilder, RandomSearch, ScorePredictor, SearchStrategy,
-    SketchSpace, StrategySpec, TuneOptions, TuneResult, UncertaintyPolicy,
+    tune_with_predictor, CollectOptions, ConvergenceStats, EscalationOptions, Evaluation,
+    HardwareRunner, KernelBuilder, RandomSearch, ScorePredictor, SearchStrategy, SketchSpace,
+    StrategySpec, TuneOptions, TuneResult,
 };
 use simtune_hw::TargetSpec;
 use simtune_predict::PredictorKind;
 use simtune_tensor::{matmul, ComputeDef, ConfigSpace, Schedule, SketchParams};
 use std::sync::{Arc, Mutex};
 
-const FLOWS: [&str; 5] = ["predictor", "top_k", "uncertainty", "hardware", "template"];
+const FLOWS: [&str; 4] = ["predictor", "top_k", "hardware", "template"];
 
 fn trained_predictor(def: &ComputeDef, spec: &TargetSpec) -> ScorePredictor {
     let data = collect_group_data(
@@ -60,18 +60,6 @@ fn options(strategy: StrategySpec) -> TuneOptions {
         seed: 9,
         strategy,
         ..TuneOptions::default()
-    }
-}
-
-fn uncertainty() -> EscalationOptions {
-    EscalationOptions {
-        policy: EscalationPolicy::Uncertainty(UncertaintyPolicy {
-            predictor: PredictorKind::LinReg,
-            confidence: 1.0,
-            min_train: 4,
-            budget: None,
-        }),
-        ..EscalationOptions::default()
     }
 }
 
@@ -114,7 +102,6 @@ fn run_flow(
     match flow {
         "predictor" => plain(tune_with_predictor(def, spec, predictor, opts).expect("tunes")),
         "top_k" => escalated(top_k()),
-        "uncertainty" => escalated(uncertainty()),
         "hardware" => plain(tune_on_hardware(def, spec, opts).expect("tunes")),
         "template" => {
             let space = ConfigSpace::matmul(def, &spec.isa);
@@ -164,7 +151,7 @@ type Pin = (
 );
 
 #[rustfmt::skip]
-const PINNED: [Pin; 25] = [
+const PINNED: [Pin; 20] = [
     ("predictor", "random", 0x91ad_0270_83d2_6b47, 11, 12, 0, 0, 12, 12),
     ("predictor", "grid", 0x1e3f_edf3_3a73_3ea4, 11, 12, 0, 0, 12, 12),
     ("predictor", "hill_climb", 0x89c1_6b2f_2e83_2310, 11, 12, 0, 0, 12, 12),
@@ -175,11 +162,6 @@ const PINNED: [Pin; 25] = [
     ("top_k", "hill_climb", 0xc362_b57c_de79_ab80, 5, 15, 12, 3, 12, 12),
     ("top_k", "evolutionary", 0xaefb_a9cf_ac8e_3573, 5, 15, 12, 3, 12, 12),
     ("top_k", "annealing", 0x5833_29c3_8026_4546, 10, 15, 12, 3, 12, 12),
-    ("uncertainty", "random", 0x91ad_0270_83d2_6b47, 4, 18, 12, 6, 12, 12),
-    ("uncertainty", "grid", 0x1e3f_edf3_3a73_3ea4, 3, 16, 12, 4, 12, 12),
-    ("uncertainty", "hill_climb", 0x9960_abcd_81bd_8e66, 11, 17, 12, 5, 12, 12),
-    ("uncertainty", "evolutionary", 0x7cfe_b280_a2ef_e63b, 4, 18, 12, 6, 12, 12),
-    ("uncertainty", "annealing", 0x5833_29c3_8026_4546, 11, 17, 12, 5, 12, 12),
     ("hardware", "random", 0x91ad_0270_83d2_6b47, 0, 12, 0, 0, 12, 12),
     ("hardware", "grid", 0x1e3f_edf3_3a73_3ea4, 0, 12, 0, 0, 12, 12),
     ("hardware", "hill_climb", 0x195d_f468_4a2a_568d, 0, 12, 0, 0, 12, 12),
@@ -303,8 +285,8 @@ fn failed_builds_trail_their_batch() {
     let predictor = trained_predictor(&def, &spec);
     let builder = KernelBuilder::new(def.clone(), spec.isa.clone());
 
-    // The four sketch fronts, through the sabotaging custom strategy.
-    for flow in ["predictor", "top_k", "uncertainty", "hardware"] {
+    // The three sketch fronts, through the sabotaging custom strategy.
+    for flow in ["predictor", "top_k", "hardware"] {
         let log = Arc::new(Mutex::new(Log::default()));
         let opts = options(saboteur(&log));
         let out = run_flow(flow, &def, &spec, &predictor, &opts);
@@ -338,7 +320,7 @@ fn failed_builds_trail_their_batch() {
         }
 
         // `observe` saw the records in history order; the escalation
-        // fronts re-score finalists afterwards, so only the fronts
+        // front re-scores finalists afterwards, so only the fronts
         // without a post-pass compare score bits too.
         let seen: Vec<&str> = log.observed.iter().map(|(d, _)| d.as_str()).collect();
         assert_eq!(seen, got, "{flow}: observe order");

@@ -261,14 +261,6 @@ impl Regressor for BayesGpRegressor {
             .predict(x)
     }
 
-    /// Posterior mean and standard deviation of the tuned inner GP.
-    fn predict_with_uncertainty(&self, x: &Matrix) -> Result<(Vec<f64>, Vec<f64>), PredictError> {
-        self.inner
-            .as_ref()
-            .ok_or(PredictError::NotFitted)?
-            .predict_with_uncertainty(x)
-    }
-
     fn name(&self) -> &'static str {
         "bayes"
     }

@@ -76,9 +76,6 @@ pub struct DnnRegressor {
     layers: Vec<Dense>,
     standardizer: Option<Standardizer>,
     adam_t: u64,
-    /// Training-residual standard deviation, the network's (constant)
-    /// uncertainty estimate.
-    residual_std: f64,
 }
 
 impl DnnRegressor {
@@ -97,7 +94,6 @@ impl DnnRegressor {
             layers: Vec::new(),
             standardizer: None,
             adam_t: 0,
-            residual_std: 0.0,
         }
     }
 
@@ -236,15 +232,6 @@ impl Regressor for DnnRegressor {
         {
             return Err(PredictError::Diverged);
         }
-        // Residual spread over the (already standardized) training set.
-        let mse = (0..n)
-            .map(|i| {
-                let out = self.forward(xs.row(i)).last().expect("output")[0];
-                (out - y[i]) * (out - y[i])
-            })
-            .sum::<f64>()
-            / n as f64;
-        self.residual_std = mse.sqrt();
         Ok(())
     }
 
@@ -255,12 +242,6 @@ impl Regressor for DnnRegressor {
         Ok((0..xs.rows())
             .map(|i| self.forward(xs.row(i)).last().expect("output")[0])
             .collect())
-    }
-
-    fn predict_with_uncertainty(&self, x: &Matrix) -> Result<(Vec<f64>, Vec<f64>), PredictError> {
-        let means = self.predict(x)?;
-        let stds = vec![self.residual_std; means.len()];
-        Ok((means, stds))
     }
 
     fn name(&self) -> &'static str {
@@ -330,18 +311,6 @@ mod tests {
         assert_eq!(dnn.layers.len(), 6);
         assert_eq!(dnn.layers[0].w.rows(), 128);
         assert_eq!(dnn.layers[5].w.rows(), 1);
-    }
-
-    #[test]
-    fn uncertainty_is_finite_and_shared_across_rows() {
-        let x = Matrix::from_fn(32, 2, |i, j| (i + j) as f64 / 10.0);
-        let y: Vec<f64> = (0..32).map(|i| (i % 5) as f64).collect();
-        let mut dnn = DnnRegressor::new(small_config(3));
-        dnn.fit(&x, &y).unwrap();
-        let (means, stds) = dnn.predict_with_uncertainty(&x).unwrap();
-        assert_eq!(means.len(), stds.len());
-        assert!(stds.iter().all(|s| s.is_finite() && *s >= 0.0));
-        assert!(stds.windows(2).all(|w| w[0] == w[1]));
     }
 
     #[test]

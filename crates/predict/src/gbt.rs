@@ -474,47 +474,6 @@ impl Regressor for GbtRegressor {
             .collect())
     }
 
-    /// Sub-ensemble spread: the trees are split round-robin into up to
-    /// four folds, each fold's rescaled prediction is an independent
-    /// estimate, and the reported uncertainty is the standard deviation
-    /// across folds. The mean stays the full ensemble's prediction.
-    fn predict_with_uncertainty(&self, x: &Matrix) -> Result<(Vec<f64>, Vec<f64>), PredictError> {
-        self.check_input(x)?;
-        let n_trees = self.ensemble.tree_count();
-        let folds = 4.min(n_trees);
-        let mut bits = vec![0u64; n_trees];
-        let mut means = Vec::with_capacity(x.rows());
-        let stds = (0..x.rows())
-            .map(|i| {
-                self.ensemble.exits(x.row(i), &mut bits);
-                means.push(self.score(&bits));
-                let mut fold_sums = vec![0.0f64; folds];
-                let mut fold_counts = vec![0usize; folds];
-                for (t, &b) in bits.iter().enumerate() {
-                    fold_sums[t % folds] += self.ensemble.leaf(t, b);
-                    fold_counts[t % folds] += 1;
-                }
-                // Each fold rescaled as if it were the full ensemble.
-                let estimates: Vec<f64> = fold_sums
-                    .iter()
-                    .zip(&fold_counts)
-                    .map(|(s, &c)| {
-                        self.base_score
-                            + self.config.learning_rate * s * n_trees as f64 / c.max(1) as f64
-                    })
-                    .collect();
-                let mean = estimates.iter().sum::<f64>() / folds as f64;
-                let var = estimates
-                    .iter()
-                    .map(|e| (e - mean) * (e - mean))
-                    .sum::<f64>()
-                    / folds as f64;
-                var.sqrt()
-            })
-            .collect();
-        Ok((means, stds))
-    }
-
     fn name(&self) -> &'static str {
         "xgboost"
     }
@@ -645,25 +604,6 @@ mod tests {
     }
 
     #[test]
-    fn sub_ensemble_uncertainty_keeps_the_full_mean() {
-        let x = Matrix::from_fn(60, 1, |i, _| i as f64 / 6.0);
-        let y: Vec<f64> = (0..60).map(|i| (i as f64 / 6.0).sin()).collect();
-        let mut m = GbtRegressor::new(quick(7));
-        m.fit(&x, &y).unwrap();
-        let plain = m.predict(&x).unwrap();
-        let (means, stds) = m.predict_with_uncertainty(&x).unwrap();
-        assert_eq!(means, plain);
-        assert!(stds.iter().all(|s| s.is_finite() && *s >= 0.0));
-        // With subsampling on, the folds must actually disagree somewhere.
-        let mut cfg = quick(8);
-        cfg.subsample = 0.5;
-        let mut m2 = GbtRegressor::new(cfg);
-        m2.fit(&x, &y).unwrap();
-        let (_, stds2) = m2.predict_with_uncertainty(&x).unwrap();
-        assert!(stds2.iter().any(|s| *s > 0.0));
-    }
-
-    #[test]
     fn soft_threshold_behaviour() {
         assert_eq!(soft_threshold(5.0, 1.0), 4.0);
         assert_eq!(soft_threshold(-5.0, 1.0), -4.0);
@@ -699,31 +639,13 @@ mod tests {
     }
 
     /// The node walk over the same boosting rounds — the oracle for the
-    /// tables: `(predict, stds)` as the per-tree arenas computed them.
-    fn walk(m: &GbtRegressor, x: &Matrix, y: &[f64], q: &Matrix) -> (Vec<f64>, Vec<f64>) {
+    /// tables: `predict` as the per-tree arenas computed it.
+    fn walk(m: &GbtRegressor, x: &Matrix, y: &[f64], q: &Matrix) -> Vec<f64> {
         let (base, trees, _) = m.boost(x, y);
         let lr = m.config.learning_rate;
-        let folds = 4.min(trees.len());
         (0..q.rows())
-            .map(|i| {
-                let row = q.row(i);
-                let mean = base + lr * trees.iter().map(|t| t.predict(row)).sum::<f64>();
-                let mut sums = vec![0.0f64; folds];
-                let mut counts = vec![0usize; folds];
-                for (t, tree) in trees.iter().enumerate() {
-                    sums[t % folds] += tree.predict(row);
-                    counts[t % folds] += 1;
-                }
-                let est: Vec<f64> = sums
-                    .iter()
-                    .zip(&counts)
-                    .map(|(s, &c)| base + lr * s * trees.len() as f64 / c.max(1) as f64)
-                    .collect();
-                let mu = est.iter().sum::<f64>() / folds as f64;
-                let var = est.iter().map(|e| (e - mu) * (e - mu)).sum::<f64>() / folds as f64;
-                (mean, var.sqrt())
-            })
-            .unzip()
+            .map(|i| base + lr * trees.iter().map(|t| t.predict(q.row(i))).sum::<f64>())
+            .collect()
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {
@@ -781,12 +703,8 @@ mod tests {
             pool.extend(x.row(0));
             let q = Matrix::from_fn(16, d, |_, _| pool[rng.gen_range(0..pool.len())]);
 
-            let (want_mean, want_std) = walk(&m, &x, &y, &q);
             let got = m.predict(&q).unwrap();
-            proptest::prop_assert_eq!(bits(&got), bits(&want_mean));
-            let (means, stds) = m.predict_with_uncertainty(&q).unwrap();
-            proptest::prop_assert_eq!(bits(&means), bits(&want_mean));
-            proptest::prop_assert_eq!(bits(&stds), bits(&want_std));
+            proptest::prop_assert_eq!(bits(&got), bits(&walk(&m, &x, &y, &q)));
         }
     }
 }

@@ -175,18 +175,6 @@ impl Regressor for GpRegressor {
             .collect())
     }
 
-    /// Posterior mean and standard deviation (square root of
-    /// [`GpRegressor::predict_variance`]).
-    fn predict_with_uncertainty(&self, x: &Matrix) -> Result<(Vec<f64>, Vec<f64>), PredictError> {
-        let means = self.predict(x)?;
-        let stds = self
-            .predict_variance(x)?
-            .into_iter()
-            .map(f64::sqrt)
-            .collect();
-        Ok((means, stds))
-    }
-
     fn name(&self) -> &'static str {
         "gp"
     }

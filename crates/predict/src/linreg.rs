@@ -30,9 +30,6 @@ pub struct LinearRegression {
     /// `[intercept, b1, …, bn]` once fitted.
     coefficients: Option<Vec<f64>>,
     ridge: f64,
-    /// Training-residual standard deviation, the model's (constant)
-    /// uncertainty estimate.
-    residual_std: f64,
 }
 
 impl LinearRegression {
@@ -41,7 +38,6 @@ impl LinearRegression {
         LinearRegression {
             coefficients: None,
             ridge: 1e-8,
-            residual_std: 0.0,
         }
     }
 
@@ -50,7 +46,6 @@ impl LinearRegression {
         LinearRegression {
             coefficients: None,
             ridge,
-            residual_std: 0.0,
         }
     }
 
@@ -80,17 +75,6 @@ impl Regressor for LinearRegression {
         let xty = xb.transpose().mat_vec(y);
         let b = gram.solve(&xty)?;
         self.coefficients = Some(b);
-        // Residual spread on the training set: the constant uncertainty
-        // a linear model can honestly report.
-        let pred = self.predict(x)?;
-        let n = y.len() as f64;
-        let mse = y
-            .iter()
-            .zip(&pred)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            / n;
-        self.residual_std = mse.sqrt();
         Ok(())
     }
 
@@ -107,12 +91,6 @@ impl Regressor for LinearRegression {
                     .sum::<f64>()
             })
             .collect())
-    }
-
-    fn predict_with_uncertainty(&self, x: &Matrix) -> Result<(Vec<f64>, Vec<f64>), PredictError> {
-        let means = self.predict(x)?;
-        let stds = vec![self.residual_std; means.len()];
-        Ok((means, stds))
     }
 
     fn name(&self) -> &'static str {
@@ -169,23 +147,6 @@ mod tests {
             lr.predict(&Matrix::zeros(1, 3)),
             Err(PredictError::DimensionMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn uncertainty_tracks_training_residuals() {
-        // Exact linear data → near-zero residual spread; noisy data → larger.
-        let x = Matrix::from_fn(30, 1, |i, _| i as f64);
-        let exact: Vec<f64> = (0..30).map(|i| 2.0 * i as f64 + 1.0).collect();
-        let noisy: Vec<f64> = (0..30)
-            .map(|i| 2.0 * i as f64 + if i % 2 == 0 { 3.0 } else { -3.0 })
-            .collect();
-        let spread = |y: &[f64]| {
-            let mut lr = LinearRegression::new();
-            lr.fit(&x, y).unwrap();
-            lr.predict_with_uncertainty(&x).unwrap().1[0]
-        };
-        assert!(spread(&exact) < 1e-6);
-        assert!(spread(&noisy) > 1.0);
     }
 
     #[test]

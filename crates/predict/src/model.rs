@@ -22,24 +22,6 @@ pub trait Regressor: Send {
     /// [`PredictError::DimensionMismatch`] on feature-count mismatch.
     fn predict(&self, x: &Matrix) -> Result<Vec<f64>, PredictError>;
 
-    /// Predicts targets for `x` together with a per-row standard
-    /// deviation (`(means, stds)`, both `x.rows()` long); the means are
-    /// [`Regressor::predict`]'s.
-    ///
-    /// The uncertainty estimate is the model family's natural one:
-    /// posterior standard deviation for the Gaussian-process models,
-    /// sub-ensemble spread for the boosted trees, and training-residual
-    /// spread for the parametric models (linear regression and the DNN).
-    /// The magnitudes are not calibrated across families — they are meant
-    /// for *ranking* queries by confidence within one model, which is all
-    /// the active-learning escalation policy needs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PredictError::NotFitted`] before `fit`, and
-    /// [`PredictError::DimensionMismatch`] on feature-count mismatch.
-    fn predict_with_uncertainty(&self, x: &Matrix) -> Result<(Vec<f64>, Vec<f64>), PredictError>;
-
     /// Short predictor label ("linreg", "dnn", "bayes", "xgboost").
     fn name(&self) -> &'static str;
 }
@@ -153,18 +135,6 @@ mod tests {
         for k in PredictorKind::all() {
             let m = k.build(1);
             assert!(!m.name().is_empty());
-        }
-    }
-
-    #[test]
-    fn uncertain_factory_builds_every_kind() {
-        for k in PredictorKind::all() {
-            let m = k.build(1);
-            assert!(!m.name().is_empty());
-            assert!(matches!(
-                m.predict_with_uncertainty(&Matrix::zeros(1, 2)),
-                Err(PredictError::NotFitted)
-            ));
         }
     }
 

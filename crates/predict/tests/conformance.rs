@@ -1,15 +1,15 @@
 //! Shared conformance suite for every predictor family.
 //!
-//! The uncertainty escalation policy in `simtune-core` treats all four
-//! model families interchangeably through [`PredictorKind::build`], so
-//! this suite pins the behaviour that policy relies on: every model
-//! (a) learns a known linear set well enough to rank it, (b) copes with
-//! a quadratic set at least as well as predicting the mean, (c) is
-//! bit-identical under a fixed seed, and (d) reports finite,
-//! non-negative uncertainties aligned with its predictions.
+//! `simtune-core` treats all four model families interchangeably
+//! through [`PredictorKind::build`], so this suite pins what every model
+//! must do: (a) learn a known linear set well enough to rank it, (b) cope
+//! with a quadratic set at least as well as predicting the mean, (c) be
+//! bit-identical under a fixed seed, and (d) refuse queries before `fit`
+//! and of the wrong width. The GP surrogate's variance, which Bayes-opt
+//! explores by, must grow away from the training data.
 
 use simtune_linalg::Matrix;
-use simtune_predict::{PredictError, PredictorKind};
+use simtune_predict::{GpKernel, GpRegressor, PredictError, PredictorKind, Regressor};
 
 /// y = 3 x0 - 2 x1 + 0.5 over a deterministic grid.
 fn linear_set() -> (Matrix, Vec<f64>) {
@@ -86,25 +86,6 @@ fn every_model_is_deterministic_under_a_fixed_seed() {
 }
 
 #[test]
-fn every_model_reports_aligned_finite_uncertainty() {
-    let (x, y) = linear_set();
-    for kind in PredictorKind::all() {
-        let mut model = kind.build(11);
-        model.fit(&x, &y).unwrap();
-        let (means, stds) = model.predict_with_uncertainty(&x).unwrap();
-        assert_eq!(means.len(), x.rows(), "{}", kind.label());
-        assert_eq!(stds.len(), x.rows(), "{}", kind.label());
-        assert!(
-            stds.iter().all(|s| s.is_finite() && *s >= 0.0),
-            "{}: bad stds",
-            kind.label()
-        );
-        // The uncertain path must agree with the plain one on the mean.
-        assert_eq!(means, model.predict(&x).unwrap(), "{}", kind.label());
-    }
-}
-
-#[test]
 fn every_model_rejects_queries_before_fit_and_after_mismatch() {
     let (x, y) = linear_set();
     for kind in PredictorKind::all() {
@@ -114,19 +95,11 @@ fn every_model_rejects_queries_before_fit_and_after_mismatch() {
             "{}",
             kind.label()
         );
-        assert!(
-            matches!(
-                model.predict_with_uncertainty(&x),
-                Err(PredictError::NotFitted)
-            ),
-            "{}",
-            kind.label()
-        );
         let mut fitted = kind.build(0);
         fitted.fit(&x, &y).unwrap();
         assert!(
             matches!(
-                fitted.predict_with_uncertainty(&Matrix::zeros(1, 5)),
+                fitted.predict(&Matrix::zeros(1, 5)),
                 Err(PredictError::DimensionMismatch { .. })
             ),
             "{}",
@@ -137,20 +110,19 @@ fn every_model_rejects_queries_before_fit_and_after_mismatch() {
 
 #[test]
 fn gp_uncertainty_grows_away_from_training_data() {
-    // The escalation policy leans on this qualitative property: queries
-    // far from everything observed must look *less* certain.
+    // Bayes-opt's acquisition leans on this qualitative property of its
+    // GP surrogate: queries far from everything observed must look
+    // *less* certain.
     let x = Matrix::from_fn(20, 1, |i, _| i as f64 / 4.0);
     let y: Vec<f64> = (0..20).map(|i| (i as f64 / 4.0).sin()).collect();
-    let mut gp = PredictorKind::Bayes.build(5);
+    let mut gp = GpRegressor::new(GpKernel::default());
     gp.fit(&x, &y).unwrap();
     let near = Matrix::from_vec(1, 1, vec![2.0]).unwrap();
     let far = Matrix::from_vec(1, 1, vec![500.0]).unwrap();
-    let (_, s_near) = gp.predict_with_uncertainty(&near).unwrap();
-    let (_, s_far) = gp.predict_with_uncertainty(&far).unwrap();
+    let v_near = gp.predict_variance(&near).unwrap()[0];
+    let v_far = gp.predict_variance(&far).unwrap()[0];
     assert!(
-        s_far[0] > s_near[0],
-        "far {:.4} must exceed near {:.4}",
-        s_far[0],
-        s_near[0]
+        v_far > v_near,
+        "far {v_far:.4} must exceed near {v_near:.4}"
     );
 }

@@ -93,10 +93,9 @@
 // work without spelling out the core crate.
 pub use simtune_core::{
     tune_with_fidelity_escalation, AccurateBackend, BackendError, BatchTicket, ConvergenceStats,
-    EscalatedTuneResult, EscalationOptions, EscalationPolicy, Evaluation, FastCountBackend,
-    MemoCacheStats, PredictorStats, SearchSpace, SearchStrategy, SimBackend, SimCache, SimReport,
-    SimSession, SimSessionBuilder, SketchSpace, StageTimings, StrategySpec, TemplateSpace,
-    UncertaintyPolicy, WorkerPoolStats,
+    EscalatedTuneResult, EscalationOptions, Evaluation, FastCountBackend, MemoCacheStats,
+    SearchSpace, SearchStrategy, SimBackend, SimCache, SimReport, SimSession, SimSessionBuilder,
+    SketchSpace, StageTimings, StrategySpec, TemplateSpace, WorkerPoolStats,
 };
 
 pub use simtune_cache as cache;
