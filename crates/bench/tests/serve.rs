@@ -261,37 +261,64 @@ fn a_snapshot_with_a_non_ascii_key_is_a_cold_start_and_the_server_lives() {
 #[test]
 fn tune_with_fidelity_runs_spec_tier_escalation_without_a_note() {
     let mut server = server();
+    assert!(roundtrip(&mut server, &open_req("t", None)).unwrap().ok);
+    let tune = Request {
+        tenant: Some("t".into()),
+        n_trials: Some(8),
+        batch_size: Some(4),
+        seed: Some(1),
+        strategy: Some("random".into()),
+        fidelity: Some("pipelined".into()),
+        ..req("tune")
+    };
+    let resp = roundtrip(&mut server, &tune).unwrap();
+    assert!(resp.ok, "tune failed: {:?}", resp.error);
+    assert!(resp.best_score.unwrap().is_finite());
+    assert_eq!(resp.trials, Some(8));
+    // Spec-named top-k escalation has nothing to say in `message`.
+    assert!(resp.message.is_none(), "{:?}", resp.message);
+
+    // Same seed on the fast-count tier also completes.
+    let fast = Request {
+        fidelity: Some("fast-count".into()),
+        ..tune
+    };
+    let resp = roundtrip(&mut server, &fast).unwrap();
+    assert!(resp.ok, "fast-count tune failed: {:?}", resp.error);
+}
+
+#[test]
+fn spec_tier_escalation_and_a_fast_count_tenant_tune_on_x86() {
+    let mut server = server();
     // x86 is the target with an L3: its fast-count reports must still
     // be scorable by a predictor trained at the accurate tier.
-    for arch in ["riscv", "x86"] {
-        let open = Request {
-            arch: Some(arch.into()),
-            ..open_req(arch, None)
-        };
-        assert!(roundtrip(&mut server, &open).unwrap().ok);
-        let tune = Request {
-            tenant: Some(arch.into()),
-            n_trials: Some(8),
-            batch_size: Some(4),
-            seed: Some(1),
-            strategy: Some("random".into()),
-            fidelity: Some("pipelined".into()),
-            ..req("tune")
-        };
-        let resp = roundtrip(&mut server, &tune).unwrap();
-        assert!(resp.ok, "{arch}: tune failed: {:?}", resp.error);
-        assert!(resp.best_score.unwrap().is_finite());
-        assert_eq!(resp.trials, Some(8));
-        assert!(resp.message.is_none(), "{:?}", resp.message);
+    let open = Request {
+        arch: Some("x86".into()),
+        ..open_req("x86", None)
+    };
+    assert!(roundtrip(&mut server, &open).unwrap().ok);
+    let tune = Request {
+        tenant: Some("x86".into()),
+        n_trials: Some(8),
+        batch_size: Some(4),
+        seed: Some(1),
+        strategy: Some("random".into()),
+        fidelity: Some("pipelined".into()),
+        ..req("tune")
+    };
+    let resp = roundtrip(&mut server, &tune).unwrap();
+    assert!(resp.ok, "x86 tune failed: {:?}", resp.error);
+    assert!(resp.best_score.unwrap().is_finite());
+    assert_eq!(resp.trials, Some(8));
+    assert!(resp.message.is_none(), "{:?}", resp.message);
 
-        // Same seed on the fast-count tier also completes.
-        let fast = Request {
-            fidelity: Some("fast-count".into()),
-            ..tune
-        };
-        let resp = roundtrip(&mut server, &fast).unwrap();
-        assert!(resp.ok, "{arch}: fast-count tune failed: {:?}", resp.error);
-    }
+    let fast = Request {
+        fidelity: Some("fast-count".into()),
+        ..tune
+    };
+    let resp = roundtrip(&mut server, &fast).unwrap();
+    assert!(resp.ok, "x86 fast-count tune failed: {:?}", resp.error);
+    assert!(resp.message.is_none(), "{:?}", resp.message);
 
     // A plain tune on an x86 tenant opened at the counting tier.
     let open = Request {
