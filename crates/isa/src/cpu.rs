@@ -664,6 +664,74 @@ mod tests {
     }
 
     #[test]
+    fn vector_add_mul_max_are_lane_wise_within_lane_count() {
+        // Distinct values in every lane, including the four past the ARM
+        // target's count; destinations start as a sentinel everywhere.
+        let a = [1.0, -2.0, 3.0, -4.0, 10.0, 11.0, 12.0, 13.0];
+        let b = [5.0, 6.0, -7.0, 0.5, 20.0, 21.0, 22.0, 23.0];
+        let sentinel = 99.0;
+        let (va, vb) = (Vr(1), Vr(2));
+        let (vadd, vmul, vmax) = (Vr(3), Vr(4), Vr(5));
+        let mut p = ProgramBuilder::new();
+        for lane in 0..MAX_LANES {
+            for (vd, imm) in [
+                (va, a[lane]),
+                (vb, b[lane]),
+                (vadd, sentinel),
+                (vmul, sentinel),
+                (vmax, sentinel),
+            ] {
+                p.push(Inst::Fli { fd: Fpr(1), imm });
+                p.push(Inst::Vinsert {
+                    vd,
+                    fs: Fpr(1),
+                    lane: lane as u8,
+                });
+            }
+        }
+        p.push(Inst::Vfadd {
+            vd: vadd,
+            vs1: va,
+            vs2: vb,
+        });
+        p.push(Inst::Vfmul {
+            vd: vmul,
+            vs1: va,
+            vs2: vb,
+        });
+        p.push(Inst::Vfmax {
+            vd: vmax,
+            vs1: va,
+            vs2: vb,
+        });
+        // Lanes past the count are only visible through Vextract.
+        let upper = 4..MAX_LANES;
+        let mut fd = Fpr(8);
+        for vs in [vadd, vmul, vmax] {
+            for lane in upper.clone() {
+                p.push(Inst::Vextract {
+                    fd,
+                    vs,
+                    lane: lane as u8,
+                });
+                fd = Fpr(fd.0 + 1);
+            }
+        }
+        p.push(Inst::Halt);
+        let (cpu, stats) = run_prog(p);
+        assert_eq!(cpu.vr(vadd), &[6.0, 4.0, -4.0, -3.5]);
+        assert_eq!(cpu.vr(vmul), &[5.0, -12.0, -21.0, -2.0]);
+        assert_eq!(cpu.vr(vmax), &[5.0, 6.0, 3.0, 0.5]);
+        for i in 0..3 * upper.len() {
+            assert_eq!(cpu.fpr(Fpr(8 + i as u8)), sentinel, "upper lane {i}");
+        }
+        assert_eq!(
+            stats.inst_mix.vec_alu,
+            (5 * MAX_LANES + 3 + 3 * upper.len()) as u64
+        );
+    }
+
+    #[test]
     fn vector_load_straddling_lines_touches_two() {
         let mut b = ProgramBuilder::new();
         // Address 0x10_0038 = 56 mod 64: an 8-lane (32 B) access straddles.

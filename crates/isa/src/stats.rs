@@ -94,111 +94,6 @@ impl SimStats {
     pub fn host_seconds(&self) -> f64 {
         self.host_nanos as f64 * 1e-9
     }
-
-    /// Renders the statistics in gem5's `stats.txt` flavor — one
-    /// `name  value  # description` line per counter. Useful when
-    /// comparing against real gem5 output or feeding external tooling.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// let stats = simtune_isa::SimStats::default();
-    /// let text = stats.to_gem5_text();
-    /// assert!(text.contains("simInsts"));
-    /// assert!(text.contains("system.cpu.dcache.ReadReq.hits"));
-    /// ```
-    pub fn to_gem5_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let mut line = |name: &str, value: u64, desc: &str| {
-            let _ = writeln!(out, "{name:<44} {value:>14}  # {desc}");
-        };
-        let m = &self.inst_mix;
-        line("simInsts", m.total(), "Number of instructions simulated");
-        line(
-            "system.cpu.commitStats0.numLoadInsts",
-            m.loads,
-            "Number of load instructions",
-        );
-        line(
-            "system.cpu.commitStats0.numStoreInsts",
-            m.stores,
-            "Number of store instructions",
-        );
-        line(
-            "system.cpu.commitStats0.numBranches",
-            m.branches,
-            "Number of branches",
-        );
-        line(
-            "system.cpu.commitStats0.numIntAluAccesses",
-            m.int_alu,
-            "Integer ALU ops",
-        );
-        line(
-            "system.cpu.commitStats0.numFpAluAccesses",
-            m.fp_alu,
-            "FP ALU ops",
-        );
-        line(
-            "system.cpu.commitStats0.numVecAluAccesses",
-            m.vec_alu,
-            "Vector ALU ops",
-        );
-        for (label, cache_name) in [
-            ("l1d", "system.cpu.dcache"),
-            ("l1i", "system.cpu.icache"),
-            ("l2", "system.l2"),
-        ] {
-            let s = match label {
-                "l1d" => self.cache.l1d,
-                "l1i" => self.cache.l1i,
-                _ => self.cache.l2,
-            };
-            line(
-                &format!("{cache_name}.ReadReq.hits"),
-                s.read_hits,
-                "read hits",
-            );
-            line(
-                &format!("{cache_name}.ReadReq.misses"),
-                s.read_misses,
-                "read misses",
-            );
-            line(
-                &format!("{cache_name}.WriteReq.hits"),
-                s.write_hits,
-                "write hits",
-            );
-            line(
-                &format!("{cache_name}.WriteReq.misses"),
-                s.write_misses,
-                "write misses",
-            );
-            line(
-                &format!("{cache_name}.replacements"),
-                s.read_replacements + s.write_replacements,
-                "replacements",
-            );
-        }
-        if let Some(l3) = self.cache.l3 {
-            line("system.l3.ReadReq.hits", l3.read_hits, "read hits");
-            line("system.l3.ReadReq.misses", l3.read_misses, "read misses");
-            line("system.l3.WriteReq.hits", l3.write_hits, "write hits");
-            line("system.l3.WriteReq.misses", l3.write_misses, "write misses");
-        }
-        line(
-            "system.mem.numReads",
-            self.cache.dram_reads,
-            "DRAM line fills",
-        );
-        line(
-            "system.mem.numWrites",
-            self.cache.dram_writes,
-            "DRAM write-backs",
-        );
-        out
-    }
 }
 
 #[cfg(test)]

@@ -49,8 +49,7 @@ impl Default for GbtConfig {
 }
 
 /// The deepest tree a fitted ensemble holds: its leaves are the bits
-/// of one `u64` (2⁶ = 64). The paper's configuration is depth 3 and
-/// [`crate::GbtGrid`] tries 2–4.
+/// of one `u64` (2⁶ = 64). The paper's configuration is depth 3.
 const MAX_DEPTH: usize = 6;
 
 /// A node of a regression tree under construction, in a flat arena.

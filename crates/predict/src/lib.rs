@@ -5,8 +5,8 @@
 //! scores: Multiple Linear Regression, a regression DNN, a Gaussian
 //! process whose kernel hyperparameters are chosen by Bayesian
 //! optimization, and XGBoost. This crate implements all four (and their
-//! loss functions and the grid-search used to tune XGBoost) on top of
-//! `simtune-linalg`, with no external ML dependencies.
+//! loss functions) on top of `simtune-linalg`, with no external ML
+//! dependencies.
 //!
 //! The tuned configurations from Section IV-C are the defaults:
 //!
@@ -40,7 +40,6 @@ mod dnn;
 mod error;
 mod gbt;
 mod gp;
-mod gridsearch;
 mod linreg;
 mod loss;
 mod model;
@@ -51,7 +50,6 @@ pub use dnn::{DnnConfig, DnnRegressor};
 pub use error::PredictError;
 pub use gbt::{GbtConfig, GbtRegressor};
 pub use gp::{GpKernel, GpRegressor};
-pub use gridsearch::{grid_search_gbt, GbtGrid};
 pub use linreg::LinearRegression;
 pub use loss::Loss;
 pub use model::{PredictorKind, Regressor};

@@ -21,7 +21,7 @@
 //!   out, the outermost entities live in stack slots with explicit
 //!   load/store traffic — deep tiling on x86 pays real spill cost.
 
-use crate::expr::{tensor_seed, ComputeDef, ReduceOp, TensorInit};
+use crate::expr::{tensor_seed, ComputeDef, TensorInit};
 use crate::lower::{lower, Access, LoweredKernel, Nest, NestBody, NestLoop};
 use crate::schedule::{LoopKind, Schedule, ScheduleError};
 use crate::TargetIsa;
@@ -49,7 +49,6 @@ const F_TMP: Fpr = Fpr(5);
 const V_ACC: Vr = Vr(0);
 const V_OP_A: Vr = Vr(1);
 const V_OP_B: Vr = Vr(2);
-const V_TMP: Vr = Vr(3);
 
 /// Errors raised during code generation.
 #[derive(Debug, Clone)]
@@ -210,22 +209,16 @@ impl<'a, 'b> NestEmitter<'a, 'b> {
             .map(|_| nest.loops.len() - 1);
 
         let accesses: Vec<(SiteId, &Access)> = match &nest.body {
-            NestBody::InitStore { out, .. } => vec![(SiteId::Out, out)],
+            NestBody::InitStore { out } => vec![(SiteId::Out, out)],
             NestBody::MacReduce { out, lhs, rhs, .. } => {
-                let mut v = vec![(SiteId::Out, out), (SiteId::Lhs, lhs)];
-                if let Some(r) = rhs {
-                    v.push((SiteId::Rhs, r));
-                }
-                v
+                vec![(SiteId::Out, out), (SiteId::Lhs, lhs), (SiteId::Rhs, rhs)]
             }
-            NestBody::Epilogue {
-                out, input, bias, ..
-            } => {
-                let mut v = vec![(SiteId::Out, out), (SiteId::In, input)];
-                if let Some(bi) = bias {
-                    v.push((SiteId::Bias, bi));
-                }
-                v
+            NestBody::Epilogue { out, input, bias } => {
+                vec![
+                    (SiteId::Out, out),
+                    (SiteId::In, input),
+                    (SiteId::Bias, bias),
+                ]
             }
         };
 
@@ -322,20 +315,11 @@ impl<'a, 'b> NestEmitter<'a, 'b> {
 
     fn emit(mut self) -> Result<(), CodegenError> {
         // Nest prologue: constants + root pointers.
-        match &self.nest.body {
-            NestBody::InitStore { value, .. } => {
-                self.b.push(Inst::Fli {
-                    fd: F_ZERO,
-                    imm: *value,
-                });
-            }
-            NestBody::Epilogue { .. } => {
-                self.b.push(Inst::Fli {
-                    fd: F_ZERO,
-                    imm: 0.0,
-                });
-            }
-            NestBody::MacReduce { .. } => {}
+        if !matches!(self.nest.body, NestBody::MacReduce { .. }) {
+            self.b.push(Inst::Fli {
+                fd: F_ZERO,
+                imm: 0.0,
+            });
         }
         for s in 0..self.sites.len() {
             let base = self.kernel.buffers[self.sites[s].access.buffer].base as i64;
@@ -374,7 +358,7 @@ impl<'a, 'b> NestEmitter<'a, 'b> {
 
     fn emit_level(&mut self, level: usize) {
         if self.window_entry() == Some(level) {
-            self.emit_acc_init();
+            self.emit_acc_start();
         }
         if level == self.nest.loops.len() {
             self.emit_leaf();
@@ -565,41 +549,45 @@ impl<'a, 'b> NestEmitter<'a, 'b> {
         self.vector_leaf.is_some()
     }
 
-    fn emit_acc_init(&mut self) {
+    fn emit_acc_start(&mut self) {
         let NestBody::MacReduce {
-            acc_init,
+            full_reduction,
             window_entry,
             ..
         } = &self.nest.body
         else {
             return;
         };
-        let (acc_init, window_entry) = (*acc_init, *window_entry);
-        match acc_init {
-            Some(v) => {
-                if self.is_vector_body() {
-                    self.b.push(Inst::Vsplat { vd: V_ACC, imm: v });
-                } else {
-                    self.b.push(Inst::Fli { fd: F_ACC, imm: v });
-                }
+        let (full_reduction, window_entry) = (*full_reduction, *window_entry);
+        let vector = self.is_vector_body();
+        if full_reduction {
+            if vector {
+                self.b.push(Inst::Vsplat {
+                    vd: V_ACC,
+                    imm: 0.0,
+                });
+            } else {
+                self.b.push(Inst::Fli {
+                    fd: F_ACC,
+                    imm: 0.0,
+                });
             }
-            None => {
-                let out = self.site_index(SiteId::Out);
-                let (ptr, imm) = self.pointer_at(out, window_entry, SCRATCH0);
-                if self.is_vector_body() {
-                    self.b.push(Inst::Vload {
-                        vd: V_ACC,
-                        rs: ptr,
-                        imm,
-                    });
-                } else {
-                    self.b.push(Inst::Flw {
-                        fd: F_ACC,
-                        rs: ptr,
-                        imm,
-                    });
-                }
-            }
+            return;
+        }
+        let out = self.site_index(SiteId::Out);
+        let (ptr, imm) = self.pointer_at(out, window_entry, SCRATCH0);
+        if vector {
+            self.b.push(Inst::Vload {
+                vd: V_ACC,
+                rs: ptr,
+                imm,
+            });
+        } else {
+            self.b.push(Inst::Flw {
+                fd: F_ACC,
+                rs: ptr,
+                imm,
+            });
         }
     }
 
@@ -637,9 +625,7 @@ impl<'a, 'b> NestEmitter<'a, 'b> {
                     imm,
                 });
             }
-            NestBody::Epilogue { bias, relu, .. } => {
-                let relu = *relu;
-                let has_bias = bias.is_some();
+            NestBody::Epilogue { .. } => {
                 let input = self.site_index(SiteId::In);
                 let (iptr, iimm) = self.pointer_at(input, n, SCRATCH0);
                 self.b.push(Inst::Flw {
@@ -647,33 +633,23 @@ impl<'a, 'b> NestEmitter<'a, 'b> {
                     rs: iptr,
                     imm: iimm,
                 });
-                if has_bias {
-                    let bsite = self.site_index(SiteId::Bias);
-                    let (bptr, bimm) = self.pointer_at(bsite, n, SCRATCH0);
-                    self.b.push(Inst::Flw {
-                        fd: F_BIAS,
-                        rs: bptr,
-                        imm: bimm,
-                    });
-                    self.b.push(Inst::Fadd {
-                        fd: F_TMP,
-                        fs1: F_OP_A,
-                        fs2: F_BIAS,
-                    });
-                } else {
-                    self.b.push(Inst::Fadd {
-                        fd: F_TMP,
-                        fs1: F_OP_A,
-                        fs2: F_ZERO,
-                    });
-                }
-                if relu {
-                    self.b.push(Inst::Fmax {
-                        fd: F_TMP,
-                        fs1: F_TMP,
-                        fs2: F_ZERO,
-                    });
-                }
+                let bsite = self.site_index(SiteId::Bias);
+                let (bptr, bimm) = self.pointer_at(bsite, n, SCRATCH0);
+                self.b.push(Inst::Flw {
+                    fd: F_BIAS,
+                    rs: bptr,
+                    imm: bimm,
+                });
+                self.b.push(Inst::Fadd {
+                    fd: F_TMP,
+                    fs1: F_OP_A,
+                    fs2: F_BIAS,
+                });
+                self.b.push(Inst::Fmax {
+                    fd: F_TMP,
+                    fs1: F_TMP,
+                    fs2: F_ZERO,
+                });
                 let out = self.site_index(SiteId::Out);
                 let (optr, oimm) = self.pointer_at(out, n, SCRATCH0);
                 self.b.push(Inst::Fsw {
@@ -682,11 +658,9 @@ impl<'a, 'b> NestEmitter<'a, 'b> {
                     imm: oimm,
                 });
             }
-            NestBody::MacReduce { rhs, reduce_op, .. } => {
-                let has_rhs = rhs.is_some();
-                let op = *reduce_op;
+            NestBody::MacReduce { .. } => {
                 if let Some(vlevel) = self.vector_leaf {
-                    self.emit_vector_mac(vlevel, has_rhs, op);
+                    self.emit_vector_mac(vlevel);
                 } else {
                     let lhs = self.site_index(SiteId::Lhs);
                     let (lptr, limm) = self.pointer_at(lhs, n, SCRATCH0);
@@ -695,45 +669,20 @@ impl<'a, 'b> NestEmitter<'a, 'b> {
                         rs: lptr,
                         imm: limm,
                     });
-                    let value = if has_rhs {
-                        let rsite = self.site_index(SiteId::Rhs);
-                        let (rptr, rimm) = self.pointer_at(rsite, n, SCRATCH0);
-                        self.b.push(Inst::Flw {
-                            fd: F_OP_B,
-                            rs: rptr,
-                            imm: rimm,
-                        });
-                        if op == ReduceOp::Sum {
-                            // Fused multiply-add straight into the window.
-                            self.b.push(Inst::Fmadd {
-                                fd: F_ACC,
-                                fs1: F_OP_A,
-                                fs2: F_OP_B,
-                                fs3: F_ACC,
-                            });
-                            return;
-                        }
-                        self.b.push(Inst::Fmul {
-                            fd: F_TMP,
-                            fs1: F_OP_A,
-                            fs2: F_OP_B,
-                        });
-                        F_TMP
-                    } else {
-                        F_OP_A
-                    };
-                    match op {
-                        ReduceOp::Sum => self.b.push(Inst::Fadd {
-                            fd: F_ACC,
-                            fs1: F_ACC,
-                            fs2: value,
-                        }),
-                        ReduceOp::Max => self.b.push(Inst::Fmax {
-                            fd: F_ACC,
-                            fs1: F_ACC,
-                            fs2: value,
-                        }),
-                    };
+                    let rsite = self.site_index(SiteId::Rhs);
+                    let (rptr, rimm) = self.pointer_at(rsite, n, SCRATCH0);
+                    self.b.push(Inst::Flw {
+                        fd: F_OP_B,
+                        rs: rptr,
+                        imm: rimm,
+                    });
+                    // Fused multiply-add straight into the window.
+                    self.b.push(Inst::Fmadd {
+                        fd: F_ACC,
+                        fs1: F_OP_A,
+                        fs2: F_OP_B,
+                        fs3: F_ACC,
+                    });
                 }
             }
         }
@@ -741,42 +690,17 @@ impl<'a, 'b> NestEmitter<'a, 'b> {
 
     /// Vector MAC leaf: operand load strategy depends on each operand's
     /// stride along the vectorized loop.
-    fn emit_vector_mac(&mut self, vlevel: usize, has_rhs: bool, op: ReduceOp) {
+    fn emit_vector_mac(&mut self, vlevel: usize) {
         let lanes = self.target.vector_lanes;
         let lhs = self.site_index(SiteId::Lhs);
         self.emit_vector_operand(lhs, vlevel, V_OP_A, lanes);
-        let value = if has_rhs {
-            let rsite = self.site_index(SiteId::Rhs);
-            self.emit_vector_operand(rsite, vlevel, V_OP_B, lanes);
-            if op == ReduceOp::Sum {
-                self.b.push(Inst::Vfma {
-                    vd: V_ACC,
-                    vs1: V_OP_A,
-                    vs2: V_OP_B,
-                });
-                return;
-            }
-            self.b.push(Inst::Vfmul {
-                vd: V_TMP,
-                vs1: V_OP_A,
-                vs2: V_OP_B,
-            });
-            V_TMP
-        } else {
-            V_OP_A
-        };
-        match op {
-            ReduceOp::Sum => self.b.push(Inst::Vfadd {
-                vd: V_ACC,
-                vs1: V_ACC,
-                vs2: value,
-            }),
-            ReduceOp::Max => self.b.push(Inst::Vfmax {
-                vd: V_ACC,
-                vs1: V_ACC,
-                vs2: value,
-            }),
-        };
+        let rsite = self.site_index(SiteId::Rhs);
+        self.emit_vector_operand(rsite, vlevel, V_OP_B, lanes);
+        self.b.push(Inst::Vfma {
+            vd: V_ACC,
+            vs1: V_OP_A,
+            vs2: V_OP_B,
+        });
     }
 
     fn emit_vector_operand(&mut self, site_idx: usize, vlevel: usize, dst: Vr, lanes: usize) {

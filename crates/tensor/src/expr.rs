@@ -4,10 +4,10 @@
 //! and 5). This module captures the same class of operators in a compact
 //! normal form: an output tensor defined over *spatial* axes, reduced over
 //! *reduce* axes, whose value is the sum over the reduction domain of a
-//! product of operand loads with affine indices, optionally followed by an
-//! elementwise epilogue (bias add + ReLU). That normal form covers MatMul,
-//! Conv2D(+Bias+ReLU), depthwise convolution and friends — every kernel
-//! the paper evaluates.
+//! product of two operand loads with affine indices, optionally followed
+//! by an elementwise bias add + ReLU epilogue. That normal form covers the
+//! two kernels the paper tunes: the MatMul of its Listing 1 and the
+//! Conv2D+Bias+ReLU groups of its Table II.
 
 use std::fmt;
 
@@ -215,34 +215,12 @@ impl OperandAccess {
     }
 }
 
-/// Elementwise epilogue applied to the reduction result
-/// (`relu(acc + bias[...])` for the paper's Conv2D+Bias+ReLU kernels).
+/// Elementwise epilogue applied to the reduction result:
+/// `relu(acc + bias[...])`, as in the paper's Conv2D+Bias+ReLU kernels.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Epilogue {
     /// Bias operand, indexed by spatial variables only.
-    pub bias: Option<OperandAccess>,
-    /// Apply `max(x, 0)` after the optional bias add.
-    pub relu: bool,
-}
-
-/// The combining operator of the reduction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ReduceOp {
-    /// `acc += lhs · rhs` (convolutions, matrix products).
-    #[default]
-    Sum,
-    /// `acc = max(acc, lhs · rhs)` (max pooling; `rhs` typically absent).
-    Max,
-}
-
-impl ReduceOp {
-    /// Combines an accumulator with a new value.
-    pub fn combine(self, acc: f32, value: f32) -> f32 {
-        match self {
-            ReduceOp::Sum => acc + value,
-            ReduceOp::Max => acc.max(value),
-        }
-    }
+    pub bias: OperandAccess,
 }
 
 /// A complete compute definition in reduction normal form:
@@ -250,9 +228,6 @@ impl ReduceOp {
 /// ```text
 /// out[s0,…,sk] = epilogue( Σ_{r0,…,rm}  lhs[…] * rhs[…] )
 /// ```
-///
-/// When `rhs` is `None` the product degenerates to a copy/reduction of a
-/// single operand.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ComputeDef {
     /// Kernel-type name ("conv2d_bias_relu", "matmul", ...). One score
@@ -267,17 +242,12 @@ pub struct ComputeDef {
     pub reduce_extents: Vec<usize>,
     /// Left product operand.
     pub lhs: OperandAccess,
-    /// Right product operand (None = single-operand reduction).
-    pub rhs: Option<OperandAccess>,
+    /// Right product operand.
+    pub rhs: OperandAccess,
     /// Index of the output tensor in `tensors`.
     pub output: usize,
     /// Optional bias/ReLU epilogue.
     pub epilogue: Option<Epilogue>,
-    /// Initial accumulator value (0.0 for sums, a very negative value
-    /// for max reductions).
-    pub acc_init: f32,
-    /// Reduction combinator.
-    pub reduce_op: ReduceOp,
 }
 
 impl ComputeDef {
@@ -310,9 +280,9 @@ impl ComputeDef {
                 self.spatial_extents
             ));
         }
-        let accesses: Vec<&OperandAccess> = std::iter::once(&self.lhs)
-            .chain(self.rhs.iter())
-            .chain(self.epilogue.iter().filter_map(|e| e.bias.as_ref()))
+        let accesses: Vec<&OperandAccess> = [&self.lhs, &self.rhs]
+            .into_iter()
+            .chain(self.epilogue.iter().map(|e| &e.bias))
             .collect();
         for acc in accesses {
             let decl = self
@@ -381,26 +351,18 @@ impl ComputeDef {
         let mut spatial = vec![0usize; self.spatial_extents.len()];
         let mut flat = 0usize;
         loop {
-            let mut acc = self.acc_init;
+            let mut acc = 0.0f32;
             let mut reduce = vec![0usize; self.reduce_extents.len()];
             loop {
                 let l = self.load(&self.lhs, inputs, &spatial, &reduce);
-                let r = match &self.rhs {
-                    Some(r) => self.load(r, inputs, &spatial, &reduce),
-                    None => 1.0,
-                };
-                acc = self.reduce_op.combine(acc, l * r);
+                let r = self.load(&self.rhs, inputs, &spatial, &reduce);
+                acc += l * r;
                 if !increment(&mut reduce, &self.reduce_extents) {
                     break;
                 }
             }
             if let Some(epi) = &self.epilogue {
-                if let Some(bias) = &epi.bias {
-                    acc += self.load(bias, inputs, &spatial, &[]);
-                }
-                if epi.relu {
-                    acc = acc.max(0.0);
-                }
+                acc = (acc + self.load(&epi.bias, inputs, &spatial, &[])).max(0.0);
             }
             out[flat] = acc;
             flat += 1;
@@ -537,17 +499,15 @@ mod tests {
                     AffineIdx::var(VarRef::Reduce(0)),
                 ],
             },
-            rhs: Some(OperandAccess {
+            rhs: OperandAccess {
                 tensor: 1,
                 index: vec![
                     AffineIdx::var(VarRef::Reduce(0)),
                     AffineIdx::var(VarRef::Spatial(1)),
                 ],
-            }),
+            },
             output: 2,
             epilogue: None,
-            acc_init: 0.0,
-            reduce_op: ReduceOp::Sum,
         }
     }
 

@@ -1,15 +1,14 @@
-//! Concrete kernel definitions: the workloads of the paper.
+//! Concrete kernel definitions: the two kernels of the paper.
 //!
-//! The paper evaluates five groups of `Conv2D+Bias+ReLU` kernels taken
-//! from a ResNet architecture (its Table II). [`Conv2dShape::paper_groups`]
-//! reproduces those shapes exactly; [`Conv2dShape::scaled`] derives the
-//! proportionally reduced variants used by the default experiment scale
-//! (see DESIGN.md §7). [`matmul`] provides a second kernel type for
-//! examples and cross-kernel-type tests.
+//! [`conv2d_bias_relu`] builds the `Conv2D+Bias+ReLU` kernels the paper
+//! tunes: five groups taken from a ResNet architecture (its Table II).
+//! [`Conv2dShape::paper_groups`] reproduces those shapes exactly;
+//! [`Conv2dShape::scaled`] derives the proportionally reduced variants
+//! used by the default experiment scale (see DESIGN.md §7). [`matmul`]
+//! builds the MatMul of the paper's Listing 1, the second kernel type of
+//! the examples and the cross-kernel-type tests.
 
-use crate::expr::{
-    AffineIdx, ComputeDef, Epilogue, OperandAccess, ReduceOp, TensorDecl, TensorInit, VarRef,
-};
+use crate::expr::{AffineIdx, ComputeDef, Epilogue, OperandAccess, TensorDecl, TensorInit, VarRef};
 
 /// Shape and parameters of one Conv2D+Bias+ReLU group — one row of the
 /// paper's Table II.
@@ -191,7 +190,7 @@ pub fn conv2d_bias_relu(shape: &Conv2dShape) -> ComputeDef {
             ],
         },
         // weights[co][ci][kh][kw]
-        rhs: Some(OperandAccess {
+        rhs: OperandAccess {
             tensor: 1,
             index: vec![
                 AffineIdx::var(co),
@@ -199,42 +198,15 @@ pub fn conv2d_bias_relu(shape: &Conv2dShape) -> ComputeDef {
                 AffineIdx::var(kh),
                 AffineIdx::var(kw),
             ],
-        }),
+        },
         output: 3,
         epilogue: Some(Epilogue {
-            bias: Some(OperandAccess {
+            bias: OperandAccess {
                 tensor: 2,
                 index: vec![AffineIdx::var(co)],
-            }),
-            relu: true,
+            },
         }),
-        acc_init: 0.0,
-        reduce_op: ReduceOp::Sum,
     }
-}
-
-/// Fills the pre-padded `ifm` buffer: interior from `values` (row-major
-/// `[n][ci][h][w]`), halo zeros. Returns the padded buffer.
-///
-/// # Panics
-///
-/// Panics if `values.len() != n*ci*h*w`.
-pub fn pad_ifm(shape: &Conv2dShape, values: &[f32]) -> Vec<f32> {
-    assert_eq!(values.len(), shape.n * shape.ci * shape.h * shape.w);
-    let (ph, pw) = shape.pad;
-    let hp = shape.h + 2 * ph;
-    let wp = shape.w + 2 * pw;
-    let mut out = vec![0.0f32; shape.n * shape.ci * hp * wp];
-    for n in 0..shape.n {
-        for c in 0..shape.ci {
-            for y in 0..shape.h {
-                let src = ((n * shape.ci + c) * shape.h + y) * shape.w;
-                let dst = ((n * shape.ci + c) * hp + y + ph) * wp + pw;
-                out[dst..dst + shape.w].copy_from_slice(&values[src..src + shape.w]);
-            }
-        }
-    }
-    out
 }
 
 /// Builds a plain MatMul `C[i,j] = Σ_k A[i,k]·B[k,j]` compute definition
@@ -262,141 +234,12 @@ pub fn matmul(n: usize, m: usize, l: usize) -> ComputeDef {
             tensor: 0,
             index: vec![AffineIdx::var(i), AffineIdx::var(k)],
         },
-        rhs: Some(OperandAccess {
+        rhs: OperandAccess {
             tensor: 1,
             index: vec![AffineIdx::var(k), AffineIdx::var(j)],
-        }),
+        },
         output: 2,
         epilogue: None,
-        acc_init: 0.0,
-        reduce_op: ReduceOp::Sum,
-    }
-}
-
-/// Shape of a 2-D max-pooling kernel (no padding: ResNet's pooling halo
-/// would need −∞ padding, which the zero-halo loader cannot express).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Pool2dShape {
-    /// Batch size.
-    pub n: usize,
-    /// Channels.
-    pub c: usize,
-    /// Input height.
-    pub h: usize,
-    /// Input width.
-    pub w: usize,
-    /// Square pooling window size.
-    pub k: usize,
-    /// Stride in both dimensions.
-    pub stride: usize,
-}
-
-impl Pool2dShape {
-    /// Output height.
-    pub fn out_h(&self) -> usize {
-        (self.h - self.k) / self.stride + 1
-    }
-
-    /// Output width.
-    pub fn out_w(&self) -> usize {
-        (self.w - self.k) / self.stride + 1
-    }
-}
-
-/// Builds a MaxPool2D compute definition — a third kernel type whose
-/// reduction combinator is `max` rather than `+`, exercising the
-/// [`ReduceOp::Max`] lowering path.
-///
-/// # Example
-///
-/// ```
-/// use simtune_tensor::{max_pool2d, Pool2dShape};
-///
-/// let def = max_pool2d(&Pool2dShape { n: 1, c: 4, h: 8, w: 8, k: 2, stride: 2 });
-/// assert_eq!(def.spatial_extents, vec![1, 4, 4, 4]);
-/// def.validate().unwrap();
-/// ```
-pub fn max_pool2d(shape: &Pool2dShape) -> ComputeDef {
-    let (oh, ow) = (shape.out_h(), shape.out_w());
-    let (n, c) = (VarRef::Spatial(0), VarRef::Spatial(1));
-    let (i, j) = (VarRef::Spatial(2), VarRef::Spatial(3));
-    let (kh, kw) = (VarRef::Reduce(0), VarRef::Reduce(1));
-    let s = shape.stride as i64;
-    ComputeDef {
-        name: "max_pool2d".into(),
-        tensors: vec![
-            TensorDecl::new("ifm", vec![shape.n, shape.c, shape.h, shape.w]),
-            TensorDecl::new("ofm", vec![shape.n, shape.c, oh, ow]).with_init(TensorInit::Zeros),
-        ],
-        spatial_extents: vec![shape.n, shape.c, oh, ow],
-        reduce_extents: vec![shape.k, shape.k],
-        lhs: OperandAccess {
-            tensor: 0,
-            index: vec![
-                AffineIdx::var(n),
-                AffineIdx::var(c),
-                AffineIdx::scaled(i, s).plus(kh, 1),
-                AffineIdx::scaled(j, s).plus(kw, 1),
-            ],
-        },
-        rhs: None,
-        output: 1,
-        epilogue: None,
-        acc_init: f32::MIN,
-        reduce_op: ReduceOp::Max,
-    }
-}
-
-/// Depthwise Conv2D+Bias+ReLU (each channel convolved independently) —
-/// an additional kernel type exercising a different reduction structure.
-pub fn depthwise_conv2d_bias_relu(shape: &Conv2dShape) -> ComputeDef {
-    let (sh, sw) = shape.stride;
-    let (ph, pw) = shape.pad;
-    let (oh, ow) = (shape.out_h(), shape.out_w());
-    let hp = shape.h + 2 * ph;
-    let wp = shape.w + 2 * pw;
-    let c = shape.ci; // depthwise: co == ci == c
-
-    let (n, ch) = (VarRef::Spatial(0), VarRef::Spatial(1));
-    let (i, j) = (VarRef::Spatial(2), VarRef::Spatial(3));
-    let (kh, kw) = (VarRef::Reduce(0), VarRef::Reduce(1));
-
-    ComputeDef {
-        name: "depthwise_conv2d_bias_relu".into(),
-        tensors: vec![
-            TensorDecl::new("ifm", vec![shape.n, c, hp, wp]).with_init(TensorInit::PaddedRandom {
-                inner: vec![shape.n, c, shape.h, shape.w],
-                pad: (ph, pw),
-            }),
-            TensorDecl::new("weights", vec![c, shape.kh, shape.kw]),
-            TensorDecl::new("bias", vec![c]),
-            TensorDecl::new("ofm", vec![shape.n, c, oh, ow]).with_init(TensorInit::Zeros),
-        ],
-        spatial_extents: vec![shape.n, c, oh, ow],
-        reduce_extents: vec![shape.kh, shape.kw],
-        lhs: OperandAccess {
-            tensor: 0,
-            index: vec![
-                AffineIdx::var(n),
-                AffineIdx::var(ch),
-                AffineIdx::scaled(i, sh as i64).plus(kh, 1),
-                AffineIdx::scaled(j, sw as i64).plus(kw, 1),
-            ],
-        },
-        rhs: Some(OperandAccess {
-            tensor: 1,
-            index: vec![AffineIdx::var(ch), AffineIdx::var(kh), AffineIdx::var(kw)],
-        }),
-        output: 3,
-        epilogue: Some(Epilogue {
-            bias: Some(OperandAccess {
-                tensor: 2,
-                index: vec![AffineIdx::var(ch)],
-            }),
-            relu: true,
-        }),
-        acc_init: 0.0,
-        reduce_op: ReduceOp::Sum,
     }
 }
 
@@ -404,6 +247,30 @@ pub fn depthwise_conv2d_bias_relu(shape: &Conv2dShape) -> ComputeDef {
 mod tests {
     use super::*;
     use crate::expr::fill_values;
+
+    /// Fills the pre-padded `ifm` buffer: interior from `values` (row-major
+    /// `[n][ci][h][w]`), halo zeros. Returns the padded buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values.len() != n*ci*h*w`.
+    fn pad_ifm(shape: &Conv2dShape, values: &[f32]) -> Vec<f32> {
+        assert_eq!(values.len(), shape.n * shape.ci * shape.h * shape.w);
+        let (ph, pw) = shape.pad;
+        let hp = shape.h + 2 * ph;
+        let wp = shape.w + 2 * pw;
+        let mut out = vec![0.0f32; shape.n * shape.ci * hp * wp];
+        for n in 0..shape.n {
+            for c in 0..shape.ci {
+                for y in 0..shape.h {
+                    let src = ((n * shape.ci + c) * shape.h + y) * shape.w;
+                    let dst = ((n * shape.ci + c) * hp + y + ph) * wp + pw;
+                    out[dst..dst + shape.w].copy_from_slice(&values[src..src + shape.w]);
+                }
+            }
+        }
+        out
+    }
 
     #[test]
     fn paper_groups_match_table_ii() {
@@ -507,20 +374,8 @@ mod tests {
     }
 
     #[test]
-    fn matmul_and_depthwise_validate() {
+    fn matmul_validates() {
         matmul(8, 8, 8).validate().unwrap();
-        let shape = Conv2dShape {
-            n: 1,
-            h: 8,
-            w: 8,
-            co: 6,
-            ci: 6,
-            kh: 3,
-            kw: 3,
-            stride: (1, 1),
-            pad: (1, 1),
-        };
-        depthwise_conv2d_bias_relu(&shape).validate().unwrap();
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! them with LLVM, and measures them. This crate provides each of those
 //! ingredients for the virtual ISA of `simtune-isa`:
 //!
-//! * [`ComputeDef`] — tensor-expression kernels in reduction normal form
-//!   ([`matmul`], [`conv2d_bias_relu`], [`depthwise_conv2d_bias_relu`]);
+//! * [`ComputeDef`] — tensor-expression kernels in reduction normal form:
+//!   the paper's two kernels, [`matmul`] and [`conv2d_bias_relu`];
 //! * [`Schedule`] — split / reorder / unroll / vectorize / parallel
 //!   primitives applied to a kernel, validated per target;
 //! * [`lower`] — schedule application producing loop-nest IR with
@@ -45,12 +45,9 @@ mod validate;
 pub use codegen::{build_executable, codegen, CodegenError};
 pub use expr::{
     fill_values, prepared_inputs, tensor_seed, AffineIdx, ComputeDef, Epilogue, OperandAccess,
-    ReduceOp, TensorDecl, TensorInit, VarRef,
+    TensorDecl, TensorInit, VarRef,
 };
-pub use kernels::{
-    conv2d_bias_relu, depthwise_conv2d_bias_relu, matmul, max_pool2d, pad_ifm, Conv2dShape,
-    Pool2dShape,
-};
+pub use kernels::{conv2d_bias_relu, matmul, Conv2dShape};
 pub use lower::{
     lower, lower_structure, Access, BufId, BufferLayout, LinExpr, LoweredKernel, Nest, NestBody,
     NestLoop,

@@ -16,7 +16,7 @@
 //! reduction loops pay a load-modify-store per element — exactly the cost
 //! structure real compilers produce.
 
-use crate::expr::{ComputeDef, OperandAccess, ReduceOp, TensorDecl, TensorInit, VarRef};
+use crate::expr::{ComputeDef, OperandAccess, TensorDecl, TensorInit, VarRef};
 use crate::schedule::{LoopKind, LoopStructure, Schedule, ScheduleError};
 use crate::TargetIsa;
 use simtune_isa::DATA_BASE;
@@ -95,12 +95,10 @@ pub struct NestLoop {
 /// The innermost statement of a nest.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NestBody {
-    /// `out[expr] = value` — the init nest.
+    /// `out[expr] = 0` — the init nest.
     InitStore {
         /// Store target.
         out: Access,
-        /// Constant stored.
-        value: f32,
     },
     /// `out[expr] {+}= Σ lhs·rhs` with a register window.
     MacReduce {
@@ -108,28 +106,25 @@ pub enum NestBody {
         out: Access,
         /// Left operand.
         lhs: Access,
-        /// Right operand (None = sum of lhs).
-        rhs: Option<Access>,
-        /// `Some(v)`: the window covers the full reduction; initialize the
-        /// accumulator to `v` and store once. `None`: load-accumulate-store
-        /// against the buffer (an init nest zeroed it).
-        acc_init: Option<f32>,
+        /// Right operand.
+        rhs: Access,
+        /// `true`: the window covers the full reduction; the accumulator
+        /// starts at zero and is stored once. `false`:
+        /// load-accumulate-store against the buffer (an init nest zeroed
+        /// it).
+        full_reduction: bool,
         /// Loop index at which the accumulator register becomes live
         /// (0 = whole nest; `loops.len()` = per-leaf load/store).
         window_entry: usize,
-        /// Reduction combinator (sum for conv/matmul, max for pooling).
-        reduce_op: ReduceOp,
     },
-    /// `out[expr] = post(input[expr] + bias)` — the epilogue nest.
+    /// `out[expr] = relu(input[expr] + bias[expr])` — the epilogue nest.
     Epilogue {
         /// Final output.
         out: Access,
         /// Accumulator buffer being read.
         input: Access,
-        /// Optional bias operand.
-        bias: Option<Access>,
-        /// Apply ReLU.
-        relu: bool,
+        /// Bias operand.
+        bias: Access,
     },
 }
 
@@ -267,7 +262,7 @@ pub fn lower_structure(
     }
 
     let lhs_lin = to_lin(&def.lhs);
-    let rhs_lin = def.rhs.as_ref().map(to_lin);
+    let rhs_lin = to_lin(&def.rhs);
 
     // ---- register window ----
     let n_loops = structure.loops.len();
@@ -316,7 +311,6 @@ pub fn lower_structure(
                         constant: 0,
                     },
                 },
-                value: def.acc_init,
             },
         });
     }
@@ -340,17 +334,12 @@ pub fn lower_structure(
                 buffer: def.lhs.tensor,
                 expr: lhs_lin,
             },
-            rhs: def.rhs.as_ref().map(|r| Access {
-                buffer: r.tensor,
-                expr: rhs_lin.clone().expect("rhs lin exists with rhs"),
-            }),
-            acc_init: if full_reduction {
-                Some(def.acc_init)
-            } else {
-                None
+            rhs: Access {
+                buffer: def.rhs.tensor,
+                expr: rhs_lin,
             },
+            full_reduction,
             window_entry,
-            reduce_op: def.reduce_op,
         },
     });
 
@@ -369,23 +358,17 @@ pub fn lower_structure(
         for (dim, stride) in out_strides.iter().enumerate() {
             flat.push(dim, *stride as i64);
         }
-        let bias = epi.bias.as_ref().map(|b| {
-            let affine = b.linearize(&def.tensors[b.tensor]);
-            let mut lin = LinExpr {
-                terms: Vec::new(),
-                constant: affine.constant,
-            };
-            for &(var, coef) in &affine.terms {
-                match var {
-                    VarRef::Spatial(i) => lin.push(i, coef),
-                    VarRef::Reduce(_) => unreachable!("bias indexed by reduce var"),
-                }
+        let affine = epi.bias.linearize(&def.tensors[epi.bias.tensor]);
+        let mut bias_lin = LinExpr {
+            terms: Vec::new(),
+            constant: affine.constant,
+        };
+        for &(var, coef) in &affine.terms {
+            match var {
+                VarRef::Spatial(i) => bias_lin.push(i, coef),
+                VarRef::Reduce(_) => unreachable!("bias indexed by reduce var"),
             }
-            Access {
-                buffer: b.tensor,
-                expr: lin,
-            }
-        });
+        }
         nests.push(Nest {
             loops: spatial_loops,
             body: NestBody::Epilogue {
@@ -397,8 +380,10 @@ pub fn lower_structure(
                     buffer: main_dest,
                     expr: flat,
                 },
-                bias,
-                relu: epi.relu,
+                bias: Access {
+                    buffer: epi.bias.tensor,
+                    expr: bias_lin,
+                },
             },
         });
     }
@@ -432,11 +417,11 @@ mod tests {
         assert_eq!(k.nests.len(), 1);
         match &k.nests[0].body {
             NestBody::MacReduce {
-                acc_init,
+                full_reduction,
                 window_entry,
                 ..
             } => {
-                assert_eq!(*acc_init, Some(0.0));
+                assert!(*full_reduction);
                 // Loops: i, j, k — the window starts below j (index 2).
                 assert_eq!(*window_entry, 2);
             }
@@ -459,11 +444,11 @@ mod tests {
         assert_eq!(k.nests.len(), 2, "init nest + main nest");
         match &k.nests[1].body {
             NestBody::MacReduce {
-                acc_init,
+                full_reduction,
                 window_entry,
                 ..
             } => {
-                assert_eq!(*acc_init, None);
+                assert!(!*full_reduction);
                 assert_eq!(*window_entry, 3, "window is empty (per-leaf)");
             }
             other => panic!("unexpected body {other:?}"),
@@ -488,9 +473,8 @@ mod tests {
         assert!(k.scratch_buffer.is_some());
         assert_eq!(k.nests.len(), 2, "main + epilogue (full window)");
         match &k.nests[1].body {
-            NestBody::Epilogue { bias, relu, .. } => {
-                assert!(bias.is_some());
-                assert!(*relu);
+            NestBody::Epilogue { bias, .. } => {
+                assert_eq!(bias.buffer, 2, "bias tensor");
             }
             other => panic!("expected epilogue, got {other:?}"),
         }
@@ -538,14 +522,14 @@ mod tests {
         let k = lower(&def, &s, &arm()).unwrap();
         match &k.nests[0].body {
             NestBody::MacReduce {
-                acc_init,
+                full_reduction,
                 window_entry,
                 ..
             } => {
                 // Window entry under j.0 (index 1): covers k and the
                 // vectorized leaf.
                 assert_eq!(*window_entry, 2);
-                assert_eq!(*acc_init, Some(0.0));
+                assert!(*full_reduction);
             }
             other => panic!("unexpected body {other:?}"),
         }
