@@ -33,16 +33,15 @@ use crate::Scale;
 use simtune_cache::{CacheConfig, HierarchyConfig, ReplacementPolicy};
 use simtune_core::{
     collect_group_data, evaluate_predictor, holdout_group_curves, parallel_speedup_k,
-    prediction_metrics, split_train_test, tune_with_fidelity_escalation, tune_with_predictor,
-    CollectOptions, CoreError, EscalationOptions, FeatureConfig, FidelitySpec, GroupData,
-    HardwareRunner, KernelBuilder, MemoCacheStats, RandomSearch, ScorePredictor, SearchStrategy,
-    SimCache, SimSession, SketchSpace, SnapshotLoad, StrategySpec, TuneOptions, TuneResult,
-    WindowKind,
+    prediction_metrics, sample_group_schedules, split_train_test, tune_with_fidelity_escalation,
+    tune_with_predictor, CollectOptions, CoreError, EscalationOptions, FeatureConfig, FidelitySpec,
+    GroupData, HardwareRunner, KernelBuilder, MemoCacheStats, ScorePredictor, SimCache, SimSession,
+    SnapshotLoad, StrategySpec, TuneOptions, TuneResult, WindowKind,
 };
-use simtune_hw::TargetSpec;
+use simtune_hw::{MeasureConfig, TargetSpec};
 use simtune_linalg::stats::spearman;
 use simtune_predict::PredictorKind;
-use simtune_tensor::{conv2d_bias_relu, ComputeDef, Schedule, SketchGenerator};
+use simtune_tensor::{conv2d_bias_relu, ComputeDef};
 use std::fmt::Display;
 use std::io::{self, Write};
 use std::path::PathBuf;
@@ -83,6 +82,20 @@ struct Args {
     /// re-simulates the top-k finalists accurately.
     fidelity: FidelitySpec,
     cache: Option<PathBuf>,
+}
+
+impl Args {
+    /// How the collection, and the replacement ablation that draws its
+    /// schedules the same way, sample each group (without a memo).
+    fn collect_options(&self) -> CollectOptions {
+        CollectOptions {
+            n_impls: self.impls,
+            n_parallel: self.n_parallel,
+            seed: self.seed,
+            max_attempts_factor: 30,
+            memo_cache: None,
+        }
+    }
 }
 
 /// The targets of a comma-separated `--arch` list, `all` for every one.
@@ -315,11 +328,8 @@ impl Report<'_> {
             let (before, started) = (memo.stats(), Instant::now());
             let groups = shapes.iter().enumerate().map(|(gid, shape)| {
                 let opts = CollectOptions {
-                    n_impls: args.impls,
-                    n_parallel: args.n_parallel,
-                    seed: args.seed,
-                    max_attempts_factor: 30,
                     memo_cache: Some(memo.clone()),
+                    ..args.collect_options()
                 };
                 collect_group_data(&conv2d_bias_relu(shape), spec, gid, &opts)
             });
@@ -609,8 +619,11 @@ impl Report<'_> {
                 .iter()
                 .map(|&gid| {
                     let def = conv2d_bias_relu(&shapes[gid]);
+                    let (sampled, _) =
+                        sample_group_schedules(&def, &t.spec.isa, gid, &args.collect_options());
+                    let schedules: Vec<_> = sampled.into_iter().map(|(_, s)| s).collect();
                     let exes: Vec<_> = KernelBuilder::new(def.clone(), t.spec.isa.clone())
-                        .build_batch(&sample_schedules(&def, &t.spec, gid, args))
+                        .build_batch(&schedules)
                         .into_iter()
                         .flatten()
                         .collect();
@@ -783,10 +796,13 @@ impl Report<'_> {
                 t.memo.misses
             )?;
         }
+        let protocol = MeasureConfig::default();
         writeln!(
             out,
             "Equation 4: K = ceil(t_sim / ((t_cooldown + t_ref) * N_exe)), \
-             N_exe = 15, t_cooldown = 1 s, scale = {}\n{SPEEDUP}\n{}",
+             N_exe = {}, t_cooldown = {} s, scale = {}\n{SPEEDUP}\n{}",
+            protocol.n_exe,
+            protocol.cooldown_s,
             self.args.scale,
             "-".repeat(86)
         )?;
@@ -796,7 +812,7 @@ impl Report<'_> {
             let (mut insts, mut sim_seconds) = (0u64, 0.0);
             for g in &t.groups {
                 for ((&r, &s), stats) in g.t_ref.iter().zip(&g.sim_seconds).zip(&g.stats) {
-                    let k_now = parallel_speedup_k(s, r, 1.0, 15);
+                    let k_now = parallel_speedup_k(s, r, protocol.cooldown_s, protocol.n_exe);
                     k = (k.0.min(k_now), k.1.max(k_now));
                     t_ref = (t_ref.0.min(r), t_ref.1.max(r));
                     t_sim = (t_sim.0.min(s), t_sim.1.max(s));
@@ -829,27 +845,6 @@ impl Report<'_> {
         }
         writeln!(out, "wall time: {wall:.1}s")
     }
-}
-
-/// Distinct valid schedules for group `gid`, drawn the way
-/// [`collect_group_data`] draws them: [`RandomSearch`] over the sketch
-/// space, seeded `seed + 7919 * gid`, at most 30 raw draws per wanted
-/// candidate.
-fn sample_schedules(def: &ComputeDef, spec: &TargetSpec, gid: usize, args: &Args) -> Vec<Schedule> {
-    let generator = SketchGenerator::new(def, spec.isa.clone());
-    let seed = args.seed.wrapping_add(gid as u64 * 7919);
-    let mut sampler =
-        RandomSearch::new(SketchSpace::new(generator.clone()), seed).with_attempts_factor(30);
-    let mut schedules = Vec::with_capacity(args.impls);
-    while schedules.len() < args.impls && sampler.attempts() < args.impls * 30 {
-        let batch = sampler.propose(&[], args.impls - schedules.len());
-        if batch.is_empty() {
-            break;
-        }
-        let valid = batch.iter().map(|p| generator.schedule(p));
-        schedules.extend(valid.filter(|s| s.apply(def, &spec.isa).is_ok()));
-    }
-    schedules
 }
 
 /// Runs one strategy's tune on the sweep's tier. Returns the result

@@ -929,8 +929,6 @@ mod tests {
     fn a_recall_whose_report_was_flushed_builds_and_re_executes() {
         let (def, spec) = setup();
         let predictor = trained_predictor(&def, &spec);
-        // Sequential batches on one worker, so a bounded cache flushes
-        // at the same points on every run.
         let opts = |cache: &Arc<SimCache>| TuneOptions {
             n_trials: 8,
             batch_size: 4,
@@ -940,10 +938,11 @@ mod tests {
             memo_cache: Some(cache.clone()),
             ..TuneOptions::default()
         };
-        // The same tune twice on a cache too small for what it simulates.
-        let cache = Arc::new(SimCache::bounded(3));
+        // The same tune twice, with the cache cleared in between.
+        let cache = Arc::new(SimCache::new());
         let cold = tune_with_predictor(&def, &spec, &predictor, &opts(&cache)).unwrap();
         let after_cold = cache.stats();
+        cache.clear();
         let before = builds();
         let warm = tune_with_predictor(&def, &spec, &predictor, &opts(&cache)).unwrap();
         assert_eq!(bits(&warm), bits(&cold));
@@ -955,19 +954,22 @@ mod tests {
 
         // What the two tunes count when every trial is built and
         // submitted without a request key — the path before recall.
-        let reference = Arc::new(SimCache::bounded(3));
+        let reference = Arc::new(SimCache::new());
         let session = session(
             FidelitySpec::Accurate.build(&spec.hierarchy).unwrap(),
             &opts(&reference),
         )
         .unwrap();
         let builder = KernelBuilder::new(def, spec.isa);
-        for batch in cold.history.chunks(4).chain(warm.history.chunks(4)) {
-            let exes: Vec<_> = batch
-                .iter()
-                .map(|r| builder.build(&r.schedule, "reference").unwrap())
-                .collect();
-            session.run(&exes);
+        for history in [&cold.history, &warm.history] {
+            for batch in history.chunks(4) {
+                let exes: Vec<_> = batch
+                    .iter()
+                    .map(|r| builder.build(&r.schedule, "reference").unwrap())
+                    .collect();
+                session.run(&exes);
+            }
+            reference.clear();
         }
         assert_eq!(cache.stats(), reference.stats());
     }

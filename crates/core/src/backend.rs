@@ -13,7 +13,7 @@
 //!   ([`SimSessionBuilder::fidelity`]), any other simulator plugs in
 //!   through [`SimSessionBuilder::backend`];
 //! * [`SimSession`] — a builder-style entry point that pairs one
-//!   backend with a parallelism degree, run limits and an optional
+//!   backend with a parallelism degree and an optional
 //!   [`SimCache`], re-exported from the `simtune` façade. Sessions
 //!   pre-decode every candidate once ([`Executable::decode`]) and feed
 //!   backends through [`SimBackend::run_one_decoded_on`]; with a cache
@@ -373,9 +373,10 @@ impl SimBackend for FastCountBackend {
     }
 }
 
-/// One configured simulation context: a backend plus parallelism, run
-/// limits and an optional memo cache — the runner of the paper's
-/// Listing 3, and what the autotuning loops drive.
+/// One configured simulation context: a backend plus parallelism and
+/// an optional memo cache — the runner of the paper's Listing 3, and
+/// what the autotuning loops drive. Every trial runs under
+/// [`RunLimits::default`].
 ///
 /// Created through [`SimSession::builder`]. Building a session spawns a
 /// *persistent* pool of `n_parallel` worker threads
@@ -426,7 +427,6 @@ impl SimBackend for FastCountBackend {
 pub struct SimSession {
     backend: Arc<dyn SimBackend>,
     n_parallel: usize,
-    limits: RunLimits,
     engine: EngineKind,
     memo: Option<Arc<SimCache>>,
     pool: Arc<WorkerPool>,
@@ -470,11 +470,6 @@ impl SimSession {
         self.n_parallel
     }
 
-    /// Per-run instruction budget.
-    pub fn limits(&self) -> RunLimits {
-        self.limits
-    }
-
     /// Replay engine every trial runs on (see
     /// [`SimSessionBuilder::engine`]).
     pub fn engine(&self) -> EngineKind {
@@ -514,7 +509,6 @@ impl SimSession {
     ) -> BatchTicket {
         let ctx = BatchCtx {
             backend: self.backend.clone(),
-            limits: self.limits,
             engine: self.engine,
             memo: self.memo.clone(),
             inflight: self.inflight.clone(),
@@ -537,7 +531,7 @@ impl SimSession {
         Some(RequestKeys::new(
             builder,
             &digest,
-            &self.limits,
+            &RunLimits::default(),
             self.engine,
         ))
     }
@@ -575,7 +569,7 @@ impl SimSession {
     }
 
     /// A session on another backend and engine that keeps this one's
-    /// pool, scheduling lane, tenant counters, memo cache and limits —
+    /// pool, scheduling lane, tenant counters and memo cache —
     /// how a [`crate::SimService`] tenant runs the tiers of an escalated
     /// tune on its own lane.
     pub(crate) fn on_backend(&self, backend: Arc<dyn SimBackend>, engine: EngineKind) -> Self {
@@ -593,7 +587,6 @@ impl SimSession {
 pub struct SimSessionBuilder {
     backend: Option<Arc<dyn SimBackend>>,
     n_parallel: Option<usize>,
-    limits: Option<RunLimits>,
     engine: Option<EngineKind>,
     memo: Option<Arc<SimCache>>,
     shared: Option<SharedPool>,
@@ -666,12 +659,6 @@ impl SimSessionBuilder {
         self
     }
 
-    /// Sets the per-run instruction budget.
-    pub fn limits(mut self, limits: RunLimits) -> Self {
-        self.limits = Some(limits);
-        self
-    }
-
     /// Selects the replay engine for every trial (default
     /// [`EngineKind::Decoded`]). The two bundled engines are
     /// bit-identical, so this is purely a host-speed knob:
@@ -741,7 +728,6 @@ impl SimSessionBuilder {
         Ok(SimSession {
             backend,
             n_parallel: pool.workers(),
-            limits: self.limits.unwrap_or_default(),
             engine: self.engine.unwrap_or_default(),
             memo: self.memo,
             pool,
@@ -990,7 +976,7 @@ mod tests {
         let key = crate::memo::fingerprint(
             &exe,
             &backend.fidelity_digest().unwrap(),
-            &session.limits(),
+            &RunLimits::default(),
             session.engine(),
         );
         let planted = SimReport::full(SimStats::default(), ACCURATE);

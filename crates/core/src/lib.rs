@@ -99,5 +99,5 @@ pub use simtune_isa::EngineKind;
 pub use snapshot::{atomic_write, SnapshotLoad, SNAPSHOT_SCHEMA};
 pub use workflow::{
     collect_group_data, collect_group_data_on, evaluate_predictor, holdout_group_curves,
-    split_train_test, CollectOptions, EvalReport, SortedPrediction,
+    sample_group_schedules, split_train_test, CollectOptions, EvalReport, SortedPrediction,
 };

@@ -27,13 +27,11 @@
 //! worker sees it, and a candidate whose fingerprint is already
 //! executing in-flight becomes a *follower* of that leader instead of
 //! a duplicate execution. Because the hit/miss decision is made by the
-//! deterministic, single-threaded submitter, an unbounded
-//! [`SimCache`]'s hit/miss counters are bit-identical at every
-//! `n_parallel` — the property `crates/core/tests/pool_determinism.rs`
-//! locks in. (A *bounded* cache may flush a generation while a batch is
-//! in flight, and a *failed* leader is deliberately not memoized, so in
-//! those two corner cases the counters — never the results — can vary
-//! with timing.)
+//! deterministic, single-threaded submitter, the [`SimCache`]'s
+//! hit/miss counters are bit-identical at every `n_parallel` — the
+//! property `crates/core/tests/pool_determinism.rs` locks in. (A
+//! *failed* leader is deliberately not memoized, so in that one corner
+//! case the counters — never the results — can vary with timing.)
 //!
 //! A tuning run may settle a hit even earlier: when the memo maps the
 //! candidate's request key to a resident report, `SimSession::recall`
@@ -124,7 +122,6 @@ pub(crate) struct InflightMap {
 /// Everything a worker needs to execute one batch's trials.
 pub(crate) struct BatchCtx {
     pub(crate) backend: Arc<dyn SimBackend>,
-    pub(crate) limits: RunLimits,
     /// Replay engine every trial of this batch runs on.
     pub(crate) engine: EngineKind,
     pub(crate) memo: Option<Arc<SimCache>>,
@@ -188,7 +185,7 @@ impl Batch {
         for (i, exe) in exes.iter().enumerate() {
             let plan = match &memo_cfg {
                 Some((cache, digest)) => {
-                    let key = fingerprint(exe, digest, &ctx.limits, ctx.engine);
+                    let key = fingerprint(exe, digest, &RunLimits::default(), ctx.engine);
                     if let Some(&request) = requests.get(i) {
                         cache.remember(request, &key);
                     }
@@ -318,13 +315,15 @@ impl BatchCtx {
 /// Runs one executable the way the per-batch scoped executor used to:
 /// decode once, feed the decoded handle to the backend on the session's
 /// replay engine, fall back to the raw entry point for backends that
-/// drive their own simulator.
+/// drive their own simulator. Every session trial runs under
+/// [`RunLimits::default`].
 fn exec_trial(ctx: &BatchCtx, exe: &Executable) -> Result<SimReport, CoreError> {
+    let limits = RunLimits::default();
     match exe.decode() {
         Ok(decoded) => ctx
             .backend
-            .run_one_decoded_on(exe, &decoded, &ctx.limits, ctx.engine),
-        Err(_) => ctx.backend.run_one(exe, &ctx.limits),
+            .run_one_decoded_on(exe, &decoded, &limits, ctx.engine),
+        Err(_) => ctx.backend.run_one(exe, &limits),
     }
     .map_err(CoreError::from)
 }
@@ -602,7 +601,6 @@ mod tests {
                 assert_ne!(Some(exe.name.as_str()), panic_on, "backend bug");
                 marker_stats(exe)
             })),
-            limits: RunLimits::default(),
             engine: EngineKind::default(),
             memo: None,
             inflight: Arc::new(InflightMap::default()),
@@ -863,7 +861,6 @@ mod tests {
             });
             BatchCtx {
                 backend: Arc::new(backend),
-                limits: RunLimits::default(),
                 engine: EngineKind::default(),
                 memo: None,
                 inflight: Arc::new(InflightMap::default()),

@@ -94,12 +94,13 @@ impl KernelBuilder {
 /// the paper charges: [`Measurement::native_benchmark_seconds`] (the
 /// denominator of Equation 4) is computed from the model time, not
 /// from the host clock.
+///
+/// Every measurement follows the paper's protocol,
+/// [`MeasureConfig::default`].
 #[derive(Debug, Clone)]
 pub struct HardwareRunner {
     /// The emulated board.
     pub spec: TargetSpec,
-    /// Benchmarking protocol (repetitions, cooldown).
-    pub config: MeasureConfig,
     /// Base seed for measurement noise; each candidate derives its own.
     pub noise_seed: u64,
 }
@@ -109,7 +110,6 @@ impl HardwareRunner {
     pub fn new(spec: TargetSpec) -> Self {
         HardwareRunner {
             spec,
-            config: MeasureConfig::default(),
             noise_seed: 0x11AD,
         }
     }
@@ -123,7 +123,7 @@ impl HardwareRunner {
         Ok(measure(
             exe,
             &self.spec,
-            &self.config,
+            &MeasureConfig::default(),
             self.noise_seed(index),
         )?)
     }
@@ -165,7 +165,7 @@ impl HardwareRunner {
         Ok(Measurement::from_base(
             base_seconds,
             &self.spec,
-            &self.config,
+            &MeasureConfig::default(),
             self.noise_seed(index),
         ))
     }

@@ -72,7 +72,9 @@ use crate::metrics::ConvergenceStats;
 use crate::CoreError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simtune_tensor::{ConfigSpace, SketchGenerator, SketchParams, SketchPattern};
+use simtune_tensor::{
+    ConfigSpace, SketchGenerator, SketchParams, SketchPattern, MAX_REDUCE_TILE, MAX_SPATIAL_TILE,
+};
 use std::collections::HashSet;
 use std::fmt;
 use std::hash::Hash;
@@ -150,14 +152,8 @@ impl SketchSpace {
                 })
                 .collect()
         };
-        let spatial_divisors = divisors(
-            generator.spatial_extents(),
-            generator.rules().max_spatial_tile,
-        );
-        let reduce_divisors = divisors(
-            generator.reduce_extents(),
-            generator.rules().max_reduce_tile,
-        );
+        let spatial_divisors = divisors(generator.spatial_extents(), MAX_SPATIAL_TILE);
+        let reduce_divisors = divisors(generator.reduce_extents(), MAX_REDUCE_TILE);
         SketchSpace {
             generator,
             spatial_divisors,
@@ -521,10 +517,9 @@ where
 }
 
 /// Mutate-the-best local search with random restarts: proposals are
-/// mutations of the incumbent; when a configurable number of batches
-/// passes without improvement the incumbent is abandoned and search
-/// restarts from fresh uniform samples (counted in
-/// [`ConvergenceStats::restarts`]).
+/// mutations of the incumbent; when three batches pass without
+/// improvement the incumbent is abandoned and search restarts from
+/// fresh uniform samples (counted in [`ConvergenceStats::restarts`]).
 #[derive(Debug)]
 pub struct HillClimb<S: SearchSpace> {
     space: S,
@@ -532,13 +527,15 @@ pub struct HillClimb<S: SearchSpace> {
     seen: HashSet<S::Point>,
     incumbent: Option<(S::Point, f64)>,
     stalled_batches: usize,
-    /// Batches without improvement before a random restart (default 3).
-    pub restart_after: usize,
-    attempts_factor: usize,
     tracker: Tracker,
 }
 
 impl<S: SearchSpace> HillClimb<S> {
+    /// Batches without improvement before a random restart.
+    const RESTART_AFTER: usize = 3;
+    /// Draws per requested candidate before a batch is cut short.
+    const ATTEMPTS_FACTOR: usize = 60;
+
     /// Creates a hill climber over `space`.
     pub fn new(space: S, seed: u64) -> Self {
         HillClimb {
@@ -547,8 +544,6 @@ impl<S: SearchSpace> HillClimb<S> {
             seen: HashSet::new(),
             incumbent: None,
             stalled_batches: 0,
-            restart_after: 3,
-            attempts_factor: 60,
             tracker: Tracker::default(),
         }
     }
@@ -560,7 +555,7 @@ where
 {
     fn propose(&mut self, _history: &[Evaluation<S::Point>], n: usize) -> Vec<S::Point> {
         let mut out = Vec::with_capacity(n);
-        let cap = n * self.attempts_factor;
+        let cap = n * Self::ATTEMPTS_FACTOR;
         let mut attempts = 0;
         // Neighborhood walk around the incumbent (or uniform samples
         // while no incumbent exists yet).
@@ -602,7 +597,7 @@ where
             self.stalled_batches = 0;
         } else {
             self.stalled_batches += 1;
-            if self.stalled_batches >= self.restart_after {
+            if self.stalled_batches >= Self::RESTART_AFTER {
                 self.incumbent = None;
                 self.stalled_batches = 0;
                 self.tracker.stats.restarts += 1;
@@ -628,16 +623,18 @@ pub struct Evolutionary<S: SearchSpace> {
     space: S,
     rng: StdRng,
     population: Vec<(S::Point, f64)>,
-    /// Maximum retained population (default 32).
-    pub population_size: usize,
-    /// Fraction of each batch drawn uniformly at random (default 0.25).
-    pub immigrant_fraction: f64,
     seen: HashSet<S::Point>,
-    attempts_factor: usize,
     tracker: Tracker,
 }
 
 impl<S: SearchSpace> Evolutionary<S> {
+    /// Maximum retained population.
+    const POPULATION_SIZE: usize = 32;
+    /// Fraction of each batch drawn uniformly at random.
+    const IMMIGRANT_FRACTION: f64 = 0.25;
+    /// Draws per requested candidate before a batch is cut short.
+    const ATTEMPTS_FACTOR: usize = 60;
+
     /// Creates an evolutionary search with a population of 32 and a 25 %
     /// immigrant fraction.
     pub fn new(space: S, seed: u64) -> Self {
@@ -645,10 +642,7 @@ impl<S: SearchSpace> Evolutionary<S> {
             space,
             rng: StdRng::seed_from_u64(seed),
             population: Vec::new(),
-            population_size: 32,
-            immigrant_fraction: 0.25,
             seen: HashSet::new(),
-            attempts_factor: 60,
             tracker: Tracker::default(),
         }
     }
@@ -674,10 +668,10 @@ where
     fn propose(&mut self, _history: &[Evaluation<S::Point>], n: usize) -> Vec<S::Point> {
         let mut out = Vec::with_capacity(n);
         let mut attempts = 0;
-        while out.len() < n && attempts < n * self.attempts_factor {
+        while out.len() < n && attempts < n * Self::ATTEMPTS_FACTOR {
             attempts += 1;
             let candidate =
-                if self.population.len() < 2 || self.rng.gen_bool(self.immigrant_fraction) {
+                if self.population.len() < 2 || self.rng.gen_bool(Self::IMMIGRANT_FRACTION) {
                     self.space.sample(&mut self.rng)
                 } else {
                     let a = self.tournament();
@@ -700,7 +694,7 @@ where
         }
         self.population
             .sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite scores"));
-        self.population.truncate(self.population_size);
+        self.population.truncate(Self::POPULATION_SIZE);
     }
 
     fn name(&self) -> &'static str {
@@ -722,15 +716,16 @@ pub struct Annealing<S: SearchSpace> {
     rng: StdRng,
     incumbent: Option<(S::Point, f64)>,
     temperature: f64,
-    /// Multiplied into the temperature after every observed batch
-    /// (default 0.9).
-    pub cooling: f64,
     seen: HashSet<S::Point>,
-    attempts_factor: usize,
     tracker: Tracker,
 }
 
 impl<S: SearchSpace> Annealing<S> {
+    /// Multiplied into the temperature after every observed batch.
+    const COOLING: f64 = 0.9;
+    /// Draws per requested candidate before a batch is cut short.
+    const ATTEMPTS_FACTOR: usize = 100;
+
     /// Creates an annealing search with initial temperature 1.0 and a
     /// 0.9 cooling factor per batch.
     pub fn new(space: S, seed: u64) -> Self {
@@ -739,9 +734,7 @@ impl<S: SearchSpace> Annealing<S> {
             rng: StdRng::seed_from_u64(seed),
             incumbent: None,
             temperature: 1.0,
-            cooling: 0.9,
             seen: HashSet::new(),
-            attempts_factor: 100,
             tracker: Tracker::default(),
         }
     }
@@ -764,7 +757,7 @@ where
     fn propose(&mut self, _history: &[Evaluation<S::Point>], n: usize) -> Vec<S::Point> {
         let mut out = Vec::with_capacity(n);
         let mut attempts = 0;
-        while out.len() < n && attempts < n * self.attempts_factor {
+        while out.len() < n && attempts < n * Self::ATTEMPTS_FACTOR {
             attempts += 1;
             let candidate = match &self.incumbent {
                 None => self.space.sample(&mut self.rng),
@@ -796,7 +789,7 @@ where
                 self.incumbent = Some((r.point.clone(), r.score));
             }
         }
-        self.temperature *= self.cooling;
+        self.temperature *= Self::COOLING;
     }
 
     fn name(&self) -> &'static str {
@@ -1101,10 +1094,10 @@ mod tests {
         let space = template_space();
         let mut strategy = HillClimb::new(space, 2);
         // Constant objective: nothing ever improves after the first
-        // batch, so a restart must fire after `restart_after` batches.
+        // batch, so a restart must fire after `RESTART_AFTER` batches.
         let batch = strategy.propose(&[], 4);
         strategy.observe(&eval(batch, |_| 1.0));
-        for _ in 0..strategy.restart_after {
+        for _ in 0..HillClimb::<TemplateSpace>::RESTART_AFTER {
             let batch = strategy.propose(&[], 4);
             strategy.observe(&eval(batch, |_| 1.0));
         }

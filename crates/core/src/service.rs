@@ -52,7 +52,6 @@ use crate::snapshot::SnapshotLoad;
 use crate::CoreError;
 use simtune_cache::HierarchyConfig;
 use simtune_hw::TargetSpec;
-use simtune_isa::RunLimits;
 use simtune_tensor::ComputeDef;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -65,7 +64,6 @@ use std::sync::{Arc, Mutex, PoisonError};
 struct ServiceShared {
     pool: Arc<WorkerPool>,
     cache: Arc<SimCache>,
-    limits: RunLimits,
     tenants: Mutex<TenantRegistry>,
 }
 
@@ -129,7 +127,6 @@ impl fmt::Debug for SimService {
 pub struct SimServiceBuilder {
     n_parallel: Option<usize>,
     cache: Option<Arc<SimCache>>,
-    limits: Option<RunLimits>,
 }
 
 impl fmt::Debug for SimServiceBuilder {
@@ -149,16 +146,10 @@ impl SimServiceBuilder {
         self
     }
 
-    /// Uses an existing cache (e.g. a bounded one) instead of the
-    /// default unbounded [`SimCache::new`].
+    /// Uses an existing cache (e.g. one shared with other services)
+    /// instead of a fresh [`SimCache::new`].
     pub fn cache(mut self, cache: Arc<SimCache>) -> Self {
         self.cache = Some(cache);
-        self
-    }
-
-    /// Per-run instruction budget every tenant session inherits.
-    pub fn limits(mut self, limits: RunLimits) -> Self {
-        self.limits = Some(limits);
         self
     }
 
@@ -174,7 +165,6 @@ impl SimServiceBuilder {
             shared: Arc::new(ServiceShared {
                 pool: WorkerPool::new(workers),
                 cache: self.cache.unwrap_or_else(|| Arc::new(SimCache::new())),
-                limits: self.limits.unwrap_or_default(),
                 tenants: Mutex::new(TenantRegistry {
                     open: BTreeMap::new(),
                     next_lane: 1,
@@ -222,7 +212,6 @@ impl SimService {
         };
         let session = SimSession::builder()
             .backend(backend)
-            .limits(self.shared.limits)
             .memo_cache(self.shared.cache.clone())
             .shared_pool(self.shared.pool.clone(), lane, Some(counters.clone()))
             .build()?;

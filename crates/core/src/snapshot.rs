@@ -341,7 +341,7 @@ impl SimCache {
         json.push_str(",\"entries\":[");
         let mut n = 0;
         for key in &keys {
-            // An entry flushed since the keys were listed is left out.
+            // An entry cleared since the keys were listed is left out.
             let Some(report) = self.peek(key) else {
                 continue;
             };
@@ -358,8 +358,7 @@ impl SimCache {
     }
 
     /// Restores entries from a snapshot written by [`SimCache::save_to`],
-    /// inserting them into this cache (a bounded cache applies its usual
-    /// epoch-eviction contract).
+    /// inserting them into this cache.
     ///
     /// Degrades instead of failing: a missing file returns
     /// [`SnapshotLoad::Missing`]; a corrupt, truncated or

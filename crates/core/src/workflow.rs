@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 use simtune_hw::TargetSpec;
 use simtune_linalg::stats::{argsort, median};
 use simtune_predict::PredictorKind;
-use simtune_tensor::{ComputeDef, SketchGenerator};
+use simtune_tensor::{ComputeDef, Schedule, SketchGenerator, SketchParams, TargetIsa};
 
 /// Options for collecting one group's dataset (training phase of
 /// Fig. 4: run every implementation on the simulator *and* the target).
@@ -71,8 +71,8 @@ pub fn collect_group_data(
 /// training collection runs on its own lane of the shared pool and
 /// shows in its counters. `opts.n_parallel` and `opts.memo_cache` are
 /// ignored in favor of the session's pool and cache. The samples are
-/// simulated on the accurate tier, with the session's limits and engine,
-/// whatever backend the session itself drives: predictors are fit
+/// simulated on the accurate tier, on the session's engine, whatever
+/// backend the session itself drives: predictors are fit
 /// against accurate cache statistics. Their labels come from the
 /// emulated board, whose timing runs are trials on the same pool and
 /// memo: the tenant's memo counters and the pool's trial count include
@@ -88,42 +88,11 @@ pub fn collect_group_data_on(
     opts: &CollectOptions,
     session: &SimSession,
 ) -> Result<GroupData, CoreError> {
-    let generator = SketchGenerator::new(def, spec.isa.clone());
-    // Sample distinct, valid schedules through the shared RandomSearch
-    // strategy — the same sampling loop that used to live inline here,
-    // extracted so collection, tuning and template search all draw
-    // candidates through one subsystem. Seed derivation, deduplication
-    // key and rng stream are unchanged, so datasets collected before the
-    // extraction reproduce bit-identically.
-    let mut sampler = RandomSearch::new(
-        SketchSpace::new(generator.clone()),
-        opts.seed.wrapping_add(group_id as u64 * 7919),
-    )
-    .with_attempts_factor(opts.max_attempts_factor);
-    let mut schedules = Vec::with_capacity(opts.n_impls);
-    // The historical give-up bound: at most n_impls * factor raw draws
-    // in total, however many of them deduplication or schedule
-    // validation rejects (checked between batches, so one in-flight
-    // batch may overshoot slightly).
-    let max_attempts = opts.n_impls * opts.max_attempts_factor;
-    while schedules.len() < opts.n_impls && sampler.attempts() < max_attempts {
-        let want = opts.n_impls - schedules.len();
-        let batch = sampler.propose(&[], want);
-        if batch.is_empty() {
-            break; // space exhausted or per-batch attempt budget spent
-        }
-        for params in batch {
-            let schedule = generator.schedule(&params);
-            if schedule.apply(def, &spec.isa).is_ok() {
-                schedules.push((format!("{params:?}"), schedule));
-            }
-        }
-    }
+    let (schedules, attempts) = sample_group_schedules(def, &spec.isa, group_id, opts);
     if schedules.len() < opts.n_impls.min(8) {
         return Err(CoreError::Pipeline(format!(
-            "only {} valid schedules after {} attempts",
+            "only {} valid schedules after {attempts} attempts",
             schedules.len(),
-            sampler.attempts()
         )));
     }
 
@@ -148,11 +117,11 @@ pub fn collect_group_data_on(
     let mut tickets = Vec::new();
     let mut chunk = Vec::new();
     let mut submit = |chunk: Vec<_>| tickets.push((sim.submit(chunk.clone()), board.submit(chunk)));
-    for (i, (desc, schedule)) in schedules.iter().enumerate() {
+    for (i, (params, schedule)) in schedules.iter().enumerate() {
         match builder.build(schedule, &format!("{}g{group_id}i{i}", def.name)) {
             Ok(e) => {
                 chunk.push(e);
-                descriptions.push(desc.clone());
+                descriptions.push(format!("{params:?}"));
             }
             Err(_) => continue, // failed builds are dropped, like in TVM
         }
@@ -191,6 +160,44 @@ pub fn collect_group_data_on(
         return Err(CoreError::Pipeline("no implementation survived".into()));
     }
     Ok(data)
+}
+
+/// The schedules [`collect_group_data`] draws for group `group_id`:
+/// [`RandomSearch`] over `def`'s sketch space, seeded
+/// `opts.seed + 7919·group_id`, keeping each distinct genotype whose
+/// schedule applies on `isa`. Sampling gives up after
+/// `opts.n_impls · opts.max_attempts_factor` raw draws, however many of
+/// them deduplication or schedule validation rejects (checked between
+/// batches, so one batch may overshoot slightly). Returns the kept
+/// genotypes with their schedules, in draw order, and the raw draws
+/// spent.
+pub fn sample_group_schedules(
+    def: &ComputeDef,
+    isa: &TargetIsa,
+    group_id: usize,
+    opts: &CollectOptions,
+) -> (Vec<(SketchParams, Schedule)>, usize) {
+    let generator = SketchGenerator::new(def, isa.clone());
+    let mut sampler = RandomSearch::new(
+        SketchSpace::new(generator.clone()),
+        opts.seed.wrapping_add(group_id as u64 * 7919),
+    )
+    .with_attempts_factor(opts.max_attempts_factor);
+    let mut schedules = Vec::with_capacity(opts.n_impls);
+    let max_attempts = opts.n_impls * opts.max_attempts_factor;
+    while schedules.len() < opts.n_impls && sampler.attempts() < max_attempts {
+        let batch = sampler.propose(&[], opts.n_impls - schedules.len());
+        if batch.is_empty() {
+            break; // space exhausted or per-batch attempt budget spent
+        }
+        for params in batch {
+            let schedule = generator.schedule(&params);
+            if schedule.apply(def, isa).is_ok() {
+                schedules.push((params, schedule));
+            }
+        }
+    }
+    (schedules, sampler.attempts())
 }
 
 /// Deterministic train/test split: returns `(train, test)` index sets

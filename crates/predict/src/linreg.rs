@@ -2,6 +2,9 @@ use crate::model::{check_features, check_fit_input};
 use crate::{PredictError, Regressor};
 use simtune_linalg::Matrix;
 
+/// The stabilizing ridge added to the normal equations' diagonal.
+const RIDGE: f64 = 1e-8;
+
 /// Multiple linear regression fitted by minimizing the residual sum of
 /// squares (ordinary least squares through the normal equations), the
 /// paper's simplest predictor: `y = b0 + b1·x1 + … + bn·xn`.
@@ -29,24 +32,12 @@ use simtune_linalg::Matrix;
 pub struct LinearRegression {
     /// `[intercept, b1, …, bn]` once fitted.
     coefficients: Option<Vec<f64>>,
-    ridge: f64,
 }
 
 impl LinearRegression {
-    /// OLS with the default stabilizing ridge (1e-8).
+    /// An unfitted regressor; the same as [`LinearRegression::default`].
     pub fn new() -> Self {
-        LinearRegression {
-            coefficients: None,
-            ridge: 1e-8,
-        }
-    }
-
-    /// OLS with an explicit ridge coefficient (0 disables).
-    pub fn with_ridge(ridge: f64) -> Self {
-        LinearRegression {
-            coefficients: None,
-            ridge,
-        }
+        Self::default()
     }
 
     /// Fitted coefficients `[intercept, b1, …, bn]`, if fitted.
@@ -71,7 +62,7 @@ impl Regressor for LinearRegression {
         let xb = with_bias_column(x);
         // Normal equations: (XᵀX + ridge·I) b = Xᵀ y.
         let mut gram = xb.gram();
-        gram.add_diagonal(self.ridge);
+        gram.add_diagonal(RIDGE);
         let xty = xb.transpose().mat_vec(y);
         let b = gram.solve(&xty)?;
         self.coefficients = Some(b);
@@ -122,11 +113,12 @@ mod tests {
         // x1 == 2 * x0: rank-deficient without the ridge.
         let x = Matrix::from_fn(20, 2, |i, j| if j == 0 { i as f64 } else { 2.0 * i as f64 });
         let y: Vec<f64> = (0..20).map(|i| i as f64).collect();
-        let mut lr = LinearRegression::new();
-        lr.fit(&x, &y).unwrap();
-        let p = lr.predict(&x).unwrap();
-        for (pi, yi) in p.iter().zip(&y) {
-            assert!((pi - yi).abs() < 1e-4);
+        for mut lr in [LinearRegression::new(), LinearRegression::default()] {
+            lr.fit(&x, &y).unwrap();
+            let p = lr.predict(&x).unwrap();
+            for (pi, yi) in p.iter().zip(&y) {
+                assert!((pi - yi).abs() < 1e-4);
+            }
         }
     }
 

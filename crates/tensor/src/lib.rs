@@ -55,7 +55,7 @@ pub use lower::{
 pub use schedule::{
     LoopInfo, LoopKind, LoopStructure, Schedule, ScheduleError, Split, SubVar, MAX_UNROLL,
 };
-pub use sketch::{SketchGenerator, SketchParams, SketchPattern, SketchRules};
+pub use sketch::{SketchGenerator, SketchParams, SketchPattern, MAX_REDUCE_TILE, MAX_SPATIAL_TILE};
 pub use space::{ConfigSpace, Knob, KnobChoice, SpaceBuilder};
 pub use validate::{validate_schedule, ValidateError, DEFAULT_TOLERANCE};
 

@@ -46,30 +46,6 @@ impl SketchPattern {
     }
 }
 
-/// Tunable rules for the generator.
-#[derive(Debug, Clone)]
-pub struct SketchRules {
-    /// Maximum candidate inner-tile size per spatial variable.
-    pub max_spatial_tile: usize,
-    /// Maximum candidate inner-tile size per reduction variable.
-    pub max_reduce_tile: usize,
-    /// Probability of annotating an eligible loop with `unroll`.
-    pub unroll_prob: f64,
-    /// Probability of vectorizing when the tile admits it.
-    pub vectorize_prob: f64,
-}
-
-impl Default for SketchRules {
-    fn default() -> Self {
-        SketchRules {
-            max_spatial_tile: 32,
-            max_reduce_tile: 16,
-            unroll_prob: 0.5,
-            vectorize_prob: 0.6,
-        }
-    }
-}
-
 /// The annotation genotype produced and evolved by the generator.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SketchParams {
@@ -107,22 +83,25 @@ pub struct SketchGenerator {
     spatial_extents: Vec<usize>,
     reduce_extents: Vec<usize>,
     target: TargetIsa,
-    rules: SketchRules,
 }
 
-impl SketchGenerator {
-    /// Creates a generator with default rules.
-    pub fn new(def: &ComputeDef, target: TargetIsa) -> Self {
-        Self::with_rules(def, target, SketchRules::default())
-    }
+/// Maximum candidate inner-tile size per spatial variable.
+pub const MAX_SPATIAL_TILE: usize = 32;
+/// Maximum candidate inner-tile size per reduction variable.
+pub const MAX_REDUCE_TILE: usize = 16;
+/// Probability of annotating an eligible loop with `unroll`.
+const UNROLL_PROB: f64 = 0.5;
+/// Probability of vectorizing when the tile admits it.
+const VECTORIZE_PROB: f64 = 0.6;
 
-    /// Creates a generator with explicit rules.
-    pub fn with_rules(def: &ComputeDef, target: TargetIsa, rules: SketchRules) -> Self {
+impl SketchGenerator {
+    /// Creates a generator for `def` on `target`: tiles are divisors of
+    /// each extent up to [`MAX_SPATIAL_TILE`] or [`MAX_REDUCE_TILE`].
+    pub fn new(def: &ComputeDef, target: TargetIsa) -> Self {
         SketchGenerator {
             spatial_extents: def.spatial_extents.clone(),
             reduce_extents: def.reduce_extents.clone(),
             target,
-            rules,
         }
     }
 
@@ -141,11 +120,6 @@ impl SketchGenerator {
         &self.reduce_extents
     }
 
-    /// The rules this generator samples under.
-    pub fn rules(&self) -> &SketchRules {
-        &self.rules
-    }
-
     /// Normalizes an externally constructed genotype into the valid
     /// region: clears `vectorize` when the innermost tile is not
     /// lane-exact and drops unroll flags whose effective trip count
@@ -158,7 +132,7 @@ impl SketchGenerator {
     }
 
     /// True when `p` lies inside this generator's search space: every
-    /// tile divides its extent and respects the rule caps, and the
+    /// tile divides its extent and respects the tile caps, and the
     /// annotation flags survive [`SketchGenerator::canonicalize`]
     /// unchanged.
     pub fn contains(&self, p: &SketchParams) -> bool {
@@ -173,15 +147,9 @@ impl SketchGenerator {
                 .zip(extents)
                 .all(|(&t, &e)| t >= 1 && t <= cap && e.is_multiple_of(t))
         };
-        if !tiles_ok(
-            &p.spatial_tiles,
-            &self.spatial_extents,
-            self.rules.max_spatial_tile,
-        ) || !tiles_ok(
-            &p.reduce_tiles,
-            &self.reduce_extents,
-            self.rules.max_reduce_tile,
-        ) {
+        if !tiles_ok(&p.spatial_tiles, &self.spatial_extents, MAX_SPATIAL_TILE)
+            || !tiles_ok(&p.reduce_tiles, &self.reduce_extents, MAX_REDUCE_TILE)
+        {
             return false;
         }
         let mut canonical = p.clone();
@@ -194,12 +162,12 @@ impl SketchGenerator {
         let spatial_tiles: Vec<usize> = self
             .spatial_extents
             .iter()
-            .map(|&e| pick_divisor(e, self.rules.max_spatial_tile, rng))
+            .map(|&e| pick_divisor(e, MAX_SPATIAL_TILE, rng))
             .collect();
         let reduce_tiles: Vec<usize> = self
             .reduce_extents
             .iter()
-            .map(|&e| pick_divisor(e, self.rules.max_reduce_tile, rng))
+            .map(|&e| pick_divisor(e, MAX_REDUCE_TILE, rng))
             .collect();
         let pattern = match rng.gen_range(0..10) {
             0..=4 => SketchPattern::ReduceInner,
@@ -211,10 +179,10 @@ impl SketchGenerator {
             reduce_tiles,
             pattern,
             vectorize: false,
-            unroll_reduce: rng.gen_bool(self.rules.unroll_prob),
-            unroll_spatial: rng.gen_bool(self.rules.unroll_prob * 0.5),
+            unroll_reduce: rng.gen_bool(UNROLL_PROB),
+            unroll_spatial: rng.gen_bool(UNROLL_PROB * 0.5),
         };
-        if self.vectorizable(&p) && rng.gen_bool(self.rules.vectorize_prob) {
+        if self.vectorizable(&p) && rng.gen_bool(VECTORIZE_PROB) {
             p.vectorize = true;
         }
         self.clamp(&mut p);
@@ -227,14 +195,12 @@ impl SketchGenerator {
         match rng.gen_range(0..5) {
             0 => {
                 let i = rng.gen_range(0..p.spatial_tiles.len());
-                p.spatial_tiles[i] =
-                    pick_divisor(self.spatial_extents[i], self.rules.max_spatial_tile, rng);
+                p.spatial_tiles[i] = pick_divisor(self.spatial_extents[i], MAX_SPATIAL_TILE, rng);
             }
             1 => {
                 if !p.reduce_tiles.is_empty() {
                     let i = rng.gen_range(0..p.reduce_tiles.len());
-                    p.reduce_tiles[i] =
-                        pick_divisor(self.reduce_extents[i], self.rules.max_reduce_tile, rng);
+                    p.reduce_tiles[i] = pick_divisor(self.reduce_extents[i], MAX_REDUCE_TILE, rng);
                 }
             }
             2 => {
